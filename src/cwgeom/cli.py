@@ -50,7 +50,10 @@ def _read_payload(path: str):
             raise InputError(f"cannot read input file: {exc}") from exc
     if not text.strip():
         raise InputError("empty input")
-    return serialize.parse_json(text)
+    data = serialize.parse_json(text)
+    if not isinstance(data, dict):
+        raise InputError("input must be a JSON object")
+    return data
 
 
 def _emit(args, payload) -> None:
@@ -171,7 +174,7 @@ def cmd_orbit(args) -> int:
     prof = _load_pair(data)
     gamma = serialize.load_homothety(prof, data.get("gamma", {}))
     phi = serialize.load_homothety(prof, data.get("phi", {}))
-    K = int(data.get("K", 60))
+    K = serialize.load_count(data, "K", 60)
     rep = dynamics.orbit_obstruction_sequence(gamma, phi, K=K)
     _emit(args, {"sequence": [serialize.dump_point(p) for p in rep.points],
                  "limit": serialize.dump_point(rep.limit),
@@ -181,7 +184,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_pullback_check(args) -> int:
     data = _read_payload(args.input)
-    n = int(data.get("n", 2))
+    n = serialize.load_count(data, "n", 2)
     which = data.get("map", "minkowski")
     samples = args.samples
     rng = np.random.default_rng(_seed(args))
@@ -230,10 +233,12 @@ def cmd_verify_example(args) -> int:
 def cmd_pd_report(args) -> int:
     data = _read_payload(args.input)
     prof = _load_pair(data)
-    gens = [serialize.load_homothety(prof, g) for g in data.get("generators", [])]
-    if not gens:
-        raise InputError("pd-report needs at least one generator")
-    rep = dynamics.pd_necessary_report(gens, max_length=int(data.get("max_length", 2)))
+    gens = data.get("generators", [])
+    if not isinstance(gens, list) or not gens:
+        raise InputError("pd-report needs a non-empty list of generators")
+    gens = [serialize.load_homothety(prof, g) for g in gens]
+    max_length = serialize.load_count(data, "max_length", 2)
+    rep = dynamics.pd_necessary_report(gens, max_length=max_length)
     _emit(args, {
         "space_type": rep.space_type,
         "lambda_max_sq": rep.lambda_max_sq,

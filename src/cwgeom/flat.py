@@ -1,8 +1,8 @@
 """Conformally flat machinery: the global map of the real-type space onto
 the Minkowski half-space {u > 0}, the imaginary-type local map on the
 strip |t| < pi/2, generic metric pullback through analytic or
-finite-difference Jacobians, and the blow-up ODE demonstration that rules
-out a global flat rescaling in the imaginary case.
+finite-difference Jacobians, and the closed-form blow-up of the Riccati
+equation that rules out a global flat rescaling in the imaginary case.
 
 Flat coordinates are ordered (u, y^1..y^n, z) with the Minkowski metric
 g0 = 2 du dz + dy^2.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Point, SymmetricProfile
 from .curvature import ScalarJet2, SymBilinear, conformal_christoffel_at
@@ -208,27 +207,21 @@ def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
                          profile: SymmetricProfile = None):
     """The dichotomy behind global flat rescalings.
 
-    epsilon = -1 (imaginary type): integrates y' = y^2 + 1 from y(0) = y0
-    and reports the finite blow-up time (tan solution), showing that no
-    globally defined rescaling exists.  epsilon = +1 (real type): checks
-    that the 2-jet of f = t has vanishing covariant Hessian and null
-    gradient for g_+, the equation solved by the global rescaling.
+    epsilon = -1 (imaginary type): y' = y^2 + 1 with y(0) = y0 has the
+    solution y = tan(t + arctan y0), which blows up in finite time, showing
+    that no globally defined rescaling exists.  The reported blow-up time
+    is the first t >= 0 with |y(t)| >= 1e8, or None when that lies beyond
+    tmax.  epsilon = +1 (real type): checks that the 2-jet of f = t has
+    vanishing covariant Hessian and null gradient for g_+, the equation
+    solved by the global rescaling.
     """
     if epsilon == -1:
         escape = 1e8
-
-        def rhs(t, y):
-            return [y[0] ** 2 + 1.0]
-
-        def event(t, y):
-            return abs(y[0]) - escape
-
-        event.terminal = True
-        sol = solve_ivp(rhs, (0.0, tmax), [y0], events=event,
-                        max_step=1e-3, rtol=1e-10, atol=1e-10)
-        blowup = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-        return {"ts": sol.t.tolist(), "ys": sol.y[0].tolist(),
-                "blowup_t": blowup, "blowup": blowup is not None}
+        # y increases on [0, pi/2 - arctan y0), so from |y0| < escape it
+        # first reaches |y| = escape at y = +escape
+        t = 0.0 if abs(y0) >= escape else float(np.arctan(escape) - np.arctan(y0))
+        blowup = t if t <= tmax else None
+        return {"blowup_t": blowup, "blowup": blowup is not None}
     if epsilon != 1:
         raise ValueError("epsilon must be +1 or -1")
     from .curvature import conformal_change_at, metric_at, nabla_df

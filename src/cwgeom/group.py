@@ -4,7 +4,7 @@ A group element is the map
 
     (t, x, v) |-> (eps t + c,
                    e^s A x + beta(t),
-                   eps (e^{2s} v + b - <beta'(t), A x + beta(t)/2>)),
+                   eps (e^{2s} v + b - <beta'(t), e^s A x + beta(t)/2>)),
 
 with beta a solution of beta'' = S beta, A orthogonal and commuting with
 S, eps = +-1.  Composition and inversion are computed at parameter level;

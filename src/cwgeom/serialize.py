@@ -5,7 +5,6 @@ Schemas:
     beta        {"beta0": [real], "beta1": [real]}
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
-    jet         {"value": real, "gradient": [real], "hessian": [[real]]}
     point       [t, x_1, ..., x_n, v]
 """
 
@@ -17,14 +16,46 @@ from typing import Any
 import numpy as np
 
 from .core import BetaSolution, Point, SymmetricProfile
-from .curvature import CurvatureTensor4, ScalarJet2, SymBilinear
+from .curvature import CurvatureTensor4, SymBilinear
 from .errors import CWError, InputError
 from .group import Homothety
+
+
+# the largest |s| for which the scale factors e^{+-2s} of a homothety and
+# its inverse are finite floats
+MAX_LOG_SCALE = 0.5 * float(np.log(np.finfo(float).max))
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InputError(message)
+
+
+def _real_array(value: Any, what: str) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{what} must be a numeric array: {exc}") from exc
+    _require(bool(np.all(np.isfinite(a))), f"{what} has non-finite entries")
+    return a
+
+
+def load_real(data: dict, key: str, default: float) -> float:
+    """The finite real field `key` of a JSON object."""
+    try:
+        value = float(data.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"'{key}' must be a real number: {exc}") from exc
+    _require(bool(np.isfinite(value)), f"'{key}' must be finite")
+    return value
+
+
+def load_count(data: dict, key: str, default: int) -> int:
+    """The positive integer field `key` of a JSON object."""
+    value = data.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"'{key}' must be a positive integer, got {value!r}")
+    return value
 
 
 def load_profile(data: Any) -> SymmetricProfile:
@@ -37,45 +68,34 @@ def load_profile(data: Any) -> SymmetricProfile:
     if "n" in data:
         _require(S.shape == (data["n"], data["n"]),
                  f"'S' shape {S.shape} does not match n = {data['n']}")
-    tol = float(data.get("tolerance", 1e-9))
-    return SymmetricProfile(S, tolerance=tol)
-
-
-def dump_profile(profile: SymmetricProfile) -> dict:
-    return {"n": profile.n, "S": profile.S.tolist()}
+    return SymmetricProfile(S, tolerance=load_real(data, "tolerance", 1e-9))
 
 
 def load_beta(profile: SymmetricProfile, data: Any) -> BetaSolution:
     _require(isinstance(data, dict), "beta must be a JSON object")
-    try:
-        return BetaSolution(profile,
-                            np.asarray(data.get("beta0", np.zeros(profile.n)), float),
-                            np.asarray(data.get("beta1", np.zeros(profile.n)), float))
-    except CWError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed beta data: {exc}") from exc
-
-
-def dump_beta(beta: BetaSolution) -> dict:
-    return {"beta0": beta.beta0.tolist(), "beta1": beta.beta1.tolist()}
+    zero = np.zeros(profile.n)
+    return BetaSolution(profile, _real_array(data.get("beta0", zero), "'beta0'"),
+                        _real_array(data.get("beta1", zero), "'beta1'"))
 
 
 def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
     _require(isinstance(data, dict), "homothety must be a JSON object")
-    eps = int(data.get("eps", 1))
-    _require(eps in (1, -1), "'eps' must be +1 or -1")
-    beta = load_beta(profile, {"beta0": data.get("beta0", [0.0] * profile.n),
-                               "beta1": data.get("beta1", [0.0] * profile.n)})
+    eps = load_real(data, "eps", 1.0)
+    _require(eps in (1.0, -1.0), "'eps' must be +1 or -1")
+    s = load_real(data, "s", 0.0)
+    _require(abs(s) <= MAX_LOG_SCALE,
+             f"'s' = {s} overflows the scale factor e^(2s); |s| must be at most "
+             f"{MAX_LOG_SCALE:.2f}")
+    beta = load_beta(profile, data)
     A = data.get("A")
     try:
         return Homothety(profile,
-                         b=float(data.get("b", 0.0)),
+                         b=load_real(data, "b", 0.0),
                          beta=beta,
-                         c=float(data.get("c", 0.0)),
-                         eps=eps,
-                         A=None if A is None else np.asarray(A, float),
-                         s=float(data.get("s", 0.0)))
+                         c=load_real(data, "c", 0.0),
+                         eps=int(eps),
+                         A=None if A is None else _real_array(A, "'A'"),
+                         s=s)
     except CWError:
         raise
     except (TypeError, ValueError) as exc:
@@ -89,27 +109,13 @@ def dump_homothety(phi: Homothety) -> dict:
 
 
 def load_point(n: int, data: Any) -> Point:
-    try:
-        a = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"point must be a numeric array: {exc}") from exc
+    a = _real_array(data, "point")
     _require(a.shape == (n + 2,), f"point must have {n + 2} coordinates")
     return Point.from_array(a)
 
 
 def dump_point(p: Point) -> list:
     return p.as_array().tolist()
-
-
-def load_jet(n: int, data: Any) -> ScalarJet2:
-    _require(isinstance(data, dict), "jet must be a JSON object")
-    try:
-        return ScalarJet2(float(data.get("value", 0.0)),
-                          np.asarray(data.get("gradient", np.zeros(n + 2)), float),
-                          np.asarray(data.get("hessian", np.zeros((n + 2, n + 2))),
-                                     float))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed jet data: {exc}") from exc
 
 
 def dump_bilinear(T: SymBilinear) -> list:

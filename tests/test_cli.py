@@ -1,10 +1,14 @@
 """CLI contract: JSON schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cwgeom
 from cwgeom.cli import main
 
 PROFILE = {"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]]}
@@ -22,6 +26,14 @@ def write(tmp_path, name, payload):
     path.write_text(payload if isinstance(payload, str)
                     else json.dumps(payload))
     return str(path)
+
+
+def run_python(args, stdin=""):
+    """Run a fresh interpreter that imports this checkout of cwgeom."""
+    src = os.path.dirname(os.path.dirname(cwgeom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestExitCodes:
@@ -254,3 +266,39 @@ class TestGlobalFlags:
         code, out, _ = run(capsys, ["classify", "-"])
         assert code == 0
         assert json.loads(out)["type"] == "real"
+
+
+ORBIT = {"profile": IMAGINARY, "gamma": {"c": 1.0, "s": 0.5},
+         "phi": {"c": 1.2, "beta0": [1.0, 0.0]}}
+
+
+class TestMalformedPayloads:
+    """Malformed payloads exit 2 with a JSON error on stderr and no
+    traceback, run in a fresh process as a user would run them."""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("compose", [0.1, 0.2, 0.3]),
+        ("compose", {"profile": PROFILE, "phi": {"eps": "x"}, "psi": {}}),
+        ("orbit", dict(ORBIT, K="a")),
+        ("orbit", dict(ORBIT, K=0)),
+        ("apply", {"profile": PROFILE, "phi": {"s": 1000.0},
+                   "point": [0.1, 0.2, -0.3, 0.4]}),
+        ("classify", dict(PROFILE, tolerance="z")),
+    ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
+            "tolerance-z"])
+    def test_exits_2_with_json_error(self, command, payload):
+        proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["kind"] == "input" and err["detail"]
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test-only dependency: importing the library and the CLI
+    must not load it."""
+    proc = run_python(["-c", "import cwgeom, cwgeom.cli, sys; "
+                             "print(sorted(m for m in sys.modules "
+                             "if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from cwgeom.core import Point, SymmetricProfile
 from cwgeom.curvature import metric_at
@@ -157,6 +158,26 @@ class TestFlatnessDichotomy:
         # tan(t + pi/4) blows up at pi/4
         out = flatness_blowup_demo(-1, y0=1.0)
         assert abs(out["blowup_t"] - np.pi / 4) <= 1e-3
+
+    @pytest.mark.parametrize("y0", np.linspace(-5.0, 5.0, 11))
+    def test_closed_form_matches_integration(self, y0):
+        def escape(t, y):
+            return abs(y[0]) - 1e8
+
+        escape.terminal = True
+        sol = solve_ivp(lambda t, y: [y[0] ** 2 + 1.0], (0.0, 10.0), [y0],
+                        events=escape, method="DOP853", rtol=1e-10, atol=1e-10)
+        out = flatness_blowup_demo(-1, y0=y0)
+        assert out["blowup"]
+        assert abs(out["blowup_t"] - sol.t_events[0][0]) <= 1e-6
+        if y0 >= 0:
+            assert abs(out["blowup_t"]
+                       - (np.arctan(1e8) - np.arctan(y0))) <= 1e-12
+
+    def test_blowup_beyond_tmax(self):
+        # from y0 = -5 the blow-up comes at about 2.94
+        out = flatness_blowup_demo(-1, y0=-5.0, tmax=2.0)
+        assert out == {"blowup": False, "blowup_t": None}
 
     def test_real_type_global_rescale(self):
         out = flatness_blowup_demo(1)
