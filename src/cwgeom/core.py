@@ -17,6 +17,7 @@ from .errors import (
     CentraliserViolationError,
     IncompatibleProfileError,
     MalformedProfileError,
+    OverflowingValueError,
 )
 
 DEFAULT_TOL = 1e-9
@@ -160,7 +161,7 @@ class Point:
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         if not (np.isfinite(self.t) and np.isfinite(self.v) and np.all(np.isfinite(self.x))):
-            raise ValueError("point has non-finite coordinates")
+            raise OverflowingValueError("point has non-finite coordinates")
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.t], self.x, [self.v]))

@@ -51,6 +51,13 @@ class DomainError(CWError):
     kind = "domain"
 
 
+class OverflowingValueError(CWError, ValueError):
+    """A computed value is not a finite float, for instance a point whose
+    coordinates overflow."""
+
+    kind = "overflow"
+
+
 class InputError(CWError):
     """Malformed external input (JSON parsing/validation)."""
 

@@ -1,7 +1,7 @@
 """JSON schemas shared by the library and the CLI.
 
 Schemas:
-    profile     {"n": int, "S": [[real]]}
+    profile     {"n": int >= 1, "S": [[real]]}
     beta        {"beta0": [real], "beta1": [real]}
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
@@ -66,8 +66,8 @@ def load_profile(data: Any) -> SymmetricProfile:
     except (TypeError, ValueError) as exc:
         raise InputError(f"profile field 'S' is not a numeric matrix: {exc}") from exc
     if "n" in data:
-        _require(S.shape == (data["n"], data["n"]),
-                 f"'S' shape {S.shape} does not match n = {data['n']}")
+        n = load_count(data, "n", 1)
+        _require(S.shape == (n, n), f"'S' shape {S.shape} does not match n = {n}")
     return SymmetricProfile(S, tolerance=load_real(data, "tolerance", 1e-9))
 
 

@@ -1,6 +1,9 @@
 """CLI contract: JSON schemas, exit codes, determinism."""
 
+import glob
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import cwgeom
+from cwgeom import cli
 from cwgeom.cli import main
 
 PROFILE = {"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]]}
@@ -284,14 +288,116 @@ class TestMalformedPayloads:
         ("apply", {"profile": PROFILE, "phi": {"s": 1000.0},
                    "point": [0.1, 0.2, -0.3, 0.4]}),
         ("classify", dict(PROFILE, tolerance="z")),
+        ("classify", {"n": True, "S": [[1.0]]}),
+        ("classify", {"n": 1.0, "S": [[1.0]]}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
-            "tolerance-z"])
+            "tolerance-z", "n-true", "n-float"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)["error"]
         assert err["kind"] == "input" and err["detail"]
+
+
+def test_overflow_exits_3_with_json_error():
+    """In-range input whose result overflows is a failed precondition, not
+    a traceback."""
+    payload = {"profile": {"S": [[1.0]]}, "phi": {"s": 300.0},
+               "point": [0.0, 1.0, 1e100]}
+    proc = run_python(["-m", "cwgeom.cli", "apply", "-"], json.dumps(payload))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    # numpy's overflow warning may precede the error line
+    err = json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+    assert err["kind"] == "overflow" and err["detail"]
+
+
+PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback-check", "-", "--tolerance", "bogus=1"],
+    ["pullback-check", "-", "--tolerance", "pullback"],
+    ["pullback-check", "-", "--tolerance", "pullback=0"],
+    ["pullback-check", "-", "--samples", "0"],
+    ["pullback-check", "-", "--samples", "-3"],
+    ["pullback-check", "-", "--seed", "-1"],
+    ["verify-example", "failed-3d", "--r", "9"],
+    ["classify", "-", "--seed", "3"],
+    ["classify", "-", "--samples", "5"],
+    ["curvature", "-", "--tolerance", "pullback=1e-3"],
+    ["classify", "-", "--r", "4"],
+    ["classify", "-", "--bogus"],
+    ["classify", "-", "--format", "yaml"],
+    ["classify", "-", "--output", "/nonexistent/dir/out.json"],
+    ["--format", "pretty", "classify", "-"],
+    ["frobnicate", "-"],
+    ["verify-example", "no-such-example"],
+    [],
+], ids=["tolerance-name", "tolerance-no-value", "tolerance-zero", "samples-0",
+        "samples-negative", "seed-negative", "r-not-real-lattice", "seed-unread",
+        "samples-unread", "tolerance-unread", "r-unread", "unknown-flag",
+        "unknown-format", "unwritable-output", "flag-before-subcommand",
+        "unknown-subcommand", "unknown-example", "no-subcommand"])
+def test_usage_errors_exit_2(argv, capsys, monkeypatch):
+    """A flag either takes effect or is rejected, and a usage error is a
+    JSON input error like any other malformed input."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PULLBACK)))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pullback-check", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
+
+
+GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data",
+                                       "golden_cli", "*.json")))
+
+
+def assert_matches(got, want, where="stdout"):
+    """Keys, ints, bools, strings and nulls equal, floats to rtol 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), \
+            f"{where}: {got!r} != {want!r}"
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
+
+
+@pytest.mark.parametrize("path", GOLDEN,
+                         ids=[os.path.basename(p)[:-5] for p in GOLDEN])
+def test_golden_cli(path, capsys, monkeypatch):
+    """Exit code and stdout of one small request per subcommand match the
+    recorded ones."""
+    with open(path, encoding="utf-8") as fh:
+        case = json.load(fh)
+    monkeypatch.delenv("CW_LAB_SEED", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["input"])))
+    code, out, _ = run(capsys, case["argv"])
+    assert code == case["exit"]
+    assert_matches(json.loads(out), case["stdout"])
+
+
+def test_golden_corpus_covers_every_subcommand():
+    subcommands = set()
+    for path in GOLDEN:
+        with open(path, encoding="utf-8") as fh:
+            subcommands.add(json.load(fh)["argv"][0])
+    assert subcommands == set(cli.COMMANDS)
 
 
 def test_runtime_imports_no_scipy():
