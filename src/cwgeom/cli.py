@@ -297,9 +297,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cmd = COMMANDS[args.command]
         operand = args.operand if cmd.names else _read_payload(args.operand)
-        result = cmd.call(*cmd.load(operand),
-                          **{flag: getattr(args, flag) for flag in cmd.flags})
-        payload = cmd.dump(result)
+        # an overflow into a point or a group element surfaces as
+        # OverflowingValueError (exit 3), so numpy's warning would only put a
+        # second, non-JSON line on stderr
+        with np.errstate(over="ignore"):
+            result = cmd.call(*cmd.load(operand),
+                              **{flag: getattr(args, flag) for flag in cmd.flags})
+            payload = cmd.dump(result)
         _emit(args, payload)
         return EXIT_CHECK_FAILED if cmd.verdict and not payload[cmd.verdict] else EXIT_OK
     except CWError as exc:

@@ -39,7 +39,8 @@ class SymmetricProfile:
 
     S is stored dense; eigenvalues within ``tolerance`` of each other are
     grouped into a single spectral block, and eigenvalues within
-    ``tolerance`` of zero are treated as exactly zero downstream.
+    ``zero_threshold`` = tolerance * max(1, max |eigenvalue|) of zero are
+    treated as exactly zero, here and in ``classify``.
     """
 
     def __init__(self, S, tolerance: float = DEFAULT_TOL):
@@ -61,22 +62,39 @@ class SymmetricProfile:
         w, Q = np.linalg.eigh(self.S)
         self.eigenvalues = w
         self.eigenvectors = Q  # columns
+        self.zero_threshold = self.tolerance * max(1.0, float(np.max(np.abs(w))))
         self.spectrum = self._group_spectrum(w, Q)
+        self._branches = self._column_branches()
 
     def _group_spectrum(self, w, Q):
-        scale = max(1.0, float(np.max(np.abs(w))))
         blocks = []
         i = 0
         while i < self.n:
             j = i + 1
-            while j < self.n and abs(w[j] - w[i]) <= 10 * self.tolerance * scale:
+            while j < self.n and abs(w[j] - w[i]) <= 10 * self.zero_threshold:
                 j += 1
             ev = float(np.mean(w[i:j]))
-            if abs(ev) <= self.tolerance:
+            if abs(ev) <= self.zero_threshold:
                 ev = 0.0
             blocks.append(SpectralBlock(ev, j - i, Q[:, i:j].copy()))
             i = j
         return blocks
+
+    def _column_branches(self):
+        """Per eigenvector column, the grouped eigenvalue decides the closed
+        form of beta'' = S beta.  eigh sorts ascending, so the negative
+        columns come first and the positive ones last: each branch is a
+        slice of columns with sqrt|eigenvalue|, its even and odd function
+        and the sign of the derivative of the even one.  Zero columns are
+        in no branch (the affine solution)."""
+        lam = np.repeat([b.eigenvalue for b in self.spectrum],
+                        [b.multiplicity for b in self.spectrum])
+        neg = slice(0, int(np.sum(lam < 0)))
+        pos = slice(self.n - int(np.sum(lam > 0)), self.n)
+        return [(sl, np.sqrt(np.abs(lam[sl])), even, odd, sign)
+                for sl, even, odd, sign in ((neg, np.cos, np.sin, -1.0),
+                                            (pos, np.cosh, np.sinh, 1.0))
+                if sl.start < sl.stop]
 
     def reassemble(self) -> np.ndarray:
         """Rebuild S from the spectral blocks (round-trip check)."""
@@ -104,7 +122,7 @@ class SymmetricProfile:
         return A
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SymmetricProfile)
             and self.n == other.n
             and np.allclose(self.S, other.S, atol=10 * self.tolerance)
@@ -131,9 +149,8 @@ def classify(profile: SymmetricProfile) -> Classification:
     tolerance) a scalar matrix.
     """
     w = profile.eigenvalues
-    tol = profile.tolerance
-    scale = max(1.0, float(np.max(np.abs(w))))
-    near_zero = np.abs(w) <= tol * scale
+    zero = profile.zero_threshold
+    near_zero = np.abs(w) <= zero
     invertible = not bool(np.any(near_zero))
     if np.any(near_zero):
         kind = "degenerate"
@@ -144,8 +161,8 @@ def classify(profile: SymmetricProfile) -> Classification:
     else:
         kind = "mixed"
     mean = float(np.trace(profile.S)) / profile.n
-    flat = float(np.max(np.abs(profile.S - mean * np.eye(profile.n)))) <= tol * scale * 10
-    positive = w[w > tol * scale]
+    flat = float(np.max(np.abs(profile.S - mean * np.eye(profile.n)))) <= zero * 10
+    positive = w[w > zero]
     lam = float(np.max(positive)) if positive.size else None
     return Classification(kind, invertible, flat, lam)
 
@@ -224,32 +241,26 @@ class BetaSolution:
 def beta_eval(beta: BetaSolution, t: float):
     """Evaluate (beta(t), beta'(t)) in closed form.
 
-    The initial data are transformed into the eigenbasis of S; each block
-    uses cosh/sinh for a positive eigenvalue, cos/sin for a negative one,
-    and the affine solution for eigenvalues within tolerance of zero.
+    In the eigenbasis of S, with y = Q^T beta, each column evolves as
+    y(t) = ch y(0) + sh y'(0) and y'(t) = d0 y(0) + ch y'(0), where
+    (ch, sh, d0) is (cosh, sinh/r, r sinh)(r t) for a positive eigenvalue
+    r^2, (cos, sin/r, -r sin)(r t) for a negative one -r^2, and (1, t, 0)
+    for a zero one.
     """
     p = beta.profile
-    value = np.zeros(p.n)
-    deriv = np.zeros(p.n)
-    for blk in p.spectrum:
-        Q = blk.basis
-        y0 = Q.T @ beta.beta0
-        y1 = Q.T @ beta.beta1
-        ev = blk.eigenvalue
-        if ev > 0:
-            lam = np.sqrt(ev)
-            y = y0 * np.cosh(lam * t) + (y1 / lam) * np.sinh(lam * t)
-            yd = y0 * lam * np.sinh(lam * t) + y1 * np.cosh(lam * t)
-        elif ev < 0:
-            mu = np.sqrt(-ev)
-            y = y0 * np.cos(mu * t) + (y1 / mu) * np.sin(mu * t)
-            yd = -y0 * mu * np.sin(mu * t) + y1 * np.cos(mu * t)
-        else:
-            y = y0 + y1 * t
-            yd = y1
-        value += Q @ y
-        deriv += Q @ yd
-    return value, deriv
+    Q = p.eigenvectors
+    y0 = beta.beta0 @ Q
+    y1 = beta.beta1 @ Q
+    ch = np.ones(p.n)
+    sh = np.full(p.n, float(t))
+    d0 = np.zeros(p.n)
+    for cols, r, even, odd, sign in p._branches:
+        rt = r * t
+        ch[cols] = even(rt)
+        o = odd(rt)
+        sh[cols] = o / r
+        d0[cols] = sign * r * o
+    return Q @ (ch * y0 + sh * y1), Q @ (d0 * y0 + ch * y1)
 
 
 def symplectic_form(beta: BetaSolution, betahat: BetaSolution) -> float:
@@ -273,19 +284,6 @@ def beta_reparam(beta: BetaSolution, c: float, eps: int, A=None) -> BetaSolution
         A = p.require_centraliser(A)
     val, der = beta_eval(beta, c)
     return BetaSolution(p, A @ val, eps * (A @ der))
-
-
-def scale_beta(beta: BetaSolution, factor: float, A=None) -> BetaSolution:
-    """factor * A beta, with A in the centraliser (identity by default)."""
-    p = beta.profile
-    A = np.eye(p.n) if A is None else p.require_centraliser(A)
-    return BetaSolution(p, factor * (A @ beta.beta0), factor * (A @ beta.beta1))
-
-
-def add_beta(a: BetaSolution, b: BetaSolution) -> BetaSolution:
-    if a.profile != b.profile:
-        raise IncompatibleProfileError("cannot add solutions over different profiles")
-    return BetaSolution(a.profile, a.beta0 + b.beta0, a.beta1 + b.beta1)
 
 
 def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:

@@ -7,14 +7,24 @@ A group element is the map
                    eps (e^{2s} v + b - <beta'(t), e^s A x + beta(t)/2>)),
 
 with beta a solution of beta'' = S beta, A orthogonal and commuting with
-S, eps = +-1.  Composition and inversion are computed at parameter level;
-the central parameter b of a product is recovered exactly by evaluating
-both sides at the origin (the v-component is affine in b with slope eps).
+S, eps = +-1.  Composition and inversion are computed at parameter level,
+the central parameter b in closed form: for a product phi psi, with
+X = e^{s1} A1 beta2(0), X' = e^{s1} A1 beta2'(0) and (Y, Y') =
+(beta1(c2), beta1'(c2)),
+
+    b = e^{2 s1} b2 + eps2 b1 + (<X', Y> - eps2 <Y', X>) / 2,
+
+and the inverse has b^{-1} = -eps e^{-2s} b.
+
+A (and the profile of beta) is validated where an element is built from
+outside; products, inverses and renormalised elements of valid elements
+are checked only for overflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -24,13 +34,10 @@ from .core import (
     Point,
     SymmetricProfile,
     TangentVector,
-    add_beta,
     beta_eval,
-    beta_reparam,
-    scale_beta,
 )
 from .curvature import metric_at
-from .errors import IncompatibleProfileError
+from .errors import IncompatibleProfileError, OverflowingValueError
 
 PARAM_TOL = 1e-9
 
@@ -72,7 +79,23 @@ class Homothety:
         if drift <= PARAM_TOL:
             return self
         U, _, Vt = np.linalg.svd(self.A)
-        return replace(self, A=U @ Vt)
+        return _element(self.profile, self.b, self.beta, self.c, self.eps, U @ Vt, self.s)
+
+
+_FIELDS = tuple(f.name for f in fields(Homothety))
+
+
+def _element(*params) -> Homothety:
+    """A Homothety from parameters, in field order, derived from valid
+    elements.  It skips the centraliser and profile checks of the public
+    constructor; a parameter that overflowed raises OverflowingValueError."""
+    phi = object.__new__(Homothety)
+    for name, value in zip(_FIELDS, params, strict=True):
+        object.__setattr__(phi, name, value)
+    if not (math.isfinite(phi.b) and math.isfinite(phi.c) and math.isfinite(phi.s)
+            and np.isfinite(phi.beta.beta0).all() and np.isfinite(phi.beta.beta1).all()):
+        raise OverflowingValueError("group element has non-finite parameters")
+    return phi
 
 
 def identity(profile: SymmetricProfile) -> Homothety:
@@ -114,48 +137,33 @@ def differential(phi: Homothety, p: Point) -> np.ndarray:
     return J
 
 
-def _b_from_origin(candidate: Homothety, target_v: float) -> Homothety:
-    """Fix the central parameter so that the candidate maps the origin to a
-    point with the given v-coordinate.  Exact: v(origin) is b-affine with
-    slope eps."""
-    v0 = apply(candidate, Point(0.0, np.zeros(candidate.profile.n), 0.0)).v
-    return replace(candidate, b=candidate.b + candidate.eps * (target_v - v0))
-
-
 def compose(phi: Homothety, psi: Homothety) -> Homothety:
     """Group product: apply(compose(phi, psi), p) = apply(phi, apply(psi, p))."""
     if phi.profile != psi.profile:
         raise IncompatibleProfileError("cannot compose over different profiles")
-    prof = phi.profile
-    eps = phi.eps * psi.eps
-    c = phi.c + phi.eps * psi.c
-    A = phi.A @ psi.A
-    s = phi.s + psi.s
     # x-part of the composite: e^{s1+s2} A1 A2 x + e^{s1} A1 beta2(t) + beta1(eps2 t + c2)
-    part = scale_beta(psi.beta, np.exp(phi.s), phi.A)
-    shifted = beta_reparam(phi.beta, psi.c, psi.eps)
-    beta = add_beta(part, shifted)
-    candidate = Homothety(prof, 0.0, beta, c, eps, A, s).renormalized()
-    origin = Point(0.0, np.zeros(prof.n), 0.0)
-    target = apply(phi, apply(psi, origin))
-    return _b_from_origin(candidate, target.v)
+    es1A1 = np.exp(phi.s) * phi.A
+    X = es1A1 @ psi.beta.beta0
+    Xd = es1A1 @ psi.beta.beta1
+    Y, Yd = beta_eval(phi.beta, psi.c)
+    e2 = psi.eps
+    b = (np.exp(2 * phi.s) * psi.b + e2 * phi.b
+         + 0.5 * (float(Xd @ Y) - e2 * float(Yd @ X)))
+    beta = BetaSolution(phi.profile, X + Y, Xd + e2 * Yd)
+    return _element(phi.profile, float(b), beta, phi.c + phi.eps * psi.c, phi.eps * e2,
+                    phi.A @ psi.A, phi.s + psi.s).renormalized()
 
 
 def inverse(phi: Homothety) -> Homothety:
-    prof = phi.profile
     eps, c, s = phi.eps, phi.c, phi.s
     A_inv = phi.A.T
     # x-part of the inverse: e^{-s} A^T (x - beta(eps^{-1}(t - c))) at time t,
     # i.e. beta_inv(t) = -e^{-s} A^T beta(eps t - eps c)
     val, der = beta_eval(phi.beta, -eps * c)
-    beta_inv = BetaSolution(prof, -np.exp(-s) * (A_inv @ val),
-                            -np.exp(-s) * eps * (A_inv @ der))
-    candidate = Homothety(prof, 0.0, beta_inv, -eps * c, eps, A_inv, -s)
-    origin = Point(0.0, np.zeros(prof.n), 0.0)
-    image = apply(phi, origin)
-    # the inverse must send image back to the origin (v-coordinate 0)
-    v0 = apply(candidate, image).v
-    return replace(candidate, b=-candidate.eps * v0)
+    ems = np.exp(-s)
+    beta_inv = BetaSolution(phi.profile, -ems * (A_inv @ val), -ems * eps * (A_inv @ der))
+    return _element(phi.profile, float(-eps * ems * ems * phi.b), beta_inv, -eps * c, eps,
+                    A_inv, -s)
 
 
 def project(phi: Homothety) -> Tuple[float, int, np.ndarray, float]:
@@ -183,10 +191,16 @@ def is_identity(phi: Homothety, tol: float = PARAM_TOL) -> bool:
 
 
 def power(phi: Homothety, k: int) -> Homothety:
+    """phi^k by repeated squaring: at most 2 log2|k| products."""
     out = identity(phi.profile)
     base = phi if k >= 0 else inverse(phi)
-    for _ in range(abs(k)):
-        out = compose(out, base)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = compose(out, base)
+        k >>= 1
+        if k:
+            base = compose(base, base)
     return out.renormalized()
 
 

@@ -17,13 +17,14 @@ failed check is a failed report, never an exception.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import BetaSolution, Point, SymmetricProfile, beta_eval, beta_reparam, symplectic_form
-from .errors import PreconditionError, UnsupportedCaseError
+from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .group import (
     Homothety,
     apply,
@@ -182,6 +183,12 @@ def verify_real_lattice_example(r: int = 3, k_max: int = 30,
     non-discreteness of its homothety variant."""
     if r < 3:
         raise PreconditionError("r must be an integer >= 3 for distinct real roots")
+    # conjugate_b_is_rho_power divides by rho^(1 - 2k) for k <= k_max, which
+    # must stay a normal float; rho < r, so bounding r bounds rho.
+    r_max = np.finfo(float).smallest_normal ** (-1.0 / (2 * k_max - 1))
+    if r > r_max:
+        raise InputError(f"r = {r} is too large: rho^(1 - 2 k_max) underflows "
+                         f"for r > {math.floor(r_max)}")
     rho = (r + np.sqrt(r * r - 4.0)) / 2.0
     lr = np.log(rho)
     prof = SymmetricProfile(lr ** 2 * np.eye(2))

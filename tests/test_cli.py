@@ -313,6 +313,32 @@ def test_overflow_exits_3_with_json_error():
     assert err["kind"] == "overflow" and err["detail"]
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("apply", {"profile": {"S": [[1.0]]}, "phi": {"s": 300.0},
+               "point": [0.0, 1.0, 1e100]}),
+    # in-range parameters whose product has b = e^{2 s1} b2 = inf
+    ("compose", {"profile": {"S": [[1.0]]}, "phi": {"s": 354.0},
+                 "psi": {"b": 100.0}}),
+], ids=["apply", "compose"])
+def test_overflow_stderr_is_one_json_document(command, payload):
+    """An overflow exits 3 with nothing on stdout, and no numpy warning
+    precedes the JSON error: stderr parses whole."""
+    proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+
+
+@pytest.mark.parametrize("r", [10**8, 10**200], ids=["1e8", "1e200"])
+def test_real_lattice_r_too_large_exits_2(r, capsys):
+    """rho^(1 - 2 k_max) must be a normal float: a larger r is an input
+    error, neither a long run nor an OverflowError."""
+    code, _, err = run(capsys, ["verify-example", "real-lattice", "--r", str(r)])
+    assert code == 2
+    err = json.loads(err)["error"]
+    assert err["kind"] == "input" and "too large" in err["detail"]
+
+
 PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
 
 
@@ -360,20 +386,35 @@ GOLDEN = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data",
                                        "golden_cli", "*.json")))
 
 
-def assert_matches(got, want, where="stdout"):
-    """Keys, ints, bools, strings and nulls equal, floats to rtol 1e-12."""
+def largest_float(value) -> float:
+    """The largest |x| over the floats anywhere in a JSON value (0 if none)."""
+    if isinstance(value, float):
+        return abs(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return max(map(largest_float, value), default=0.0)
+    return 0.0
+
+
+def assert_matches(got, want, where="stdout", abs_tol=None):
+    """Keys, ints, bools, strings and nulls equal; floats to rtol 1e-12 or
+    to 1e-12 times the size of the output, max(1, largest |float| in want),
+    so that a round-off residual need not reproduce digit for digit."""
+    if abs_tol is None:
+        abs_tol = 1e-12 * max(1.0, largest_float(want))
     if isinstance(want, float):
         assert isinstance(got, float), where
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), \
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=abs_tol), \
             f"{where}: {got!r} != {want!r}"
     elif isinstance(want, dict):
         assert isinstance(got, dict) and got.keys() == want.keys(), where
         for key in want:
-            assert_matches(got[key], want[key], f"{where}.{key}")
+            assert_matches(got[key], want[key], f"{where}.{key}", abs_tol)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{where}[{i}]")
+            assert_matches(g, w, f"{where}[{i}]", abs_tol)
     else:
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != {want!r}"
 

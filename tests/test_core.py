@@ -9,12 +9,10 @@ from cwgeom.core import (
     Point,
     SymmetricProfile,
     TangentVector,
-    add_beta,
     beta_eval,
     beta_reparam,
     classify,
     random_centralising_orthogonal,
-    scale_beta,
     symplectic_form,
 )
 from cwgeom.errors import (
@@ -84,6 +82,18 @@ class TestClassify:
 
     def test_imaginary_has_no_lambda(self):
         assert classify(SymmetricProfile(-np.eye(3))).lambda_max_sq is None
+
+    def test_zero_threshold_is_relative(self):
+        # |5e-9| <= 1e-9 * max(1, 10): numerically zero for classify and
+        # for beta_eval alike
+        prof = SymmetricProfile(np.diag([5e-9, 10.0]))
+        assert classify(prof).type == "degenerate"
+        assert [b.eigenvalue for b in prof.spectrum] == [0.0, 10.0]
+        beta = BetaSolution(prof, [1.0, 0.0], [2.0, 0.0])
+        for t in (-3.0, 0.5, 40.0):
+            val, der = beta_eval(beta, t)
+            assert val[0] == 1.0 + 2.0 * t and der[0] == 2.0
+            assert val[1] == 0.0 and der[1] == 0.0
 
 
 class TestPoint:
@@ -165,9 +175,9 @@ class TestBetaSolution:
         for t in (-1.3, 0.0, 0.8):
             va, _ = beta_eval(a, t)
             vb, _ = beta_eval(b, t)
-            vs, _ = beta_eval(add_beta(a, b), t)
+            vs, _ = beta_eval(BetaSolution(prof, a.beta0 + b.beta0, a.beta1 + b.beta1), t)
             assert np.max(np.abs(vs - va - vb)) <= 1e-10
-            vscaled, _ = beta_eval(scale_beta(a, 2.5, A), t)
+            vscaled, _ = beta_eval(BetaSolution(prof, 2.5 * (A @ a.beta0), 2.5 * (A @ a.beta1)), t)
             assert np.max(np.abs(vscaled - 2.5 * (A @ va))) <= 1e-9
 
     def test_reparam_pointwise(self, rng):
@@ -195,7 +205,7 @@ class TestSymplecticForm:
         a = BetaSolution(prof, rng.normal(size=3), rng.normal(size=3))
         b = BetaSolution(prof, rng.normal(size=3), rng.normal(size=3))
         assert symplectic_form(a, b) == pytest.approx(-symplectic_form(b, a))
-        assert symplectic_form(add_beta(a, a), b) == pytest.approx(
+        assert symplectic_form(BetaSolution(prof, 2 * a.beta0, 2 * a.beta1), b) == pytest.approx(
             2 * symplectic_form(a, b))
 
     def test_wronskian_constancy(self, rng):
