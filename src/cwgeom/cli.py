@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -123,11 +124,11 @@ COMMANDS = {
     "curvature": Subcommand(
         load=lambda data: [serialize.load_profile(data)],
         call=lambda prof: {
-            "riemann": serialize.dump_tensor4(curvature.riemann(prof)),
+            "riemann": curvature.riemann(prof),
             "ricci": serialize.dump_bilinear(curvature.ricci(prof)),
             "scalar": curvature.scalar(prof),
             "schouten": serialize.dump_bilinear(curvature.schouten(prof)),
-            "weyl": serialize.dump_tensor4(curvature.weyl(prof)),
+            "weyl": curvature.weyl(prof),
             "cotton_max_abs": float(np.max(np.abs(curvature.cotton(prof)))),
             "frame": "t, x_1..x_n, v"}),
     "compose": Subcommand(
@@ -279,9 +280,25 @@ def _read_payload(path: str):
     return data
 
 
+# stands in for a 4-tensor of the payload until its text is spliced in;
+# json.dumps writes the NUL as \u0000, which no payload string contains
+_TENSOR_MARK = re.compile(r'"\\u0000(\w+)"')
+
+
 def _emit(args, payload) -> None:
-    text = json.dumps(payload, indent=2 if args.format == "pretty" else None,
-                      sort_keys=True)
+    """Write the payload as JSON.  A 4-tensor at its top level is written
+    by serialize.dump_tensor4 into the text json.dumps gives the rest."""
+    indent = 2 if args.format == "pretty" else None
+    tensors = {}
+    if isinstance(payload, dict):
+        tensors = {key: serialize.dump_tensor4(value, indent, level=1)
+                   for key, value in payload.items()
+                   if isinstance(value, curvature.CurvatureTensor4)}
+        payload = {key: "\0" + key if key in tensors else value
+                   for key, value in payload.items()}
+    text = json.dumps(payload, indent=indent, sort_keys=True)
+    if tensors:
+        text = _TENSOR_MARK.sub(lambda mark: tensors[mark.group(1)], text)
     if not args.output:
         print(text)
         return

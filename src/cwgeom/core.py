@@ -40,7 +40,9 @@ class SymmetricProfile:
     S is stored dense; eigenvalues within ``tolerance`` of each other are
     grouped into a single spectral block, and eigenvalues within
     ``zero_threshold`` = tolerance * max(1, max |eigenvalue|) of zero are
-    treated as exactly zero, here and in ``classify``.
+    treated as exactly zero, here and in ``classify``.  A finite S whose
+    symmetrisation, trace or eigenvalues overflow is rejected with an
+    OverflowingValueError.
     """
 
     def __init__(self, S, tolerance: float = DEFAULT_TOL):
@@ -51,15 +53,24 @@ class SymmetricProfile:
             raise MalformedProfileError("S has non-finite entries")
         if tolerance <= 0:
             raise MalformedProfileError("tolerance must be positive")
-        sym_defect = float(np.max(np.abs(S - S.T)))
-        if sym_defect > tolerance:
-            raise MalformedProfileError(
-                f"S is not symmetric: max |S - S^T| = {sym_defect:.3e} > {tolerance:.3e}"
-            )
-        self.n = S.shape[0]
-        self.S = 0.5 * (S + S.T)
-        self.tolerance = float(tolerance)
-        w, Q = np.linalg.eigh(self.S)
+        # entries near the float maximum overflow below: an error, not a
+        # numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym_defect = float(np.max(np.abs(S - S.T)))
+            if sym_defect > tolerance:
+                raise MalformedProfileError(
+                    f"S is not symmetric: max |S - S^T| = {sym_defect:.3e} > {tolerance:.3e}"
+                )
+            self.n = S.shape[0]
+            self.S = 0.5 * (S + S.T)
+            if not np.all(np.isfinite(self.S)):
+                raise OverflowingValueError("S overflows when symmetrised")
+            if not np.isfinite(np.trace(self.S)):
+                raise OverflowingValueError("the trace of S overflows")
+            self.tolerance = float(tolerance)
+            w, Q = np.linalg.eigh(self.S)
+            if not np.all(np.isfinite(w)):
+                raise OverflowingValueError("the eigenvalues of S overflow")
         self.eigenvalues = w
         self.eigenvectors = Q  # columns
         self.zero_threshold = self.tolerance * max(1.0, float(np.max(np.abs(w))))

@@ -1,7 +1,11 @@
 """Metric, connection and curvature machinery.
 
 Everything here works in the coordinate frame (d_t, d_1..d_n, d_v) on
-R^{n+2}, m = n + 2.  Tensors are stored dense.  The sign conventions:
+R^{n+2}, m = n + 2.  Bilinear forms are stored dense.  The curvature and
+Weyl tensors of the model are M kn (dt)^2 up to sign for an n x n block M,
+so they are stored as that block (4 n^2 of their (n+2)^4 entries are
+nonzero); every other (0,4) tensor, such as the finite-difference
+oracles, is stored dense.  The sign conventions:
 
     R(X,Y,Z,V) = g(R(X,Y)V, Z),
     (A kn B)(X,Y,Z,V) = A(X,Z)B(Y,V) + B(X,Z)A(Y,V)
@@ -14,6 +18,7 @@ is W = (tr(S)/n I - S) kn (dt)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,23 +54,52 @@ class SymBilinear:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
 class CurvatureTensor4:
-    """Dense (0,4) tensor with the Riemann symmetries."""
+    """(0,4) tensor with the Riemann symmetries, dense or in block form.
 
-    n: int
-    components: np.ndarray
+    A block tensor holds a symmetric n x n block M and a sign +-1 and is
+    R = sign * (M kn (dt)^2).  Its nonzero entries are, for i, j in 1..n,
+    R[i,0,j,0] = R[0,i,0,j] = sign * M_ij and R[i,0,0,j] = R[0,i,j,0] =
+    -sign * M_ij.  `components`, the dense array, is built on first request
+    and cached; it is the dense Kulkarni-Nomizu product times the sign,
+    signed zeros included.  A dense tensor has no block (`block` is None).
+    Arithmetic of two block tensors stays in block form; anything else is
+    dense.
+    """
 
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        m = self.n + 2
-        if c.shape != (m, m, m, m):
-            raise ValueError(f"expected shape {(m,) * 4}, got {c.shape}")
-        object.__setattr__(self, "components", c)
+    def __init__(self, n: int, components=None, *, block=None, sign: float = 1.0):
+        self.n = n
+        self.sign = float(sign)
+        if block is None:
+            self.block = None
+            c = np.asarray(components, dtype=float)
+            m = n + 2
+            if c.shape != (m, m, m, m):
+                raise ValueError(f"expected shape {(m,) * 4}, got {c.shape}")
+            self.components = c
+        else:
+            self.block = np.asarray(block, dtype=float)
+            if self.block.shape != (n, n):
+                raise ValueError(f"expected block shape {(n, n)}, got {self.block.shape}")
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        # einsum fills the Kulkarni-Nomizu product into a zeroed buffer, so
+        # its zeros are +0.0 and its entries M_ij + 0.0 and 0.0 - M_ij
+        M = self.block
+        x = slice(1, self.n + 1)
+        R = np.zeros((self.n + 2,) * 4)
+        R[x, 0, x, 0] = R[0, x, 0, x] = M + 0.0
+        R[x, 0, 0, x] = R[0, x, x, 0] = 0.0 - M
+        return self.sign * R
 
     def symmetry_defect(self) -> float:
         """Max violation of the four Riemann symmetries (antisymmetry in the
         first and last pairs, pair exchange, first Bianchi)."""
+        if self.block is not None:
+            # the antisymmetries hold exactly; pair exchange and Bianchi
+            # reduce to the symmetry of M
+            return float(np.max(np.abs(self.block - self.block.T)))
         R = self.components
         d = max(
             float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
@@ -76,19 +110,28 @@ class CurvatureTensor4:
         )
         return d
 
+    def _combine(self, other, op):
+        if self.block is not None and other.block is not None:
+            return CurvatureTensor4(self.n, block=op(self.sign * self.block,
+                                                     other.sign * other.block))
+        return CurvatureTensor4(self.n, op(self.components, other.components))
+
     def __add__(self, other):
-        return CurvatureTensor4(self.n, self.components + other.components)
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        return CurvatureTensor4(self.n, self.components - other.components)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
+        if self.block is not None:
+            return CurvatureTensor4(self.n, block=(scalar * self.sign) * self.block)
         return CurvatureTensor4(self.n, scalar * self.components)
 
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
+        return float(np.max(np.abs(self.components if self.block is None
+                                    else self.block)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +234,7 @@ def kulkarni_nomizu(A: SymBilinear, B: SymBilinear) -> CurvatureTensor4:
 
 def riemann(profile: SymmetricProfile) -> CurvatureTensor4:
     """R = -S kn (dt)^2, constant over the space."""
-    return -1.0 * kulkarni_nomizu(x_block_form(profile.n, profile.S),
-                                  dt_squared(profile.n))
+    return CurvatureTensor4(profile.n, block=profile.S, sign=-1.0)
 
 
 def ricci(profile: SymmetricProfile) -> SymBilinear:
@@ -214,7 +256,7 @@ def weyl(profile: SymmetricProfile) -> CurvatureTensor4:
     """W = (tr(S)/n I - S) kn (dt)^2."""
     n = profile.n
     M = (np.trace(profile.S) / n) * np.eye(n) - profile.S
-    return kulkarni_nomizu(x_block_form(n, M), dt_squared(n))
+    return CurvatureTensor4(n, block=M)
 
 
 def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:

@@ -11,7 +11,8 @@ Schemas:
 from __future__ import annotations
 
 import json
-from typing import Any
+import math
+from typing import Any, Optional
 
 import numpy as np
 
@@ -122,8 +123,65 @@ def dump_bilinear(T: SymBilinear) -> list:
     return T.components.tolist()
 
 
-def dump_tensor4(T: CurvatureTensor4) -> list:
-    return T.components.tolist()
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_list(items: list, indent: Optional[int], level: int) -> str:
+    """A JSON list of already written items, as json.dumps lays out a list
+    nested `level` deep."""
+    if indent is None:
+        return "[" + ", ".join(items) + "]"
+    pad = "\n" + " " * (indent * (level + 1))
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + "]"
+
+
+def dump_tensor4(T: CurvatureTensor4, indent: Optional[int] = None,
+                 level: int = 0) -> str:
+    """The JSON text of a block tensor's dense components, byte for byte as
+    json.dumps(T.components.tolist(), indent=indent) writes it `level` deep,
+    written from the block M without building the dense array.
+
+    Only the rows [i,0,j,:], [0,i,0,:], [i,0,0,:] and [0,i,j,:] hold
+    nonzeros; every other row, and every [x,y,:,:] block of such rows,
+    is one precomputed all-zero string."""
+    if T.block is None:
+        raise ValueError("dump_tensor4 writes block tensors only")
+    n, sign = T.n, T.sign
+    m = n + 2
+    zero = _json_float(sign * 0.0)
+    # the entries of T.components: sign * (M_ij + 0.0) at [i,0,j,0] and
+    # [0,i,0,j], sign * (0.0 - M_ij) at [i,0,0,j] and [0,i,j,0]
+    plus = [[_json_float(x) for x in row] for row in (sign * (T.block + 0.0)).tolist()]
+    minus = [[_json_float(x) for x in row] for row in (sign * (0.0 - T.block)).tolist()]
+
+    def row(entries):
+        return _json_list(entries, indent, level + 3)
+
+    def block(rows):
+        return _json_list(rows, indent, level + 2)
+
+    zero_row = row([zero] * m)
+    zero_block = block([zero_row] * m)
+
+    def nonzero_block(middle, firsts):
+        """[x,y,:,:] with row 0 (0, middle, 0) and row j (firsts[j], 0, ..., 0)."""
+        return block([row([zero] + middle + [zero])]
+                     + [row([v] + [zero] * (m - 1)) for v in firsts] + [zero_row])
+
+    # [0,i,0,:] = (0, sign M_i., 0) and [0,i,j,0] = -sign M_ij
+    t_slice = [zero_block] + [nonzero_block(plus[i], minus[i]) for i in range(n)] + [zero_block]
+    # [i,0,0,:] = (0, -sign M_i., 0) and [i,0,j,0] = sign M_ij
+    x_slices = [[nonzero_block(minus[i], plus[i])] + [zero_block] * (m - 1) for i in range(n)]
+    slices = [t_slice, *x_slices, [zero_block] * m]
+    return _json_list([_json_list(s, indent, level + 1) for s in slices], indent, level)
 
 
 def parse_json(text: str) -> Any:

@@ -329,6 +329,20 @@ def test_overflow_stderr_is_one_json_document(command, payload):
     assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
 
 
+@pytest.mark.parametrize("S", [
+    [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]],
+    [[1e308, 0.0], [0.0, 1e308]],
+], ids=["trace-overflows", "symmetrised-overflows"])
+@pytest.mark.parametrize("command", ["classify", "curvature"])
+def test_overflowing_profile_exits_3(command, S):
+    """A profile whose symmetrisation, trace or eigenvalues overflow is
+    rejected at the boundary, not answered with a wrong verdict or NaN."""
+    proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+
+
 @pytest.mark.parametrize("r", [10**8, 10**200], ids=["1e8", "1e200"])
 def test_real_lattice_r_too_large_exits_2(r, capsys):
     """rho^(1 - 2 k_max) must be a normal float: a larger r is an input

@@ -49,6 +49,12 @@ class TestRealLattice:
         rec = next(c for c in report.checks if c.name == "recurrence")
         assert rec.residual <= 1e-9
 
+    def test_large_r_passes(self):
+        # beta grows like rho^t: the recurrence and shift checks are judged
+        # relative to the size of what they compare
+        report = verify_real_lattice_example(r=100000)
+        _assert_report_passes(report)
+
     def test_r_precondition(self):
         with pytest.raises(PreconditionError):
             verify_real_lattice_example(r=2)
