@@ -107,6 +107,24 @@ class SymmetricProfile:
                                             (pos, np.cosh, np.sinh, 1.0))
                 if sl.start < sl.stop]
 
+    def flow(self, t: float):
+        """Per eigenvector column, the closed-form flow (ch, sh, d0) of
+        beta'' = S beta over time t: in the eigenbasis y = Q^T beta,
+        y(t) = ch y(0) + sh y'(0) and y'(t) = d0 y(0) + ch y'(0), with
+        (ch, sh, d0) = (cosh, sinh/r, r sinh)(r t) for a positive eigenvalue
+        r^2, (cos, sin/r, -r sin)(r t) for a negative one -r^2, and
+        (1, t, 0) for a zero one."""
+        ch = np.ones(self.n)
+        sh = np.full(self.n, float(t))
+        d0 = np.zeros(self.n)
+        for cols, r, even, odd, sign in self._branches:
+            rt = r * t
+            ch[cols] = even(rt)
+            o = odd(rt)
+            sh[cols] = o / r
+            d0[cols] = sign * r * o
+        return ch, sh, d0
+
     def reassemble(self) -> np.ndarray:
         """Rebuild S from the spectral blocks (round-trip check)."""
         out = np.zeros((self.n, self.n))
@@ -250,27 +268,13 @@ class BetaSolution:
 
 
 def beta_eval(beta: BetaSolution, t: float):
-    """Evaluate (beta(t), beta'(t)) in closed form.
-
-    In the eigenbasis of S, with y = Q^T beta, each column evolves as
-    y(t) = ch y(0) + sh y'(0) and y'(t) = d0 y(0) + ch y'(0), where
-    (ch, sh, d0) is (cosh, sinh/r, r sinh)(r t) for a positive eigenvalue
-    r^2, (cos, sin/r, -r sin)(r t) for a negative one -r^2, and (1, t, 0)
-    for a zero one.
-    """
+    """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
+    eigenbasis of S (see SymmetricProfile.flow)."""
     p = beta.profile
     Q = p.eigenvectors
     y0 = beta.beta0 @ Q
     y1 = beta.beta1 @ Q
-    ch = np.ones(p.n)
-    sh = np.full(p.n, float(t))
-    d0 = np.zeros(p.n)
-    for cols, r, even, odd, sign in p._branches:
-        rt = r * t
-        ch[cols] = even(rt)
-        o = odd(rt)
-        sh[cols] = o / r
-        d0[cols] = sign * r * o
+    ch, sh, d0 = p.flow(t)
     return Q @ (ch * y0 + sh * y1), Q @ (d0 * y0 + ch * y1)
 
 

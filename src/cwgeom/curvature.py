@@ -23,14 +23,15 @@ from functools import cached_property
 import numpy as np
 
 from .core import Point, SymmetricProfile
-from .errors import IncompatibleProfileError
+from .errors import IncompatibleProfileError, OverflowingValueError
 
 FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class SymBilinear:
-    """Dense symmetric bilinear form on R^{n+2}."""
+    """Dense symmetric bilinear form on R^{n+2}; a form whose symmetrised
+    components are not finite is rejected with an OverflowingValueError."""
 
     n: int
     components: np.ndarray
@@ -40,7 +41,11 @@ class SymBilinear:
         m = self.n + 2
         if c.shape != (m, m):
             raise ValueError(f"expected shape {(m, m)}, got {c.shape}")
-        object.__setattr__(self, "components", 0.5 * (c + c.T))
+        c = 0.5 * (c + c.T)
+        # NaN propagates through min and max, and so does an infinity
+        if not (np.isfinite(c.min()) and np.isfinite(c.max())):
+            raise OverflowingValueError("bilinear form has non-finite components")
+        object.__setattr__(self, "components", c)
 
     def __add__(self, other):
         return SymBilinear(self.n, self.components + other.components)

@@ -1,13 +1,13 @@
 """Fixed points, essentiality, conjugation normal forms and the
 obstructions to properly discontinuous cocompact actions.
 
-Fixed-point logic for a strict homothety: a fixed point exists iff
-eps = -1 or c = 0.  The point is assembled at the fixed time t* of the
-induced Euclidean motion, inverting (e^s A - I) on the x-block and
-solving the affine v-equation.  Essentiality of a strict homothety is
-equivalent to having a fixed point; in the fixed-point-free case an
-explicit rescaling function f with f(phi(p)) = f(p) - s is constructed
-from a smooth partition of unity along the t-axis.
+Fixed points take one path: at the fixed time t* of t -> eps t + c, solve
+(e^s A - I) x = -beta(t*) on the x-block, then the affine v-equation.  So
+a strict homothety fixes a point iff eps = -1 or c = 0, which is also
+when it is essential; otherwise a rescaling f with f(phi(p)) = f(p) - s
+is built from a smooth partition of unity along the t-axis.  The
+conjugation equation e^s A beta(t + c) - beta(t) = betahat(t) is one
+2n x 2n solve in the eigenbasis of S, on SymmetricProfile.flow.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .group import (
+    PARAM_TOL,
     Homothety,
     apply,
     compose,
@@ -36,7 +37,6 @@ from .group import (
     project,
 )
 
-PARAM_TOL = 1e-9
 RESONANCE_TOL = 1e-7
 
 
@@ -66,87 +66,71 @@ def _solve_v(phi: Homothety, t_star: float, x_star: np.ndarray) -> Optional[floa
     return d / (1.0 - slope)
 
 
+def _fixed_time(phi: Homothety) -> Optional[float]:
+    """The time fixed by t -> eps t + c: c/2 for eps = -1, 0 when c = 0,
+    and None when the t-part is a translation."""
+    if phi.eps == -1:
+        return phi.c / 2.0
+    return 0.0 if abs(phi.c) <= PARAM_TOL else None
+
+
 def fixed_point(phi: Homothety) -> FixedPointReport:
     """Fixed-point classification of a homothety.
 
-    Strict case: a fixed point exists iff eps = -1 or c = 0, built
-    explicitly at the fixed time of the Euclidean motion.  Isometry case:
-    eps = -1 reduces to the affine solve (A - I) y = -beta(c/2); eps = +1
-    needs c = 0 and a consistent affine system on the x-block plus a
-    vanishing v-shift.
+    A fixed point lies at the fixed time t* of the t-part, on the x-block
+    solution of (e^s A - I) x = -beta(t*) and the v-equation.  Strict case:
+    it exists iff eps = -1 or c = 0.  Isometry case: the x-block system
+    (A - I) x = -beta(t*) must be consistent, and for eps = +1 the v-shift
+    must vanish.
     """
-    prof = phi.profile
-    n = prof.n
-    if phi.is_strict:
-        if phi.eps == -1:
-            t_star, reason = phi.c / 2.0, "strict_eps_minus1"
-        elif abs(phi.c) <= PARAM_TOL:
-            t_star, reason = 0.0, "strict_c_zero"
-        else:
-            return FixedPointReport(False, None, "none_translation")
-        val, _ = beta_eval(phi.beta, t_star)
-        M = np.exp(phi.s) * phi.A - np.eye(n)
+    none = FixedPointReport(False, None, "none_translation")
+    t_star = _fixed_time(phi)
+    if t_star is None:
+        return none
+    strict = phi.is_strict
+    val, _ = beta_eval(phi.beta, t_star)
+    # an isometry's s, within PARAM_TOL of 0, is read as 0
+    M = (np.exp(phi.s) if strict else 1.0) * phi.A - np.eye(phi.profile.n)
+    if strict:
         x_star = np.linalg.solve(M, -val)
-        v_star = _solve_v(phi, t_star, x_star)
-        p = Point(t_star, x_star, v_star)
-        return FixedPointReport(True, p, reason, _verify(phi, p))
-    # isometry
-    if phi.eps == -1:
-        t_star = phi.c / 2.0
-        val, _ = beta_eval(phi.beta, t_star)
-        M = phi.A - np.eye(n)
-        y, res, _, _ = np.linalg.lstsq(M, -val, rcond=None)
-        if float(np.max(np.abs(M @ y + val))) > 1e-8:
-            return FixedPointReport(False, None, "none_translation")
-        v_star = _solve_v(phi, t_star, y)
-        p = Point(t_star, y, v_star)
-        return FixedPointReport(True, p, "isometry_euclidean_fp", _verify(phi, p))
-    if abs(phi.c) > PARAM_TOL:
-        return FixedPointReport(False, None, "none_translation")
-    # isometry, eps = +1, c = 0: solve x = A x + beta(0), then the v-shift
-    # must vanish since v is otherwise translated
-    val, _ = beta_eval(phi.beta, 0.0)
-    M = phi.A - np.eye(n)
-    y, _, _, _ = np.linalg.lstsq(M, -val, rcond=None)
-    if float(np.max(np.abs(M @ y + val))) > 1e-8:
-        return FixedPointReport(False, None, "none_translation")
-    v_star = _solve_v(phi, 0.0, y)
+    else:
+        x_star = np.linalg.lstsq(M, -val, rcond=None)[0]
+        if float(np.max(np.abs(M @ x_star + val))) > 1e-8:
+            return none
+    v_star = _solve_v(phi, t_star, x_star)
     if v_star is None:
-        return FixedPointReport(False, None, "none_translation")
-    p = Point(0.0, y, v_star)
+        return none
+    p = Point(t_star, x_star, v_star)
     res = _verify(phi, p)
-    if res > 1e-8:
-        return FixedPointReport(False, None, "none_translation")
-    return FixedPointReport(True, p, "isometry_euclidean_fp", res)
+    if not strict and phi.eps == 1 and res > 1e-8:
+        return none
+    reason = ("isometry_euclidean_fp" if not strict
+              else "strict_eps_minus1" if phi.eps == -1 else "strict_c_zero")
+    return FixedPointReport(True, p, reason, res)
 
 
 def torsion_fixed_point(phi: Homothety, k: int) -> FixedPointReport:
     """Fixed point of a finite-order element via the centre of mass of a
-    k-periodic orbit of the x-block affine action at the fixed time."""
+    k-periodic orbit of the x-block affine action at the fixed time.  The
+    point and its residual are always reported; it exists only if the
+    residual is within 1e-8."""
     if k < 1:
         raise PreconditionError("order k must be a positive integer")
     if element_distance(power(phi, k), identity(phi.profile)) > 1e-6:
         raise PreconditionError(f"phi^{k} is not the identity")
-    prof = phi.profile
-    if phi.eps == -1:
-        t_star = phi.c / 2.0
-    elif abs(phi.c) <= PARAM_TOL:
-        t_star = 0.0
-    else:
+    t_star = _fixed_time(phi)
+    if t_star is None:
         raise PreconditionError("a torsion element must have eps = -1 or c = 0")
     val, _ = beta_eval(phi.beta, t_star)
     F = np.exp(phi.s) * phi.A
-
-    def step(x):
-        return F @ x + val
-
-    orbit = [np.zeros(prof.n)]
+    orbit = [np.zeros(phi.profile.n)]
     for _ in range(k - 1):
-        orbit.append(step(orbit[-1]))
+        orbit.append(F @ orbit[-1] + val)
     y = np.mean(orbit, axis=0)
     v_star = _solve_v(phi, t_star, y)
     p = Point(t_star, y, 0.0 if v_star is None else v_star)
-    return FixedPointReport(True, p, "torsion_center_of_mass", _verify(phi, p))
+    res = _verify(phi, p)
+    return FixedPointReport(res <= 1e-8, p, "torsion_center_of_mass", res)
 
 
 def is_essential(phi: Homothety) -> bool:
@@ -187,7 +171,7 @@ def inessential_rescaling(phi: Homothety) -> Callable[[Point], float]:
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
-    if phi.eps != 1 or abs(phi.c) <= PARAM_TOL:
+    if _fixed_time(phi) is not None:
         raise PreconditionError("phi has a fixed point; no equivariant rescaling exists")
     s, c = phi.s, phi.c
 
@@ -200,40 +184,19 @@ def inessential_rescaling(phi: Homothety) -> Callable[[Point], float]:
     return f
 
 
-def conjugation_block_matrix(eigenvalue: float, A_block: np.ndarray,
-                             s: float, c: float) -> Tuple[np.ndarray, Callable]:
-    """The 2d x 2d linear system, on one eigenspace of S, for the initial
-    data of a solution of e^s A beta(t + c) - beta(t) = betahat(t).
-
-    Returns (M, pack) where pack maps block rhs data (y0, y1) to the
-    stacked right-hand side.
-    """
-    d = A_block.shape[0]
-    I = np.eye(d)
-    E = np.exp(s) * A_block
-    if eigenvalue < 0:
-        mu = np.sqrt(-eigenvalue)
-        top = np.hstack([np.cos(mu * c) * E - I, (np.sin(mu * c) / mu) * E])
-        bot = np.hstack([-mu * np.sin(mu * c) * E, np.cos(mu * c) * E - I])
-    elif eigenvalue > 0:
-        lam = np.sqrt(eigenvalue)
-        top = np.hstack([np.cosh(lam * c) * E - I, (np.sinh(lam * c) / lam) * E])
-        bot = np.hstack([lam * np.sinh(lam * c) * E, np.cosh(lam * c) * E - I])
-    else:
-        top = np.hstack([E - I, c * E])
-        bot = np.hstack([np.zeros((d, d)), E - I])
-    M = np.vstack([top, bot])
-
-    def pack(y0, y1):
-        return np.concatenate([y0, y1])
-
-    return M, pack
+def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> np.ndarray:
+    """The 2n x 2n matrix, in the eigenbasis of S, taking the initial data
+    (y(0), y'(0)) of beta to those of e^s A beta(t + c) - beta(t), where
+    At = e^s Q^T A Q."""
+    ch, sh, d0 = profile.flow(c)
+    return np.block([[At * ch, At * sh], [At * d0, At * ch]]) - np.eye(2 * profile.n)
 
 
 def block_determinant(eigenvalue: float, s: float, c: float) -> float:
     """Determinant of the scalar (A = 1, d = 1) conjugation block; vanishes
     exactly at the resonance s = +-lambda c for positive eigenvalues."""
-    M, _ = conjugation_block_matrix(eigenvalue, np.eye(1), s, c)
+    M = _conjugation_matrix(SymmetricProfile([[eigenvalue]]),
+                            np.full((1, 1), np.exp(s)), c)
     return float(np.linalg.det(M))
 
 
@@ -241,7 +204,7 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
                            betahat: BetaSolution) -> BetaSolution:
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta.
 
-    The system decouples over the eigenspaces of S into 2d x 2d blocks.
+    One linear solve for the initial data of beta in the eigenbasis of S.
     Solvable for s != 0 unless (s/c)^2 equals a positive eigenvalue of S,
     in which case a resonance error is raised.
     """
@@ -256,22 +219,14 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
                 raise ResonanceError(
                     f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue {lam_sq:.6g} of S"
                 )
-    b0 = np.zeros(profile.n)
-    b1 = np.zeros(profile.n)
-    for blk in profile.spectrum:
-        Q = blk.basis
-        A_block = Q.T @ A @ Q
-        y0 = Q.T @ betahat.beta0
-        y1 = Q.T @ betahat.beta1
-        M, pack = conjugation_block_matrix(blk.eigenvalue, A_block, s, c)
-        try:
-            sol = np.linalg.solve(M, pack(y0, y1))
-        except np.linalg.LinAlgError as exc:
-            raise ResonanceError(f"singular conjugation block: {exc}") from exc
-        d = blk.multiplicity
-        b0 += Q @ sol[:d]
-        b1 += Q @ sol[d:]
-    return BetaSolution(profile, b0, b1)
+    Q = profile.eigenvectors
+    M = _conjugation_matrix(profile, np.exp(s) * (Q.T @ A @ Q), c)
+    try:
+        sol = np.linalg.solve(M, np.concatenate([betahat.beta0 @ Q, betahat.beta1 @ Q]))
+    except np.linalg.LinAlgError as exc:
+        raise ResonanceError(f"singular conjugation block: {exc}") from exc
+    n = profile.n
+    return BetaSolution(profile, Q @ sol[:n], Q @ sol[n:])
 
 
 @dataclass(frozen=True)
@@ -287,8 +242,8 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     reflection (t, x, v) -> (-t, x, -v) to force c >= 0.
 
     The beta-part is removed by solving the conjugation linear system,
-    the central parameter by exploiting that conjugation by a central
-    element scales it with slope 1 - e^{2s}.
+    the central parameter in closed form: conjugation by the central
+    element with parameter b0 adds b0 (1 - e^{2s}) to it.
     """
     prof = phi.profile
     if not phi.is_strict:
@@ -304,14 +259,9 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     chi = Homothety(prof, beta=beta_chi)
     g = inverse(chi)
     current = conjugate(g, phi)
-    # central conjugation is affine in the centre parameter; probe the slope
-    probe = conjugate(Homothety(prof, b=1.0), current)
-    slope = probe.b - current.b
-    if abs(slope) <= PARAM_TOL:
-        raise PreconditionError("cannot normalize the central parameter (s = 0?)")
-    b0 = -current.b / slope
-    g = compose(Homothety(prof, b=b0), g)
-    current = conjugate(Homothety(prof, b=b0), current)
+    z = Homothety(prof, b=-current.b / (1.0 - np.exp(2 * phi.s)))
+    g = compose(z, g)
+    current = conjugate(z, current)
     if current.c < 0:
         refl = Homothety(prof, eps=-1)
         g = compose(refl, g)
@@ -416,7 +366,7 @@ def pd_necessary_report(generators: Sequence[Homothety],
             seen += 1
             if not elem.is_strict:
                 continue
-            if elem.eps == -1 or abs(elem.c) <= PARAM_TOL:
+            if _fixed_time(elem) is not None:
                 obstructions.append(PDObstruction(
                     word, "fixed-point",
                     f"strict element with eps={elem.eps}, c={elem.c:.3g} fixes a point"))

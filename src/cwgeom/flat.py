@@ -32,7 +32,6 @@ class SmoothMap:
     jacobian: Optional[Callable[[Point], np.ndarray]] = None
     inverse: Optional[Callable[[Point], Point]] = None
     in_domain: Callable[[Point], bool] = lambda p: True
-    in_range: Callable[[Point], bool] = lambda p: True
 
     def __call__(self, p: Point) -> Point:
         if not self.in_domain(p):
@@ -111,8 +110,7 @@ def minkowski_map(n: int) -> SmoothMap:
         x = q.x / np.sqrt(2.0 * q.t)
         return Point(t, x, q.v + 0.5 * float(x @ x))
 
-    return SmoothMap(n, forward=fwd, jacobian=jac, inverse=inv,
-                     in_range=lambda q: q.t > DOMAIN_TOL)
+    return SmoothMap(n, forward=fwd, jacobian=jac, inverse=inv)
 
 
 def imaginary_local_map(n: int) -> SmoothMap:

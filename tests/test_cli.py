@@ -329,14 +329,25 @@ def test_overflow_stderr_is_one_json_document(command, payload):
     assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
 
 
-@pytest.mark.parametrize("S", [
-    [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]],
-    [[1e308, 0.0], [0.0, 1e308]],
-], ids=["trace-overflows", "symmetrised-overflows"])
-@pytest.mark.parametrize("command", ["classify", "curvature"])
+TRACE_OVERFLOWS = [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]]
+SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
+
+
+@pytest.mark.parametrize("command, S", [
+    ("classify", TRACE_OVERFLOWS),
+    ("classify", SYMMETRISED_OVERFLOWS),
+    ("curvature", TRACE_OVERFLOWS),
+    ("curvature", SYMMETRISED_OVERFLOWS),
+    # a valid profile whose Ricci form -tr(S) (dt)^2 overflows when
+    # symmetrised; classify answers it, curvature cannot
+    ("curvature", [[8.9e307, 8.9e307], [8.9e307, 8.9e307]]),
+], ids=["classify-trace-overflows", "classify-symmetrised-overflows",
+        "curvature-trace-overflows", "curvature-symmetrised-overflows",
+        "curvature-ricci-overflows"])
 def test_overflowing_profile_exits_3(command, S):
     """A profile whose symmetrisation, trace or eigenvalues overflow is
-    rejected at the boundary, not answered with a wrong verdict or NaN."""
+    rejected at the boundary, and one whose curvature overflows is an
+    overflow error: never a wrong verdict or NaN."""
     proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -445,6 +456,23 @@ def test_golden_cli(path, capsys, monkeypatch):
     code, out, _ = run(capsys, case["argv"])
     assert code == case["exit"]
     assert_matches(json.loads(out), case["stdout"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("path", GOLDEN,
+                         ids=[os.path.basename(p)[:-5] for p in GOLDEN])
+def test_golden_stdout_is_strict_json(path, capsys, monkeypatch):
+    """No subcommand writes NaN or Infinity, which json.dumps emits but
+    JSON does not allow."""
+    with open(path, encoding="utf-8") as fh:
+        case = json.load(fh)
+    monkeypatch.delenv("CW_LAB_SEED", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["input"])))
+    _, out, _ = run(capsys, case["argv"])
+    json.loads(out, parse_constant=_reject_constant)
 
 
 def test_golden_corpus_covers_every_subcommand():

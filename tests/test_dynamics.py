@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cwgeom.core import BetaSolution, Point, SymmetricProfile, beta_eval, beta_reparam
+from cwgeom.core import (
+    BetaSolution,
+    Point,
+    SymmetricProfile,
+    beta_eval,
+    beta_reparam,
+    random_centralising_orthogonal,
+)
 from cwgeom.dynamics import (
     block_determinant,
     centraliser_projection_demo,
@@ -34,6 +43,7 @@ from cwgeom.group import (
 )
 
 from conftest import random_homothety, random_point, random_profile
+from test_group_law import KINDS, spectral_profile
 
 
 def _rot(angle):
@@ -131,6 +141,20 @@ class TestFixedPoint:
             torsion_fixed_point(identity(prof), 0)
         with pytest.raises(PreconditionError):
             torsion_fixed_point(Homothety(prof, c=1.0), 3)
+
+    def test_torsion_residual_gates_existence(self):
+        # phi^4 = id only up to 4e-7 in b, inside the 1e-6 order check,
+        # so the centre of mass misses by the 1e-7 v-shift: reported, but
+        # not a fixed point
+        prof = SymmetricProfile(-np.eye(2))
+        beta = BetaSolution(prof, [1.0, -0.3], [0.2, 0.7])
+        residue = power(Homothety(prof, beta=beta, A=_rot(np.pi / 2)), 4)
+        phi = Homothety(prof, b=-residue.b / 4 + 1e-7, beta=beta, A=_rot(np.pi / 2))
+        assert element_distance(power(phi, 4), identity(prof)) <= 1e-6
+        rep = torsion_fixed_point(phi, 4)
+        assert rep.residual > 1e-8
+        assert not rep.exists
+        assert rep.point is not None and rep.reason == "torsion_center_of_mass"
 
 
 class TestEssentiality:
@@ -236,6 +260,54 @@ class TestConjugationSolve:
             assert abs(det) > 1e-3
         # negative eigenvalues never resonate for s != 0
         assert abs(block_determinant(-1.0, 0.4, 2.0)) > 1e-3
+
+
+def block_loop_conjugation_beta(profile, A, s, c, betahat):
+    """Reference: the 2d x 2d conjugation system on each eigenspace of S,
+    solved block by block.  Returns (beta0, beta1) and the largest
+    condition number of a block."""
+    b0, b1, cond = np.zeros(profile.n), np.zeros(profile.n), 1.0
+    for blk in profile.spectrum:
+        Q, d, ev = blk.basis, blk.multiplicity, blk.eigenvalue
+        E = np.exp(s) * (Q.T @ A @ Q)
+        if ev < 0:
+            mu = np.sqrt(-ev)
+            ch, sh, d0 = np.cos(mu * c), np.sin(mu * c) / mu, -mu * np.sin(mu * c)
+        elif ev > 0:
+            lam = np.sqrt(ev)
+            ch, sh, d0 = np.cosh(lam * c), np.sinh(lam * c) / lam, lam * np.sinh(lam * c)
+        else:
+            ch, sh, d0 = 1.0, c, 0.0
+        M = np.block([[ch * E - np.eye(d), sh * E], [d0 * E, ch * E - np.eye(d)]])
+        cond = max(cond, float(np.linalg.cond(M)))
+        sol = np.linalg.solve(M, np.concatenate([Q.T @ betahat.beta0, Q.T @ betahat.beta1]))
+        b0 += Q @ sol[:d]
+        b1 += Q @ sol[d:]
+    return b0, b1, cond
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 5), repeat=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), s=st.floats(0.05, 2.0), s_sign=st.sampled_from([-1, 1]),
+       c=st.floats(-2.5, 2.5))
+def test_conjugation_solve_matches_block_loop(kind, n, repeat, seed, s, s_sign, c):
+    """The one eigenbasis solve agrees with the per-block solve, relative to
+    the parameter scale.  Both are backward stable, so they may differ by
+    the conditioning times round-off: near-resonant draws are left out."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat)
+    # one draw is a reflection on a 2-dimensional eigenspace, so a product
+    # of two gives rotations too
+    A = random_centralising_orthogonal(prof, rng) @ random_centralising_orthogonal(prof, rng)
+    s = s_sign * s
+    betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
+    ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, betahat)
+    assume(cond <= 1e3)
+    beta = solve_conjugation_beta(prof, A, s, c, betahat)
+    scale = max(1.0, *(float(np.max(np.abs(v)))
+                       for v in (betahat.beta0, betahat.beta1, ref0, ref1)))
+    assert np.max(np.abs(beta.beta0 - ref0)) <= 1e-12 * scale
+    assert np.max(np.abs(beta.beta1 - ref1)) <= 1e-12 * scale
 
 
 class TestNormalForm:
