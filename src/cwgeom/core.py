@@ -18,6 +18,7 @@ from .errors import (
     IncompatibleProfileError,
     MalformedProfileError,
     OverflowingValueError,
+    PreconditionError,
 )
 
 DEFAULT_TOL = 1e-9
@@ -100,6 +101,10 @@ class SymmetricProfile:
         in no branch (the affine solution)."""
         lam = np.repeat([b.eigenvalue for b in self.spectrum],
                         [b.multiplicity for b in self.spectrum])
+        # an ulp of the phase r t of a column with eigenvalue -r^2 is a radian
+        # from |t| = 2^52 / r on: beta_eval refuses data there
+        r = np.sqrt(np.maximum(-lam, 0.0))
+        self._phase_limit = np.divide(2.0 ** 52, r, out=np.full(self.n, np.inf), where=r > 0)
         neg = slice(0, int(np.sum(lam < 0)))
         pos = slice(self.n - int(np.sum(lam > 0)), self.n)
         return [(sl, np.sqrt(np.abs(lam[sl])), even, odd, sign)
@@ -269,11 +274,15 @@ class BetaSolution:
 
 def beta_eval(beta: BetaSolution, t: float):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
-    eigenbasis of S (see SymmetricProfile.flow)."""
+    eigenbasis of S (see SymmetricProfile.flow), refusing lost phases."""
     p = beta.profile
     Q = p.eigenvectors
     y0 = beta.beta0 @ Q
     y1 = beta.beta1 @ Q
+    if abs(t) >= p._phase_limit[0]:  # column 0 oscillates fastest
+        lost = abs(t) >= p._phase_limit
+        if y0[lost].any() or y1[lost].any():
+            raise PreconditionError(f"the phase of beta at t = {t} is lost to round-off")
     ch, sh, d0 = p.flow(t)
     return Q @ (ch * y0 + sh * y1), Q @ (d0 * y0 + ch * y1)
 
@@ -302,12 +311,12 @@ def beta_reparam(beta: BetaSolution, c: float, eps: int, A=None) -> BetaSolution
 
 
 def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:
-    """A random element of C_O(n)(S): an independent Haar-ish orthogonal
-    block on each eigenspace of S, assembled back in ambient coordinates."""
+    """A random element of C_O(n)(S): on each eigenspace of S a Haar block
+    Q sign(diag R) from the QR factors of a Gaussian matrix (Q alone would
+    always have determinant (-1)^(d-1))."""
     A = np.zeros((profile.n, profile.n))
     for blk in profile.spectrum:
         d = blk.multiplicity
-        M = rng.normal(size=(d, d))
-        Qb, _ = np.linalg.qr(M)
-        A += blk.basis @ Qb @ blk.basis.T
+        Qb, R = np.linalg.qr(rng.normal(size=(d, d)))
+        A += blk.basis @ (Qb * np.sign(np.diag(R))) @ blk.basis.T
     return A

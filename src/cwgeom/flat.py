@@ -1,17 +1,17 @@
-"""Conformally flat machinery: the global map of the real-type space onto
-the Minkowski half-space {u > 0}, the imaginary-type local map on the
-strip |t| < pi/2, generic metric pullback through analytic or
-finite-difference Jacobians, and the closed-form blow-up of the Riccati
-equation that rules out a global flat rescaling in the imaginary case.
-
-Flat coordinates are ordered (u, y^1..y^n, z) with the Minkowski metric
-g0 = 2 du dz + dy^2.
+"""Conformally flat machinery, in flat coordinates (u, y^1..y^n, z) with
+the Minkowski metric g0 = 2 du dz + dy^2.  Both flat charts are one warped
+chart (t, x, v) -> (u(t), x/rho, v + |x|^2 rho'/(2 rho)), rho > 0 solving
+rho'' = lam rho and u' = rho^-2, which pulls g0 back to rho^-2 g_S for
+S = lam I: rho = e^-t maps the real type onto {u > 0}, rho = cos t the
+imaginary type on |t| < pi/2.  `conformal_defect` is the one check of
+F^* g = lambda g.  The closed-form Riccati blow-up rules out a global flat
+rescaling in the imaginary case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -25,7 +25,8 @@ DOMAIN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A smooth map of R^{n+2} given by closed-form evaluators."""
+    """A smooth map of R^{n+2} given by closed-form evaluators.  Calling
+    it and `jacobian_at` check `in_domain`; the evaluators do not."""
 
     n: int
     forward: Callable[[Point], Point]
@@ -33,13 +34,17 @@ class SmoothMap:
     inverse: Optional[Callable[[Point], Point]] = None
     in_domain: Callable[[Point], bool] = lambda p: True
 
-    def __call__(self, p: Point) -> Point:
+    def _require(self, p: Point) -> None:
         if not self.in_domain(p):
             raise DomainError(f"point outside the map's domain: {p}")
+
+    def __call__(self, p: Point) -> Point:
+        self._require(p)
         return self.forward(p)
 
     def jacobian_at(self, p: Point) -> np.ndarray:
         """Analytic Jacobian if present, else central finite differences."""
+        self._require(p)
         if self.jacobian is not None:
             return self.jacobian(p)
         m = self.n + 2
@@ -62,17 +67,19 @@ def identity_map(n: int) -> SmoothMap:
 
 
 def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer after inner, with chained Jacobians and inverses if present."""
-    inv = None
+    """outer after inner, on the points of inner's domain that inner maps
+    into outer's, with chained Jacobians and inverses if present."""
+    inv = jac = None
     if outer.inverse is not None and inner.inverse is not None:
         def inv(q, _o=outer, _i=inner):
             return _i.inverse(_o.inverse(q))
-    jac = None
     if outer.jacobian is not None and inner.jacobian is not None:
         def jac(p, _o=outer, _i=inner):
             return _o.jacobian(_i.forward(p)) @ _i.jacobian(p)
     return SmoothMap(outer.n, forward=lambda p: outer.forward(inner.forward(p)),
-                     jacobian=jac, inverse=inv, in_domain=inner.in_domain)
+                     jacobian=jac, inverse=inv,
+                     in_domain=lambda p: inner.in_domain(p)
+                     and outer.in_domain(inner.forward(p)))
 
 
 def minkowski_metric(n: int) -> SymBilinear:
@@ -84,75 +91,61 @@ def minkowski_metric(n: int) -> SymBilinear:
     return SymBilinear(n, g)
 
 
-def minkowski_map(n: int) -> SmoothMap:
-    """The conformal diffeomorphism of the real-type model space onto the
-    half-space {u > 0}: u = e^{2t}/2, y = e^t x, z = v - |x|^2/2."""
+def _half_space(q: Point) -> bool:
+    return q.t > DOMAIN_TOL
+
+
+def _warped_chart(n: int, lam: float, rho, u, u_inv, in_domain=lambda p: True,
+                  image=lambda q: True) -> SmoothMap:
+    """The warped chart of S = lam I (see the module docstring); rho(t)
+    gives (rho, rho'), and `image` is the domain of the inverse."""
 
     def fwd(p: Point) -> Point:
-        et = np.exp(p.t)
-        return Point(0.5 * et * et, et * p.x, p.v - 0.5 * float(p.x @ p.x))
+        r, dr = rho(p.t)
+        return Point(u(p.t), p.x / r, p.v + 0.5 * float(p.x @ p.x) * dr / r)
 
     def jac(p: Point) -> np.ndarray:
-        m = n + 2
-        et = np.exp(p.t)
-        J = np.zeros((m, m))
-        J[0, 0] = et * et
-        J[1:-1, 0] = et * p.x
-        J[1:-1, 1:-1] = et * np.eye(n)
-        J[-1, 1:-1] = -p.x
+        r, dr = rho(p.t)
+        w = dr / r  # (log rho)', whose derivative is lam - w^2
+        J = np.zeros((n + 2, n + 2))
+        J[0, 0] = (1.0 / r) ** 2
+        J[1:-1, 0] = (-w / r) * p.x
+        J[1:-1, 1:-1] = np.eye(n) / r
+        J[-1, 0] = 0.5 * float(p.x @ p.x) * (lam - w * w)
+        J[-1, 1:-1] = w * p.x
         J[-1, -1] = 1.0
         return J
 
     def inv(q: Point) -> Point:
-        if q.t <= DOMAIN_TOL:
-            raise DomainError("inverse of the Minkowski map needs u > 0")
-        t = 0.5 * np.log(2.0 * q.t)
-        x = q.x / np.sqrt(2.0 * q.t)
-        return Point(t, x, q.v + 0.5 * float(x @ x))
+        t = u_inv(q.t)
+        r, dr = rho(t)
+        x = r * q.x
+        return Point(t, x, q.v - 0.5 * float(x @ x) * dr / r)
 
-    return SmoothMap(n, forward=fwd, jacobian=jac, inverse=inv)
+    return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=in_domain,
+                     inverse=SmoothMap(n, forward=inv, in_domain=image))
+
+
+def minkowski_map(n: int) -> SmoothMap:
+    """The conformal diffeomorphism of the real-type model space onto the
+    half-space {u > 0}: u = e^{2t}/2, y = e^t x, z = v - |x|^2/2, the
+    warped chart with rho = e^-t."""
+    return _warped_chart(n, 1.0, lambda t: (np.exp(-t), -np.exp(-t)),
+                         lambda t: 0.5 * np.exp(2 * t), lambda u: 0.5 * np.log(2 * u),
+                         image=_half_space)
 
 
 def imaginary_local_map(n: int) -> SmoothMap:
     """The local conformal map of the imaginary-type model on the strip
-    |t| < pi/2: u = tan t, y = x/cos t, z = v - |x|^2 tan(t)/2."""
-
-    def in_dom(p: Point) -> bool:
-        return abs(p.t) < np.pi / 2 - DOMAIN_TOL
-
-    def fwd(p: Point) -> Point:
-        if not in_dom(p):
-            raise DomainError("imaginary-type map requires |t| < pi/2")
-        ct, tt = np.cos(p.t), np.tan(p.t)
-        return Point(tt, p.x / ct, p.v - 0.5 * float(p.x @ p.x) * tt)
-
-    def jac(p: Point) -> np.ndarray:
-        if not in_dom(p):
-            raise DomainError("imaginary-type map requires |t| < pi/2")
-        m = n + 2
-        ct, st = np.cos(p.t), np.sin(p.t)
-        tt = st / ct
-        J = np.zeros((m, m))
-        J[0, 0] = 1.0 / ct ** 2
-        J[1:-1, 0] = p.x * st / ct ** 2
-        J[1:-1, 1:-1] = np.eye(n) / ct
-        J[-1, 0] = -0.5 * float(p.x @ p.x) / ct ** 2
-        J[-1, 1:-1] = -tt * p.x
-        J[-1, -1] = 1.0
-        return J
-
-    def inv(q: Point) -> Point:
-        t = np.arctan(q.t)
-        x = q.x * np.cos(t)
-        return Point(t, x, q.v + 0.5 * float(x @ x) * np.tan(t))
-
-    return SmoothMap(n, forward=fwd, jacobian=jac, inverse=inv, in_domain=in_dom)
+    |t| < pi/2: u = tan t, y = x/cos t, z = v - |x|^2 tan(t)/2, the warped
+    chart with rho = cos t."""
+    return _warped_chart(n, -1.0, lambda t: (np.cos(t), -np.sin(t)), np.tan, np.arctan,
+                         in_domain=lambda p: abs(p.t) < np.pi / 2 - DOMAIN_TOL)
 
 
 def minkowski_dilation(n: int, c: float) -> SmoothMap:
     """(u, y, z) -> (e^{2c} u, e^c y, z): the t-translation by c seen
     through the Minkowski map."""
-    m = n + 2
     D = np.diag([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
     return SmoothMap(n, forward=lambda p: Point.from_array(D @ p.as_array()),
                      jacobian=lambda p: D,
@@ -162,23 +155,15 @@ def minkowski_dilation(n: int, c: float) -> SmoothMap:
 def minkowski_inversion(n: int) -> SmoothMap:
     """(u, y, z) -> (1/(4u), y/(2u), -z - |y|^2/(2u)): the isometry
     (t, x, v) -> (-t, x, -v) seen through the Minkowski map; satisfies
-    eta^* g0 = g0 / (4u^2) on {u > 0}."""
-
-    def in_dom(q: Point) -> bool:
-        return q.t > DOMAIN_TOL
+    eta^* g0 = g0 / (4u^2) on {u > 0}.  It is its own inverse."""
 
     def fwd(q: Point) -> Point:
-        if not in_dom(q):
-            raise DomainError("the inversion is defined on {u > 0}")
         u = q.t
         return Point(0.25 / u, q.x / (2 * u), -q.v - 0.5 * float(q.x @ q.x) / u)
 
     def jac(q: Point) -> np.ndarray:
-        if not in_dom(q):
-            raise DomainError("the inversion is defined on {u > 0}")
-        m = n + 2
         u = q.t
-        J = np.zeros((m, m))
+        J = np.zeros((n + 2, n + 2))
         J[0, 0] = -0.25 / u ** 2
         J[1:-1, 0] = -q.x / (2 * u ** 2)
         J[1:-1, 1:-1] = np.eye(n) / (2 * u)
@@ -187,18 +172,30 @@ def minkowski_inversion(n: int) -> SmoothMap:
         J[-1, -1] = -1.0
         return J
 
-    return SmoothMap(n, forward=fwd, jacobian=jac, inverse=fwd, in_domain=in_dom)
+    eta = SmoothMap(n, forward=fwd, jacobian=jac, in_domain=_half_space)
+    return replace(eta, inverse=eta)
 
 
-def pullback_metric(mapping: SmoothMap,
-                    target_metric: Callable[[Point], SymBilinear],
+def _pullback(mapping: SmoothMap, gram: Callable[[Point], np.ndarray], p: Point):
+    """The Gram array J^T G(phi(p)) J of phi^* g at p."""
+    J = mapping.jacobian_at(p)
+    return J.T @ gram(mapping.forward(p)) @ J
+
+
+def pullback_metric(mapping: SmoothMap, target_metric: Callable[[Point], SymBilinear],
                     p: Point) -> SymBilinear:
     """(phi^* g)|_p = J^T g|_{phi(p)} J with the map's Jacobian."""
-    if not mapping.in_domain(p):
-        raise DomainError(f"point outside the map's domain: {p}")
-    J = mapping.jacobian_at(p)
-    G = target_metric(mapping.forward(p)).components
-    return SymBilinear(mapping.n, J.T @ G @ J)
+    return SymBilinear(mapping.n, _pullback(mapping, lambda q: target_metric(q).components, p))
+
+
+def conformal_defect(mapping: SmoothMap, target_metric: Callable[[Point], np.ndarray],
+                     source_metric: Callable[[Point], np.ndarray],
+                     factor: Callable[[Point], float], points: Iterable[Point]) -> float:
+    """max over the points p of |phi^* g_target - factor(p) g_source|, the
+    residual of phi^* g_target = factor * g_source, on Gram arrays."""
+    return float(np.max([np.max(np.abs(_pullback(mapping, target_metric, p)
+                                       - factor(p) * source_metric(p)))
+                         for p in points], initial=0.0))
 
 
 def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -33,11 +34,11 @@ from .core import (
     BetaSolution,
     Point,
     SymmetricProfile,
-    TangentVector,
     beta_eval,
 )
 from .curvature import metric_at
 from .errors import IncompatibleProfileError, OverflowingValueError
+from .flat import SmoothMap, conformal_defect
 
 PARAM_TOL = 1e-9
 
@@ -209,35 +210,18 @@ def conjugate(g: Homothety, phi: Homothety) -> Homothety:
     return compose(g, compose(phi, inverse(g)))
 
 
-def homothety_factor_check(phi: Homothety,
-                           points: Sequence[Point] = None,
-                           vectors: Sequence[TangentVector] = None,
+def homothety_factor_check(phi: Homothety, points: Sequence[Point] = None,
                            rng=None) -> float:
-    """Max deviation |(phi^* g)(u, w) - e^{2s} g(u, w)| over sample data.
-
-    The pullback uses the analytic Jacobian of the group action.
-    """
+    """Max entrywise deviation |phi^* g - e^{2s} g| over sample points (ten
+    random ones by default), through the analytic Jacobian of the action."""
     prof = phi.profile
     if points is None:
         rng = np.random.default_rng(0) if rng is None else rng
         points = [Point(rng.normal(), rng.normal(size=prof.n), rng.normal())
                   for _ in range(10)]
-        vectors = None
-    factor = np.exp(2 * phi.s)
-    worst = 0.0
-    for i, p in enumerate(points):
-        J = differential(phi, p)
-        g_here = metric_at(prof, p).components
-        g_there = metric_at(prof, apply(phi, p)).components
-        pullback = J.T @ g_there @ J
-        if vectors is None:
-            dev = float(np.max(np.abs(pullback - factor * g_here)))
-        else:
-            u = vectors[2 * i % len(vectors)].as_array()
-            w = vectors[(2 * i + 1) % len(vectors)].as_array()
-            dev = abs(float(u @ pullback @ w) - factor * float(u @ g_here @ w))
-        worst = max(worst, dev)
-    return worst
+    action = SmoothMap(prof.n, partial(apply, phi), partial(differential, phi))
+    gram = lambda q: metric_at(prof, q).components
+    return conformal_defect(action, gram, gram, lambda p: np.exp(2 * phi.s), points)
 
 
 def centralises(phi: Homothety, eta: Homothety, tol: float = 1e-8) -> bool:

@@ -19,12 +19,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import BetaSolution, Point, SymmetricProfile, beta_eval, beta_reparam, symplectic_form
 from .errors import InputError, PreconditionError, UnsupportedCaseError
+from .flat import SmoothMap, conformal_defect
 from .group import (
     Homothety,
     apply,
@@ -504,6 +506,7 @@ def verify_inessential_rescale_U(n: int = 2, samples: int = 30,
 
     prof = SymmetricProfile(-np.eye(n))
     rng = np.random.default_rng(seed)
+    fg = lambda q: rescale_field(q) * metric_at(prof, q).components
     worst = 0.0
     for _ in range(samples):
         phi = Homothety(prof,
@@ -512,11 +515,8 @@ def verify_inessential_rescale_U(n: int = 2, samples: int = 30,
                         A=random_centralising_orthogonal(prof, rng),
                         s=rng.normal())
         p = Point(rng.normal(), rng.normal(size=n) + 0.5, rng.normal() + 0.5)
-        J = differential(phi, p)
-        q = apply(phi, p)
-        lhs = rescale_field(q) * (J.T @ metric_at(prof, q).components @ J)
-        rhs = rescale_field(p) * metric_at(prof, p).components
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        action = SmoothMap(n, partial(apply, phi), partial(differential, phi))
+        worst = max(worst, conformal_defect(action, fg, fg, lambda p: 1.0, [p]))
     checks = [_check("rescale_equivariance", worst, 1e-8)]
 
     # the t-translation leaves f untouched outright

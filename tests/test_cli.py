@@ -7,9 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cwgeom
 from cwgeom import cli
@@ -319,7 +323,12 @@ def test_overflow_exits_3_with_json_error():
     # in-range parameters whose product has b = e^{2 s1} b2 = inf
     ("compose", {"profile": {"S": [[1.0]]}, "phi": {"s": 354.0},
                  "psi": {"b": 100.0}}),
-], ids=["apply", "compose"])
+    # overflows that go on to inf - inf or 0 * inf in the action
+    ("apply", {"profile": {"S": [[2.0]]}, "phi": {"s": 354.0},
+               "point": [1.0, 1e300, 0.0]}),
+    ("apply", {"profile": {"S": [[1e154]]}, "phi": {"beta1": [1e154]},
+               "point": [1e16, 0.0, -2.0]}),
+], ids=["apply", "compose", "apply-inf-minus-inf", "apply-zero-times-inf"])
 def test_overflow_stderr_is_one_json_document(command, payload):
     """An overflow exits 3 with nothing on stdout, and no numpy warning
     precedes the JSON error: stderr parses whole."""
@@ -327,6 +336,29 @@ def test_overflow_stderr_is_one_json_document(command, payload):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+
+
+@pytest.mark.parametrize("command, payload, code", [
+    ("apply", {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
+               "point": [1e300, 1.0, 0.0]}, 3),
+    ("compose", {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
+                 "psi": {"c": 1e300}}, 3),
+    ("compose", {"profile": {"S": [[-1.0]]}, "phi": {}, "psi": {"c": 1e300}}, 0),
+    ("apply", {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
+               "point": [0.0, 1.0, 0.0]}, 0),
+], ids=["apply-lost-phase", "compose-lost-phase", "compose-zero-beta", "apply-t-zero"])
+def test_oscillating_beta_at_a_lost_phase_exits_3(command, payload, code, capsys,
+                                                   monkeypatch):
+    """An oscillating beta with data, evaluated where one ulp of its phase
+    is a radian, is a failed precondition rather than a value at a random
+    phase; a zero beta, or a moderate time, still gives the answer."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    got, out, err = run(capsys, [command, "-"])
+    assert got == code
+    if code == 3:
+        assert out == "" and json.loads(err)["error"]["kind"] == "precondition"
+    else:
+        assert err == "" and json.loads(out)
 
 
 TRACE_OVERFLOWS = [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]]
@@ -491,3 +523,100 @@ def test_runtime_imports_no_scipy():
                              "if m.split('.')[0] == 'scipy'))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# payload fields drawn from the extremes of the float range, and values of
+# the wrong type
+NUMBER = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 2.0, 354.0, -354.0, 1e16,
+                     1e154, -1e154, 1e300, -1e300, 5e-324, -5e-324]),
+    st.floats(-10.0, 10.0), st.integers(-3, 3))
+BAD = st.sampled_from(["x", None, True, [], {}, [1.0, "a"], math.inf, math.nan])
+VALUE = st.one_of(NUMBER, NUMBER, BAD)
+COUNT = st.one_of(st.integers(1, 3), st.sampled_from([0, -1, 1.5, "2"]), BAD)
+
+
+@st.composite
+def matrices(draw, n):
+    entries = draw(st.lists(NUMBER, min_size=n * n, max_size=n * n))
+    M = [entries[i * n:(i + 1) * n] for i in range(n)]
+    symmetric = [[M[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    eye = np.eye(n).tolist()
+    return draw(st.sampled_from([symmetric, symmetric, M, eye, (-np.eye(n)).tolist()]))
+
+
+def vectors(n):
+    return st.one_of(st.lists(NUMBER, min_size=n, max_size=n), BAD)
+
+
+def homotheties(n):
+    return st.fixed_dictionaries({}, optional={
+        "b": VALUE, "beta0": vectors(n), "beta1": vectors(n), "c": VALUE,
+        "eps": st.one_of(st.sampled_from([1, -1, -1.0]), VALUE),
+        "A": st.one_of(matrices(n), BAD), "s": VALUE})
+
+
+@st.composite
+def cli_requests(draw):
+    """(argv, payload) for one subcommand; payload None for a named one."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    if command == "verify-example":
+        name = draw(st.sampled_from([*cli.COMMANDS[command].names, "no-such"]))
+        r = draw(st.sampled_from([[], ["--r", "3"], ["--r", "5"], ["--r", "2"],
+                                  ["--r", "-1"], ["--r", "100000000"]]))
+        return [command, name, *r], None
+    n = draw(st.integers(1, 2))
+    profile = draw(st.fixed_dictionaries({"S": st.one_of(matrices(n), BAD)},
+                                         optional={"n": COUNT, "tolerance": VALUE}))
+    fields = {
+        "compose": {"phi": homotheties(n), "psi": homotheties(n)},
+        "apply": {"phi": homotheties(n), "point": st.one_of(vectors(n + 2), BAD)},
+        "fixed-point": {"phi": homotheties(n)},
+        "essential": {"phi": homotheties(n)},
+        "normal-form": {"phi": homotheties(n)},
+        "orbit": {"gamma": homotheties(n), "phi": homotheties(n), "K": COUNT},
+        "pd-report": {"generators": st.one_of(st.lists(homotheties(n), max_size=2), BAD),
+                      "max_length": COUNT},
+        "pullback-check": {"n": COUNT,
+                           "map": st.sampled_from(["minkowski", "imaginary", "other", 1])},
+    }
+    if command in ("classify", "curvature"):
+        payload = profile
+    else:
+        payload = dict(draw(st.fixed_dictionaries(fields[command])), profile=profile)
+    return [command, "-"], draw(st.one_of(st.just(payload), st.just(payload), BAD))
+
+
+def _error(text):
+    return json.loads(text, parse_constant=_reject_constant)["error"]
+
+
+@settings(max_examples=250, deadline=None)
+@given(request=cli_requests())
+@example(request=(["apply", "-"], {"profile": {"S": [[2.0]]}, "phi": {"s": 354.0},
+                                   "point": [1.0, 1e300, 0.0]}))
+@example(request=(["apply", "-"], {"profile": {"S": [[1e154]]}, "phi": {"beta1": [1e154]},
+                                   "point": [1e16, 0.0, -2.0]}))
+@example(request=(["apply", "-"], {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
+                                   "point": [1e300, 1.0, 0.0]}))
+@example(request=(["compose", "-"], {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
+                                     "psi": {"c": 1e300}}))
+@example(request=(["compose", "-"], {"profile": {"S": [[1.0]]}, "phi": {"s": 354.0},
+                                     "psi": {"b": 100.0}}))
+def test_fuzzed_payloads_keep_the_cli_contract(request):
+    """Whatever the payload, main returns a documented exit code with no
+    exception: on 0 or 1 strict JSON on stdout and nothing on stderr, on 2
+    or 3 nothing on stdout and one JSON error document on stderr."""
+    argv, payload = request
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+        error = _error(err.getvalue())
+        assert error["kind"] and error["detail"]

@@ -19,6 +19,7 @@ from cwgeom.errors import (
     CentraliserViolationError,
     IncompatibleProfileError,
     MalformedProfileError,
+    PreconditionError,
 )
 
 from conftest import random_profile
@@ -241,3 +242,43 @@ class TestSymplecticForm:
         assert pa != pb
         with pytest.raises(IncompatibleProfileError):
             symplectic_form(BetaSolution(pa), BetaSolution(pb))
+
+
+def test_random_centralising_orthogonal_draws_all_of_O_d(rng):
+    """Both components of O(d) appear on every eigenspace: a simple
+    eigenvalue gets both signs and a 2-dimensional eigenspace both
+    determinants, in 200 draws."""
+    prof = SymmetricProfile(np.diag([-1.0, 2.0, 2.0]))
+    signs, dets = set(), set()
+    for _ in range(200):
+        A = random_centralising_orthogonal(prof, rng)
+        assert prof.in_centraliser(A)
+        assert np.max(np.abs(A[0, 1:])) == 0.0 and np.max(np.abs(A[1:, 0])) == 0.0
+        signs.add(round(float(A[0, 0])))
+        dets.add(round(float(np.linalg.det(A[1:, 1:]))))
+    assert signs == {-1, 1}
+    assert dets == {-1, 1}
+
+
+class TestPhaseLimit:
+    """From r|t| = 2^52 on, one ulp of an oscillating column's phase r t is
+    a radian: evaluating data there is refused, not read at a random
+    phase."""
+
+    def test_oscillating_data_refused_at_the_limit(self):
+        prof = SymmetricProfile([[-4.0]])
+        beta = BetaSolution(prof, [1.0], [0.0])
+        beta_eval(beta, 2.0 ** 51 * (1 - 2 ** -52))
+        for t in (2.0 ** 51, -2.0 ** 51, 1e300):
+            with pytest.raises(PreconditionError):
+                beta_eval(beta, t)
+        with pytest.raises(PreconditionError):
+            beta_eval(BetaSolution(prof, [0.0], [1e-300]), 1e300)
+
+    def test_columns_without_data_still_evaluate(self):
+        # the zero column is affine and the oscillating one holds no data
+        prof = SymmetricProfile(np.diag([-1.0, 0.0]))
+        val, der = beta_eval(BetaSolution(prof, [0.0, 1.0], [0.0, 2.0]), 1e300)
+        assert np.array_equal(val, [0.0, 2e300]) and np.array_equal(der, [0.0, 2.0])
+        val, der = beta_eval(BetaSolution(prof), 1e300)
+        assert not val.any() and not der.any()

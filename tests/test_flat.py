@@ -10,6 +10,7 @@ from cwgeom.errors import DomainError
 from cwgeom.flat import (
     SmoothMap,
     compose_maps,
+    conformal_defect,
     flatness_blowup_demo,
     identity_map,
     imaginary_local_map,
@@ -146,6 +147,98 @@ class TestConjugatedIdentities:
         assert np.max(np.abs(C.inverse(C(p)) - p)) <= 1e-9
         I = identity_map(n)
         assert np.max(np.abs(I(p) - p)) == 0.0
+
+
+class TestWarpedChart:
+    """Both flat charts are the warped chart of one positive solution rho of
+    rho'' = lam rho, with conformal factor rho^-2."""
+
+    CHARTS = {
+        "minkowski": (minkowski_map, 1.0, 1.2, lambda t: np.exp(-t),
+                      lambda t, x, v: (np.exp(2 * t) / 2, np.exp(t) * x, v - x @ x / 2)),
+        "imaginary": (imaginary_local_map, -1.0, 1.4, np.cos,
+                      lambda t, x, v: (np.tan(t), x / np.cos(t), v - x @ x * np.tan(t) / 2)),
+    }
+
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_closed_forms_and_jacobian(self, name, rng):
+        make, _, tmax, _, closed = self.CHARTS[name]
+        F = make(3)
+        for _ in range(10):
+            p = Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=3), float(rng.normal()))
+            u, y, z = closed(p.t, p.x, p.v)
+            assert np.max(np.abs(F(p) - Point(u, y, z))) <= 1e-12 * max(1.0, abs(u), abs(z))
+            Jfd = SmoothMap(3, forward=F.forward).jacobian_at(p)
+            assert np.max(np.abs(F.jacobian_at(p) - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(Jfd)))
+
+    @pytest.mark.parametrize("name", CHARTS)
+    def test_conformal_defect_is_round_off_for_rho_minus_2(self, name, rng):
+        make, lam, tmax, rho, _ = self.CHARTS[name]
+        n = 2
+        prof = SymmetricProfile(lam * np.eye(n))
+        g0 = minkowski_metric(n).components
+        gram = lambda p: metric_at(prof, p).components
+        points = [Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=n),
+                        float(rng.normal())) for _ in range(20)]
+        right = conformal_defect(make(n), lambda q: g0, gram, lambda p: rho(p.t) ** -2, points)
+        assert right <= 1e-9
+        # a wrong factor, or the other model's metric, is seen at once
+        assert conformal_defect(make(n), lambda q: g0, gram, lambda p: 1.0, points) > 1e-2
+        other = SymmetricProfile(-lam * np.eye(n))
+        assert conformal_defect(make(n), lambda q: g0, lambda p: metric_at(other, p).components,
+                                lambda p: rho(p.t) ** -2, points) > 1e-2
+        assert conformal_defect(make(n), lambda q: g0, gram, lambda p: 1.0, []) == 0.0
+
+
+def _t_shift(n, c):
+    """(t, x, v) -> (t + c, x, v), defined everywhere."""
+    return SmoothMap(n, forward=lambda p: Point(p.t + c, p.x, p.v),
+                     jacobian=lambda p: np.eye(n + 2),
+                     inverse=lambda q: Point(q.t - c, q.x, q.v))
+
+
+def _at(t):
+    """The point (t, 0, 0) of R^3; in flat coordinates t is u."""
+    return Point(t, np.zeros(1), 0.0)
+
+
+DOMAIN_ERRORS = {
+    "minkowski-inverse-u-negative": lambda: minkowski_map(1).inverse(_at(-1.0)),
+    "minkowski-inverse-u-zero": lambda: minkowski_map(1).inverse(_at(0.0)),
+    "imaginary-call": lambda: imaginary_local_map(1)(_at(2.0)),
+    "imaginary-jacobian": lambda: imaginary_local_map(1).jacobian_at(_at(-2.0)),
+    "imaginary-pullback": lambda: pullback_metric(imaginary_local_map(1), _g0(1), _at(2.0)),
+    "inversion-call": lambda: minkowski_inversion(1)(_at(0.0)),
+    "inversion-jacobian": lambda: minkowski_inversion(1).jacobian_at(_at(-1.0)),
+    "inversion-inverse-u-zero": lambda: minkowski_inversion(1).inverse(_at(0.0)),
+    "inversion-inverse-u-negative": lambda: minkowski_inversion(1).inverse(_at(-1.0)),
+    "compose-outside-inner": lambda: compose_maps(minkowski_dilation(1, 0.3),
+                                                  imaginary_local_map(1))(_at(2.0)),
+    "compose-leaves-outer": lambda: compose_maps(imaginary_local_map(1),
+                                                 _t_shift(1, 1.0))(_at(1.0)),
+    "compose-leaves-outer-jacobian": lambda: compose_maps(
+        minkowski_inversion(1), minkowski_dilation(1, 0.3)).jacobian_at(_at(-1.0)),
+    "compose-inverse": lambda: compose_maps(minkowski_dilation(1, 0.3),
+                                            minkowski_map(1)).inverse(_at(-1.0)),
+    "conformal-defect": lambda: conformal_defect(
+        imaginary_local_map(1), lambda q: minkowski_metric(1).components,
+        lambda p: np.eye(3), lambda p: 1.0, [_at(0.0), _at(2.0)]),
+}
+
+
+@pytest.mark.parametrize("case", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS.keys())
+def test_domain_error(case):
+    """Every evaluation outside a map's domain is a DomainError: the forward
+    map, its Jacobian, its inverse, a composite whose inner image leaves the
+    outer domain, and the pullback checks."""
+    with pytest.raises(DomainError):
+        case()
+
+
+def test_compose_inside_both_domains():
+    C = compose_maps(imaginary_local_map(1), _t_shift(1, 1.0))
+    p = Point(0.2, [0.5], 0.1)
+    assert np.max(np.abs(C(p) - imaginary_local_map(1)(Point(1.2, [0.5], 0.1)))) == 0.0
 
 
 class TestFlatnessDichotomy:
