@@ -12,7 +12,6 @@ from .core import (
     Classification,
     Point,
     SymmetricProfile,
-    TangentVector,
     beta_eval,
     beta_reparam,
     classify,
@@ -44,7 +43,6 @@ from .dynamics import (
     orbit_obstruction_sequence,
     pd_necessary_report,
     solve_conjugation_beta,
-    torsion_fixed_point,
 )
 from .errors import CWError
 from .flat import (
@@ -56,11 +54,8 @@ from .flat import (
     pullback_metric,
 )
 from .group import (
-    GroupWord,
     Homothety,
     apply,
-    centralises,
-    centraliser_of_pure,
     compose,
     homothety_factor_check,
     identity,

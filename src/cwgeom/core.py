@@ -1,6 +1,6 @@
 """Foundational types: the defining symmetric matrix with its spectral data,
-points and tangent vectors of R^{n+2}, closed-form solutions of the linear
-ODE system beta'' = S beta, and the symplectic form on its solution space.
+points of R^{n+2}, closed-form solutions of the linear ODE system
+beta'' = S beta, and the symplectic form on its solution space.
 
 Coordinate convention throughout the package: a point of R^{n+2} is
 (t, x^1..x^n, v) with frame order (d_t, d_1..d_n, d_v).
@@ -75,6 +75,9 @@ class SymmetricProfile:
         self.eigenvalues = w
         self.eigenvectors = Q  # columns
         self.zero_threshold = self.tolerance * max(1.0, float(np.max(np.abs(w))))
+        # absolute bound, on the scale of S, for commuting with S and for
+        # equality of profiles
+        self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * 10
         self.spectrum = self._group_spectrum(w, Q)
         self._branches = self._column_branches()
 
@@ -142,9 +145,8 @@ class SymmetricProfile:
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n, self.n):
             return False
-        tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S))))
         ortho = float(np.max(np.abs(A.T @ A - np.eye(self.n)))) <= self.tolerance * 10
-        commutes = float(np.max(np.abs(A @ self.S - self.S @ A))) <= tol * 10
+        commutes = float(np.max(np.abs(A @ self.S - self.S @ A))) <= self._scale_tol
         return ortho and commutes
 
     def require_centraliser(self, A) -> np.ndarray:
@@ -159,7 +161,7 @@ class SymmetricProfile:
         return self is other or (
             isinstance(other, SymmetricProfile)
             and self.n == other.n
-            and np.allclose(self.S, other.S, atol=10 * self.tolerance)
+            and float(np.max(np.abs(self.S - other.S))) <= self._scale_tol
         )
 
     def __repr__(self):
@@ -224,26 +226,6 @@ class Point:
 
     def __sub__(self, other: "Point") -> np.ndarray:
         return self.as_array() - other.as_array()
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Components of a tangent vector in the coordinate frame."""
-
-    dt: float
-    dx: np.ndarray
-    dv: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dx", np.atleast_1d(np.asarray(self.dx, dtype=float)))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.dt], self.dx, [self.dv]))
-
-    @staticmethod
-    def from_array(a) -> "TangentVector":
-        a = np.asarray(a, dtype=float)
-        return TangentVector(float(a[0]), a[1:-1].copy(), float(a[-1]))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .group import (
     element_distance,
     identity,
     inverse,
-    power,
     project,
 )
 
@@ -45,7 +44,7 @@ class FixedPointReport:
     exists: bool
     point: Optional[Point]
     reason: str  # strict_eps_minus1 | strict_c_zero | isometry_euclidean_fp
-    #             | torsion_center_of_mass | none_translation
+    #             | none_translation
     residual: float = 0.0
 
 
@@ -107,30 +106,6 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     reason = ("isometry_euclidean_fp" if not strict
               else "strict_eps_minus1" if phi.eps == -1 else "strict_c_zero")
     return FixedPointReport(True, p, reason, res)
-
-
-def torsion_fixed_point(phi: Homothety, k: int) -> FixedPointReport:
-    """Fixed point of a finite-order element via the centre of mass of a
-    k-periodic orbit of the x-block affine action at the fixed time.  The
-    point and its residual are always reported; it exists only if the
-    residual is within 1e-8."""
-    if k < 1:
-        raise PreconditionError("order k must be a positive integer")
-    if element_distance(power(phi, k), identity(phi.profile)) > 1e-6:
-        raise PreconditionError(f"phi^{k} is not the identity")
-    t_star = _fixed_time(phi)
-    if t_star is None:
-        raise PreconditionError("a torsion element must have eps = -1 or c = 0")
-    val, _ = beta_eval(phi.beta, t_star)
-    F = np.exp(phi.s) * phi.A
-    orbit = [np.zeros(phi.profile.n)]
-    for _ in range(k - 1):
-        orbit.append(F @ orbit[-1] + val)
-    y = np.mean(orbit, axis=0)
-    v_star = _solve_v(phi, t_star, y)
-    p = Point(t_star, y, 0.0 if v_star is None else v_star)
-    res = _verify(phi, p)
-    return FixedPointReport(res <= 1e-8, p, "torsion_center_of_mass", res)
 
 
 def is_essential(phi: Homothety) -> bool:
@@ -289,6 +264,8 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
     gamma must lie in E(1) x C_O(n)(S) x R (no Heisenberg part, eps = +1).
     The report fits a geometric decay rate to the x-block norms.
     """
+    if K < 1:
+        raise PreconditionError("the orbit needs K >= 1 steps")
     if gamma.eps != 1 or abs(gamma.b) > PARAM_TOL or not gamma.beta.is_zero():
         raise PreconditionError("gamma must lie in E(1) x C_O(n)(S) x R")
     prof = phi.profile
@@ -297,7 +274,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
     current = phi
     pts = []
     for _ in range(K):
-        current = compose(ginv, compose(current, gamma)).renormalized()
+        current = compose(ginv, compose(current, gamma))
         pts.append(apply(current, origin))
     limit = Point(phi.c, np.zeros(prof.n), 0.0)
     converged = float(np.max(np.abs(pts[-1] - limit))) <= threshold
@@ -362,7 +339,6 @@ def pd_necessary_report(generators: Sequence[Homothety],
             elem = identity(prof)
             for _, g in combo:
                 elem = compose(elem, g)
-            elem = elem.renormalized()
             seen += 1
             if not elem.is_strict:
                 continue

@@ -59,29 +59,6 @@ class SmoothMap:
         return J
 
 
-def identity_map(n: int) -> SmoothMap:
-    m = n + 2
-    return SmoothMap(n, forward=lambda p: p,
-                     jacobian=lambda p: np.eye(m),
-                     inverse=lambda p: p)
-
-
-def compose_maps(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
-    """outer after inner, on the points of inner's domain that inner maps
-    into outer's, with chained Jacobians and inverses if present."""
-    inv = jac = None
-    if outer.inverse is not None and inner.inverse is not None:
-        def inv(q, _o=outer, _i=inner):
-            return _i.inverse(_o.inverse(q))
-    if outer.jacobian is not None and inner.jacobian is not None:
-        def jac(p, _o=outer, _i=inner):
-            return _o.jacobian(_i.forward(p)) @ _i.jacobian(p)
-    return SmoothMap(outer.n, forward=lambda p: outer.forward(inner.forward(p)),
-                     jacobian=jac, inverse=inv,
-                     in_domain=lambda p: inner.in_domain(p)
-                     and outer.in_domain(inner.forward(p)))
-
-
 def minkowski_metric(n: int) -> SymBilinear:
     """Gram matrix of g0 = 2 du dz + dy^2 in the (u, y, z) frame."""
     m = n + 2

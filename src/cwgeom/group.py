@@ -24,9 +24,9 @@ are checked only for overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -202,7 +202,7 @@ def power(phi: Homothety, k: int) -> Homothety:
         k >>= 1
         if k:
             base = compose(base, base)
-    return out.renormalized()
+    return out
 
 
 def conjugate(g: Homothety, phi: Homothety) -> Homothety:
@@ -222,39 +222,3 @@ def homothety_factor_check(phi: Homothety, points: Sequence[Point] = None,
     action = SmoothMap(prof.n, partial(apply, phi), partial(differential, phi))
     gram = lambda q: metric_at(prof, q).components
     return conformal_defect(action, gram, gram, lambda p: np.exp(2 * phi.s), points)
-
-
-def centralises(phi: Homothety, eta: Homothety, tol: float = 1e-8) -> bool:
-    return element_distance(compose(phi, eta), compose(eta, phi)) <= tol
-
-
-def centraliser_of_pure(s: float):
-    """Membership predicate for C_{H_S}(h_s), s != 0: the Heisenberg part
-    must vanish, leaving E(1) x C_O(n)(S) x R."""
-    if abs(s) <= PARAM_TOL:
-        raise ValueError("the pure homothety must be strict")
-
-    def predicate(phi: Homothety, tol: float = PARAM_TOL) -> bool:
-        return abs(phi.b) <= tol and phi.beta.is_zero(tol)
-
-    return predicate
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """A word in a finite generator list, as (index, exponent) letters."""
-
-    generators: List[Homothety]
-    letters: List[Tuple[int, int]] = field(default_factory=list)
-
-    def __post_init__(self):
-        for idx, _ in self.letters:
-            if not 0 <= idx < len(self.generators):
-                raise IndexError(f"letter index {idx} out of range")
-
-    def evaluate(self) -> Homothety:
-        prof = self.generators[0].profile
-        out = identity(prof)
-        for idx, exp in self.letters:
-            out = compose(out, power(self.generators[idx], exp))
-        return out.renormalized()

@@ -25,6 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import BetaSolution, Point, SymmetricProfile, beta_eval, beta_reparam, symplectic_form
+from .dynamics import orbit_obstruction_sequence
 from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
 from .group import (
@@ -328,13 +329,8 @@ def verify_failed_3d_example(samples: int = 50, seed: int = 42) -> ExampleReport
                          homothety_factor_check(gamma, rng=rng), 1e-8))
 
     # decay mode: gamma^{-i} zeta gamma^i (0) collapses like e^{-2i}
-    origin = Point(0.0, np.zeros(1), 0.0)
-    norms = []
-    current = zeta
-    gi, g = inverse(gamma), gamma
-    for i in range(1, 21):
-        current = compose(gi, compose(current, g))
-        norms.append(float(np.linalg.norm(apply(current, origin).as_array())))
+    norms = [float(np.linalg.norm(q.as_array()))
+             for q in orbit_obstruction_sequence(gamma, zeta, K=20).points]
     fit = np.polyfit(np.arange(1, 21), np.log(norms), 1)
     rate = np.exp(fit[0])
     checks.append(_check("decay_rate_e_minus_2",

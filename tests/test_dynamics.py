@@ -23,7 +23,6 @@ from cwgeom.dynamics import (
     orbit_obstruction_sequence,
     pd_necessary_report,
     solve_conjugation_beta,
-    torsion_fixed_point,
 )
 from cwgeom.errors import (
     PreconditionError,
@@ -105,8 +104,8 @@ class TestFixedPoint:
 
     def test_torsion_rotation_order_four(self):
         # quarter-turn with a Heisenberg part; the central parameter is
-        # adjusted so that phi^4 = id (the cocycle residue), then the
-        # centre-of-mass construction produces a genuine fixed point
+        # adjusted so that phi^4 = id (the cocycle residue), and then the
+        # isometry has a genuine fixed point
         prof = SymmetricProfile(-np.eye(2))
         beta = BetaSolution(prof, [1.0, -0.3], [0.2, 0.7])
         phi0 = Homothety(prof, beta=beta, A=_rot(np.pi / 2))
@@ -114,9 +113,10 @@ class TestFixedPoint:
         residue = power(phi0, k)
         phi = Homothety(prof, b=-residue.b / k, beta=beta, A=_rot(np.pi / 2))
         assert element_distance(power(phi, k), identity(prof)) <= 1e-9
-        rep = torsion_fixed_point(phi, k)
-        assert rep.reason == "torsion_center_of_mass"
+        rep = fixed_point(phi)
+        assert rep.exists and rep.reason == "isometry_euclidean_fp"
         assert rep.residual <= 1e-8
+        assert np.max(np.abs(rep.point.as_array() - [0.0, 0.65, 0.35, 0.0])) <= 1e-12
 
     def test_torsion_reflection_order_two(self, rng):
         # eps = -1, beta odd around t = c/2, order two
@@ -128,33 +128,54 @@ class TestFixedPoint:
         residue = power(phi0, 2)
         assert abs(residue.c) <= 1e-12
         phi = Homothety(prof, c=c, eps=-1, beta=beta, b=phi0.b - residue.b / 2)
-        if element_distance(power(phi, 2), identity(prof)) > 1e-6:
-            # the reflection inverts the centre, so the residue must be
-            # removed through the beta-part instead; skip if absent
-            pytest.skip("order-two normalisation not available for this draw")
-        rep = torsion_fixed_point(phi, 2)
-        assert rep.residual <= 1e-8
-
-    def test_torsion_preconditions(self, rng):
-        prof = random_profile(rng, 2)
-        with pytest.raises(PreconditionError):
-            torsion_fixed_point(identity(prof), 0)
-        with pytest.raises(PreconditionError):
-            torsion_fixed_point(Homothety(prof, c=1.0), 3)
+        assert element_distance(power(phi, 2), identity(prof)) <= 1e-9
+        rep = fixed_point(phi)
+        assert rep.exists and rep.residual <= 1e-8
 
     def test_torsion_residual_gates_existence(self):
-        # phi^4 = id only up to 4e-7 in b, inside the 1e-6 order check,
-        # so the centre of mass misses by the 1e-7 v-shift: reported, but
-        # not a fixed point
+        # phi^4 = id only up to 4e-7 in b: the 1e-7 v-shift leaves no
+        # fixed point
         prof = SymmetricProfile(-np.eye(2))
         beta = BetaSolution(prof, [1.0, -0.3], [0.2, 0.7])
         residue = power(Homothety(prof, beta=beta, A=_rot(np.pi / 2)), 4)
         phi = Homothety(prof, b=-residue.b / 4 + 1e-7, beta=beta, A=_rot(np.pi / 2))
         assert element_distance(power(phi, 4), identity(prof)) <= 1e-6
-        rep = torsion_fixed_point(phi, 4)
-        assert rep.residual > 1e-8
-        assert not rep.exists
-        assert rep.point is not None and rep.reason == "torsion_center_of_mass"
+        rep = fixed_point(phi)
+        assert not rep.exists and rep.point is None
+
+
+def _rotation_of_order(prof, k, rng):
+    """A rotation by 2 pi / k in a plane of a repeated eigenvalue of S, and
+    a beta inside that plane, so that the element is torsion once its b
+    cancels the cocycle residue."""
+    blk = next(b for b in prof.spectrum if b.multiplicity >= 2)
+    B = blk.basis[:, :2]
+    A = np.eye(prof.n) + B @ (_rot(2 * np.pi / k) - np.eye(2)) @ B.T
+    beta = BetaSolution(prof, B @ rng.uniform(-2, 2, 2), B @ rng.uniform(-2, 2, 2))
+    return A, beta
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(4, 5), k=st.sampled_from([2, 3, 4, 6]),
+       reflection=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_finite_order_isometries_have_verified_fixed_points(kind, n, k, reflection, seed):
+    """Every finite-order isometry fixes a point, and fixed_point finds it:
+    rotations of order k on a repeated eigenvalue with the b-residue of
+    phi^k removed, and eps = -1 reflections with beta odd about c/2."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, True)
+    if reflection:
+        k, c = 2, float(rng.uniform(-2, 2))
+        odd = BetaSolution(prof, np.zeros(n), rng.uniform(-2, 2, n))
+        phi = Homothety(prof, c=c, eps=-1, beta=beta_reparam(odd, -c / 2.0, 1))
+    else:
+        A, beta = _rotation_of_order(prof, k, rng)
+        residue = power(Homothety(prof, beta=beta, A=A), k)
+        phi = Homothety(prof, b=-residue.b / k, beta=beta, A=A)
+    assert element_distance(power(phi, k), identity(prof)) <= 1e-9
+    rep = fixed_point(phi)
+    assert rep.exists and rep.residual <= 1e-8
+    assert np.max(np.abs(apply(phi, rep.point) - rep.point)) <= 1e-8
 
 
 class TestEssentiality:
@@ -385,6 +406,13 @@ class TestOrbitObstruction:
                         beta=BetaSolution(prof, [1.0], [0.0]))
         with pytest.raises(PreconditionError):
             orbit_obstruction_sequence(bad, Homothety(prof, c=1.0))
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_needs_at_least_one_step(self, K):
+        prof = SymmetricProfile(-np.eye(1))
+        with pytest.raises(PreconditionError):
+            orbit_obstruction_sequence(Homothety(prof, c=1.0, s=0.5),
+                                       Homothety(prof, c=1.0), K=K)
 
 
 class TestPDReport:

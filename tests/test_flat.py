@@ -9,10 +9,8 @@ from cwgeom.curvature import metric_at
 from cwgeom.errors import DomainError
 from cwgeom.flat import (
     SmoothMap,
-    compose_maps,
     conformal_defect,
     flatness_blowup_demo,
-    identity_map,
     imaginary_local_map,
     incomplete_geodesic_residual,
     minkowski_dilation,
@@ -135,19 +133,6 @@ class TestConjugatedIdentities:
         with pytest.raises(DomainError):
             eta(Point(0.0, np.zeros(1), 0.0))
 
-    def test_compose_maps(self, rng):
-        n = 2
-        F = minkowski_map(n)
-        D = minkowski_dilation(n, 0.4)
-        C = compose_maps(D, F)
-        p = random_point(rng, n)
-        assert np.max(np.abs(C(p) - D(F(p)))) <= 1e-12
-        assert np.max(np.abs(C.jacobian_at(p)
-                             - D.jacobian_at(F(p)) @ F.jacobian_at(p))) <= 1e-10
-        assert np.max(np.abs(C.inverse(C(p)) - p)) <= 1e-9
-        I = identity_map(n)
-        assert np.max(np.abs(I(p) - p)) == 0.0
-
 
 class TestWarpedChart:
     """Both flat charts are the warped chart of one positive solution rho of
@@ -190,13 +175,6 @@ class TestWarpedChart:
         assert conformal_defect(make(n), lambda q: g0, gram, lambda p: 1.0, []) == 0.0
 
 
-def _t_shift(n, c):
-    """(t, x, v) -> (t + c, x, v), defined everywhere."""
-    return SmoothMap(n, forward=lambda p: Point(p.t + c, p.x, p.v),
-                     jacobian=lambda p: np.eye(n + 2),
-                     inverse=lambda q: Point(q.t - c, q.x, q.v))
-
-
 def _at(t):
     """The point (t, 0, 0) of R^3; in flat coordinates t is u."""
     return Point(t, np.zeros(1), 0.0)
@@ -212,14 +190,6 @@ DOMAIN_ERRORS = {
     "inversion-jacobian": lambda: minkowski_inversion(1).jacobian_at(_at(-1.0)),
     "inversion-inverse-u-zero": lambda: minkowski_inversion(1).inverse(_at(0.0)),
     "inversion-inverse-u-negative": lambda: minkowski_inversion(1).inverse(_at(-1.0)),
-    "compose-outside-inner": lambda: compose_maps(minkowski_dilation(1, 0.3),
-                                                  imaginary_local_map(1))(_at(2.0)),
-    "compose-leaves-outer": lambda: compose_maps(imaginary_local_map(1),
-                                                 _t_shift(1, 1.0))(_at(1.0)),
-    "compose-leaves-outer-jacobian": lambda: compose_maps(
-        minkowski_inversion(1), minkowski_dilation(1, 0.3)).jacobian_at(_at(-1.0)),
-    "compose-inverse": lambda: compose_maps(minkowski_dilation(1, 0.3),
-                                            minkowski_map(1)).inverse(_at(-1.0)),
     "conformal-defect": lambda: conformal_defect(
         imaginary_local_map(1), lambda q: minkowski_metric(1).components,
         lambda p: np.eye(3), lambda p: 1.0, [_at(0.0), _at(2.0)]),
@@ -229,16 +199,9 @@ DOMAIN_ERRORS = {
 @pytest.mark.parametrize("case", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS.keys())
 def test_domain_error(case):
     """Every evaluation outside a map's domain is a DomainError: the forward
-    map, its Jacobian, its inverse, a composite whose inner image leaves the
-    outer domain, and the pullback checks."""
+    map, its Jacobian, its inverse, and the pullback checks."""
     with pytest.raises(DomainError):
         case()
-
-
-def test_compose_inside_both_domains():
-    C = compose_maps(imaginary_local_map(1), _t_shift(1, 1.0))
-    p = Point(0.2, [0.5], 0.1)
-    assert np.max(np.abs(C(p) - imaginary_local_map(1)(Point(1.2, [0.5], 0.1)))) == 0.0
 
 
 class TestFlatnessDichotomy:

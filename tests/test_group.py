@@ -5,13 +5,11 @@ import pytest
 
 from cwgeom.core import BetaSolution, Point, SymmetricProfile, symplectic_form
 from cwgeom.curvature import metric_at
-from cwgeom.errors import IncompatibleProfileError
+from cwgeom.dynamics import centraliser_projection_demo
+from cwgeom.errors import IncompatibleProfileError, PreconditionError
 from cwgeom.group import (
-    GroupWord,
     Homothety,
     apply,
-    centralises,
-    centraliser_of_pure,
     compose,
     conjugate,
     differential,
@@ -102,6 +100,12 @@ class TestCompose:
         pa, pb = random_profile(rng, 2), random_profile(rng, 3)
         with pytest.raises(IncompatibleProfileError):
             compose(identity(pa), identity(pb))
+
+    def test_nearby_profiles_do_not_compose(self):
+        pa, pb = SymmetricProfile([[1.0]]), SymmetricProfile([[1.000005]])
+        phi = Homothety(pa, beta=BetaSolution(pa, [1.0], [0.0]))
+        with pytest.raises(IncompatibleProfileError):
+            compose(phi, Homothety(pb, c=0.5))
 
 
 class TestInverse:
@@ -207,29 +211,22 @@ class TestStructure:
         h = pure_homothety(prof, 0.7)
         # t-shift commutes with h_s; Heisenberg elements do not
         gamma = Homothety(prof, c=1.3)
-        assert centralises(gamma, h)
+        assert element_distance(compose(gamma, h), compose(h, gamma)) <= 1e-12
         eta = Homothety(prof, beta=BetaSolution(prof, [1.0, 0.0], [0.0, 0.0]))
-        assert not centralises(eta, h)
-        pred = centraliser_of_pure(0.7)
-        assert pred(gamma) and not pred(eta)
-        with pytest.raises(ValueError):
-            centraliser_of_pure(0.0)
+        assert element_distance(compose(eta, h), compose(h, eta)) > 1e-2
+        # the projection argument accepts the centraliser of h_s only, and
+        # needs h_s strict
+        assert centraliser_projection_demo(h, [gamma]).injective
+        with pytest.raises(PreconditionError):
+            centraliser_projection_demo(h, [gamma, eta])
+        with pytest.raises(PreconditionError):
+            centraliser_projection_demo(pure_homothety(prof, 0.0), [gamma])
 
     def test_renormalized_projects_to_orthogonal(self):
         prof = SymmetricProfile(np.eye(2))
         drifted = np.eye(2) + 5e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
         phi = Homothety(prof, A=drifted).renormalized()
         assert np.max(np.abs(phi.A.T @ phi.A - np.eye(2))) <= 1e-12
-
-    def test_group_word(self, rng):
-        prof = random_profile(rng, 2)
-        a = random_homothety(prof, rng, eps=1)
-        b = random_homothety(prof, rng, eps=1)
-        word = GroupWord([a, b], [(0, 2), (1, -1), (0, 1)])
-        direct = compose(power(a, 2), compose(inverse(b), a))
-        assert element_distance(word.evaluate(), direct) <= 1e-8
-        with pytest.raises(IndexError):
-            GroupWord([a], [(3, 1)])
 
     def test_bad_eps_rejected(self, rng):
         prof = random_profile(rng, 2)

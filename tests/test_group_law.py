@@ -190,7 +190,6 @@ class TestCost:
         compose(phi, psi)
         inverse(phi)
         power(phi, -7)
-        grp.GroupWord([phi, psi], [(0, 2), (1, -1)]).evaluate()
         assert calls == []
         # the public constructor still checks
         Homothety(phi.profile, A=phi.A)
