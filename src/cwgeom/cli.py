@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -43,10 +42,10 @@ EXIT_PRECONDITION = 3
 class Subcommand(NamedTuple):
     """One subcommand: `load` turns its operand into the positional
     arguments of `call`, `call` runs the library, and `dump` turns the
-    result into the JSON payload.  The operand is the input JSON object,
-    or one of `names` when the subcommand takes a name instead.  `flags`
-    are the extra flags `call` takes as keyword arguments; a false
-    `verdict` field of the payload makes the exit code 1.
+    result into the payload that serialize.dump_json writes.  The operand
+    is the input JSON object, or one of `names` when the subcommand takes
+    a name instead.  `flags` are the extra flags `call` takes as keyword
+    arguments; a false `verdict` field of the payload makes the exit code 1.
 
     Library functions are looked up on their module when called, never
     stored here, so that wrappers installed on a module take effect."""
@@ -75,10 +74,6 @@ def _generators(data) -> list:
     if not isinstance(gens, list) or not gens:
         raise InputError("'generators' must be a non-empty list of homotheties")
     return gens
-
-
-def _point(p) -> Optional[list]:
-    return None if p is None else serialize.dump_point(p)
 
 
 def _root(name: str, r: Optional[int]) -> dict:
@@ -122,36 +117,33 @@ COMMANDS = {
         load=lambda data: [serialize.load_profile(data)],
         call=lambda prof: {
             "riemann": curvature.riemann(prof),
-            "ricci": serialize.dump_bilinear(curvature.ricci(prof)),
+            "ricci": curvature.ricci(prof),
             "scalar": curvature.scalar(prof),
-            "schouten": serialize.dump_bilinear(curvature.schouten(prof)),
+            "schouten": curvature.schouten(prof),
             "weyl": curvature.weyl(prof),
             "cotton_max_abs": float(np.max(np.abs(curvature.cotton(prof)))),
             "frame": "t, x_1..x_n, v"}),
     "compose": Subcommand(
         load=_homotheties("phi", "psi"),
-        call=lambda phi, psi: grp.compose(phi, psi),
-        dump=lambda phi: serialize.dump_homothety(phi)),
+        call=lambda phi, psi: grp.compose(phi, psi)),
     "apply": Subcommand(
         load=_with_profile(lambda prof, data: [
             serialize.load_homothety(prof, data.get("phi", {})),
             serialize.load_point(prof.n, data.get("point"))]),
-        call=lambda phi, p: grp.apply(phi, p),
-        dump=lambda p: serialize.dump_point(p)),
+        call=lambda phi, p: grp.apply(phi, p)),
     "fixed-point": Subcommand(
         load=_homotheties("phi"),
         call=lambda phi: dynamics.fixed_point(phi),
-        dump=lambda rep: {"exists": rep.exists, "point": _point(rep.point),
+        dump=lambda rep: {"exists": rep.exists, "point": rep.point,
                           "reason": rep.reason, "residual": rep.residual}),
     "essential": Subcommand(
         load=_homotheties("phi"),
-        call=lambda phi: {"fixed_point": _point(dynamics.fixed_point(phi).point),
-                          "essential": dynamics.is_essential(phi)}),
+        call=lambda phi: dynamics.essential_fixed_point(phi),
+        dump=lambda rep: {"fixed_point": rep.point, "essential": rep.exists}),
     "normal-form": Subcommand(
         load=_homotheties("phi"),
         call=lambda phi: dynamics.normal_form(phi),
-        dump=lambda res: {"conjugator": serialize.dump_homothety(res.conjugator),
-                          "normal": serialize.dump_homothety(res.normal),
+        dump=lambda res: {"conjugator": res.conjugator, "normal": res.normal,
                           "residual": res.residual}),
     "orbit": Subcommand(
         load=_with_profile(lambda prof, data: [
@@ -159,8 +151,7 @@ COMMANDS = {
             serialize.load_homothety(prof, data.get("phi", {})),
             serialize.load_count(data, "K", 60)]),
         call=lambda gamma, phi, K: dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
-        dump=lambda rep: {"sequence": [serialize.dump_point(p) for p in rep.points],
-                          "limit": serialize.dump_point(rep.limit),
+        dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
     "pullback-check": Subcommand(
         load=lambda data: [serialize.load_count(data, "n", 2),
@@ -277,31 +268,14 @@ def _read_payload(path: str):
     return data
 
 
-# stands in for a 4-tensor of the payload until its text is spliced in;
-# json.dumps writes the NUL as \u0000, which no payload string contains
-_TENSOR_MARK = re.compile(r'"\\u0000(\w+)"')
-
-
 def _emit(args, payload) -> None:
-    """Write the payload as JSON.  A 4-tensor at its top level is written
-    by serialize.dump_tensor4 into the text json.dumps gives the rest."""
+    """Write the payload as JSON to stdout or to --output."""
     indent = 2 if args.format == "pretty" else None
-    tensors = {}
-    if isinstance(payload, dict):
-        tensors = {key: serialize.dump_tensor4(value, indent, level=1)
-                   for key, value in payload.items()
-                   if isinstance(value, curvature.CurvatureTensor4)}
-        payload = {key: "\0" + key if key in tensors else value
-                   for key, value in payload.items()}
-    text = json.dumps(payload, indent=indent, sort_keys=True)
-    if tensors:
-        text = _TENSOR_MARK.sub(lambda mark: tensors[mark.group(1)], text)
     if not args.output:
-        print(text)
-        return
+        return serialize.dump_json(payload, sys.stdout, indent)
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            serialize.dump_json(payload, fh, indent)
     except OSError as exc:
         raise InputError(f"cannot write output file: {exc}") from exc
 

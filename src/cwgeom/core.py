@@ -161,7 +161,8 @@ class SymmetricProfile:
         return self is other or (
             isinstance(other, SymmetricProfile)
             and self.n == other.n
-            and float(np.max(np.abs(self.S - other.S))) <= self._scale_tol
+            and float(np.max(np.abs(self.S - other.S)))
+            <= min(self._scale_tol, other._scale_tol)
         )
 
     def __repr__(self):

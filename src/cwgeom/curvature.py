@@ -106,7 +106,8 @@ class CurvatureTensor4:
         R = np.zeros((self.n + 2,) * 4)
         R[x, 0, x, 0] = R[0, x, 0, x] = M + 0.0
         R[x, 0, 0, x] = R[0, x, x, 0] = 0.0 - M
-        return self.sign * R
+        R *= self.sign
+        return R
 
     def symmetry_defect(self) -> float:
         """Max violation of the four Riemann symmetries (antisymmetry in the

@@ -108,11 +108,17 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     return FixedPointReport(True, p, reason, res)
 
 
-def is_essential(phi: Homothety) -> bool:
-    """A strict homothety is essential iff it fixes a point."""
+def essential_fixed_point(phi: Homothety) -> FixedPointReport:
+    """The fixed-point report of a strict homothety, which is essential iff
+    it fixes a point; an isometry raises PreconditionError."""
     if not phi.is_strict:
         raise PreconditionError("essentiality criterion applies to strict homotheties only")
-    return fixed_point(phi).exists
+    return fixed_point(phi)
+
+
+def is_essential(phi: Homothety) -> bool:
+    """A strict homothety is essential iff it fixes a point."""
+    return essential_fixed_point(phi).exists
 
 
 def _smooth_step(x):

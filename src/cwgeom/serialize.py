@@ -6,12 +6,14 @@ Schemas:
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
     point       [t, x_1, ..., x_n, v]
+
+`dump_json` is the one writer of JSON output and the one owner of each
+library type's JSON form.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Any, Optional
 
 import numpy as np
@@ -103,70 +105,51 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
         raise InputError(f"malformed homothety data: {exc}") from exc
 
 
-def dump_homothety(phi: Homothety) -> dict:
-    return {"b": phi.b, "beta0": phi.beta.beta0.tolist(),
-            "beta1": phi.beta.beta1.tolist(), "c": phi.c, "eps": phi.eps,
-            "A": phi.A.tolist(), "s": phi.s}
-
-
 def load_point(n: int, data: Any) -> Point:
     a = _real_array(data, "point")
     _require(a.shape == (n + 2,), f"point must have {n + 2} coordinates")
     return Point.from_array(a)
 
 
-def dump_point(p: Point) -> list:
-    return p.as_array().tolist()
-
-
-def dump_bilinear(T: SymBilinear) -> list:
-    return T.components.tolist()
-
-
-def _json_float(x: float) -> str:
-    """A float as json.dumps writes it."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:
+    """The opening, separator and closing text of a JSON list or object `level` deep."""
+    if indent is None:
+        return brackets[0], ", ", brackets[1]
+    pad = "\n" + " " * (indent * (level + 1))
+    return brackets[0] + pad, "," + pad, "\n" + " " * (indent * level) + brackets[1]
 
 
 def _json_list(items: list, indent: Optional[int], level: int) -> str:
-    """A JSON list of already written items, as json.dumps lays out a list
-    nested `level` deep."""
-    if indent is None:
-        return "[" + ", ".join(items) + "]"
-    pad = "\n" + " " * (indent * (level + 1))
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * (indent * level) + "]"
+    """A JSON list of already written items, nested `level` deep."""
+    first, sep, last = _marks(indent, level)
+    return first + sep.join(items) + last
 
 
-def dump_tensor4(T: CurvatureTensor4, indent: Optional[int] = None,
-                 level: int = 0) -> str:
-    """The JSON text of a block tensor's dense components, byte for byte as
-    json.dumps(T.components.tolist(), indent=indent) writes it `level` deep,
-    written from the block M without building the dense array.
+def _write_tensor4(T: CurvatureTensor4, fh, indent: Optional[int], level: int) -> None:
+    """Write a block tensor's dense components as json.dumps writes
+    T.components.tolist() `level` deep, one (n+2)-slice at a time, from
+    the block M without building the dense array.
 
     Only the rows [i,0,j,:], [0,i,0,:], [i,0,0,:] and [0,i,j,:] hold
     nonzeros; every other row, and every [x,y,:,:] block of such rows,
     is one precomputed all-zero string."""
-    if T.block is None:
-        raise ValueError("dump_tensor4 writes block tensors only")
     n, sign = T.n, T.sign
     m = n + 2
-    zero = _json_float(sign * 0.0)
+    zero = json.dumps(sign * 0.0)
     # the entries of T.components: sign * (M_ij + 0.0) at [i,0,j,0] and
-    # [0,i,0,j], sign * (0.0 - M_ij) at [i,0,0,j] and [0,i,j,0]
-    plus = [[_json_float(x) for x in row] for row in (sign * (T.block + 0.0)).tolist()]
-    minus = [[_json_float(x) for x in row] for row in (sign * (0.0 - T.block)).tolist()]
+    # [0,i,0,j], sign * (0.0 - M_ij) at [i,0,0,j] and [0,i,j,0]; a float
+    # holds no ", ", so splitting json.dumps of a row gives its entries
+    plus = [json.dumps(row)[1:-1].split(", ") for row in (sign * (T.block + 0.0)).tolist()]
+    minus = [json.dumps(row)[1:-1].split(", ") for row in (sign * (0.0 - T.block)).tolist()]
 
     def row(entries):
         return _json_list(entries, indent, level + 3)
 
     def block(rows):
         return _json_list(rows, indent, level + 2)
+
+    def part(blocks):
+        return _json_list(blocks, indent, level + 1)
 
     zero_row = row([zero] * m)
     zero_block = block([zero_row] * m)
@@ -176,12 +159,54 @@ def dump_tensor4(T: CurvatureTensor4, indent: Optional[int] = None,
         return block([row([zero] + middle + [zero])]
                      + [row([v] + [zero] * (m - 1)) for v in firsts] + [zero_row])
 
+    first, sep, last = _marks(indent, level)
     # [0,i,0,:] = (0, sign M_i., 0) and [0,i,j,0] = -sign M_ij
-    t_slice = [zero_block] + [nonzero_block(plus[i], minus[i]) for i in range(n)] + [zero_block]
+    fh.write(first + part([zero_block] + [nonzero_block(plus[i], minus[i]) for i in range(n)]
+                          + [zero_block]))
     # [i,0,0,:] = (0, -sign M_i., 0) and [i,0,j,0] = sign M_ij
-    x_slices = [[nonzero_block(minus[i], plus[i])] + [zero_block] * (m - 1) for i in range(n)]
-    slices = [t_slice, *x_slices, [zero_block] * m]
-    return _json_list([_json_list(s, indent, level + 1) for s in slices], indent, level)
+    for i in range(n):
+        fh.write(sep + part([nonzero_block(minus[i], plus[i])] + [zero_block] * (m - 1)))
+    fh.write(sep + part([zero_block] * m) + last)
+
+
+def _jsonable(value: Any) -> Any:
+    """The JSON form of a library value; json.dumps's `default` hook."""
+    if isinstance(value, Homothety):
+        return {"b": value.b, "beta0": value.beta.beta0.tolist(),
+                "beta1": value.beta.beta1.tolist(), "c": value.c, "eps": value.eps,
+                "A": value.A.tolist(), "s": value.s}
+    if isinstance(value, Point):
+        return value.as_array().tolist()
+    if isinstance(value, SymBilinear):
+        return value.components.tolist()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
+    """Write `payload` to `fh` byte for byte as
+    json.dumps(payload, indent=indent, sort_keys=True) + "\n" would, with
+    homotheties, points, bilinear forms and arrays in their JSON form.  A
+    block CurvatureTensor4 at the top level of a dict is written from its
+    block, one (n+2)-slice at a time, so its dense text is never held whole."""
+    def dumps(value):
+        return json.dumps(value, indent=indent, sort_keys=True, default=_jsonable)
+
+    if not (isinstance(payload, dict) and payload):
+        fh.write(dumps(payload) + "\n")
+        return
+    # a value's own line breaks move one level in; that is exact, as no
+    # JSON string holds a raw newline
+    pad = "\n" + " " * (indent or 0)
+    first, sep, last = _marks(indent, 0, "{}")
+    for k, key in enumerate(sorted(payload)):
+        fh.write((sep if k else first) + json.dumps(key) + ": ")
+        if isinstance(payload[key], CurvatureTensor4):
+            _write_tensor4(payload[key], fh, indent, level=1)
+        else:
+            fh.write(dumps(payload[key]).replace("\n", pad))
+    fh.write(last + "\n")
 
 
 def parse_json(text: str) -> Any:

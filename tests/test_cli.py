@@ -88,6 +88,22 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["error"]["kind"] == "precondition"
 
+    def test_essential_finds_the_fixed_point_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cwgeom.dynamics.fixed_point
+        monkeypatch.setattr(cwgeom.dynamics, "fixed_point",
+                            lambda phi: calls.append(phi) or real(phi))
+        strict = write(tmp_path, "e.json", {"profile": PROFILE, "phi": {"s": 0.5}})
+        code, out, _ = run(capsys, ["essential", strict])
+        assert code == 0 and json.loads(out)["essential"] is True
+        assert len(calls) == 1
+        iso = write(tmp_path, "iso.json", {"profile": PROFILE, "phi": {"c": 1.0}})
+        code, out, err = run(capsys, ["essential", iso])
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {
+            "kind": "precondition",
+            "detail": "essentiality criterion applies to strict homotheties only"}}
+
     def test_resonant_normal_form_exits_3(self, tmp_path, capsys):
         f = write(tmp_path, "res.json",
                   {"profile": {"S": [[1.0]]},

@@ -7,12 +7,14 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from cwgeom import cli
 from cwgeom.cli import main
 from cwgeom.core import SymmetricProfile, classify
 from cwgeom.curvature import (
@@ -70,6 +72,26 @@ def cli_outputs(text, fmt):
         assert main(["curvature", src, "--format", fmt, "--output", dst]) == 0
         with open(dst, encoding="utf-8") as fh:
             return out.getvalue(), fh.read()
+
+
+class WriteLog:
+    """A text stream that records the length of every write to it."""
+
+    def __init__(self, fh):
+        self.fh, self.sizes = fh, []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
 
 
 def assert_same_bytes(S, fmt):
@@ -186,6 +208,44 @@ class TestCost:
         for T in (riemann(prof), weyl(prof)):
             assert T.block.shape == (32, 32)
             assert "components" not in vars(T)
+
+    def test_components_build_one_dense_array(self, rng):
+        prof = random_profile(rng, 32)
+        T = riemann(prof)
+        tracemalloc.start()
+        try:
+            R = T.components
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * R.nbytes
+
+    def test_cli_streams_curvature_in_slices(self, tmp_path, monkeypatch):
+        """At n = 32 neither stdout nor the --output file sees a write over
+        1 MB, and the text is still json.dumps of the dense arrays."""
+        A = np.random.default_rng(32).normal(size=(32, 32))
+        S = (0.5 * (A + A.T)).tolist()
+        src = tmp_path / "p.json"
+        src.write_text(json.dumps({"S": S}))
+        files = []
+
+        def logged_open(*args, **kwargs):
+            files.append(WriteLog(open(*args, **kwargs)))
+            return files[-1]
+
+        monkeypatch.setattr(cli, "open", logged_open, raising=False)
+        for fmt in ("json", "pretty"):
+            want = dense_stdout(S, fmt)
+            out = WriteLog(io.StringIO())
+            with contextlib.redirect_stdout(out):
+                assert main(["curvature", str(src), "--format", fmt]) == 0
+            dst = tmp_path / f"out.{fmt}"
+            assert main(["curvature", str(src), "--format", fmt, "--output", str(dst)]) == 0
+            assert out.fh.getvalue() == want
+            assert dst.read_text(encoding="utf-8") == want
+            for log in (out, files[-1]):
+                assert sum(log.sizes) == len(want)
+                assert max(log.sizes) <= 2**20
 
     def test_cli_never_builds_a_dense_tensor(self, tmp_path, monkeypatch):
         def refuse(self):

@@ -107,6 +107,20 @@ class TestCompose:
         with pytest.raises(IncompatibleProfileError):
             compose(phi, Homothety(pb, c=0.5))
 
+    def test_profiles_of_different_tolerance_compare_alike_both_ways(self):
+        # equality is judged on the smaller of the two scaled tolerances,
+        # so neither == nor compose depends on the order of the operands
+        pa = SymmetricProfile([[1.0]])
+        pb = SymmetricProfile([[1.00001]], tolerance=1e-5)
+        assert pa != pb and pb != pa
+        for first, second in ((pa, pb), (pb, pa)):
+            with pytest.raises(IncompatibleProfileError):
+                compose(Homothety(first, c=0.5), Homothety(second, s=0.1))
+        pc = SymmetricProfile([[1.0 + 1e-12]], tolerance=1e-5)
+        assert pa == pc and pc == pa
+        for first, second in ((pa, pc), (pc, pa)):
+            assert compose(Homothety(first, c=0.5), Homothety(second, s=0.1)).c == 0.5
+
 
 class TestInverse:
     def test_round_trip(self, rng):
