@@ -295,8 +295,7 @@ def main(argv=None) -> int:
         _emit(args, payload)
         return EXIT_CHECK_FAILED if cmd.verdict and not payload[cmd.verdict] else EXIT_OK
     except CWError as exc:
-        print(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}),
-              file=sys.stderr)
+        sys.stderr.write(json.dumps({"error": {"kind": exc.kind, "detail": str(exc)}}) + "\n")
         return (EXIT_INPUT if isinstance(exc, (InputError, MalformedProfileError))
                 else EXIT_PRECONDITION)
 

@@ -2,7 +2,6 @@
 
 Schemas:
     profile     {"n": int >= 1, "S": [[real]]}
-    beta        {"beta0": [real], "beta1": [real]}
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
     point       [t, x_1, ..., x_n, v]
@@ -27,6 +26,8 @@ from .group import Homothety
 # the largest |s| for which the scale factors e^{+-2s} of a homothety and
 # its inverse are finite floats
 MAX_LOG_SCALE = 0.5 * float(np.log(np.finfo(float).max))
+# the size of every write of JSON output but the last (see dump_json)
+OUTPUT_BLOCK = 1 << 16
 
 
 def _require(cond: bool, message: str) -> None:
@@ -74,13 +75,6 @@ def load_profile(data: Any) -> SymmetricProfile:
     return SymmetricProfile(S, tolerance=load_real(data, "tolerance", 1e-9))
 
 
-def load_beta(profile: SymmetricProfile, data: Any) -> BetaSolution:
-    _require(isinstance(data, dict), "beta must be a JSON object")
-    zero = np.zeros(profile.n)
-    return BetaSolution(profile, _real_array(data.get("beta0", zero), "'beta0'"),
-                        _real_array(data.get("beta1", zero), "'beta1'"))
-
-
 def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
     _require(isinstance(data, dict), "homothety must be a JSON object")
     eps = load_real(data, "eps", 1.0)
@@ -89,7 +83,9 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
     _require(abs(s) <= MAX_LOG_SCALE,
              f"'s' = {s} overflows the scale factor e^(2s); |s| must be at most "
              f"{MAX_LOG_SCALE:.2f}")
-    beta = load_beta(profile, data)
+    zero = np.zeros(profile.n)
+    beta = BetaSolution(profile, _real_array(data.get("beta0", zero), "'beta0'"),
+                        _real_array(data.get("beta1", zero), "'beta1'"))
     A = data.get("A")
     try:
         return Homothety(profile,
@@ -119,13 +115,7 @@ def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:
     return brackets[0] + pad, "," + pad, "\n" + " " * (indent * level) + brackets[1]
 
 
-def _json_list(items: list, indent: Optional[int], level: int) -> str:
-    """A JSON list of already written items, nested `level` deep."""
-    first, sep, last = _marks(indent, level)
-    return first + sep.join(items) + last
-
-
-def _write_tensor4(T: CurvatureTensor4, fh, indent: Optional[int], level: int) -> None:
+def _write_tensor4(T: CurvatureTensor4, write, indent: Optional[int], level: int) -> None:
     """Write a block tensor's dense components as json.dumps writes
     T.components.tolist() `level` deep, one (n+2)-slice at a time, from
     the block M without building the dense array.
@@ -142,15 +132,12 @@ def _write_tensor4(T: CurvatureTensor4, fh, indent: Optional[int], level: int) -
     plus = [json.dumps(row)[1:-1].split(", ") for row in (sign * (T.block + 0.0)).tolist()]
     minus = [json.dumps(row)[1:-1].split(", ") for row in (sign * (0.0 - T.block)).tolist()]
 
-    def row(entries):
-        return _json_list(entries, indent, level + 3)
+    def lister(depth):
+        """The writer of a JSON list of written items `depth` levels below T."""
+        first, sep, last = _marks(indent, level + depth)
+        return lambda items: first + sep.join(items) + last
 
-    def block(rows):
-        return _json_list(rows, indent, level + 2)
-
-    def part(blocks):
-        return _json_list(blocks, indent, level + 1)
-
+    row, block, part = lister(3), lister(2), lister(1)
     zero_row = row([zero] * m)
     zero_block = block([zero_row] * m)
 
@@ -161,12 +148,12 @@ def _write_tensor4(T: CurvatureTensor4, fh, indent: Optional[int], level: int) -
 
     first, sep, last = _marks(indent, level)
     # [0,i,0,:] = (0, sign M_i., 0) and [0,i,j,0] = -sign M_ij
-    fh.write(first + part([zero_block] + [nonzero_block(plus[i], minus[i]) for i in range(n)]
-                          + [zero_block]))
+    write(first + part([zero_block] + [nonzero_block(plus[i], minus[i]) for i in range(n)]
+                       + [zero_block]))
     # [i,0,0,:] = (0, -sign M_i., 0) and [i,0,j,0] = sign M_ij
     for i in range(n):
-        fh.write(sep + part([nonzero_block(minus[i], plus[i])] + [zero_block] * (m - 1)))
-    fh.write(sep + part([zero_block] * m) + last)
+        write(sep + part([nonzero_block(minus[i], plus[i])] + [zero_block] * (m - 1)))
+    write(sep + part([zero_block] * m) + last)
 
 
 def _jsonable(value: Any) -> Any:
@@ -189,24 +176,38 @@ def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
     json.dumps(payload, indent=indent, sort_keys=True) + "\n" would, with
     homotheties, points, bilinear forms and arrays in their JSON form.  A
     block CurvatureTensor4 at the top level of a dict is written from its
-    block, one (n+2)-slice at a time, so its dense text is never held whole."""
+    block, one (n+2)-slice at a time, so its dense text is never held whole.
+    The ASCII text reaches `fh` in writes of OUTPUT_BLOCK characters and a
+    shorter last one, so a reader that takes a pipe 32 KiB at a time (as
+    subprocess.communicate does) sees the same reads on every run."""
+    held = ""
+
+    def write(text):
+        nonlocal held
+        held += text
+        cut = len(held) - len(held) % OUTPUT_BLOCK
+        for k in range(0, cut, OUTPUT_BLOCK):
+            fh.write(held[k:k + OUTPUT_BLOCK])
+        held = held[cut:]
+
     def dumps(value):
         return json.dumps(value, indent=indent, sort_keys=True, default=_jsonable)
 
     if not (isinstance(payload, dict) and payload):
-        fh.write(dumps(payload) + "\n")
-        return
-    # a value's own line breaks move one level in; that is exact, as no
-    # JSON string holds a raw newline
-    pad = "\n" + " " * (indent or 0)
-    first, sep, last = _marks(indent, 0, "{}")
-    for k, key in enumerate(sorted(payload)):
-        fh.write((sep if k else first) + json.dumps(key) + ": ")
-        if isinstance(payload[key], CurvatureTensor4):
-            _write_tensor4(payload[key], fh, indent, level=1)
-        else:
-            fh.write(dumps(payload[key]).replace("\n", pad))
-    fh.write(last + "\n")
+        write(dumps(payload) + "\n")
+    else:
+        # a value's own line breaks move one level in; that is exact, as
+        # no JSON string holds a raw newline
+        pad = "\n" + " " * (indent or 0)
+        first, sep, last = _marks(indent, 0, "{}")
+        for k, key in enumerate(sorted(payload)):
+            write((sep if k else first) + json.dumps(key) + ": ")
+            if isinstance(payload[key], CurvatureTensor4):
+                _write_tensor4(payload[key], write, indent, level=1)
+            else:
+                write(dumps(payload[key]).replace("\n", pad))
+        write(last + "\n")
+    fh.write(held)
 
 
 def parse_json(text: str) -> Any:

@@ -64,6 +64,25 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(err)["error"]["kind"] == "malformed-profile"
 
+    def test_output_and_error_lines_are_one_write_each(self, tmp_path):
+        """A small payload, newline included, and an error line each reach
+        their stream in one write, so a pipe's reader never gets part of one."""
+        class WriteLog(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+                return super().write(text)
+
+        for payload, code in ((PROFILE, 0), ({"S": [[0.0, 1.0], [0.0, 0.0]]}, 2)):
+            out, err = WriteLog(), WriteLog()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main(["classify", write(tmp_path, "p.json", payload)]) == code
+            log = out if code == 0 else err
+            assert log.sizes == [len(log.getvalue())] and log.getvalue().endswith("}\n")
+
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         f = write(tmp_path, "bad.json", "{not json")
         code, _, err = run(capsys, ["classify", f])

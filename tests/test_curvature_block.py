@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cwgeom import cli
+from cwgeom import cli, serialize
 from cwgeom.cli import main
 from cwgeom.core import SymmetricProfile, classify
 from cwgeom.curvature import (
@@ -222,7 +222,8 @@ class TestCost:
 
     def test_cli_streams_curvature_in_slices(self, tmp_path, monkeypatch):
         """At n = 32 neither stdout nor the --output file sees a write over
-        1 MB, and the text is still json.dumps of the dense arrays."""
+        1 MB, every write but the last is serialize.OUTPUT_BLOCK long, and
+        the text is still json.dumps of the dense arrays."""
         A = np.random.default_rng(32).normal(size=(32, 32))
         S = (0.5 * (A + A.T)).tolist()
         src = tmp_path / "p.json"
@@ -246,6 +247,7 @@ class TestCost:
             for log in (out, files[-1]):
                 assert sum(log.sizes) == len(want)
                 assert max(log.sizes) <= 2**20
+                assert set(log.sizes[:-1]) == {serialize.OUTPUT_BLOCK}
 
     def test_cli_never_builds_a_dense_tensor(self, tmp_path, monkeypatch):
         def refuse(self):
