@@ -3,7 +3,9 @@ points of R^{n+2}, closed-form solutions of the linear ODE system
 beta'' = S beta, and the symplectic form on its solution space.
 
 Coordinate convention throughout the package: a point of R^{n+2} is
-(t, x^1..x^n, v) with frame order (d_t, d_1..d_n, d_v).
+(t, x^1..x^n, v) with frame order (d_t, d_1..d_n, d_v).  Maps compute on
+(..., n+2) arrays, one point per row; `coords` and `same_form` let a
+`Point` in and out.
 """
 
 from __future__ import annotations
@@ -99,38 +101,40 @@ class SymmetricProfile:
         """Per eigenvector column, the grouped eigenvalue decides the closed
         form of beta'' = S beta.  eigh sorts ascending, so the negative
         columns come first and the positive ones last: each branch is a
-        slice of columns with sqrt|eigenvalue|, its even and odd function
-        and the sign of the derivative of the even one.  Zero columns are
-        in no branch (the affine solution)."""
+        slice of columns with r = sqrt|eigenvalue|, the derivative sign
+        times r, and the even and odd function.  Zero columns are in no
+        branch (the affine solution)."""
         lam = np.repeat([b.eigenvalue for b in self.spectrum],
                         [b.multiplicity for b in self.spectrum])
+        root = np.sqrt(np.abs(lam))
         # an ulp of the phase r t of a column with eigenvalue -r^2 is a radian
         # from |t| = 2^52 / r on: beta_eval refuses data there
-        r = np.sqrt(np.maximum(-lam, 0.0))
-        self._phase_limit = np.divide(2.0 ** 52, r, out=np.full(self.n, np.inf), where=r > 0)
+        self._phase_limit = np.divide(2.0 ** 52, root, out=np.full(self.n, np.inf), where=lam < 0)
         neg = slice(0, int(np.sum(lam < 0)))
         pos = slice(self.n - int(np.sum(lam > 0)), self.n)
-        return [(sl, np.sqrt(np.abs(lam[sl])), even, odd, sign)
+        return [(sl, root[sl], sign * root[sl], even, odd)
                 for sl, even, odd, sign in ((neg, np.cos, np.sin, -1.0),
                                             (pos, np.cosh, np.sinh, 1.0))
                 if sl.start < sl.stop]
 
-    def flow(self, t: float):
+    def flow(self, t):
         """Per eigenvector column, the closed-form flow (ch, sh, d0) of
         beta'' = S beta over time t: in the eigenbasis y = Q^T beta,
         y(t) = ch y(0) + sh y'(0) and y'(t) = d0 y(0) + ch y'(0), with
         (ch, sh, d0) = (cosh, sinh/r, r sinh)(r t) for a positive eigenvalue
         r^2, (cos, sin/r, -r sin)(r t) for a negative one -r^2, and
-        (1, t, 0) for a zero one."""
-        ch = np.ones(self.n)
-        sh = np.full(self.n, float(t))
-        d0 = np.zeros(self.n)
-        for cols, r, even, odd, sign in self._branches:
-            rt = r * t
-            ch[cols] = even(rt)
+        (1, t, 0) for a zero one.  t may be an array of times: each part
+        has its shape with a trailing axis of n columns."""
+        t = np.asarray(t, dtype=float)[..., None]
+        d0 = np.zeros(t.shape[:-1] + (self.n,))
+        ch = d0 + 1.0
+        sh = ch * t
+        for cols, r, sr, even, odd in self._branches:
+            rt = t * r
+            ch[..., cols] = even(rt)
             o = odd(rt)
-            sh[cols] = o / r
-            d0[cols] = sign * r * o
+            sh[..., cols] = o / r
+            d0[..., cols] = sr * o
         return ch, sh, d0
 
     def reassemble(self) -> np.ndarray:
@@ -229,6 +233,35 @@ class Point:
         return self.as_array() - other.as_array()
 
 
+def coords(points, n: Optional[int] = None) -> np.ndarray:
+    """The (..., n+2) float array of a Point, a list of Points or an array
+    of points; IncompatibleProfileError if its last axis is not n + 2."""
+    if isinstance(points, Point):
+        a = points.as_array()
+    elif isinstance(points, (list, tuple)):
+        a = np.array([p.as_array() for p in points]) if points else np.empty((0, n + 2))
+    else:
+        a = np.asarray(points, dtype=float)
+    if n is not None and a.shape[-1:] != (n + 2,):
+        raise IncompatibleProfileError(f"points need {n + 2} coordinates, got shape {a.shape}")
+    return a
+
+
+def join(t, x, v) -> np.ndarray:
+    """The points with parts t, v of shape (...) and x of shape (..., n)."""
+    return np.concatenate((t[..., None], x, v[..., None]), axis=-1)
+
+
+def same_form(points, a: np.ndarray):
+    """The points a, computed from `points`, as a Point if that was one;
+    OverflowingValueError if a coordinate is not finite."""
+    if isinstance(points, Point):
+        return Point.from_array(a)
+    if not np.isfinite(a).all():
+        raise OverflowingValueError("point has non-finite coordinates")
+    return a
+
+
 @dataclass(frozen=True)
 class BetaSolution:
     """A solution of beta'' = S beta, stored as initial data
@@ -255,19 +288,22 @@ class BetaSolution:
         return beta_eval(self, t)
 
 
-def beta_eval(beta: BetaSolution, t: float):
+def beta_eval(beta: BetaSolution, t):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
-    eigenbasis of S (see SymmetricProfile.flow), refusing lost phases."""
+    eigenbasis of S (see SymmetricProfile.flow), for a time or an array of
+    times; data in a column whose phase the largest |t| has lost is refused."""
     p = beta.profile
     Q = p.eigenvectors
     y0 = beta.beta0 @ Q
     y1 = beta.beta1 @ Q
-    if abs(t) >= p._phase_limit[0]:  # column 0 oscillates fastest
-        lost = abs(t) >= p._phase_limit
+    t = np.asarray(t, dtype=float)
+    t_max = abs(float(t)) if t.ndim == 0 else np.abs(t).max(initial=0.0)
+    if t_max >= p._phase_limit[0]:  # column 0 oscillates fastest
+        lost = t_max >= p._phase_limit
         if y0[lost].any() or y1[lost].any():
-            raise PreconditionError(f"the phase of beta at t = {t} is lost to round-off")
+            raise PreconditionError(f"the phase of beta at |t| = {t_max} is lost to round-off")
     ch, sh, d0 = p.flow(t)
-    return Q @ (ch * y0 + sh * y1), Q @ (d0 * y0 + ch * y1)
+    return (ch * y0 + sh * y1) @ Q.T, (d0 * y0 + ch * y1) @ Q.T
 
 
 def symplectic_form(beta: BetaSolution, betahat: BetaSolution) -> float:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Point, SymmetricProfile
+from .core import Point, SymmetricProfile, coords
 from .errors import IncompatibleProfileError, OverflowingValueError
 
 FD_STEP = 1e-5
@@ -183,37 +183,42 @@ def x_block_form(n: int, M) -> SymBilinear:
     return SymBilinear(n, c)
 
 
-def metric_at(profile: SymmetricProfile, point: Point) -> SymBilinear:
-    """Gram matrix of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at a point."""
+def metric_gram(profile: SymmetricProfile, a) -> np.ndarray:
+    """Gram matrices of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at an
+    (..., n+2) array of points: shape (..., n+2, n+2)."""
     n = profile.n
-    m = n + 2
-    g = np.zeros((m, m))
-    g[0, 0] = float(point.x @ profile.S @ point.x)
-    g[0, -1] = g[-1, 0] = 1.0
-    g[1:-1, 1:-1] = np.eye(n)
-    return SymBilinear(n, g)
+    x = np.asarray(a, dtype=float)[..., 1:-1]
+    g = np.zeros(x.shape[:-1] + (n + 2, n + 2))
+    g[..., 0, 0] = np.sum((x @ profile.S) * x, axis=-1)
+    g[..., 0, -1] = g[..., -1, 0] = 1.0
+    g[..., 1:-1, 1:-1] = np.eye(n)
+    return g
+
+
+def metric_at(profile: SymmetricProfile, point: Point) -> SymBilinear:
+    """The form g_S at a point (see metric_gram)."""
+    return SymBilinear(profile.n, metric_gram(profile, point.as_array()))
 
 
 def inverse_metric_at(profile: SymmetricProfile, point: Point) -> np.ndarray:
-    g = metric_at(profile, point).components
-    return np.linalg.inv(g)
+    return np.linalg.inv(metric_gram(profile, point.as_array()))
 
 
-def christoffel_at(profile: SymmetricProfile, point: Point) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] = Gamma^k_{ij} of g_S.
+def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
+    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_{ij} of g_S at a
+    Point or an (..., n+2) array of points.
 
     Nonzero symbols: Gamma^v_{ti} = Gamma^v_{it} = (Sx)_i and
     Gamma^j_{tt} = -(Sx)_j; everything else vanishes (in particular
     Gamma^v_{tt} = 0, as the Koszul formula confirms since the tt-entry
     of g depends on x only).
     """
-    n = profile.n
-    m = n + 2
-    Sx = profile.S @ point.x
-    gamma = np.zeros((m, m, m))
-    gamma[-1, 0, 1:-1] = Sx
-    gamma[-1, 1:-1, 0] = Sx
-    gamma[1:-1, 0, 0] = -Sx
+    m = profile.n + 2
+    Sx = coords(point, profile.n)[..., 1:-1] @ profile.S
+    gamma = np.zeros(Sx.shape[:-1] + (m, m, m))
+    gamma[..., -1, 0, 1:-1] = Sx
+    gamma[..., -1, 1:-1, 0] = Sx
+    gamma[..., 1:-1, 0, 0] = -Sx
     return gamma
 
 
@@ -221,17 +226,10 @@ def christoffel_finite_difference(profile: SymmetricProfile, point: Point,
                                   step: float = FD_STEP) -> np.ndarray:
     """Christoffel symbols from the Koszul formula with central-difference
     metric derivatives.  Independent oracle for christoffel_at."""
-    m = profile.n + 2
-    p0 = point.as_array()
-
-    def g_at(arr):
-        return metric_at(profile, Point.from_array(arr)).components
-
-    dg = np.zeros((m, m, m))  # dg[k, i, j] = d_k g_ij
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = step
-        dg[k] = (g_at(p0 + e) - g_at(p0 - e)) / (2 * step)
+    # row k of p0 +- E is the point moved along coordinate k
+    p0, E = point.as_array(), step * np.eye(profile.n + 2)
+    dg = (metric_gram(profile, p0 + E) - metric_gram(profile, p0 - E)) / (2 * step)
+    # dg[k, i, j] = d_k g_ij
     ginv = inverse_metric_at(profile, point)
     first = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
                    - np.einsum("lij->lij", dg))
@@ -299,18 +297,11 @@ def riemann_finite_difference(profile: SymmetricProfile, point: Point,
     """Brute-force (0,4) curvature from Christoffel symbols:
     R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im}G^m_{jk} - G^l_{jm}G^m_{ik},
     lowered so that components[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
-    m = profile.n + 2
-    p0 = point.as_array()
-
-    def gam(arr):
-        return christoffel_at(profile, Point.from_array(arr))
-
-    dgam = np.zeros((m, m, m, m))  # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = step
-        dgam[i] = (gam(p0 + e) - gam(p0 - e)) / (2 * step)
-    G = gam(p0)
+    # row i of p0 +- E is the point moved along coordinate i
+    p0, E = point.as_array(), step * np.eye(profile.n + 2)
+    dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * step)
+    # dgam[i, l, j, k] = d_i Gamma^l_{jk}
+    G = christoffel_at(profile, p0)
     Rup = (np.einsum("iljk->ijkl", dgam) - np.einsum("jlik->ijkl", dgam)
            + np.einsum("lim,mjk->ijkl", G, G) - np.einsum("ljm,mik->ijkl", G, G))
     # Rup[i, j, k, l] = (R(d_i, d_j) d_k)^l
@@ -371,7 +362,7 @@ def conformal_christoffel_at(profile: SymmetricProfile, point: Point,
     m = profile.n + 2
     g = metric_at(profile, point).components
     gradf = np.linalg.inv(g) @ jet.gradient
-    gamma = christoffel_at(profile, point).copy()
+    gamma = christoffel_at(profile, point)
     eye = np.eye(m)
     gamma += (np.einsum("ki,j->kij", eye, jet.gradient)
               + np.einsum("kj,i->kij", eye, jet.gradient)

@@ -48,11 +48,6 @@ class FixedPointReport:
     residual: float = 0.0
 
 
-def _verify(phi: Homothety, p: Point) -> float:
-    q = apply(phi, p)
-    return float(np.max(np.abs(q - p)))
-
-
 def _solve_v(phi: Homothety, t_star: float, x_star: np.ndarray) -> Optional[float]:
     """Solve the affine v-equation v = eps(e^{2s} v + b - <beta'(t*),
     e^s A x* + beta(t*)/2>) for v; None if the map translates v."""
@@ -100,7 +95,7 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     if v_star is None:
         return none
     p = Point(t_star, x_star, v_star)
-    res = _verify(phi, p)
+    res = float(np.max(np.abs(apply(phi, p) - p)))
     if not strict and phi.eps == 1 and res > 1e-8:
         return none
     reason = ("isometry_euclidean_fp" if not strict

@@ -6,16 +6,19 @@ S = lam I: rho = e^-t maps the real type onto {u > 0}, rho = cos t the
 imaginary type on |t| < pi/2.  `conformal_defect` is the one check of
 F^* g = lambda g.  The closed-form Riccati blow-up rules out a global flat
 rescaling in the imaginary case.
+
+Maps, metrics and factors act on (..., n+2) arrays of points, one per row,
+so a check over N points is one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Point, SymmetricProfile
+from .core import Point, SymmetricProfile, coords, join, same_form
 from .curvature import ScalarJet2, SymBilinear, conformal_christoffel_at
 from .errors import DomainError
 
@@ -25,38 +28,35 @@ DOMAIN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A smooth map of R^{n+2} given by closed-form evaluators.  Calling
-    it and `jacobian_at` check `in_domain`; the evaluators do not."""
+    """A smooth map of R^{n+2} given by closed-form evaluators on (..., n+2)
+    arrays of points: `forward` to (..., n+2), `jacobian` to (..., n+2, n+2)
+    and `in_domain` to (...) booleans.  Calling it and `jacobian_at` take a
+    Point or such an array and check `in_domain`; the evaluators do not."""
 
     n: int
-    forward: Callable[[Point], Point]
-    jacobian: Optional[Callable[[Point], np.ndarray]] = None
-    inverse: Optional[Callable[[Point], Point]] = None
-    in_domain: Callable[[Point], bool] = lambda p: True
+    forward: Callable[[np.ndarray], np.ndarray]
+    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    inverse: Optional["SmoothMap"] = None
+    in_domain: Callable[[np.ndarray], np.ndarray] = lambda a: True
 
-    def _require(self, p: Point) -> None:
-        if not self.in_domain(p):
-            raise DomainError(f"point outside the map's domain: {p}")
+    def _require(self, p) -> np.ndarray:
+        a = coords(p, self.n)
+        inside = np.broadcast_to(self.in_domain(a), a.shape[:-1])
+        if not inside.all():
+            raise DomainError(f"point outside the map's domain: {a[~inside][0]}")
+        return a
 
-    def __call__(self, p: Point) -> Point:
-        self._require(p)
-        return self.forward(p)
+    def __call__(self, p):
+        return same_form(p, self.forward(self._require(p)))
 
-    def jacobian_at(self, p: Point) -> np.ndarray:
+    def jacobian_at(self, p) -> np.ndarray:
         """Analytic Jacobian if present, else central finite differences."""
-        self._require(p)
+        a = self._require(p)
         if self.jacobian is not None:
-            return self.jacobian(p)
-        m = self.n + 2
-        a = p.as_array()
-        J = np.zeros((m, m))
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = FD_STEP
-            fp = self.forward(Point.from_array(a + e)).as_array()
-            fm = self.forward(Point.from_array(a - e)).as_array()
-            J[:, j] = (fp - fm) / (2 * FD_STEP)
-        return J
+            return self.jacobian(a)
+        # row j of a +- e is the point moved along coordinate j
+        a, e = a[..., None, :], FD_STEP * np.eye(self.n + 2)
+        return np.swapaxes(self.forward(a + e) - self.forward(a - e), -1, -2) / (2 * FD_STEP)
 
 
 def minkowski_metric(n: int) -> SymBilinear:
@@ -68,36 +68,38 @@ def minkowski_metric(n: int) -> SymBilinear:
     return SymBilinear(n, g)
 
 
-def _half_space(q: Point) -> bool:
-    return q.t > DOMAIN_TOL
+def _half_space(q: np.ndarray) -> np.ndarray:
+    return q[..., 0] > DOMAIN_TOL
 
 
-def _warped_chart(n: int, lam: float, rho, u, u_inv, in_domain=lambda p: True,
+def _warped_chart(n: int, lam: float, rho, u, u_inv, in_domain=lambda a: True,
                   image=lambda q: True) -> SmoothMap:
     """The warped chart of S = lam I (see the module docstring); rho(t)
     gives (rho, rho'), and `image` is the domain of the inverse."""
 
-    def fwd(p: Point) -> Point:
-        r, dr = rho(p.t)
-        return Point(u(p.t), p.x / r, p.v + 0.5 * float(p.x @ p.x) * dr / r)
+    def fwd(a):
+        t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
+        r, dr = rho(t)
+        return join(u(t), x / r[..., None], v + 0.5 * np.sum(x * x, axis=-1) * dr / r)
 
-    def jac(p: Point) -> np.ndarray:
-        r, dr = rho(p.t)
+    def jac(a):
+        t, x = a[..., 0], a[..., 1:-1]
+        r, dr = rho(t)
         w = dr / r  # (log rho)', whose derivative is lam - w^2
-        J = np.zeros((n + 2, n + 2))
-        J[0, 0] = (1.0 / r) ** 2
-        J[1:-1, 0] = (-w / r) * p.x
-        J[1:-1, 1:-1] = np.eye(n) / r
-        J[-1, 0] = 0.5 * float(p.x @ p.x) * (lam - w * w)
-        J[-1, 1:-1] = w * p.x
-        J[-1, -1] = 1.0
+        J = np.zeros(a.shape + (n + 2,))
+        J[..., 0, 0] = (1.0 / r) ** 2
+        J[..., 1:-1, 0] = (-w / r)[..., None] * x
+        J[..., 1:-1, 1:-1] = np.eye(n) / r[..., None, None]
+        J[..., -1, 0] = 0.5 * np.sum(x * x, axis=-1) * (lam - w * w)
+        J[..., -1, 1:-1] = w[..., None] * x
+        J[..., -1, -1] = 1.0
         return J
 
-    def inv(q: Point) -> Point:
-        t = u_inv(q.t)
+    def inv(q):
+        t = u_inv(q[..., 0])
         r, dr = rho(t)
-        x = r * q.x
-        return Point(t, x, q.v - 0.5 * float(x @ x) * dr / r)
+        x = r[..., None] * q[..., 1:-1]
+        return join(t, x, q[..., -1] - 0.5 * np.sum(x * x, axis=-1) * dr / r)
 
     return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=in_domain,
                      inverse=SmoothMap(n, forward=inv, in_domain=image))
@@ -117,16 +119,16 @@ def imaginary_local_map(n: int) -> SmoothMap:
     |t| < pi/2: u = tan t, y = x/cos t, z = v - |x|^2 tan(t)/2, the warped
     chart with rho = cos t."""
     return _warped_chart(n, -1.0, lambda t: (np.cos(t), -np.sin(t)), np.tan, np.arctan,
-                         in_domain=lambda p: abs(p.t) < np.pi / 2 - DOMAIN_TOL)
+                         in_domain=lambda a: np.abs(a[..., 0]) < np.pi / 2 - DOMAIN_TOL)
 
 
 def minkowski_dilation(n: int, c: float) -> SmoothMap:
     """(u, y, z) -> (e^{2c} u, e^c y, z): the t-translation by c seen
     through the Minkowski map."""
-    D = np.diag([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
-    return SmoothMap(n, forward=lambda p: Point.from_array(D @ p.as_array()),
-                     jacobian=lambda p: D,
-                     inverse=lambda q: Point.from_array(np.linalg.solve(D, q.as_array())))
+    d = np.array([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
+    return SmoothMap(n, forward=lambda a: a * d,
+                     jacobian=lambda a: np.broadcast_to(np.diag(d), a.shape + d.shape),
+                     inverse=SmoothMap(n, forward=lambda q: q / d))
 
 
 def minkowski_inversion(n: int) -> SmoothMap:
@@ -134,45 +136,44 @@ def minkowski_inversion(n: int) -> SmoothMap:
     (t, x, v) -> (-t, x, -v) seen through the Minkowski map; satisfies
     eta^* g0 = g0 / (4u^2) on {u > 0}.  It is its own inverse."""
 
-    def fwd(q: Point) -> Point:
-        u = q.t
-        return Point(0.25 / u, q.x / (2 * u), -q.v - 0.5 * float(q.x @ q.x) / u)
+    def fwd(q):
+        u, y, z = q[..., 0], q[..., 1:-1], q[..., -1]
+        return join(0.25 / u, y / (2 * u)[..., None], -z - 0.5 * np.sum(y * y, axis=-1) / u)
 
-    def jac(q: Point) -> np.ndarray:
-        u = q.t
-        J = np.zeros((n + 2, n + 2))
-        J[0, 0] = -0.25 / u ** 2
-        J[1:-1, 0] = -q.x / (2 * u ** 2)
-        J[1:-1, 1:-1] = np.eye(n) / (2 * u)
-        J[-1, 0] = 0.5 * float(q.x @ q.x) / u ** 2
-        J[-1, 1:-1] = -q.x / u
-        J[-1, -1] = -1.0
+    def jac(q):
+        u, y = q[..., 0], q[..., 1:-1]
+        J = np.zeros(q.shape + (n + 2,))
+        J[..., 0, 0] = -0.25 / u ** 2
+        J[..., 1:-1, 0] = -y / (2 * u ** 2)[..., None]
+        J[..., 1:-1, 1:-1] = np.eye(n) / (2 * u)[..., None, None]
+        J[..., -1, 0] = 0.5 * np.sum(y * y, axis=-1) / u ** 2
+        J[..., -1, 1:-1] = -y / u[..., None]
+        J[..., -1, -1] = -1.0
         return J
 
     eta = SmoothMap(n, forward=fwd, jacobian=jac, in_domain=_half_space)
     return replace(eta, inverse=eta)
 
 
-def _pullback(mapping: SmoothMap, gram: Callable[[Point], np.ndarray], p: Point):
-    """The Gram array J^T G(phi(p)) J of phi^* g at p."""
-    J = mapping.jacobian_at(p)
-    return J.T @ gram(mapping.forward(p)) @ J
-
-
 def pullback_metric(mapping: SmoothMap, target_metric: Callable[[Point], SymBilinear],
                     p: Point) -> SymBilinear:
     """(phi^* g)|_p = J^T g|_{phi(p)} J with the map's Jacobian."""
-    return SymBilinear(mapping.n, _pullback(mapping, lambda q: target_metric(q).components, p))
+    J = mapping.jacobian_at(p)
+    return SymBilinear(mapping.n, J.T @ target_metric(mapping(p)).components @ J)
 
 
-def conformal_defect(mapping: SmoothMap, target_metric: Callable[[Point], np.ndarray],
-                     source_metric: Callable[[Point], np.ndarray],
-                     factor: Callable[[Point], float], points: Iterable[Point]) -> float:
+def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], np.ndarray],
+                     source_metric: Callable[[np.ndarray], np.ndarray],
+                     factor: Callable[[np.ndarray], np.ndarray], points) -> float:
     """max over the points p of |phi^* g_target - factor(p) g_source|, the
-    residual of phi^* g_target = factor * g_source, on Gram arrays."""
-    return float(np.max([np.max(np.abs(_pullback(mapping, target_metric, p)
-                                       - factor(p) * source_metric(p)))
-                         for p in points], initial=0.0))
+    residual of phi^* g_target = factor * g_source, on Gram arrays, at an
+    (N, n+2) array or a list of points in one call: the metrics take the
+    array to (N, n+2, n+2) or one Gram array, `factor` to (N,) or a number."""
+    a = coords(points, mapping.n)
+    J = mapping.jacobian_at(a)
+    pulled = np.swapaxes(J, -1, -2) @ target_metric(mapping(a)) @ J
+    lam = np.asarray(factor(a))[..., None, None]
+    return float(np.max(np.abs(pulled - lam * source_metric(a)), initial=0.0))
 
 
 def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
@@ -199,18 +200,12 @@ def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
     from .curvature import conformal_change_at, metric_at, nabla_df
 
     prof = profile if profile is not None else SymmetricProfile(np.eye(2))
-    n = prof.n
-    rng = np.random.default_rng(7)
-    worst_hess = 0.0
-    worst_null = 0.0
-    worst_ric = 0.0
-    for _ in range(5):
-        p = Point(rng.normal(), rng.normal(size=n), rng.normal())
-        grad = np.zeros(n + 2)
-        grad[0] = 1.0
-        jet = ScalarJet2(p.t, grad, np.zeros((n + 2, n + 2)))
-        hess = nabla_df(prof, p, jet)
-        worst_hess = max(worst_hess, float(np.max(np.abs(hess.components))))
+    m = prof.n + 2
+    grad = np.eye(m)[0]
+    worst_hess = worst_null = worst_ric = 0.0
+    for p in map(Point.from_array, np.random.default_rng(7).normal(size=(5, m))):
+        jet = ScalarJet2(p.t, grad, np.zeros((m, m)))
+        worst_hess = max(worst_hess, float(np.max(np.abs(nabla_df(prof, p, jet).components))))
         ginv = np.linalg.inv(metric_at(prof, p).components)
         worst_null = max(worst_null, abs(float(grad @ ginv @ grad)))
         out = conformal_change_at(prof, p, jet)

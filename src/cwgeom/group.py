@@ -19,6 +19,9 @@ and the inverse has b^{-1} = -eps e^{-2s} b.
 A (and the profile of beta) is validated where an element is built from
 outside; products, inverses and renormalised elements of valid elements
 are checked only for overflow.
+
+`apply` and `differential` act on an (..., n+2) array of points, one per
+row; a `Point` goes through the same formula.
 """
 
 from __future__ import annotations
@@ -35,8 +38,11 @@ from .core import (
     Point,
     SymmetricProfile,
     beta_eval,
+    coords,
+    join,
+    same_form,
 )
-from .curvature import metric_at
+from .curvature import metric_gram
 from .errors import IncompatibleProfileError, OverflowingValueError
 from .flat import SmoothMap, conformal_defect
 
@@ -108,33 +114,36 @@ def pure_homothety(profile: SymmetricProfile, s: float) -> Homothety:
     return Homothety(profile, s=s)
 
 
-def apply(phi: Homothety, p: Point) -> Point:
-    if p.x.shape != (phi.profile.n,):
-        raise IncompatibleProfileError("point dimension does not match profile")
-    val, der = beta_eval(phi.beta, p.t)
-    esAx = np.exp(phi.s) * (phi.A @ p.x)
-    t_new = phi.eps * p.t + phi.c
-    x_new = esAx + val
-    v_new = phi.eps * (np.exp(2 * phi.s) * p.v + phi.b
-                       - float(der @ (esAx + 0.5 * val)))
-    return Point(t_new, x_new, v_new)
+def apply(phi: Homothety, p):
+    """The image of p, a Point or an (..., n+2) array of points, in the
+    same form; OverflowingValueError if an image point is not finite."""
+    a = coords(p, phi.profile.n)
+    t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
+    val, der = beta_eval(phi.beta, t)
+    esAx = np.exp(phi.s) * (x @ phi.A.T)
+    w = phi.eps * (np.exp(2 * phi.s) * v + phi.b
+                   - np.sum(der * (esAx + 0.5 * val), axis=-1))
+    return same_form(p, join(phi.eps * t + phi.c, esAx + val, w))
 
 
-def differential(phi: Homothety, p: Point) -> np.ndarray:
-    """Analytic Jacobian of apply(phi, .) at p, in frame order (t, x, v)."""
+def differential(phi: Homothety, p) -> np.ndarray:
+    """Analytic Jacobian of apply(phi, .) at p, a Point or an (..., n+2)
+    array of points, in frame order (t, x, v): shape (..., n+2, n+2)."""
     prof = phi.profile
-    n = prof.n
-    m = n + 2
-    val, der = beta_eval(phi.beta, p.t)
-    dder = prof.S @ val  # beta''(t)
-    esAx = np.exp(phi.s) * (phi.A @ p.x)
-    J = np.zeros((m, m))
-    J[0, 0] = phi.eps
-    J[1:-1, 0] = der
-    J[1:-1, 1:-1] = np.exp(phi.s) * phi.A
-    J[-1, 0] = -phi.eps * (float(dder @ (esAx + 0.5 * val)) + 0.5 * float(der @ der))
-    J[-1, 1:-1] = -phi.eps * np.exp(phi.s) * (phi.A.T @ der)
-    J[-1, -1] = phi.eps * np.exp(2 * phi.s)
+    a = coords(p, prof.n)
+    t, x = a[..., 0], a[..., 1:-1]
+    val, der = beta_eval(phi.beta, t)
+    dder = val @ prof.S  # beta''(t)
+    es = np.exp(phi.s)
+    esAx = es * (x @ phi.A.T)
+    J = np.zeros(a.shape + (prof.n + 2,))
+    J[..., 0, 0] = phi.eps
+    J[..., 1:-1, 0] = der
+    J[..., 1:-1, 1:-1] = es * phi.A
+    J[..., -1, 0] = -phi.eps * (np.sum(dder * (esAx + 0.5 * val), axis=-1)
+                                + 0.5 * np.sum(der * der, axis=-1))
+    J[..., -1, 1:-1] = -phi.eps * es * (der @ phi.A)
+    J[..., -1, -1] = phi.eps * np.exp(2 * phi.s)
     return J
 
 
@@ -212,13 +221,13 @@ def conjugate(g: Homothety, phi: Homothety) -> Homothety:
 
 def homothety_factor_check(phi: Homothety, points: Sequence[Point] = None,
                            rng=None) -> float:
-    """Max entrywise deviation |phi^* g - e^{2s} g| over sample points (ten
-    random ones by default), through the analytic Jacobian of the action."""
+    """Max entrywise deviation |phi^* g - e^{2s} g| over sample points, a
+    sequence of Points or an (N, n+2) array (ten random ones by default),
+    through the analytic Jacobian of the action."""
     prof = phi.profile
     if points is None:
         rng = np.random.default_rng(0) if rng is None else rng
-        points = [Point(rng.normal(), rng.normal(size=prof.n), rng.normal())
-                  for _ in range(10)]
+        points = rng.normal(size=(10, prof.n + 2))
     action = SmoothMap(prof.n, partial(apply, phi), partial(differential, phi))
-    gram = lambda q: metric_at(prof, q).components
-    return conformal_defect(action, gram, gram, lambda p: np.exp(2 * phi.s), points)
+    gram = partial(metric_gram, prof)
+    return conformal_defect(action, gram, gram, lambda a: np.exp(2 * phi.s), points)

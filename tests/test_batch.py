@@ -1,0 +1,110 @@
+"""Arrays of points: a batched call equals the calls on single points, the
+boundary contracts hold on arrays, the phase guard judges the largest
+|t|, and the sampled verdicts hold across seeds."""
+
+from dataclasses import replace
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cwgeom.core import BetaSolution, Point, SymmetricProfile, beta_eval
+from cwgeom.errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
+from cwgeom.flat import SmoothMap
+from cwgeom.group import Homothety, apply, differential
+from cwgeom.quotients import verify_example
+
+from test_group_law import KINDS, element, scale, spectral_profile
+
+ULP = np.finfo(float).eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([-1, 1]), N=st.sampled_from([1, 7, 64]))
+def test_batch_rows_equal_single_points(kind, n, seed, eps, N):
+    """Row i of apply and differential on an (N, n+2) array is the call on
+    Point i, within 4 ulp of the group-law scale squared (the v-part is
+    quadratic in the parameters): a single point and a batch go through
+    different BLAS kernels.  The profile has a repeated eigenvalue, so A
+    turns its eigenspace."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    phi = replace(element(prof, rng), eps=eps)
+    pts = rng.uniform(-2, 2, size=(N, prof.n + 2))
+    images, jacobians = apply(phi, pts), differential(phi, pts)
+    assert images.shape == (N, prof.n + 2) and jacobians.shape == (N, prof.n + 2, prof.n + 2)
+    oracle = SmoothMap(prof.n, forward=partial(apply, phi)).jacobian_at(pts)
+    for row, image, J, J_fd in zip(pts, images, jacobians, oracle):
+        p = Point.from_array(row)
+        tol = 4 * ULP * scale(prof, phi, t=p.t) ** 2
+        assert np.max(np.abs(image - apply(phi, p).as_array())) <= tol
+        assert np.max(np.abs(J - differential(phi, p))) <= tol
+        assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
+
+
+def test_a_repeated_eigenvalue_gets_a_nontrivial_rotation():
+    prof = spectral_profile("mixed", 4, np.random.default_rng(3), repeat=True)
+    A = element(prof, np.random.default_rng(4)).A
+    assert np.max(np.abs(A - np.diag(np.diag(A)))) > 0.1
+
+
+class TestArrayBoundary:
+    prof = SymmetricProfile([[2.0]])
+
+    def test_overflowing_row_raises(self):
+        pts = np.array([[0.0, 1.0, 0.0], [1.0, 1e300, 0.0], [0.5, -1.0, 2.0]])
+        # an overflow, and the 0 * inf it leads to, surface as the error
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowingValueError):
+            apply(Homothety(self.prof, s=354.0), pts)
+        # the same map is finite on the other rows
+        assert np.isfinite(apply(Homothety(self.prof, s=354.0), pts[[0, 2]])).all()
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_wrong_width_raises(self, width):
+        phi = Homothety(self.prof, c=1.0)
+        for f in (apply, differential):
+            with pytest.raises(IncompatibleProfileError):
+                f(phi, np.zeros((5, width)))
+
+
+class TestPhaseGuardOnArrays:
+    """One |t| past the limit of the faster column of an imaginary profile
+    refuses the whole array exactly when that column carries data."""
+
+    prof = SymmetricProfile(np.diag([-4.0, -1.0]))
+    t = np.array([[0.3, -1.5], [2.0, 2.0 ** 51 * 1.5]])
+
+    def test_limits(self):
+        assert list(self.prof._phase_limit) == [2.0 ** 51, 2.0 ** 52]
+
+    @pytest.mark.parametrize("data", [([1.0, 0.0], [0.0, 0.0]), ([0.0, 0.0], [1e-300, 0.0])])
+    def test_refused_when_the_column_carries_data(self, data):
+        beta = BetaSolution(self.prof, *data)
+        with pytest.raises(PreconditionError):
+            beta_eval(beta, self.t)
+        # the times within the limit still evaluate
+        beta_eval(beta, self.t[0])
+
+    def test_rows_equal_scalar_calls_without_data(self):
+        beta = BetaSolution(self.prof, [0.0, 1.0], [0.0, -0.5])
+        val, der = beta_eval(beta, self.t)
+        assert val.shape == der.shape == (2, 2, 2)
+        for idx in np.ndindex(self.t.shape):
+            one_val, one_der = beta_eval(beta, float(self.t[idx]))
+            assert np.array_equal(val[idx], one_val) and np.array_equal(der[idx], one_der)
+
+
+@pytest.mark.parametrize("name", ["imaginary-torus", "failed-3d"])
+@pytest.mark.parametrize("seed", range(20))
+def test_verdicts_hold_across_seeds(name, seed):
+    report = verify_example(name, seed=seed)
+    assert [c.name for c in report.checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("r", range(3, 7))
+def test_real_lattice_verdicts_hold_for_each_r(r):
+    report = verify_example("real-lattice", r=r)
+    assert [c.name for c in report.checks if not c.passed] == []

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cwgeom.core import Point, SymmetricProfile
-from cwgeom.curvature import metric_at
+from cwgeom.curvature import metric_at, metric_gram
 from cwgeom.errors import DomainError
 from cwgeom.flat import (
     SmoothMap,
@@ -162,17 +162,21 @@ class TestWarpedChart:
         n = 2
         prof = SymmetricProfile(lam * np.eye(n))
         g0 = minkowski_metric(n).components
-        gram = lambda p: metric_at(prof, p).components
+        gram = lambda a: metric_gram(prof, a)
+        factor = lambda a: rho(a[..., 0]) ** -2
         points = [Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=n),
                         float(rng.normal())) for _ in range(20)]
-        right = conformal_defect(make(n), lambda q: g0, gram, lambda p: rho(p.t) ** -2, points)
+        right = conformal_defect(make(n), lambda q: g0, gram, factor, points)
         assert right <= 1e-9
+        # the same points as one array give the same residual
+        assert conformal_defect(make(n), lambda q: g0, gram, factor,
+                                np.array([p.as_array() for p in points])) == right
         # a wrong factor, or the other model's metric, is seen at once
-        assert conformal_defect(make(n), lambda q: g0, gram, lambda p: 1.0, points) > 1e-2
+        assert conformal_defect(make(n), lambda q: g0, gram, lambda a: 1.0, points) > 1e-2
         other = SymmetricProfile(-lam * np.eye(n))
-        assert conformal_defect(make(n), lambda q: g0, lambda p: metric_at(other, p).components,
-                                lambda p: rho(p.t) ** -2, points) > 1e-2
-        assert conformal_defect(make(n), lambda q: g0, gram, lambda p: 1.0, []) == 0.0
+        assert conformal_defect(make(n), lambda q: g0, lambda a: metric_gram(other, a),
+                                factor, points) > 1e-2
+        assert conformal_defect(make(n), lambda q: g0, gram, lambda a: 1.0, []) == 0.0
 
 
 def _at(t):
@@ -192,7 +196,7 @@ DOMAIN_ERRORS = {
     "inversion-inverse-u-negative": lambda: minkowski_inversion(1).inverse(_at(-1.0)),
     "conformal-defect": lambda: conformal_defect(
         imaginary_local_map(1), lambda q: minkowski_metric(1).components,
-        lambda p: np.eye(3), lambda p: 1.0, [_at(0.0), _at(2.0)]),
+        lambda a: np.eye(3), lambda a: 1.0, [_at(0.0), _at(2.0)]),
 }
 
 
