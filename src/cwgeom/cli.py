@@ -226,7 +226,7 @@ def _flags() -> dict:
         "samples": dict(type=_at_least(1), default=50, help="number of random samples"),
         "tolerance": dict(type=_tolerance, default=1e-9, metavar="pullback=VALUE",
                           help="largest residual that passes"),
-        "r": dict(type=int, help="root parameter of the real-lattice example"),
+        "r": dict(type=_at_least(3), help="root parameter of the real-lattice example"),
     }
 
 

@@ -255,6 +255,7 @@ class OrbitReport:
     limit: Point
     converged: bool
     rate: Optional[float]
+    conjugates: List[Homothety]  # gamma^{-k} phi gamma^k, k = 1..K
 
 
 def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
@@ -272,11 +273,11 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
     prof = phi.profile
     origin = Point(0.0, np.zeros(prof.n), 0.0)
     ginv = inverse(gamma)
-    current = phi
-    pts = []
+    current, conjugates = phi, []
     for _ in range(K):
         current = compose(ginv, compose(current, gamma))
-        pts.append(apply(current, origin))
+        conjugates.append(current)
+    pts = [apply(g, origin) for g in conjugates]
     limit = Point(phi.c, np.zeros(prof.n), 0.0)
     converged = float(np.max(np.abs(pts[-1] - limit))) <= threshold
     norms = np.array([np.linalg.norm(p.x) for p in pts])
@@ -290,7 +291,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
         m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
         if m1 > 1e-300 and m2 > 1e-300:
             rate = float((m2 / m1) ** (1.0 / half))
-    return OrbitReport(pts, limit, converged, rate)
+    return OrbitReport(pts, limit, converged, rate, conjugates)
 
 
 @dataclass(frozen=True)

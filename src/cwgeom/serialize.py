@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import BetaSolution, Point, SymmetricProfile
+from .core import DEFAULT_TOL, BetaSolution, Point, SymmetricProfile
 from .curvature import CurvatureTensor4, SymBilinear
 from .errors import CWError, InputError
 from .group import Homothety
@@ -72,7 +72,7 @@ def load_profile(data: Any) -> SymmetricProfile:
     if "n" in data:
         n = load_count(data, "n", 1)
         _require(S.shape == (n, n), f"'S' shape {S.shape} does not match n = {n}")
-    return SymmetricProfile(S, tolerance=load_real(data, "tolerance", 1e-9))
+    return SymmetricProfile(S, tolerance=load_real(data, "tolerance", DEFAULT_TOL))
 
 
 def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:

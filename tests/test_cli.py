@@ -442,6 +442,8 @@ PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
     ["pullback-check", "-", "--samples", "-3"],
     ["pullback-check", "-", "--seed", "-1"],
     ["verify-example", "failed-3d", "--r", "9"],
+    ["verify-example", "real-lattice", "--r", "2"],
+    ["verify-example", "real-lattice", "--r", "-1"],
     ["classify", "-", "--seed", "3"],
     ["classify", "-", "--samples", "5"],
     ["curvature", "-", "--tolerance", "pullback=1e-3"],
@@ -454,7 +456,8 @@ PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
     ["verify-example", "no-such-example"],
     [],
 ], ids=["tolerance-name", "tolerance-no-value", "tolerance-zero", "samples-0",
-        "samples-negative", "seed-negative", "r-not-real-lattice", "seed-unread",
+        "samples-negative", "seed-negative", "r-not-real-lattice", "r-below-3",
+        "r-negative", "seed-unread",
         "samples-unread", "tolerance-unread", "r-unread", "unknown-flag",
         "unknown-format", "unwritable-output", "flag-before-subcommand",
         "unknown-subcommand", "unknown-example", "no-subcommand"])

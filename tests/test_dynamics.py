@@ -11,6 +11,7 @@ from cwgeom.core import (
     SymmetricProfile,
     beta_eval,
     beta_reparam,
+    coords,
     random_centralising_orthogonal,
 )
 from cwgeom.dynamics import (
@@ -399,6 +400,22 @@ class TestOrbitObstruction:
         rep = orbit_obstruction_sequence(gamma, phi, K=60)
         assert rep.limit.t == pytest.approx(1.4)
         assert np.max(np.abs(rep.points[-1] - rep.limit)) <= 1e-8
+
+    def test_conjugates_are_the_walk(self, rng):
+        """The report carries gamma^{-k} phi gamma^k for k = 1..K, the
+        same floats as the walk by hand, and point k is the image of the
+        origin under conjugate k."""
+        prof = SymmetricProfile(-np.eye(2))
+        gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
+        phi = random_homothety(prof, rng, eps=1, c=0.8)
+        rep = orbit_obstruction_sequence(gamma, phi, K=12)
+        assert len(rep.conjugates) == 12
+        origin = Point(0.0, np.zeros(2), 0.0)
+        prev = phi
+        for conj, point in zip(rep.conjugates, rep.points):
+            prev = compose(inverse(gamma), compose(prev, gamma))
+            assert element_distance(conj, prev) == 0.0
+            np.testing.assert_array_equal(coords(apply(conj, origin)), coords(point))
 
     def test_gamma_must_be_in_quotient_factor(self, rng):
         prof = SymmetricProfile(-np.eye(1))

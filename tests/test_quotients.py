@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cwgeom import quotients
 from cwgeom.core import SymmetricProfile
 from cwgeom.errors import PreconditionError, UnsupportedCaseError
 from cwgeom.group import Homothety
@@ -126,6 +127,16 @@ class TestRemovedFixedPoints:
         adj = self_adjacency(V, [gamma, eta], exponent_range=3)
         assert adj == {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
         assert all((-i, -j) in adj for (i, j) in adj)
+
+    def test_self_adjacency_builds_each_power_once(self, monkeypatch):
+        """One power per generator and exponent, 2 x 7 for each of the two
+        regions, however many words combine them."""
+        calls = []
+        real = quotients.power
+        monkeypatch.setattr(quotients, "power",
+                            lambda g, e: calls.append((g, e)) or real(g, e))
+        _assert_report_passes(verify_example("removed-fixed-points"))
+        assert len(calls) == 28
 
     def test_rescale_field(self):
         p = Point(0.0, np.array([1.0]), 2.0)
