@@ -36,13 +36,13 @@ print()
 prof = SymmetricProfile(np.diag([2.0, -1.0]))
 p = Point(0.4, np.array([1.0, -0.5]), 0.2)
 print("metric at p:")
-print(metric_at(prof, p).components)
+print(metric_at(prof, p))
 
 R = riemann(prof)
 R_fd = riemann_finite_difference(prof, p)
 print(f"\nmax |R_closed - R_finite_difference| = "
-      f"{np.max(np.abs(R.components - R_fd.components)):.3e}")
-print(f"Ricci tt-entry = {ricci(prof).components[0, 0]} (= -tr S)")
+      f"{np.max(np.abs(R.components - R_fd)):.3e}")
+print(f"Ricci tt-entry = {ricci(prof)[0, 0]} (= -tr S)")
 print(f"scalar curvature = {scalar(prof)}")
 print(f"Weyl norm = {weyl(prof).max_abs():.3f} "
       "(vanishes exactly when S is a scalar matrix):")

@@ -9,38 +9,35 @@ global rescaling blows up in finite time.
 import numpy as np
 
 from cwgeom import (
-    Point,
     SymmetricProfile,
     flatness_blowup_demo,
     imaginary_local_map,
+    metric_at,
     minkowski_map,
     minkowski_metric,
-    pullback_metric,
 )
-from cwgeom.curvature import metric_at
-from cwgeom.flat import incomplete_geodesic_residual, minkowski_inversion
+from cwgeom.flat import conformal_defect, incomplete_geodesic_residual, minkowski_inversion
 
+# Gram arrays of the metrics and conformal factors at (N, n+2) arrays of
+# points; conformal_defect is max |F^* g0 - factor * g| over the points
 n = 2
 g0 = minkowski_metric(n)
+flat = lambda a: g0
+rng = np.random.default_rng(5)
+pts = np.column_stack([rng.uniform(-1.4, 1.4, 20), rng.normal(size=(20, n + 1))])
+
 F = minkowski_map(n)
 prof = SymmetricProfile(np.eye(n))
-p = Point(0.3, np.array([1.0, -0.5]), 0.7)
-pulled = pullback_metric(F, lambda q: g0, p).components
-target = np.exp(2 * p.t) * metric_at(prof, p).components
-print(f"real type: |F* g0 - e^(2t) g| = {np.max(np.abs(pulled - target)):.2e}")
+res = conformal_defect(F, flat, lambda a: metric_at(prof, a), lambda a: np.exp(2 * a[..., 0]), pts)
+print(f"real type: |F* g0 - e^(2t) g| = {res:.2e}")
 
-G = imaginary_local_map(n)
 prof_im = SymmetricProfile(-np.eye(n))
-pulled = pullback_metric(G, lambda q: g0, p).components
-target = metric_at(prof_im, p).components / np.cos(p.t) ** 2
-print(f"imaginary type (strip): |G* g0 - g/cos^2 t| = "
-      f"{np.max(np.abs(pulled - target)):.2e}")
+res = conformal_defect(imaginary_local_map(n), flat, lambda a: metric_at(prof_im, a),
+                       lambda a: np.cos(a[..., 0]) ** -2, pts)
+print(f"imaginary type (strip): |G* g0 - g/cos^2 t| = {res:.2e}")
 
-eta = minkowski_inversion(n)
-q = F(p)
-pulled = pullback_metric(eta, lambda r: g0, q).components
-print(f"inversion: |eta* g0 - g0/(4u^2)| = "
-      f"{np.max(np.abs(pulled - g0.components / (4 * q.t ** 2))):.2e}")
+res = conformal_defect(minkowski_inversion(n), flat, flat, lambda q: 0.25 / q[..., 0] ** 2, F(pts))
+print(f"inversion: |eta* g0 - g0/(4u^2)| = {res:.2e}")
 
 out = flatness_blowup_demo(-1, y0=0.0)
 print(f"\nimaginary type, y' = y^2 + 1 from 0: blow-up at t = "

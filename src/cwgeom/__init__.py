@@ -19,8 +19,6 @@ from .core import (
 )
 from .curvature import (
     CurvatureTensor4,
-    ScalarJet2,
-    SymBilinear,
     christoffel_at,
     conformal_change_at,
     cotton,
@@ -51,7 +49,6 @@ from .flat import (
     imaginary_local_map,
     minkowski_map,
     minkowski_metric,
-    pullback_metric,
 )
 from .group import (
     Homothety,

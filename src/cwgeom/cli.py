@@ -10,7 +10,8 @@ Flags follow the subcommand, and each subcommand accepts only the flags it
 reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
 (at least 1) and --tolerance pullback=VALUE; verify-example takes --r,
-for the real-lattice example only.
+for the real-lattice example only.  The "n" of a pullback-check payload
+is an integer from 1 to 1024 (MAX_PULLBACK_N).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -38,6 +39,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
+
+# the largest n of a pullback-check: its default 50 samples then hold
+# (50, n+2, n+2) Jacobians of about 420 MB
+MAX_PULLBACK_N = 1024
 
 
 class Subcommand(NamedTuple):
@@ -99,10 +104,10 @@ def _pullback_check(n, which, seed, samples, tolerance) -> dict:
     # t is uniform and x, v normal: one draw loop keeps the seeded order
     points = np.array([[rng.uniform(-1, 1) * (1.0 if real else 0.45 * np.pi),
                         *rng.normal(size=n), rng.normal()] for _ in range(samples)])
-    g0 = flat.minkowski_metric(n).components
+    g0 = flat.minkowski_metric(n)
     worst = flat.conformal_defect(
         flat.minkowski_map(n) if real else flat.imaginary_local_map(n),
-        lambda a: g0, partial(curvature.metric_gram, prof),
+        lambda a: g0, partial(curvature.metric_at, prof),
         (lambda a: np.exp(2 * a[..., 0])) if real else (lambda a: 1.0 / np.cos(a[..., 0]) ** 2),
         points)
     return {"map": which, "n": n, "samples": samples, "max_residual": worst,
@@ -157,7 +162,7 @@ COMMANDS = {
         dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
     "pullback-check": Subcommand(
-        load=lambda data: [serialize.load_count(data, "n", 2),
+        load=lambda data: [serialize.load_count(data, "n", 2, high=MAX_PULLBACK_N),
                            data.get("map", "minkowski")],
         call=_pullback_check,
         flags=("seed", "samples", "tolerance"),

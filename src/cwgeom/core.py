@@ -288,6 +288,18 @@ class BetaSolution:
         return beta_eval(self, t)
 
 
+def require_phase(profile: SymmetricProfile, t, y0, y1) -> None:
+    """PreconditionError if the largest |t| of a time or an array of times
+    has lost the phase of an eigenvector column in which the eigenbasis
+    data y0 or y1 is nonzero."""
+    t = np.asarray(t, dtype=float)
+    t_max = abs(float(t)) if t.ndim == 0 else np.abs(t).max(initial=0.0)
+    if t_max >= profile._phase_limit[0]:  # column 0 oscillates fastest
+        lost = t_max >= profile._phase_limit
+        if y0[lost].any() or y1[lost].any():
+            raise PreconditionError(f"the phase of beta at |t| = {t_max} is lost to round-off")
+
+
 def beta_eval(beta: BetaSolution, t):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
     eigenbasis of S (see SymmetricProfile.flow), for a time or an array of
@@ -296,12 +308,7 @@ def beta_eval(beta: BetaSolution, t):
     Q = p.eigenvectors
     y0 = beta.beta0 @ Q
     y1 = beta.beta1 @ Q
-    t = np.asarray(t, dtype=float)
-    t_max = abs(float(t)) if t.ndim == 0 else np.abs(t).max(initial=0.0)
-    if t_max >= p._phase_limit[0]:  # column 0 oscillates fastest
-        lost = t_max >= p._phase_limit
-        if y0[lost].any() or y1[lost].any():
-            raise PreconditionError(f"the phase of beta at |t| = {t_max} is lost to round-off")
+    require_phase(p, t, y0, y1)
     ch, sh, d0 = p.flow(t)
     return (ch * y0 + sh * y1) @ Q.T, (d0 * y0 + ch * y1) @ Q.T
 

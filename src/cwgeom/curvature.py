@@ -1,11 +1,13 @@
 """Metric, connection and curvature machinery.
 
 Everything here works in the coordinate frame (d_t, d_1..d_n, d_v) on
-R^{n+2}, m = n + 2.  Bilinear forms are stored dense.  The curvature and
-Weyl tensors of the model are M kn (dt)^2 up to sign for an n x n block M,
-so they are stored as that block (4 n^2 of their (n+2)^4 entries are
-nonzero); every other (0,4) tensor, such as the finite-difference
-oracles, is stored dense.  The sign conventions:
+R^{n+2}, m = n + 2.  Bilinear forms are (..., m, m) arrays, with one
+leading index per point where a function takes an (..., m) array of
+points, and (0,4) tensors such as the finite-difference oracles are
+(m, m, m, m) arrays.  The curvature and Weyl tensors of the model are
+M kn (dt)^2 up to sign for an n x n block M, so they are stored as that
+block (CurvatureTensor4; 4 n^2 of their (n+2)^4 entries are nonzero).
+The sign conventions:
 
     R(X,Y,Z,V) = g(R(X,Y)V, Z),
     (A kn B)(X,Y,Z,V) = A(X,Z)B(Y,V) + B(X,Z)A(Y,V)
@@ -17,13 +19,12 @@ is W = (tr(S)/n I - S) kn (dt)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import Point, SymmetricProfile, coords
-from .errors import IncompatibleProfileError, OverflowingValueError
+from .errors import OverflowingValueError
 
 FD_STEP = 1e-5
 
@@ -38,64 +39,20 @@ FD_STEP = 1e-5
 np.format_float_positional(0.5)
 
 
-@dataclass(frozen=True)
-class SymBilinear:
-    """Dense symmetric bilinear form on R^{n+2}; a form whose symmetrised
-    components are not finite is rejected with an OverflowingValueError."""
-
-    n: int
-    components: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.components, dtype=float)
-        m = self.n + 2
-        if c.shape != (m, m):
-            raise ValueError(f"expected shape {(m, m)}, got {c.shape}")
-        c = 0.5 * (c + c.T)
-        # NaN propagates through min and max, and so does an infinity
-        if not (np.isfinite(c.min()) and np.isfinite(c.max())):
-            raise OverflowingValueError("bilinear form has non-finite components")
-        object.__setattr__(self, "components", c)
-
-    def __add__(self, other):
-        return SymBilinear(self.n, self.components + other.components)
-
-    def __sub__(self, other):
-        return SymBilinear(self.n, self.components - other.components)
-
-    def __mul__(self, scalar):
-        return SymBilinear(self.n, scalar * self.components)
-
-    __rmul__ = __mul__
-
-
 class CurvatureTensor4:
-    """(0,4) tensor with the Riemann symmetries, dense or in block form.
+    """The (0,4) tensor sign * (M kn (dt)^2) of a symmetric n x n block M.
 
-    A block tensor holds a symmetric n x n block M and a sign +-1 and is
-    R = sign * (M kn (dt)^2).  Its nonzero entries are, for i, j in 1..n,
-    R[i,0,j,0] = R[0,i,0,j] = sign * M_ij and R[i,0,0,j] = R[0,i,j,0] =
-    -sign * M_ij.  `components`, the dense array, is built on first request
-    and cached; it is the dense Kulkarni-Nomizu product times the sign,
-    signed zeros included.  A dense tensor has no block (`block` is None).
-    Arithmetic of two block tensors stays in block form; anything else is
-    dense.
+    Its nonzero entries are, for i, j in 1..n, R[i,0,j,0] = R[0,i,0,j] =
+    sign * M_ij and R[i,0,0,j] = R[0,i,j,0] = -sign * M_ij.  `components`,
+    the dense array, is built on first request and cached; it is the dense
+    Kulkarni-Nomizu product times the sign, signed zeros included.  Sums,
+    differences and scalar multiples stay in block form.
     """
 
-    def __init__(self, n: int, components=None, *, block=None, sign: float = 1.0):
-        self.n = n
+    def __init__(self, block, sign: float = 1.0):
+        self.block = np.asarray(block, dtype=float)
+        self.n = self.block.shape[0]
         self.sign = float(sign)
-        if block is None:
-            self.block = None
-            c = np.asarray(components, dtype=float)
-            m = n + 2
-            if c.shape != (m, m, m, m):
-                raise ValueError(f"expected shape {(m,) * 4}, got {c.shape}")
-            self.components = c
-        else:
-            self.block = np.asarray(block, dtype=float)
-            if self.block.shape != (n, n):
-                raise ValueError(f"expected block shape {(n, n)}, got {self.block.shape}")
 
     @cached_property
     def components(self) -> np.ndarray:
@@ -110,27 +67,13 @@ class CurvatureTensor4:
         return R
 
     def symmetry_defect(self) -> float:
-        """Max violation of the four Riemann symmetries (antisymmetry in the
-        first and last pairs, pair exchange, first Bianchi)."""
-        if self.block is not None:
-            # the antisymmetries hold exactly; pair exchange and Bianchi
-            # reduce to the symmetry of M
-            return float(np.max(np.abs(self.block - self.block.T)))
-        R = self.components
-        d = max(
-            float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
-            float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))),
-            float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))),
-            float(np.max(np.abs(R + np.transpose(R, (1, 2, 0, 3))
-                                + np.transpose(R, (2, 0, 1, 3))))),
-        )
-        return d
+        """Max violation of the four Riemann symmetries: the antisymmetries
+        hold exactly, and pair exchange and Bianchi reduce to the symmetry
+        of M (see riemann_symmetry_defect for a dense tensor)."""
+        return float(np.max(np.abs(self.block - self.block.T)))
 
     def _combine(self, other, op):
-        if self.block is not None and other.block is not None:
-            return CurvatureTensor4(self.n, block=op(self.sign * self.block,
-                                                     other.sign * other.block))
-        return CurvatureTensor4(self.n, op(self.components, other.components))
+        return CurvatureTensor4(op(self.sign * self.block, other.sign * other.block))
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -139,69 +82,53 @@ class CurvatureTensor4:
         return self._combine(other, np.subtract)
 
     def __mul__(self, scalar):
-        if self.block is not None:
-            return CurvatureTensor4(self.n, block=(scalar * self.sign) * self.block)
-        return CurvatureTensor4(self.n, scalar * self.components)
+        return CurvatureTensor4((scalar * self.sign) * self.block)
 
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components if self.block is None
-                                    else self.block)))
+        return float(np.max(np.abs(self.block)))
 
 
-@dataclass(frozen=True)
-class ScalarJet2:
-    """Coordinate 2-jet (value, gradient, hessian) of a function at a point."""
-
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray
-
-    def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.gradient, dtype=float))
-        h = np.asarray(self.hessian, dtype=float)
-        if h.shape != (g.size, g.size):
-            raise ValueError("hessian shape does not match gradient")
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", 0.5 * (h + h.T))
+def riemann_symmetry_defect(R: np.ndarray) -> float:
+    """Max violation of the four Riemann symmetries of a dense (0,4) array
+    (antisymmetry in the first and last pairs, pair exchange, first
+    Bianchi)."""
+    return max(
+        float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
+        float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))),
+        float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))),
+        float(np.max(np.abs(R + np.transpose(R, (1, 2, 0, 3))
+                            + np.transpose(R, (2, 0, 1, 3))))),
+    )
 
 
-def dt_squared(n: int) -> SymBilinear:
+def dt_squared(n: int) -> np.ndarray:
     """(dt)^2 as a bilinear form."""
     m = n + 2
     c = np.zeros((m, m))
     c[0, 0] = 1.0
-    return SymBilinear(n, c)
+    return c
 
 
-def x_block_form(n: int, M) -> SymBilinear:
+def x_block_form(n: int, M) -> np.ndarray:
     """A symmetric n x n matrix as the form M_ij dx^i dx^j."""
     m = n + 2
     c = np.zeros((m, m))
     c[1:-1, 1:-1] = np.asarray(M, dtype=float)
-    return SymBilinear(n, c)
+    return c
 
 
-def metric_gram(profile: SymmetricProfile, a) -> np.ndarray:
-    """Gram matrices of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at an
-    (..., n+2) array of points: shape (..., n+2, n+2)."""
+def metric_at(profile: SymmetricProfile, points) -> np.ndarray:
+    """Gram matrices of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at a Point or
+    an (..., n+2) array of points: shape (..., n+2, n+2)."""
     n = profile.n
-    x = np.asarray(a, dtype=float)[..., 1:-1]
+    x = coords(points, n)[..., 1:-1]
     g = np.zeros(x.shape[:-1] + (n + 2, n + 2))
     g[..., 0, 0] = np.sum((x @ profile.S) * x, axis=-1)
     g[..., 0, -1] = g[..., -1, 0] = 1.0
     g[..., 1:-1, 1:-1] = np.eye(n)
     return g
-
-
-def metric_at(profile: SymmetricProfile, point: Point) -> SymBilinear:
-    """The form g_S at a point (see metric_gram)."""
-    return SymBilinear(profile.n, metric_gram(profile, point.as_array()))
-
-
-def inverse_metric_at(profile: SymmetricProfile, point: Point) -> np.ndarray:
-    return np.linalg.inv(metric_gram(profile, point.as_array()))
 
 
 def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
@@ -222,38 +149,40 @@ def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
     return gamma
 
 
-def christoffel_finite_difference(profile: SymmetricProfile, point: Point,
+def christoffel_finite_difference(profile: SymmetricProfile, point,
                                   step: float = FD_STEP) -> np.ndarray:
     """Christoffel symbols from the Koszul formula with central-difference
     metric derivatives.  Independent oracle for christoffel_at."""
     # row k of p0 +- E is the point moved along coordinate k
-    p0, E = point.as_array(), step * np.eye(profile.n + 2)
-    dg = (metric_gram(profile, p0 + E) - metric_gram(profile, p0 - E)) / (2 * step)
+    p0, E = coords(point, profile.n), step * np.eye(profile.n + 2)
+    dg = (metric_at(profile, p0 + E) - metric_at(profile, p0 - E)) / (2 * step)
     # dg[k, i, j] = d_k g_ij
-    ginv = inverse_metric_at(profile, point)
+    ginv = np.linalg.inv(metric_at(profile, p0))
     first = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
                    - np.einsum("lij->lij", dg))
     return np.einsum("kl,lij->kij", ginv, first)
 
 
-def kulkarni_nomizu(A: SymBilinear, B: SymBilinear) -> CurvatureTensor4:
-    """Kulkarni-Nomizu product of two symmetric bilinear forms."""
-    if A.n != B.n:
-        raise IncompatibleProfileError("Kulkarni-Nomizu needs matching dimension")
-    a, b = A.components, B.components
-    R = (np.einsum("xz,yv->xyzv", a, b) + np.einsum("xz,yv->xyzv", b, a)
-         - np.einsum("xv,yz->xyzv", a, b) - np.einsum("xv,yz->xyzv", b, a))
-    return CurvatureTensor4(A.n, R)
+def kulkarni_nomizu(A, B) -> np.ndarray:
+    """Kulkarni-Nomizu product of symmetric bilinear forms, (..., m, m)
+    arrays broadcast against each other: shape (..., m, m, m, m)."""
+    return (np.einsum("...xz,...yv->...xyzv", A, B) + np.einsum("...xz,...yv->...xyzv", B, A)
+            - np.einsum("...xv,...yz->...xyzv", A, B) - np.einsum("...xv,...yz->...xyzv", B, A))
 
 
 def riemann(profile: SymmetricProfile) -> CurvatureTensor4:
     """R = -S kn (dt)^2, constant over the space."""
-    return CurvatureTensor4(profile.n, block=profile.S, sign=-1.0)
+    return CurvatureTensor4(profile.S, sign=-1.0)
 
 
-def ricci(profile: SymmetricProfile) -> SymBilinear:
-    """Ric = -tr(S) (dt)^2."""
-    return -float(np.trace(profile.S)) * dt_squared(profile.n)
+def ricci(profile: SymmetricProfile) -> np.ndarray:
+    """Ric = -tr(S) (dt)^2.  A trace beyond half the float maximum is
+    refused with an OverflowingValueError: the form is then finite, but
+    its double, such as Ric + Ric^T, is not."""
+    tr = float(np.trace(profile.S))
+    if not np.isfinite(2.0 * tr):
+        raise OverflowingValueError(f"the Ricci form overflows: 2 tr(S) = 2 * {tr!r}")
+    return -tr * dt_squared(profile.n)
 
 
 def scalar(profile: SymmetricProfile) -> float:
@@ -261,7 +190,7 @@ def scalar(profile: SymmetricProfile) -> float:
     return 0.0
 
 
-def schouten(profile: SymmetricProfile) -> SymBilinear:
+def schouten(profile: SymmetricProfile) -> np.ndarray:
     """P = Ric/(m-2) since the scalar curvature vanishes."""
     return (1.0 / profile.n) * ricci(profile)
 
@@ -270,7 +199,7 @@ def weyl(profile: SymmetricProfile) -> CurvatureTensor4:
     """W = (tr(S)/n I - S) kn (dt)^2."""
     n = profile.n
     M = (np.trace(profile.S) / n) * np.eye(n) - profile.S
-    return CurvatureTensor4(n, block=M)
+    return CurvatureTensor4(M)
 
 
 def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
@@ -283,7 +212,7 @@ def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
     m = profile.n + 2
     if point is None:
         point = Point(0.3, 0.7 * np.ones(profile.n), -0.2)
-    P = schouten(profile).components
+    P = schouten(profile)
     gamma = christoffel_at(profile, point)
     # coordinate derivative of the constant P is zero
     nablaP = -np.einsum("lij,lk->ijk", gamma, P) - np.einsum("lik,jl->ijk", gamma, P)
@@ -292,60 +221,60 @@ def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
     return C
 
 
-def riemann_finite_difference(profile: SymmetricProfile, point: Point,
-                              step: float = FD_STEP) -> CurvatureTensor4:
+def riemann_finite_difference(profile: SymmetricProfile, point,
+                              step: float = FD_STEP) -> np.ndarray:
     """Brute-force (0,4) curvature from Christoffel symbols:
     R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im}G^m_{jk} - G^l_{jm}G^m_{ik},
-    lowered so that components[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
+    lowered so that R[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
     # row i of p0 +- E is the point moved along coordinate i
-    p0, E = point.as_array(), step * np.eye(profile.n + 2)
+    p0, E = coords(point, profile.n), step * np.eye(profile.n + 2)
     dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * step)
     # dgam[i, l, j, k] = d_i Gamma^l_{jk}
     G = christoffel_at(profile, p0)
     Rup = (np.einsum("iljk->ijkl", dgam) - np.einsum("jlik->ijkl", dgam)
            + np.einsum("lim,mjk->ijkl", G, G) - np.einsum("ljm,mik->ijkl", G, G))
     # Rup[i, j, k, l] = (R(d_i, d_j) d_k)^l
-    g = metric_at(profile, point).components
-    low = np.einsum("ijlm,km->ijkl", Rup, g)
-    return CurvatureTensor4(profile.n, low)
+    return np.einsum("ijlm,km->ijkl", Rup, metric_at(profile, p0))
 
 
-def nabla_df(profile: SymmetricProfile, point: Point, jet: ScalarJet2) -> SymBilinear:
-    """Covariant Hessian: (nabla df)_{ij} = hess_{ij} - Gamma^k_{ij} df_k."""
-    gamma = christoffel_at(profile, point)
-    h = jet.hessian - np.einsum("kij,k->ij", gamma, jet.gradient)
-    return SymBilinear(profile.n, h)
+def nabla_df(profile: SymmetricProfile, points, gradient, hessian) -> np.ndarray:
+    """Covariant Hessian (nabla df)_{ij} = hess_{ij} - Gamma^k_{ij} df_k of
+    f with coordinate gradient (..., m) and hessian (..., m, m) at a Point
+    or an (..., m) array of points."""
+    gamma = christoffel_at(profile, points)
+    return hessian - np.einsum("...kij,...k->...ij", gamma, gradient)
 
 
-def conformal_change_at(profile: SymmetricProfile, point: Point, jet: ScalarJet2):
-    """Curvature of g_hat = e^{2f} g_S at a point, from the 2-jet of f.
+def conformal_change_at(profile: SymmetricProfile, points, value, gradient, hessian):
+    """Curvature of g_hat = e^{2f} g_S from the 2-jet of f, its value (...),
+    coordinate gradient (..., m) and hessian (..., m, m), at a Point or an
+    (..., m) array of points.
 
     Returns a dict with riemann_hat (the hatted (0,4) tensor itself,
-    including the e^{2f} factor), ricci_hat, scal_hat, and the auxiliary
-    form entering the transformation rule.
+    including the e^{2f} factor, (..., m, m, m, m)), ricci_hat
+    (..., m, m), and scal_hat, laplacian and grad_norm_sq (...).
     """
-    n = profile.n
-    m = n + 2
-    g = metric_at(profile, point)
-    ginv = np.linalg.inv(g.components)
-    if abs(np.linalg.det(g.components)) < 1e-14:
-        raise ValueError("metric degenerate at the point")
-    df = jet.gradient
-    gradf = ginv @ df  # raised index
-    norm2 = float(df @ gradf)
-    hess = nabla_df(profile, point, jet)
-    df2 = SymBilinear(n, np.outer(df, df))
-    lap = float(np.einsum("ij,ij->", ginv, hess.components))
+    m = profile.n + 2
+    g = metric_at(profile, points)
+    ginv = np.linalg.inv(g)
+    df = np.asarray(gradient, dtype=float)
+    gradf = (ginv @ df[..., None])[..., 0]  # raised index
+    norm2 = np.sum(df * gradf, axis=-1)
+    hess = nabla_df(profile, points, df, hessian)
+    df2 = df[..., :, None] * df[..., None, :]
+    lap = np.einsum("...ij,...ij->...", ginv, hess)
 
     # Laplacian convention: lap = tr_g(nabla df).  The hatted Ricci and
     # scalar below are the metric traces of riemann_hat, so the three
     # outputs are mutually consistent by construction.
-    aux = hess - df2 + 0.5 * norm2 * g
-    R_hat = np.exp(2 * jet.value) * (riemann(profile) - kulkarni_nomizu(g, aux))
+    aux = hess - df2 + 0.5 * norm2[..., None, None] * g
+    e2f = np.exp(2 * np.asarray(value, dtype=float))
+    R_hat = e2f[..., None, None, None, None] * (riemann(profile).components
+                                                 - kulkarni_nomizu(g, aux))
     ric_hat = (ricci(profile) - (m - 2) * (hess - df2)
-               - (lap + (m - 2) * norm2) * g)
-    scal_hat = np.exp(-2 * jet.value) * (scalar(profile)
-                                         - (m - 1) * (2 * lap + (m - 2) * norm2))
+               - (lap + (m - 2) * norm2)[..., None, None] * g)
+    scal_hat = np.exp(-2 * np.asarray(value, dtype=float)) * (
+        scalar(profile) - (m - 1) * (2 * lap + (m - 2) * norm2))
     return {
         "riemann_hat": R_hat,
         "ricci_hat": ric_hat,
@@ -355,26 +284,22 @@ def conformal_change_at(profile: SymmetricProfile, point: Point, jet: ScalarJet2
     }
 
 
-def conformal_christoffel_at(profile: SymmetricProfile, point: Point,
-                             jet: ScalarJet2) -> np.ndarray:
-    """Christoffel symbols of e^{2f} g_S:
+def conformal_christoffel_at(profile: SymmetricProfile, points, gradient) -> np.ndarray:
+    """Christoffel symbols of e^{2f} g_S from the coordinate gradient
+    (..., m) of f, at a Point or an (..., m) array of points:
     Ghat^k_{ij} = G^k_{ij} + delta^k_i df_j + delta^k_j df_i - g_ij (grad f)^k."""
     m = profile.n + 2
-    g = metric_at(profile, point).components
-    gradf = np.linalg.inv(g) @ jet.gradient
-    gamma = christoffel_at(profile, point)
+    g = metric_at(profile, points)
+    df = np.asarray(gradient, dtype=float)
+    gradf = (np.linalg.inv(g) @ df[..., None])[..., 0]
     eye = np.eye(m)
-    gamma += (np.einsum("ki,j->kij", eye, jet.gradient)
-              + np.einsum("kj,i->kij", eye, jet.gradient)
-              - np.einsum("ij,k->kij", g, gradf))
-    return gamma
+    return christoffel_at(profile, points) + (
+        np.einsum("ki,...j->...kij", eye, df) + np.einsum("kj,...i->...kij", eye, df)
+        - np.einsum("...ij,...k->...kij", g, gradf))
 
 
-def trace_with_metric(T: CurvatureTensor4, g: SymBilinear, slots=(0, 2)) -> np.ndarray:
-    """Single trace of a (0,4) tensor over the given slot pair."""
-    ginv = np.linalg.inv(g.components)
-    R = T.components
+def trace_with_metric(T: np.ndarray, g: np.ndarray, slots=(0, 2)) -> np.ndarray:
+    """Single trace of a dense (0,4) array over the given slot pair."""
     order = [a for a in range(4) if a not in slots]
-    perm = list(slots) + order
-    moved = np.transpose(R, perm)
-    return np.einsum("ab,ab...->...", ginv, moved)
+    moved = np.transpose(T, list(slots) + order)
+    return np.einsum("ab,ab...->...", np.linalg.inv(g), moved)

@@ -18,7 +18,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BetaSolution, Point, SymmetricProfile, beta_eval, beta_reparam, classify
+from .core import (
+    BetaSolution,
+    Point,
+    SymmetricProfile,
+    beta_eval,
+    beta_reparam,
+    classify,
+    coords,
+    require_phase,
+)
 from .errors import (
     PreconditionError,
     ResonanceError,
@@ -138,12 +147,14 @@ def _bump(tau):
     return up * down
 
 
-def inessential_rescaling(phi: Homothety) -> Callable[[Point], float]:
+def inessential_rescaling(phi: Homothety) -> Callable:
     """Rescaling function for a fixed-point-free strict homothety.
 
     Returns a smooth f with f(apply(phi, p)) = f(p) - s for all p, so phi
-    is an isometry of e^{2f} g_S.  Built from translates of a bump along
-    the t-axis in units of c, normalized to a partition of unity.
+    is an isometry of e^{2f} g_S; f takes a Point to a float and an
+    (..., n+2) array of points to (...) values.  Built from translates of
+    a bump along the t-axis in units of c, normalized to a partition of
+    unity.
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
@@ -151,11 +162,12 @@ def inessential_rescaling(phi: Homothety) -> Callable[[Point], float]:
         raise PreconditionError("phi has a fixed point; no equivariant rescaling exists")
     s, c = phi.s, phi.c
 
-    def f(p: Point) -> float:
-        tau = p.t / c
-        ks = np.arange(np.floor(tau) - 2, np.floor(tau) + 3)
-        weights = _bump(tau - ks)
-        return float(-s * (ks @ weights) / np.sum(weights))
+    def f(p):
+        tau = coords(p, phi.profile.n)[..., 0] / c
+        ks = np.floor(tau)[..., None] + np.arange(-2.0, 3.0)
+        weights = _bump(tau[..., None] - ks)
+        out = -s * np.sum(ks * weights, axis=-1) / np.sum(weights, axis=-1)
+        return float(out) if isinstance(p, Point) else out
 
     return f
 
@@ -196,9 +208,12 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
                     f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue {lam_sq:.6g} of S"
                 )
     Q = profile.eigenvectors
+    y0, y1 = betahat.beta0 @ Q, betahat.beta1 @ Q
+    # the shift by c reads betahat's columns at phase r c, as beta_eval does
+    require_phase(profile, c, y0, y1)
     M = _conjugation_matrix(profile, np.exp(s) * (Q.T @ A @ Q), c)
     try:
-        sol = np.linalg.solve(M, np.concatenate([betahat.beta0 @ Q, betahat.beta1 @ Q]))
+        sol = np.linalg.solve(M, np.concatenate([y0, y1]))
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"singular conjugation block: {exc}") from exc
     n = profile.n
@@ -324,6 +339,8 @@ def pd_necessary_report(generators: Sequence[Homothety],
     must satisfy (s/c)^2 <= lambda_max^2; on an imaginary-type space
     every strict element is an obstruction outright.
     """
+    if not generators:
+        raise PreconditionError("the sweep needs at least one generator")
     prof = generators[0].profile
     cls = classify(prof)
     letters = []

@@ -42,7 +42,7 @@ from .core import (
     join,
     same_form,
 )
-from .curvature import metric_gram
+from .curvature import metric_at
 from .errors import IncompatibleProfileError, OverflowingValueError
 from .flat import SmoothMap, conformal_defect
 
@@ -229,5 +229,5 @@ def homothety_factor_check(phi: Homothety, points: Sequence[Point] = None,
         rng = np.random.default_rng(0) if rng is None else rng
         points = rng.normal(size=(10, prof.n + 2))
     action = SmoothMap(prof.n, partial(apply, phi), partial(differential, phi))
-    gram = partial(metric_gram, prof)
+    gram = partial(metric_at, prof)
     return conformal_defect(action, gram, gram, lambda a: np.exp(2 * phi.s), points)

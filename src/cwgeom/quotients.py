@@ -44,7 +44,7 @@ from .group import (
     inverse,
     power,
 )
-from .curvature import metric_gram
+from .curvature import metric_at
 
 MEASURE_TOL = 1e-9
 
@@ -456,7 +456,7 @@ def verify_inessential_rescale_U(n: int = 2, samples: int = 30,
                                   s=rng.normal()))
         rows.append([rng.normal(), *(rng.normal(size=n) + 0.5), rng.normal() + 0.5])
     pts = np.array(rows)
-    fg = lambda a: rescale_field(a)[..., None, None] * metric_gram(prof, a)
+    fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
     worst = max(conformal_defect(SmoothMap(n, partial(apply, phi), partial(differential, phi)),
                                  fg, fg, lambda a: 1.0, pts)
                 for phi in elements)

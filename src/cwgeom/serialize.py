@@ -18,7 +18,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .core import DEFAULT_TOL, BetaSolution, Point, SymmetricProfile
-from .curvature import CurvatureTensor4, SymBilinear
+from .curvature import CurvatureTensor4
 from .errors import CWError, InputError
 from .group import Homothety
 
@@ -54,11 +54,13 @@ def load_real(data: dict, key: str, default: float) -> float:
     return value
 
 
-def load_count(data: dict, key: str, default: int) -> int:
-    """The positive integer field `key` of a JSON object."""
+def load_count(data: dict, key: str, default: int, high: Optional[int] = None) -> int:
+    """The positive integer field `key` of a JSON object, at most `high`
+    when that is given."""
     value = data.get(key, default)
     _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
              f"'{key}' must be a positive integer, got {value!r}")
+    _require(high is None or value <= high, f"'{key}' = {value} exceeds its largest value {high}")
     return value
 
 
@@ -116,7 +118,7 @@ def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:
 
 
 def _write_tensor4(T: CurvatureTensor4, write, indent: Optional[int], level: int) -> None:
-    """Write a block tensor's dense components as json.dumps writes
+    """Write a curvature tensor's dense components as json.dumps writes
     T.components.tolist() `level` deep, one (n+2)-slice at a time, from
     the block M without building the dense array.
 
@@ -164,8 +166,6 @@ def _jsonable(value: Any) -> Any:
                 "A": value.A.tolist(), "s": value.s}
     if isinstance(value, Point):
         return value.as_array().tolist()
-    if isinstance(value, SymBilinear):
-        return value.components.tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -174,9 +174,9 @@ def _jsonable(value: Any) -> Any:
 def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
     """Write `payload` to `fh` byte for byte as
     json.dumps(payload, indent=indent, sort_keys=True) + "\n" would, with
-    homotheties, points, bilinear forms and arrays in their JSON form.  A
-    block CurvatureTensor4 at the top level of a dict is written from its
-    block, one (n+2)-slice at a time, so its dense text is never held whole.
+    homotheties, points and arrays in their JSON form.  A CurvatureTensor4
+    at the top level of a dict is written from its block, one (n+2)-slice
+    at a time, so its dense text is never held whole.
     The ASCII text reaches `fh` in writes of OUTPUT_BLOCK characters and a
     shorter last one, so a reader that takes a pipe 32 KiB at a time (as
     subprocess.communicate does) sees the same reads on every run."""

@@ -1,5 +1,6 @@
-"""Arrays of points: a batched call equals the calls on single points, the
-boundary contracts hold on arrays, the phase guard judges the largest
+"""Arrays of points: a batched call of the group action or of the
+curvature layer equals the calls on single points, the boundary
+contracts hold on arrays, the phase guard judges the largest
 |t|, and the sampled verdicts hold across seeds."""
 
 from dataclasses import replace
@@ -11,6 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwgeom.core import BetaSolution, Point, SymmetricProfile, beta_eval
+from cwgeom.curvature import (
+    conformal_change_at,
+    conformal_christoffel_at,
+    kulkarni_nomizu,
+    metric_at,
+    nabla_df,
+)
+from cwgeom.dynamics import inessential_rescaling
 from cwgeom.errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, apply, differential
@@ -108,3 +117,38 @@ def test_verdicts_hold_across_seeds(name, seed):
 def test_real_lattice_verdicts_hold_for_each_r(r):
     report = verify_example("real-lattice", r=r)
     assert [c.name for c in report.checks if not c.passed] == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       N=st.sampled_from([1, 7, 64]))
+def test_curvature_rows_equal_single_points(kind, n, seed, N):
+    """Row i of kulkarni_nomizu, nabla_df, conformal_change_at,
+    conformal_christoffel_at and an inessential rescaling on N points and
+    2-jets is the call on point i alone, within 4 ulp of the curvature
+    scale squared: (1 + |S|)(1 + |p|^2)(1 + |df| + |hess f|) e^{2|f|}, the
+    largest entries, bounds the terms these outputs sum."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    m = prof.n + 2
+    pts = rng.uniform(-2, 2, size=(N, m))
+    value, grad = rng.uniform(-1, 1, size=N), rng.uniform(-2, 2, size=(N, m))
+    hess = (lambda H: H + np.swapaxes(H, -1, -2))(rng.uniform(-1, 1, size=(N, m, m)))
+    gram = metric_at(prof, pts)
+    f = inessential_rescaling(Homothety(prof, c=float(rng.uniform(0.5, 1.5)),
+                                        s=float(rng.uniform(0.2, 1.0))))
+    batched = {"kn": kulkarni_nomizu(gram, hess), "nabla_df": nabla_df(prof, pts, grad, hess),
+               "gamma_hat": conformal_christoffel_at(prof, pts, grad), "f": f(pts),
+               **conformal_change_at(prof, pts, value, grad, hess)}
+    for i, row in enumerate(pts):
+        p = Point.from_array(row)
+        single = {"kn": kulkarni_nomizu(gram[i], hess[i]),
+                  "nabla_df": nabla_df(prof, p, grad[i], hess[i]),
+                  "gamma_hat": conformal_christoffel_at(prof, p, grad[i]), "f": f(p),
+                  **conformal_change_at(prof, p, value[i], grad[i], hess[i])}
+        size = ((1 + np.max(np.abs(prof.S))) * (1 + np.max(np.abs(row)) ** 2)
+                * (1 + np.max(np.abs(grad[i])) + np.max(np.abs(hess[i])))
+                * np.exp(2 * abs(value[i])))
+        for key, want in single.items():
+            assert np.shape(batched[key][i]) == np.shape(want), key
+            assert np.max(np.abs(batched[key][i] - want)) <= 4 * ULP * size ** 2, key

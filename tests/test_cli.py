@@ -329,8 +329,11 @@ class TestMalformedPayloads:
         ("classify", dict(PROFILE, tolerance="z")),
         ("classify", {"n": True, "S": [[1.0]]}),
         ("classify", {"n": 1.0, "S": [[1.0]]}),
+        # the Jacobians of n = 200000 would take 16 TB
+        ("pullback-check", {"n": 200000}),
+        ("pullback-check", {"n": cli.MAX_PULLBACK_N + 1}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
-            "tolerance-z", "n-true", "n-float"])
+            "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2

@@ -21,6 +21,8 @@ from cwgeom.errors import (
     PreconditionError,
 )
 
+from cwgeom.dynamics import solve_conjugation_beta
+
 from conftest import random_profile
 
 
@@ -284,3 +286,18 @@ class TestPhaseLimit:
         assert np.array_equal(val, [0.0, 2e300]) and np.array_equal(der, [0.0, 2.0])
         val, der = beta_eval(BetaSolution(prof), 1e300)
         assert not val.any() and not der.any()
+
+    def test_conjugation_solve_refuses_a_lost_phase(self):
+        # the shift by c reads the right-hand side at phase c, as beta_eval
+        # reads beta at time c
+        prof = SymmetricProfile([[-1.0]])
+        with pytest.raises(PreconditionError):
+            solve_conjugation_beta(prof, np.eye(1), 0.5, 1e300,
+                                   BetaSolution(prof, [1.0], [0.0]))
+        zero = solve_conjugation_beta(prof, np.eye(1), 0.5, 1e300, BetaSolution(prof))
+        assert not zero.beta0.any() and not zero.beta1.any()
+        # data only in the affine column is still solved at that shift
+        prof = SymmetricProfile(np.diag([-1.0, 0.0]))
+        beta = solve_conjugation_beta(prof, np.eye(2), 0.5, 1e300,
+                                      BetaSolution(prof, [0.0, 1.0], [0.0, 0.0]))
+        assert np.isfinite(beta.beta0).all() and beta.beta0[0] == beta.beta1[0] == 0.0

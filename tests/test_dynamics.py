@@ -433,6 +433,10 @@ class TestOrbitObstruction:
 
 
 class TestPDReport:
+    def test_needs_a_generator(self):
+        with pytest.raises(PreconditionError):
+            pd_necessary_report([])
+
     def test_imaginary_strict_obstruction(self):
         prof = SymmetricProfile(-np.eye(2))
         rep = pd_necessary_report([Homothety(prof, c=1.0, s=0.5)],

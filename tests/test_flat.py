@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cwgeom.core import Point, SymmetricProfile
-from cwgeom.curvature import metric_at, metric_gram
+from cwgeom.curvature import metric_at
 from cwgeom.errors import DomainError
 from cwgeom.flat import (
     SmoothMap,
@@ -17,7 +17,6 @@ from cwgeom.flat import (
     minkowski_inversion,
     minkowski_map,
     minkowski_metric,
-    pullback_metric,
 )
 
 from conftest import random_point
@@ -43,12 +42,9 @@ class TestMinkowskiMap:
         # F^* g0 = e^{2t} g_+ for S = I
         for n in (1, 2):
             prof = SymmetricProfile(np.eye(n))
-            F = minkowski_map(n)
-            for _ in range(25):
-                p = random_point(rng, n)
-                pulled = pullback_metric(F, _g0(n), p).components
-                target = np.exp(2 * p.t) * metric_at(prof, p).components
-                assert np.max(np.abs(pulled - target)) <= 1e-9
+            points = [random_point(rng, n) for _ in range(25)]
+            assert conformal_defect(minkowski_map(n), _g0(n), lambda a: metric_at(prof, a),
+                                    lambda a: np.exp(2 * a[..., 0]), points) <= 1e-9
 
     def test_inverse_domain_error(self):
         F = minkowski_map(2)
@@ -76,20 +72,18 @@ class TestImaginaryLocalMap:
         # F^* g0 = g_- / cos^2 t on the strip |t| < pi/2
         for n in (1, 2):
             prof = SymmetricProfile(-np.eye(n))
-            F = imaginary_local_map(n)
-            for _ in range(25):
-                p = Point(float(rng.uniform(-1.4, 1.4)), rng.normal(size=n),
-                          float(rng.normal()))
-                pulled = pullback_metric(F, _g0(n), p).components
-                target = metric_at(prof, p).components / np.cos(p.t) ** 2
-                assert np.max(np.abs(pulled - target)) <= 1e-9
+            points = [Point(float(rng.uniform(-1.4, 1.4)), rng.normal(size=n),
+                            float(rng.normal())) for _ in range(25)]
+            assert conformal_defect(imaginary_local_map(n), _g0(n),
+                                    lambda a: metric_at(prof, a),
+                                    lambda a: np.cos(a[..., 0]) ** -2, points) <= 1e-9
 
     def test_domain_error(self):
         F = imaginary_local_map(1)
         with pytest.raises(DomainError):
             F(Point(np.pi / 2, np.zeros(1), 0.0))
         with pytest.raises(DomainError):
-            pullback_metric(F, _g0(1), Point(2.0, np.zeros(1), 0.0))
+            conformal_defect(F, _g0(1), _g0(1), lambda a: 1.0, Point(2.0, np.zeros(1), 0.0))
 
 
 class TestConjugatedIdentities:
@@ -124,9 +118,8 @@ class TestConjugatedIdentities:
             # involution
             assert np.max(np.abs(eta(eta(q)) - q)) <= 1e-9
             # eta^* g0 = g0 / (4u^2)
-            pulled = pullback_metric(eta, _g0(n), q).components
-            target = minkowski_metric(n).components / (4.0 * q.t ** 2)
-            assert np.max(np.abs(pulled - target)) <= 1e-8
+            assert conformal_defect(eta, _g0(n), _g0(n), lambda a: 0.25 / a[..., 0] ** 2,
+                                    q) <= 1e-8
 
     def test_inversion_domain(self):
         eta = minkowski_inversion(1)
@@ -161,8 +154,8 @@ class TestWarpedChart:
         make, lam, tmax, rho, _ = self.CHARTS[name]
         n = 2
         prof = SymmetricProfile(lam * np.eye(n))
-        g0 = minkowski_metric(n).components
-        gram = lambda a: metric_gram(prof, a)
+        g0 = minkowski_metric(n)
+        gram = lambda a: metric_at(prof, a)
         factor = lambda a: rho(a[..., 0]) ** -2
         points = [Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=n),
                         float(rng.normal())) for _ in range(20)]
@@ -174,7 +167,7 @@ class TestWarpedChart:
         # a wrong factor, or the other model's metric, is seen at once
         assert conformal_defect(make(n), lambda q: g0, gram, lambda a: 1.0, points) > 1e-2
         other = SymmetricProfile(-lam * np.eye(n))
-        assert conformal_defect(make(n), lambda q: g0, lambda a: metric_gram(other, a),
+        assert conformal_defect(make(n), lambda q: g0, lambda a: metric_at(other, a),
                                 factor, points) > 1e-2
         assert conformal_defect(make(n), lambda q: g0, gram, lambda a: 1.0, []) == 0.0
 
@@ -189,13 +182,14 @@ DOMAIN_ERRORS = {
     "minkowski-inverse-u-zero": lambda: minkowski_map(1).inverse(_at(0.0)),
     "imaginary-call": lambda: imaginary_local_map(1)(_at(2.0)),
     "imaginary-jacobian": lambda: imaginary_local_map(1).jacobian_at(_at(-2.0)),
-    "imaginary-pullback": lambda: pullback_metric(imaginary_local_map(1), _g0(1), _at(2.0)),
+    "imaginary-pullback": lambda: conformal_defect(imaginary_local_map(1), _g0(1), _g0(1),
+                                                   lambda a: 1.0, _at(2.0)),
     "inversion-call": lambda: minkowski_inversion(1)(_at(0.0)),
     "inversion-jacobian": lambda: minkowski_inversion(1).jacobian_at(_at(-1.0)),
     "inversion-inverse-u-zero": lambda: minkowski_inversion(1).inverse(_at(0.0)),
     "inversion-inverse-u-negative": lambda: minkowski_inversion(1).inverse(_at(-1.0)),
     "conformal-defect": lambda: conformal_defect(
-        imaginary_local_map(1), lambda q: minkowski_metric(1).components,
+        imaginary_local_map(1), lambda q: minkowski_metric(1),
         lambda a: np.eye(3), lambda a: 1.0, [_at(0.0), _at(2.0)]),
 }
 

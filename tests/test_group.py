@@ -151,8 +151,8 @@ class TestHomothetyFactor:
         phi = random_homothety(prof, rng, strict=False)
         p = random_point(rng, 2)
         J = differential(phi, p)
-        g = metric_at(prof, p).components
-        g2 = metric_at(prof, apply(phi, p)).components
+        g = metric_at(prof, p)
+        g2 = metric_at(prof, apply(phi, p))
         assert np.max(np.abs(J.T @ g2 @ J - g)) <= 1e-9
 
 
