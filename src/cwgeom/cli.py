@@ -11,7 +11,10 @@ reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
 (at least 1) and --tolerance pullback=VALUE; verify-example takes --r,
 for the real-lattice example only.  The "n" of a pullback-check payload
-is an integer from 1 to 1024 (MAX_PULLBACK_N).
+is an integer from 1 to 1024 (MAX_PULLBACK_N), the "K" of an orbit payload
+one from 1 to 10000 (MAX_ORBIT_K), and the "max_length" L of a pd-report
+payload with g generators keeps the sweep's reduced words,
+sum over k <= L of 2g(2g-1)^(k-1), at most 100000 (MAX_PD_WORDS).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -43,6 +46,10 @@ EXIT_PRECONDITION = 3
 # the largest n of a pullback-check: its default 50 samples then hold
 # (50, n+2, n+2) Jacobians of about 420 MB
 MAX_PULLBACK_N = 1024
+# the longest orbit: about 2 s and 45 MB of K conjugates and points at n = 1
+MAX_ORBIT_K = 10_000
+# the most reduced words of a pd-report sweep: about 6 s and 40 MB at n = 2
+MAX_PD_WORDS = 100_000
 
 
 class Subcommand(NamedTuple):
@@ -80,6 +87,22 @@ def _generators(data) -> list:
     if not isinstance(gens, list) or not gens:
         raise InputError("'generators' must be a non-empty list of homotheties")
     return gens
+
+
+def _max_length(data) -> int:
+    """The max_length L of a pd-report payload, refused when its sweep has
+    more than MAX_PD_WORDS reduced words: 2g(2g-1)^(k-1) of each length
+    k <= L, with g generators."""
+    max_length = serialize.load_count(data, "max_length", 2)
+    letters = 2 * len(_generators(data))
+    words, level = 0, letters
+    for _ in range(max_length):
+        words += level
+        if words > MAX_PD_WORDS:
+            raise InputError(f"'max_length' = {max_length} asks for more than {MAX_PD_WORDS} "
+                             f"words of {letters // 2} generator(s)")
+        level *= letters - 1
+    return max_length
 
 
 def _root(name: str, r: Optional[int]) -> dict:
@@ -157,7 +180,7 @@ COMMANDS = {
         load=_with_profile(lambda prof, data: [
             serialize.load_homothety(prof, data.get("gamma", {})),
             serialize.load_homothety(prof, data.get("phi", {})),
-            serialize.load_count(data, "K", 60)]),
+            serialize.load_count(data, "K", 60, high=MAX_ORBIT_K)]),
         call=lambda gamma, phi, K: dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
         dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
@@ -180,7 +203,7 @@ COMMANDS = {
     "pd-report": Subcommand(
         load=_with_profile(lambda prof, data: [
             [serialize.load_homothety(prof, g) for g in _generators(data)],
-            serialize.load_count(data, "max_length", 2)]),
+            _max_length(data)]),
         call=lambda gens, max_length: dynamics.pd_necessary_report(
             gens, max_length=max_length),
         dump=lambda rep: {

@@ -12,7 +12,6 @@ conjugation equation e^s A beta(t + c) - beta(t) = betahat(t) is one
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -333,11 +332,19 @@ def pd_necessary_report(generators: Sequence[Homothety],
     """Necessary-condition sweep for a properly discontinuous cocompact
     action of the group generated by the given elements.
 
-    Each word up to the given length (letters are generators and their
-    inverses) is checked: a strict element with eps = -1 or c = 0 has a
-    fixed point; on a space with positive eigenvalues a strict element
-    must satisfy (s/c)^2 <= lambda_max^2; on an imaginary-type space
-    every strict element is an obstruction outright.
+    Each reduced word up to the given length (letters are generators and
+    their inverses, no letter next to its own inverse) is checked: a
+    strict element with eps = -1 or c = 0 has a fixed point; on a space
+    with positive eigenvalues a strict element must satisfy
+    (s/c)^2 <= lambda_max^2; on an imaginary-type space every strict
+    element is an obstruction outright.
+
+    Words come by length, then in the lexicographic order of the letters
+    g_1, g_1^-1, g_2, g_2^-1, ....  Each word's element is its
+    one-letter-shorter prefix's element composed with its last letter, the
+    left fold ((id g_1) g_2) g_3 ..., so the sweep makes one compose per
+    word and holds one level of (word, element) pairs at a time: the words
+    of the previous length, while it extends them by one letter.
     """
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
@@ -349,35 +356,39 @@ def pd_necessary_report(generators: Sequence[Homothety],
         letters.append((-(i + 1), inverse(g)))
     obstructions = []
     seen = 0
+    level = [((), identity(prof))]
     for length in range(1, max_length + 1):
-        for combo in itertools.product(letters, repeat=length):
-            word = tuple(idx for idx, _ in combo)
-            # skip words with an adjacent cancelling pair
-            if any(word[i] == -word[i + 1] for i in range(length - 1)):
-                continue
-            elem = identity(prof)
-            for _, g in combo:
-                elem = compose(elem, g)
-            seen += 1
-            if not elem.is_strict:
-                continue
-            if _fixed_time(elem) is not None:
-                obstructions.append(PDObstruction(
-                    word, "fixed-point",
-                    f"strict element with eps={elem.eps}, c={elem.c:.3g} fixes a point"))
-                continue
-            if cls.type == "imaginary":
-                obstructions.append(PDObstruction(
-                    word, "imaginary-strict",
-                    "imaginary type admits no strict homothety in a PD cocompact group"))
-                continue
-            if cls.lambda_max_sq is not None:
-                ratio_sq = (elem.s / elem.c) ** 2
-                if ratio_sq > cls.lambda_max_sq + 1e-12:
+        extended = []
+        for prefix, prefix_elem in level:
+            for idx, g in letters:
+                # skip words with an adjacent cancelling pair
+                if prefix and prefix[-1] == -idx:
+                    continue
+                word = prefix + (idx,)
+                elem = compose(prefix_elem, g)
+                seen += 1
+                if length < max_length:
+                    extended.append((word, elem))
+                if not elem.is_strict:
+                    continue
+                if _fixed_time(elem) is not None:
                     obstructions.append(PDObstruction(
-                        word, "inequality",
-                        f"(s/c)^2 = {ratio_sq:.6g} exceeds lambda_max^2 = "
-                        f"{cls.lambda_max_sq:.6g}"))
+                        word, "fixed-point",
+                        f"strict element with eps={elem.eps}, c={elem.c:.3g} fixes a point"))
+                    continue
+                if cls.type == "imaginary":
+                    obstructions.append(PDObstruction(
+                        word, "imaginary-strict",
+                        "imaginary type admits no strict homothety in a PD cocompact group"))
+                    continue
+                if cls.lambda_max_sq is not None:
+                    ratio_sq = (elem.s / elem.c) ** 2
+                    if ratio_sq > cls.lambda_max_sq + 1e-12:
+                        obstructions.append(PDObstruction(
+                            word, "inequality",
+                            f"(s/c)^2 = {ratio_sq:.6g} exceeds lambda_max^2 = "
+                            f"{cls.lambda_max_sq:.6g}"))
+        level = extended
     return PDReport(cls.type, cls.lambda_max_sq, obstructions, seen)
 
 

@@ -9,14 +9,12 @@ import json
 import sys
 
 import numpy as np
-import pytest
 
 from cwgeom.cli import main as cli_main
 from cwgeom.core import (
     BetaSolution,
     Point,
     SymmetricProfile,
-    beta_eval,
     random_centralising_orthogonal,
 )
 from cwgeom.curvature import (
@@ -55,7 +53,6 @@ from cwgeom.group import (
     element_distance,
     homothety_factor_check,
     inverse,
-    is_identity,
 )
 from cwgeom.quotients import verify_example, verify_real_lattice_example
 

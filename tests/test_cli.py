@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cwgeom
 from cwgeom import cli
 from cwgeom.cli import main
+from cwgeom.errors import InputError
 
 PROFILE = {"n": 2, "S": [[1.0, 0.0], [0.0, 1.0]]}
 IMAGINARY = {"n": 2, "S": [[-1.0, 0.0], [0.0, -1.0]]}
@@ -315,6 +316,23 @@ ORBIT = {"profile": IMAGINARY, "gamma": {"c": 1.0, "s": 0.5},
          "phi": {"c": 1.2, "beta0": [1.0, 0.0]}}
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 158])
+def test_pd_word_bound_admits_its_largest_length(g):
+    """A max_length whose sweep over g generators has at most MAX_PD_WORDS
+    reduced words, sum over k <= L of 2g(2g-1)^(k-1), loads; one more
+    letter does not."""
+    def words(L):  # the geometric sum in closed form
+        return 2 * L if g == 1 else g * ((2 * g - 1) ** L - 1) // (g - 1)
+
+    largest = 1
+    while words(largest + 1) <= cli.MAX_PD_WORDS:
+        largest += 1
+    data = {"generators": [{}] * g, "max_length": largest}
+    assert cli._max_length(data) == largest
+    with pytest.raises(InputError):
+        cli._max_length(dict(data, max_length=largest + 1))
+
+
 class TestMalformedPayloads:
     """Malformed payloads exit 2 with a JSON error on stderr and no
     traceback, run in a fresh process as a user would run them."""
@@ -332,8 +350,18 @@ class TestMalformedPayloads:
         # the Jacobians of n = 200000 would take 16 TB
         ("pullback-check", {"n": 200000}),
         ("pullback-check", {"n": cli.MAX_PULLBACK_N + 1}),
+        # K conjugates and K points, held at once
+        ("orbit", dict(ORBIT, K=100000000)),
+        ("orbit", dict(ORBIT, K=cli.MAX_ORBIT_K + 1)),
+        # about 2.7e14 reduced words
+        ("pd-report", {"profile": {"S": [[1.0]]}, "max_length": 30,
+                       "generators": [{"c": 1.0, "s": 0.1}, {"c": 0.5, "s": -0.2}]}),
+        # one generator has 2 words of each length
+        ("pd-report", {"profile": PROFILE, "generators": [{"c": 1.0, "s": 0.1}],
+                       "max_length": cli.MAX_PD_WORDS // 2 + 1}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
-            "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max"])
+            "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
+            "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2

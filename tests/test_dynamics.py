@@ -1,16 +1,20 @@
 """Fixed points, essentiality, normal forms, orbit obstructions."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cwgeom import dynamics
 from cwgeom.core import (
     BetaSolution,
     Point,
     SymmetricProfile,
     beta_eval,
     beta_reparam,
+    classify,
     coords,
     random_centralising_orthogonal,
 )
@@ -31,6 +35,7 @@ from cwgeom.errors import (
     UnsupportedCaseError,
 )
 from cwgeom.group import (
+    PARAM_TOL,
     Homothety,
     apply,
     compose,
@@ -469,6 +474,110 @@ class TestPDReport:
                                    Homothety(prof_im, b=1.0)], max_length=2)
         assert rep.clean
 
+
+def product_loop_pd_report(generators, max_length):
+    """Reference sweep: every combination of letters from
+    itertools.product, cancelling words skipped, and each word's element
+    folded from the identity.  Gives (space type, lambda_max^2, words
+    checked, [(word, kind, detail), ...])."""
+    prof = generators[0].profile
+    cls = classify(prof)
+    letters = []
+    for i, g in enumerate(generators):
+        letters.append((i + 1, g))
+        letters.append((-(i + 1), inverse(g)))
+    obstructions = []
+    seen = 0
+    for length in range(1, max_length + 1):
+        for combo in itertools.product(letters, repeat=length):
+            word = tuple(idx for idx, _ in combo)
+            if any(word[i] == -word[i + 1] for i in range(length - 1)):
+                continue
+            elem = identity(prof)
+            for _, g in combo:
+                elem = compose(elem, g)
+            seen += 1
+            if not elem.is_strict:
+                continue
+            if elem.eps == -1 or abs(elem.c) <= PARAM_TOL:
+                obstructions.append((word, "fixed-point",
+                                     f"strict element with eps={elem.eps}, c={elem.c:.3g} "
+                                     "fixes a point"))
+            elif cls.type == "imaginary":
+                obstructions.append((word, "imaginary-strict",
+                                     "imaginary type admits no strict homothety in a PD "
+                                     "cocompact group"))
+            elif cls.lambda_max_sq is not None:
+                ratio_sq = (elem.s / elem.c) ** 2
+                if ratio_sq > cls.lambda_max_sq + 1e-12:
+                    obstructions.append((word, "inequality",
+                                         f"(s/c)^2 = {ratio_sq:.6g} exceeds lambda_max^2 = "
+                                         f"{cls.lambda_max_sq:.6g}"))
+    return cls.type, cls.lambda_max_sq, seen, obstructions
+
+
+def library_pd_report(generators, max_length):
+    """pd_necessary_report in the reference sweep's form."""
+    rep = pd_necessary_report(generators, max_length)
+    return (rep.space_type, rep.lambda_max_sq, rep.words_checked,
+            [(o.word, o.kind, o.detail) for o in rep.obstructions])
+
+
+def _outcome(sweep, generators, max_length):
+    """A sweep's result, or its error's type and message."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sweep(generators, max_length)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestPDSweepOrder:
+    """The sweep extends each word of one length by a letter; it must give
+    what folding every word from the identity gives, word for word."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 3),
+           eps=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=3),
+           strict=st.lists(st.booleans(), min_size=3, max_size=3),
+           max_length=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_product_loop(self, kind, n, eps, strict, max_length, seed):
+        rng = np.random.default_rng(seed)
+        prof = spectral_profile(kind, n, rng, repeat=False)
+        gens = [random_homothety(prof, rng, strict=strict_g, eps=eps_g)
+                for eps_g, strict_g in zip(eps, strict)]
+        assert (_outcome(library_pd_report, gens, max_length)
+                == _outcome(product_loop_pd_report, gens, max_length))
+
+    @pytest.mark.parametrize("make", [
+        # b = e^{2 s1} b2 = inf at the word (1, 2)
+        lambda: [Homothety(SymmetricProfile([[1.0]]), s=354.0),
+                 Homothety(SymmetricProfile([[1.0]]), b=100.0)],
+        # the word (2, 1) evaluates beta_2 at t = 8e15, past its phase limit
+        lambda: [Homothety(SymmetricProfile([[-1.0]]), c=8e15, s=0.1),
+                 Homothety(SymmetricProfile([[-1.0]]), b=1.0,
+                           beta=BetaSolution(SymmetricProfile([[-1.0]]), [0.5], [0.2]))],
+    ], ids=["overflow", "phase-lost"])
+    def test_failing_word_raises_as_product_loop(self, make):
+        gens = make()
+        expected = _outcome(product_loop_pd_report, gens, 3)
+        assert isinstance(expected[0], type)
+        assert _outcome(library_pd_report, gens, 3) == expected
+
+    @pytest.mark.parametrize("g, max_length", [(1, 4), (2, 3), (3, 4)])
+    def test_one_compose_per_word(self, monkeypatch, g, max_length):
+        rng = np.random.default_rng(5)
+        prof = spectral_profile("mixed", 2, rng, repeat=False)
+        gens = [random_homothety(prof, rng, strict=True) for _ in range(g)]
+        calls = []
+
+        def counted(phi, psi):
+            calls.append(1)
+            return compose(phi, psi)
+
+        monkeypatch.setattr(dynamics, "compose", counted)
+        report = pd_necessary_report(gens, max_length)
+        assert len(calls) == report.words_checked
 
 class TestCentraliserDemo:
     def test_projection_argument(self):
