@@ -9,12 +9,12 @@ and output:
 Flags follow the subcommand, and each subcommand accepts only the flags it
 reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
-(at least 1) and --tolerance pullback=VALUE; verify-example takes --r,
-for the real-lattice example only.  The "n" of a pullback-check payload
-is an integer from 1 to 1024 (MAX_PULLBACK_N), the "K" of an orbit payload
-one from 1 to 10000 (MAX_ORBIT_K), and the "max_length" L of a pd-report
-payload with g generators keeps the sweep's reduced words,
-sum over k <= L of 2g(2g-1)^(k-1), at most 100000 (MAX_PD_WORDS).
+and --tolerance pullback=VALUE (finite, > 0); verify-example takes --r,
+for the real-lattice example only.  Bounds: a pullback-check has n <= 1024
+and 1 <= samples <= 10000 with samples * (n+2)^2 <= 50 * 1026^2; an orbit
+has K <= 10000; a pd-report on an n x n profile with g generators and
+max_length L has at most 100000 reduced words, sum over k <= L of
+2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the MAX_ constants below).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -43,13 +43,19 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
-# the largest n of a pullback-check: its default 50 samples then hold
-# (50, n+2, n+2) Jacobians of about 420 MB
+# pullback-check bounds: samples are drawn one by one in a Python loop, and
+# the default 50 at n = 1024 hold (50, n+2, n+2) arrays of 420 MB each,
+# which peaked at 1.69 GB (ru_maxrss)
 MAX_PULLBACK_N = 1024
+MAX_PULLBACK_SAMPLES = 10_000
+MAX_PULLBACK_ENTRIES = 50 * (MAX_PULLBACK_N + 2) ** 2  # samples * (n+2)^2
 # the longest orbit: about 2 s and 45 MB of K conjugates and points at n = 1
 MAX_ORBIT_K = 10_000
 # the most reduced words of a pd-report sweep: about 6 s and 40 MB at n = 2
 MAX_PD_WORDS = 100_000
+# the most words * (n+2)^2 of a pd-report sweep, which holds a level of
+# words with an n x n matrix each: at most about 60 MB above the payload
+MAX_PD_ENTRIES = 20_000_000
 
 
 class Subcommand(NamedTuple):
@@ -89,10 +95,10 @@ def _generators(data) -> list:
     return gens
 
 
-def _max_length(data) -> int:
-    """The max_length L of a pd-report payload, refused when its sweep has
-    more than MAX_PD_WORDS reduced words: 2g(2g-1)^(k-1) of each length
-    k <= L, with g generators."""
+def _max_length(data, n: int) -> int:
+    """The max_length L of a pd-report payload on an n x n profile, refused
+    when its sweep has more than MAX_PD_WORDS reduced words, 2g(2g-1)^(k-1)
+    of each length k <= L with g generators, or MAX_PD_ENTRIES words * (n+2)^2."""
     max_length = serialize.load_count(data, "max_length", 2)
     letters = 2 * len(_generators(data))
     words, level = 0, letters
@@ -101,6 +107,9 @@ def _max_length(data) -> int:
         if words > MAX_PD_WORDS:
             raise InputError(f"'max_length' = {max_length} asks for more than {MAX_PD_WORDS} "
                              f"words of {letters // 2} generator(s)")
+        if words * (n + 2) ** 2 > MAX_PD_ENTRIES:
+            raise InputError(f"'max_length' = {max_length} asks for more than "
+                             f"{MAX_PD_ENTRIES} words * (n+2)^2 at n = {n}")
         level *= letters - 1
     return max_length
 
@@ -121,6 +130,9 @@ def _pullback_check(n, which, seed, samples, tolerance) -> dict:
     Cahen-Wallach metric it should equal."""
     if which not in ("minkowski", "imaginary"):
         raise InputError(f"unknown map '{which}'; use 'minkowski' or 'imaginary'")
+    if samples > MAX_PULLBACK_SAMPLES or samples * (n + 2) ** 2 > MAX_PULLBACK_ENTRIES:
+        raise InputError(f"{samples} samples at n = {n} exceed {MAX_PULLBACK_SAMPLES} "
+                         f"samples or {MAX_PULLBACK_ENTRIES} samples * (n+2)^2")
     real = which == "minkowski"
     prof = core.SymmetricProfile(np.eye(n) if real else -np.eye(n))
     rng = np.random.default_rng(seed)
@@ -203,7 +215,7 @@ COMMANDS = {
     "pd-report": Subcommand(
         load=_with_profile(lambda prof, data: [
             [serialize.load_homothety(prof, g) for g in _generators(data)],
-            _max_length(data)]),
+            _max_length(data, prof.n)]),
         call=lambda gens, max_length: dynamics.pd_necessary_report(
             gens, max_length=max_length),
         dump=lambda rep: {
@@ -228,7 +240,8 @@ def _at_least(low: int):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type: NAME=VALUE with a known NAME and a positive VALUE."""
+    """argparse type: NAME=VALUE with a known NAME and a finite positive
+    VALUE (an infinite one would pass any residual)."""
     name, sep, value = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("expected NAME=VALUE")
@@ -238,8 +251,8 @@ def _tolerance(text: str) -> float:
         v = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad tolerance value: {value}") from None
-    if not v > 0:
-        raise argparse.ArgumentTypeError("tolerances must be positive")
+    if not (v > 0 and np.isfinite(v)):
+        raise argparse.ArgumentTypeError("tolerances must be finite and positive")
     return v
 
 

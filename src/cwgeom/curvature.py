@@ -3,7 +3,7 @@
 Everything here works in the coordinate frame (d_t, d_1..d_n, d_v) on
 R^{n+2}, m = n + 2.  Bilinear forms are (..., m, m) arrays, with one
 leading index per point where a function takes an (..., m) array of
-points, and (0,4) tensors such as the finite-difference oracles are
+points, and (0,4) tensors such as riemann_finite_difference's are
 (m, m, m, m) arrays.  The curvature and Weyl tensors of the model are
 M kn (dt)^2 up to sign for an n x n block M, so they are stored as that
 block (CurvatureTensor4; 4 n^2 of their (n+2)^4 entries are nonzero).
@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import Point, SymmetricProfile, coords
-from .errors import OverflowingValueError
 
 FD_STEP = 1e-5
 
@@ -69,7 +68,7 @@ class CurvatureTensor4:
     def symmetry_defect(self) -> float:
         """Max violation of the four Riemann symmetries: the antisymmetries
         hold exactly, and pair exchange and Bianchi reduce to the symmetry
-        of M (see riemann_symmetry_defect for a dense tensor)."""
+        of M."""
         return float(np.max(np.abs(self.block - self.block.T)))
 
     def _combine(self, other, op):
@@ -90,32 +89,11 @@ class CurvatureTensor4:
         return float(np.max(np.abs(self.block)))
 
 
-def riemann_symmetry_defect(R: np.ndarray) -> float:
-    """Max violation of the four Riemann symmetries of a dense (0,4) array
-    (antisymmetry in the first and last pairs, pair exchange, first
-    Bianchi)."""
-    return max(
-        float(np.max(np.abs(R + np.swapaxes(R, 0, 1)))),
-        float(np.max(np.abs(R + np.swapaxes(R, 2, 3)))),
-        float(np.max(np.abs(R - np.transpose(R, (2, 3, 0, 1))))),
-        float(np.max(np.abs(R + np.transpose(R, (1, 2, 0, 3))
-                            + np.transpose(R, (2, 0, 1, 3))))),
-    )
-
-
 def dt_squared(n: int) -> np.ndarray:
     """(dt)^2 as a bilinear form."""
     m = n + 2
     c = np.zeros((m, m))
     c[0, 0] = 1.0
-    return c
-
-
-def x_block_form(n: int, M) -> np.ndarray:
-    """A symmetric n x n matrix as the form M_ij dx^i dx^j."""
-    m = n + 2
-    c = np.zeros((m, m))
-    c[1:-1, 1:-1] = np.asarray(M, dtype=float)
     return c
 
 
@@ -149,20 +127,6 @@ def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
     return gamma
 
 
-def christoffel_finite_difference(profile: SymmetricProfile, point,
-                                  step: float = FD_STEP) -> np.ndarray:
-    """Christoffel symbols from the Koszul formula with central-difference
-    metric derivatives.  Independent oracle for christoffel_at."""
-    # row k of p0 +- E is the point moved along coordinate k
-    p0, E = coords(point, profile.n), step * np.eye(profile.n + 2)
-    dg = (metric_at(profile, p0 + E) - metric_at(profile, p0 - E)) / (2 * step)
-    # dg[k, i, j] = d_k g_ij
-    ginv = np.linalg.inv(metric_at(profile, p0))
-    first = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
-                   - np.einsum("lij->lij", dg))
-    return np.einsum("kl,lij->kij", ginv, first)
-
-
 def kulkarni_nomizu(A, B) -> np.ndarray:
     """Kulkarni-Nomizu product of symmetric bilinear forms, (..., m, m)
     arrays broadcast against each other: shape (..., m, m, m, m)."""
@@ -176,13 +140,8 @@ def riemann(profile: SymmetricProfile) -> CurvatureTensor4:
 
 
 def ricci(profile: SymmetricProfile) -> np.ndarray:
-    """Ric = -tr(S) (dt)^2.  A trace beyond half the float maximum is
-    refused with an OverflowingValueError: the form is then finite, but
-    its double, such as Ric + Ric^T, is not."""
-    tr = float(np.trace(profile.S))
-    if not np.isfinite(2.0 * tr):
-        raise OverflowingValueError(f"the Ricci form overflows: 2 tr(S) = 2 * {tr!r}")
-    return -tr * dt_squared(profile.n)
+    """Ric = -tr(S) (dt)^2."""
+    return -float(np.trace(profile.S)) * dt_squared(profile.n)
 
 
 def scalar(profile: SymmetricProfile) -> float:
@@ -221,14 +180,13 @@ def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
     return C
 
 
-def riemann_finite_difference(profile: SymmetricProfile, point,
-                              step: float = FD_STEP) -> np.ndarray:
+def riemann_finite_difference(profile: SymmetricProfile, point) -> np.ndarray:
     """Brute-force (0,4) curvature from Christoffel symbols:
     R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im}G^m_{jk} - G^l_{jm}G^m_{ik},
     lowered so that R[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
     # row i of p0 +- E is the point moved along coordinate i
-    p0, E = coords(point, profile.n), step * np.eye(profile.n + 2)
-    dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * step)
+    p0, E = coords(point, profile.n), FD_STEP * np.eye(profile.n + 2)
+    dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * FD_STEP)
     # dgam[i, l, j, k] = d_i Gamma^l_{jk}
     G = christoffel_at(profile, p0)
     Rup = (np.einsum("iljk->ijkl", dgam) - np.einsum("jlik->ijkl", dgam)
@@ -296,10 +254,3 @@ def conformal_christoffel_at(profile: SymmetricProfile, points, gradient) -> np.
     return christoffel_at(profile, points) + (
         np.einsum("ki,...j->...kij", eye, df) + np.einsum("kj,...i->...kij", eye, df)
         - np.einsum("...ij,...k->...kij", g, gradf))
-
-
-def trace_with_metric(T: np.ndarray, g: np.ndarray, slots=(0, 2)) -> np.ndarray:
-    """Single trace of a dense (0,4) array over the given slot pair."""
-    order = [a for a in range(4) if a not in slots]
-    moved = np.transpose(T, list(slots) + order)
-    return np.einsum("ab,ab...->...", np.linalg.inv(g), moved)

@@ -45,6 +45,7 @@ from .group import (
 )
 
 RESONANCE_TOL = 1e-7
+ORBIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -272,10 +273,10 @@ class OrbitReport:
     conjugates: List[Homothety]  # gamma^{-k} phi gamma^k, k = 1..K
 
 
-def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
-                               K: int = 60, threshold: float = 1e-6) -> OrbitReport:
+def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) -> OrbitReport:
     """The sequence y_k = gamma^{-k} phi gamma^k (0) and its convergence
-    to (c_phi, 0, 0), the obstruction to proper discontinuity.
+    to (c_phi, 0, 0), the obstruction to proper discontinuity: converged
+    when y_K lies within ORBIT_TOL of the limit in every coordinate.
 
     gamma must lie in E(1) x C_O(n)(S) x R (no Heisenberg part, eps = +1).
     The report fits a geometric decay rate to the x-block norms.
@@ -293,7 +294,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety,
         conjugates.append(current)
     pts = [apply(g, origin) for g in conjugates]
     limit = Point(phi.c, np.zeros(prof.n), 0.0)
-    converged = float(np.max(np.abs(pts[-1] - limit))) <= threshold
+    converged = float(np.max(np.abs(pts[-1] - limit))) <= ORBIT_TOL
     norms = np.array([np.linalg.norm(p.x) for p in pts])
     rate = None
     # estimate the decay rate on the tail only, past any transient; the

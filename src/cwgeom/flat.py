@@ -21,9 +21,8 @@ import numpy as np
 
 from .core import Point, SymmetricProfile, coords, join, same_form
 from .curvature import conformal_change_at, conformal_christoffel_at, nabla_df
-from .errors import DomainError
+from .errors import DomainError, UnsupportedCaseError
 
-FD_STEP = 1e-6
 DOMAIN_TOL = 1e-12
 
 
@@ -51,13 +50,10 @@ class SmoothMap:
         return same_form(p, self.forward(self._require(p)))
 
     def jacobian_at(self, p) -> np.ndarray:
-        """Analytic Jacobian if present, else central finite differences."""
-        a = self._require(p)
-        if self.jacobian is not None:
-            return self.jacobian(a)
-        # row j of a +- e is the point moved along coordinate j
-        a, e = a[..., None, :], FD_STEP * np.eye(self.n + 2)
-        return np.swapaxes(self.forward(a + e) - self.forward(a - e), -1, -2) / (2 * FD_STEP)
+        """The analytic Jacobian; UnsupportedCaseError on a map without one."""
+        if self.jacobian is None:
+            raise UnsupportedCaseError("the map carries no Jacobian")
+        return self.jacobian(self._require(p))
 
 
 def minkowski_metric(n: int) -> np.ndarray:
@@ -123,15 +119,6 @@ def imaginary_local_map(n: int) -> SmoothMap:
                          in_domain=lambda a: np.abs(a[..., 0]) < np.pi / 2 - DOMAIN_TOL)
 
 
-def minkowski_dilation(n: int, c: float) -> SmoothMap:
-    """(u, y, z) -> (e^{2c} u, e^c y, z): the t-translation by c seen
-    through the Minkowski map."""
-    d = np.array([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
-    return SmoothMap(n, forward=lambda a: a * d,
-                     jacobian=lambda a: np.broadcast_to(np.diag(d), a.shape + d.shape),
-                     inverse=SmoothMap(n, forward=lambda q: q / d))
-
-
 def minkowski_inversion(n: int) -> SmoothMap:
     """(u, y, z) -> (1/(4u), y/(2u), -z - |y|^2/(2u)): the isometry
     (t, x, v) -> (-t, x, -v) seen through the Minkowski map; satisfies
@@ -170,8 +157,7 @@ def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], n
     return float(np.max(np.abs(pulled - lam * source_metric(a)), initial=0.0))
 
 
-def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
-                         profile: SymmetricProfile = None):
+def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0):
     """The dichotomy behind global flat rescalings.
 
     epsilon = -1 (imaginary type): y' = y^2 + 1 with y(0) = y0 has the
@@ -179,8 +165,8 @@ def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
     that no globally defined rescaling exists.  The reported blow-up time
     is the first t >= 0 with |y(t)| >= 1e8, or None when that lies beyond
     tmax.  epsilon = +1 (real type): checks that the 2-jet of f = t has
-    vanishing covariant Hessian and null gradient for g_+, the equation
-    solved by the global rescaling.
+    vanishing covariant Hessian and null gradient for g_+ = g_S, S = I_2,
+    the equation solved by the global rescaling.
     """
     if epsilon == -1:
         escape = 1e8
@@ -191,7 +177,7 @@ def flatness_blowup_demo(epsilon: int, y0: float = 0.0, tmax: float = 10.0,
         return {"blowup_t": blowup, "blowup": blowup is not None}
     if epsilon != 1:
         raise ValueError("epsilon must be +1 or -1")
-    prof = profile if profile is not None else SymmetricProfile(np.eye(2))
+    prof = SymmetricProfile(np.eye(2))
     m = prof.n + 2
     pts = np.random.default_rng(7).normal(size=(5, m))
     grad, hess = np.eye(m)[0], np.zeros((m, m))

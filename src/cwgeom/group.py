@@ -196,10 +196,6 @@ def element_distance(phi: Homothety, psi: Homothety) -> float:
     )
 
 
-def is_identity(phi: Homothety, tol: float = PARAM_TOL) -> bool:
-    return element_distance(phi, identity(phi.profile)) <= tol
-
-
 def power(phi: Homothety, k: int) -> Homothety:
     """phi^k by repeated squaring: at most 2 log2|k| products."""
     out = identity(phi.profile)

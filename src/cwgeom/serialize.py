@@ -1,7 +1,10 @@
 """JSON schemas shared by the library and the CLI.
 
 Schemas:
-    profile     {"n": int >= 1, "S": [[real]]}
+    profile     {"n": int >= 1, "S": [[real]], "tolerance": real > 0}
+                ("n" and "tolerance" optional; the tolerance, default
+                1e-9, scales SymmetricProfile's symmetry, spectral
+                grouping, zero-eigenvalue and centraliser checks)
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
     point       [t, x_1, ..., x_n, v]

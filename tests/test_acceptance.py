@@ -24,7 +24,6 @@ from cwgeom.curvature import (
     riemann,
     riemann_finite_difference,
     scalar,
-    trace_with_metric,
     weyl,
 )
 from cwgeom.dynamics import (
@@ -39,7 +38,6 @@ from cwgeom.errors import ResonanceError
 from cwgeom.flat import (
     flatness_blowup_demo,
     imaginary_local_map,
-    minkowski_dilation,
     minkowski_inversion,
     minkowski_map,
     conformal_defect,
@@ -57,6 +55,7 @@ from cwgeom.group import (
 from cwgeom.quotients import verify_example, verify_real_lattice_example
 
 from conftest import random_homothety, random_point, random_profile
+from oracles import minkowski_dilation, trace_with_metric
 
 
 def report(name, ok, detail=""):

@@ -328,9 +328,21 @@ def test_pd_word_bound_admits_its_largest_length(g):
     while words(largest + 1) <= cli.MAX_PD_WORDS:
         largest += 1
     data = {"generators": [{}] * g, "max_length": largest}
-    assert cli._max_length(data) == largest
+    assert cli._max_length(data, 1) == largest
     with pytest.raises(InputError):
-        cli._max_length(dict(data, max_length=largest + 1))
+        cli._max_length(dict(data, max_length=largest + 1), 1)
+
+
+@pytest.mark.parametrize("n, largest", [(2, 9), (32, 8), (64, 7), (1024, 2)])
+def test_pd_entry_bound_admits_its_largest_length(n, largest):
+    """Two generators on an n x n profile load up to the largest max_length
+    whose 2(3^L - 1) words stay within MAX_PD_WORDS and whose words * (n+2)^2
+    stay within MAX_PD_ENTRIES; one more letter does not.  The peak memory
+    of n = 32, L = 8 and n = 64, L = 7 was measured."""
+    data = {"generators": [{}] * 2, "max_length": largest}
+    assert cli._max_length(data, n) == largest
+    with pytest.raises(InputError):
+        cli._max_length(dict(data, max_length=largest + 1), n)
 
 
 class TestMalformedPayloads:
@@ -359,9 +371,13 @@ class TestMalformedPayloads:
         # one generator has 2 words of each length
         ("pd-report", {"profile": PROFILE, "generators": [{"c": 1.0, "s": 0.1}],
                        "max_length": cli.MAX_PD_WORDS // 2 + 1}),
+        # 13120 words of 64 x 64 matrices
+        ("pd-report", {"profile": {"S": np.eye(64).tolist()}, "max_length": 8,
+                       "generators": [{"c": 1.0, "s": 0.1}, {"c": 0.5, "s": -0.2}]}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
-            "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max"])
+            "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max",
+            "pd-entries-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
@@ -436,20 +452,27 @@ SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
     ("classify", SYMMETRISED_OVERFLOWS),
     ("curvature", TRACE_OVERFLOWS),
     ("curvature", SYMMETRISED_OVERFLOWS),
-    # a valid profile whose Ricci form -tr(S) (dt)^2 overflows when
-    # symmetrised; classify answers it, curvature cannot
-    ("curvature", [[8.9e307, 8.9e307], [8.9e307, 8.9e307]]),
 ], ids=["classify-trace-overflows", "classify-symmetrised-overflows",
-        "curvature-trace-overflows", "curvature-symmetrised-overflows",
-        "curvature-ricci-overflows"])
+        "curvature-trace-overflows", "curvature-symmetrised-overflows"])
 def test_overflowing_profile_exits_3(command, S):
     """A profile whose symmetrisation, trace or eigenvalues overflow is
-    rejected at the boundary, and one whose curvature overflows is an
-    overflow error: never a wrong verdict or NaN."""
+    rejected at the boundary: never a wrong verdict or NaN."""
     proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+
+
+def test_curvature_of_a_trace_near_the_float_maximum_exits_0():
+    """A profile whose finite trace is near the float maximum has a finite
+    Ricci form -tr(S) (dt)^2 and Schouten form, printed as strict JSON."""
+    S = [[8.9e307, 8.9e307], [8.9e307, 8.9e307]]
+    proc = run_python(["-m", "cwgeom.cli", "curvature", "-"], json.dumps({"S": S}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert data["ricci"][0][0] == -1.78e308
+    assert data["schouten"][0][0] == -8.9e307
+    assert data["cotton_max_abs"] == 0.0
 
 
 @pytest.mark.parametrize("r", [10**8, 10**200], ids=["1e8", "1e200"])
@@ -469,8 +492,11 @@ PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
     ["pullback-check", "-", "--tolerance", "bogus=1"],
     ["pullback-check", "-", "--tolerance", "pullback"],
     ["pullback-check", "-", "--tolerance", "pullback=0"],
+    ["pullback-check", "-", "--tolerance", "pullback=inf"],
+    ["pullback-check", "-", "--tolerance", "pullback=1e400"],
     ["pullback-check", "-", "--samples", "0"],
     ["pullback-check", "-", "--samples", "-3"],
+    ["pullback-check", "-", "--samples", "10001"],
     ["pullback-check", "-", "--seed", "-1"],
     ["verify-example", "failed-3d", "--r", "9"],
     ["verify-example", "real-lattice", "--r", "2"],
@@ -486,8 +512,9 @@ PULLBACK = {"n": 1, "S": [[1.0]], "map": "minkowski"}
     ["frobnicate", "-"],
     ["verify-example", "no-such-example"],
     [],
-], ids=["tolerance-name", "tolerance-no-value", "tolerance-zero", "samples-0",
-        "samples-negative", "seed-negative", "r-not-real-lattice", "r-below-3",
+], ids=["tolerance-name", "tolerance-no-value", "tolerance-zero", "tolerance-inf",
+        "tolerance-overflows-to-inf", "samples-0", "samples-negative", "samples-above-max",
+        "seed-negative", "r-not-real-lattice", "r-below-3",
         "r-negative", "seed-unread",
         "samples-unread", "tolerance-unread", "r-unread", "unknown-flag",
         "unknown-format", "unwritable-output", "flag-before-subcommand",
@@ -497,6 +524,18 @@ def test_usage_errors_exit_2(argv, capsys, monkeypatch):
     JSON input error like any other malformed input."""
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(PULLBACK)))
     code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["kind"] == "input"
+
+
+@pytest.mark.parametrize("n, samples", [(1024, 51), (256, 800)])
+def test_pullback_size_bound_exits_2(n, samples, capsys, monkeypatch):
+    """samples * (n+2)^2 above MAX_PULLBACK_ENTRIES is an input error, and
+    the bound admits the default 50 samples at the largest n."""
+    assert 50 * (cli.MAX_PULLBACK_N + 2) ** 2 <= cli.MAX_PULLBACK_ENTRIES
+    assert samples * (n + 2) ** 2 > cli.MAX_PULLBACK_ENTRIES
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": n})))
+    code, out, err = run(capsys, ["pullback-check", "-", "--samples", str(samples)])
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["kind"] == "input"
 

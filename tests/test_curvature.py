@@ -6,7 +6,6 @@ import pytest
 from cwgeom.core import Point, SymmetricProfile
 from cwgeom.curvature import (
     christoffel_at,
-    christoffel_finite_difference,
     conformal_change_at,
     conformal_christoffel_at,
     cotton,
@@ -17,14 +16,13 @@ from cwgeom.curvature import (
     ricci,
     riemann,
     riemann_finite_difference,
-    riemann_symmetry_defect,
     scalar,
     schouten,
-    trace_with_metric,
     weyl,
 )
 
 from conftest import random_profile, random_point
+from oracles import christoffel_finite_difference, riemann_symmetry_defect, trace_with_metric
 
 
 class TestMetric:

@@ -24,14 +24,13 @@ from cwgeom.curvature import (
     kulkarni_nomizu,
     ricci,
     riemann,
-    riemann_symmetry_defect,
     scalar,
     schouten,
     weyl,
-    x_block_form,
 )
 
 from conftest import random_profile
+from oracles import riemann_symmetry_defect, x_block_form
 
 
 def dense_riemann(prof):

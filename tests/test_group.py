@@ -17,13 +17,13 @@ from cwgeom.group import (
     homothety_factor_check,
     identity,
     inverse,
-    is_identity,
     power,
     project,
     pure_homothety,
 )
 
 from conftest import random_homothety, random_point, random_profile
+from oracles import is_identity
 
 
 class TestApply:
