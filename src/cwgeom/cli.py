@@ -10,11 +10,12 @@ Flags follow the subcommand, and each subcommand accepts only the flags it
 reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
 and --tolerance pullback=VALUE (finite, > 0); verify-example takes --r,
-for the real-lattice example only.  Bounds: a pullback-check has n <= 1024
-and 1 <= samples <= 10000 with samples * (n+2)^2 <= 50 * 1026^2; an orbit
-has K <= 10000; a pd-report on an n x n profile with g generators and
-max_length L has at most 100000 reduced words, sum over k <= L of
-2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the MAX_ constants below).
+for the real-lattice example only.  Bounds: every profile, and the n of a
+pullback-check, has n <= 1024; a pullback-check has 1 <= samples <= 10000
+with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000; a
+pd-report on an n x n profile with g generators and max_length L has at
+most 100000 reduced words, sum over k <= L of 2g(2g-1)^(k-1), and
+words * (n+2)^2 <= 2e7 (the MAX_ constants below).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -43,18 +44,26 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
+# the largest n of a profile, and of a pullback-check: classify took 114 MB
+# (ru_maxrss) on a 1024 x 1024 profile, mostly to load its JSON
+MAX_PROFILE_N = 1024
+_profile = partial(serialize.load_profile, high=MAX_PROFILE_N)  # every profile the CLI loads
 # pullback-check bounds: samples are drawn one by one in a Python loop, and
 # the default 50 at n = 1024 hold (50, n+2, n+2) arrays of 420 MB each,
 # which peaked at 1.69 GB (ru_maxrss)
-MAX_PULLBACK_N = 1024
 MAX_PULLBACK_SAMPLES = 10_000
-MAX_PULLBACK_ENTRIES = 50 * (MAX_PULLBACK_N + 2) ** 2  # samples * (n+2)^2
+MAX_PULLBACK_ENTRIES = 50 * (MAX_PROFILE_N + 2) ** 2  # samples * (n+2)^2
 # the longest orbit: about 2 s and 45 MB of K conjugates and points at n = 1
 MAX_ORBIT_K = 10_000
-# the most reduced words of a pd-report sweep: about 6 s and 40 MB at n = 2
+# the most reduced words of a pd-report sweep: at n = 2 and 2 generators,
+# L = 9 (39364 words) took about 0.3 s and 35 MB (ru_maxrss), 158 generators at
+# L = 2 (99856 words) 0.4 s and 38 MB
 MAX_PD_WORDS = 100_000
-# the most words * (n+2)^2 of a pd-report sweep, which holds a level of
-# words with an n x n matrix each: at most about 60 MB above the payload
+# the most words * (n+2)^2 of a pd-report sweep, which holds about one
+# level of words with an n x n matrix each, its 2g letters and one block:
+# with 2 generators, 23 MB above the loaded payload at n = 32, L = 8
+# (0.5 s), 32 MB at n = 64, L = 7 (0.7 s) and 89 MB at n = 1024, L = 2
+# (2 s), of which the letters take 32 MB
 MAX_PD_ENTRIES = 20_000_000
 
 
@@ -79,7 +88,7 @@ class Subcommand(NamedTuple):
 
 def _with_profile(load):
     """Loader of {"profile": ..., ...}: load(profile, data) gives the arguments."""
-    return lambda data: load(serialize.load_profile(data.get("profile", {})), data)
+    return lambda data: load(_profile(data.get("profile", {})), data)
 
 
 def _homotheties(*keys):
@@ -151,13 +160,13 @@ def _pullback_check(n, which, seed, samples, tolerance) -> dict:
 
 COMMANDS = {
     "classify": Subcommand(
-        load=lambda data: [serialize.load_profile(data)],
+        load=lambda data: [_profile(data)],
         call=lambda prof: core.classify(prof),
         dump=lambda cls: {"type": cls.type, "invertible": cls.invertible,
                           "conformally_flat": cls.conformally_flat,
                           "lambda_max_sq": cls.lambda_max_sq}),
     "curvature": Subcommand(
-        load=lambda data: [serialize.load_profile(data)],
+        load=lambda data: [_profile(data)],
         call=lambda prof: {
             "riemann": curvature.riemann(prof),
             "ricci": curvature.ricci(prof),
@@ -197,7 +206,7 @@ COMMANDS = {
         dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
     "pullback-check": Subcommand(
-        load=lambda data: [serialize.load_count(data, "n", 2, high=MAX_PULLBACK_N),
+        load=lambda data: [serialize.load_count(data, "n", 2, high=MAX_PROFILE_N),
                            data.get("map", "minkowski")],
         call=_pullback_check,
         flags=("seed", "samples", "tolerance"),

@@ -265,7 +265,8 @@ def same_form(points, a: np.ndarray):
 @dataclass(frozen=True)
 class BetaSolution:
     """A solution of beta'' = S beta, stored as initial data
-    (beta(0), beta'(0)) and evaluated in closed form per eigenvalue sign."""
+    (beta(0), beta'(0)) and evaluated in closed form per eigenvalue sign;
+    data of shape (..., n) is one solution per row."""
 
     profile: SymmetricProfile
     beta0: np.ndarray = field(default=None)
@@ -275,7 +276,7 @@ class BetaSolution:
         n = self.profile.n
         b0 = np.zeros(n) if self.beta0 is None else np.atleast_1d(np.asarray(self.beta0, float))
         b1 = np.zeros(n) if self.beta1 is None else np.atleast_1d(np.asarray(self.beta1, float))
-        if b0.shape != (n,) or b1.shape != (n,):
+        if b0.shape[-1:] != (n,) or b1.shape[-1:] != (n,):
             raise IncompatibleProfileError("initial data dimension does not match profile")
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "beta1", b1)
@@ -289,21 +290,24 @@ class BetaSolution:
 
 
 def require_phase(profile: SymmetricProfile, t, y0, y1) -> None:
-    """PreconditionError if the largest |t| of a time or an array of times
-    has lost the phase of an eigenvector column in which the eigenbasis
-    data y0 or y1 is nonzero."""
-    t = np.asarray(t, dtype=float)
-    t_max = abs(float(t)) if t.ndim == 0 else np.abs(t).max(initial=0.0)
+    """PreconditionError if a time, or a row of an array of times, has lost
+    the phase of an eigenvector column in which its eigenbasis data y0 or
+    y1 (shape (n,), or one row per time) is nonzero; the message names the
+    largest such |t|."""
+    t = np.abs(np.asarray(t, dtype=float))
+    t_max = float(t) if t.ndim == 0 else t.max(initial=0.0)
     if t_max >= profile._phase_limit[0]:  # column 0 oscillates fastest
-        lost = t_max >= profile._phase_limit
-        if y0[lost].any() or y1[lost].any():
-            raise PreconditionError(f"the phase of beta at |t| = {t_max} is lost to round-off")
+        lost = ((t[..., None] >= profile._phase_limit) & ((y0 != 0) | (y1 != 0))).any(axis=-1)
+        if lost.any():
+            t_lost = float(np.broadcast_to(t, lost.shape)[lost].max())
+            raise PreconditionError(f"the phase of beta at |t| = {t_lost} is lost to round-off")
 
 
 def beta_eval(beta: BetaSolution, t):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
     eigenbasis of S (see SymmetricProfile.flow), for a time or an array of
-    times; data in a column whose phase the largest |t| has lost is refused."""
+    times, and row by row for (..., n) data; data in a column whose phase
+    its time has lost is refused."""
     p = beta.profile
     Q = p.eigenvectors
     y0 = beta.beta0 @ Q

@@ -28,6 +28,7 @@ from .core import (
     require_phase,
 )
 from .errors import (
+    OverflowingValueError,
     PreconditionError,
     ResonanceError,
     UnsupportedCaseError,
@@ -35,6 +36,8 @@ from .errors import (
 from .group import (
     PARAM_TOL,
     Homothety,
+    _stack,
+    _take,
     apply,
     compose,
     conjugate,
@@ -46,6 +49,8 @@ from .group import (
 
 RESONANCE_TOL = 1e-7
 ORBIT_TOL = 1e-6
+# the most entries, rows * (n+2)^2, that the PD sweep composes in one call
+PD_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -343,54 +348,77 @@ def pd_necessary_report(generators: Sequence[Homothety],
     Words come by length, then in the lexicographic order of the letters
     g_1, g_1^-1, g_2, g_2^-1, ....  Each word's element is its
     one-letter-shorter prefix's element composed with its last letter, the
-    left fold ((id g_1) g_2) g_3 ..., so the sweep makes one compose per
-    word and holds one level of (word, element) pairs at a time: the words
-    of the previous length, while it extends them by one letter.
+    left fold ((id g_1) g_2) g_3 ....  A level, the words of one length, is
+    extended in blocks of at most PD_BLOCK_ENTRIES rows * (n+2)^2, with one
+    batched compose per block; the checks run on the block's (eps, c, s)
+    arrays, and only obstructing rows are formatted.  So the sweep holds
+    the blocks of the previous level not yet extended, those of the next
+    level (none at the last) and one block's temporaries.  An error is the
+    one of the first failing word, within it a lost phase before an
+    overflow, as composing word by word would raise.
     """
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
     prof = generators[0].profile
     cls = classify(prof)
-    letters = []
-    for i, g in enumerate(generators):
-        letters.append((i + 1, g))
-        letters.append((-(i + 1), inverse(g)))
-    obstructions = []
-    seen = 0
-    level = [((), identity(prof))]
+    # letter j is g_{j//2+1} for even j and its inverse for odd j: j ^ 1 cancels j
+    letters = _stack([h for g in generators for h in (g, inverse(g))])
+    labels = [(j // 2 + 1) * (-1) ** j for j in range(2 * len(generators))]
+    k, rows = len(labels), max(1, PD_BLOCK_ENTRIES // (prof.n + 2) ** 2)
+    # a level is a list of (elements, words) blocks, each dropped once it is
+    # extended; words are rows of letter indices after a first column -1
+    level = [(_stack([identity(prof)]), np.full((1, 1), -1))]
+    obstructions, seen = [], 0
     for length in range(1, max_length + 1):
-        extended = []
-        for prefix, prefix_elem in level:
-            for idx, g in letters:
-                # skip words with an adjacent cancelling pair
-                if prefix and prefix[-1] == -idx:
+        grown = []
+        while level:
+            elems, words = level.pop(0)
+            for start in range(0, len(words) * k, rows):
+                # the (prefix, letter) pairs of this block, without cancelling ones
+                p, j = np.divmod(np.arange(start, min(start + rows, len(words) * k)), k)
+                keep = j != words[p, -1] ^ 1
+                p, j = p[keep], j[keep]
+                if not len(p):
                     continue
-                word = prefix + (idx,)
-                elem = compose(prefix_elem, g)
-                seen += 1
+                try:
+                    elem = compose(_take(elems, p), _take(letters, j))
+                except (PreconditionError, OverflowingValueError):
+                    # the first failing word raises, as a word-by-word sweep would
+                    for one_p, one_j in zip(p, j):
+                        compose(_take(elems, one_p), _take(letters, one_j))
+                    raise
+                block = np.column_stack((words[p], j))
+                obstructions += _pd_obstructions(cls, elem, block, labels)
+                seen += len(p)
                 if length < max_length:
-                    extended.append((word, elem))
-                if not elem.is_strict:
-                    continue
-                if _fixed_time(elem) is not None:
-                    obstructions.append(PDObstruction(
-                        word, "fixed-point",
-                        f"strict element with eps={elem.eps}, c={elem.c:.3g} fixes a point"))
-                    continue
-                if cls.type == "imaginary":
-                    obstructions.append(PDObstruction(
-                        word, "imaginary-strict",
-                        "imaginary type admits no strict homothety in a PD cocompact group"))
-                    continue
-                if cls.lambda_max_sq is not None:
-                    ratio_sq = (elem.s / elem.c) ** 2
-                    if ratio_sq > cls.lambda_max_sq + 1e-12:
-                        obstructions.append(PDObstruction(
-                            word, "inequality",
-                            f"(s/c)^2 = {ratio_sq:.6g} exceeds lambda_max^2 = "
-                            f"{cls.lambda_max_sq:.6g}"))
-        level = extended
+                    grown.append((elem, block))
+        level = grown
     return PDReport(cls.type, cls.lambda_max_sq, obstructions, seen)
+
+
+def _pd_obstructions(cls, elem: Homothety, words: np.ndarray, labels) -> List[PDObstruction]:
+    """The obstructions among a batch of word elements, in row order; row i
+    is the word of letter indices words[i, 1:]."""
+    strict = np.abs(elem.s) > PARAM_TOL
+    fixed = strict & ((elem.eps == -1) | (np.abs(elem.c) <= PARAM_TOL))  # as _fixed_time
+    free = strict & ~fixed
+    if cls.type != "imaginary":
+        # only a positive eigenvalue bounds (s/c)^2; an overflowing ratio exceeds it
+        bound = np.inf if cls.lambda_max_sq is None else cls.lambda_max_sq + 1e-12
+        with np.errstate(over="ignore"):
+            free &= (elem.s / np.where(free, elem.c, 1.0)) ** 2 > bound
+    rows, out = np.flatnonzero(fixed | free), []
+    for word, fix, eps, c, s in zip(np.asarray(labels)[words[rows, 1:]].tolist(),
+                                    fixed[rows].tolist(), elem.eps[rows].astype(int).tolist(),
+                                    elem.c[rows].tolist(), elem.s[rows].tolist()):
+        kind, detail = (
+            ("fixed-point", f"strict element with eps={eps}, c={c:.3g} fixes a point") if fix
+            else ("imaginary-strict", "imaginary type admits no strict homothety in a PD "
+                  "cocompact group") if cls.type == "imaginary"
+            else ("inequality", f"(s/c)^2 = {(s / c) ** 2:.6g} exceeds lambda_max^2 = "
+                  f"{cls.lambda_max_sq:.6g}"))
+        out.append(PDObstruction(tuple(word), kind, detail))
+    return out
 
 
 @dataclass(frozen=True)

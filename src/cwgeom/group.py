@@ -8,7 +8,9 @@ A group element is the map
 
 with beta a solution of beta'' = S beta, A orthogonal and commuting with
 S, eps = +-1.  Composition and inversion are computed at parameter level,
-the central parameter b in closed form: for a product phi psi, with
+row by row over batches built internally (b, c, s and eps of shape (...),
+beta's data (..., n) and A (..., n, n); one element is the batch of shape
+()), the central parameter b in closed form: for a product phi psi, with
 X = e^{s1} A1 beta2(0), X' = e^{s1} A1 beta2'(0) and (Y, Y') =
 (beta1(c2), beta1'(c2)),
 
@@ -26,8 +28,7 @@ row; a `Point` goes through the same formula.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence, Tuple
 
@@ -80,29 +81,58 @@ class Homothety:
         return abs(self.s) > PARAM_TOL
 
     def renormalized(self) -> "Homothety":
-        """Project A back to the orthogonal group (polar decomposition) if
-        numerical drift has accumulated."""
-        drift = float(np.max(np.abs(self.A.T @ self.A - np.eye(self.profile.n))))
-        if drift <= PARAM_TOL:
+        """Project A back to the orthogonal group (polar decomposition) in
+        the rows where numerical drift has accumulated."""
+        drift = self.A.swapaxes(-1, -2) @ self.A
+        # minus the identity: the diagonal of each n x n block of the fresh product
+        drift.reshape(drift.shape[:-2] + (-1,))[..., :: self.profile.n + 1] -= 1.0
+        if np.abs(drift, out=drift).max() <= PARAM_TOL:
             return self
-        U, _, Vt = np.linalg.svd(self.A)
-        return _element(self.profile, self.b, self.beta, self.c, self.eps, U @ Vt, self.s)
+        drifted = drift.max(axis=(-2, -1)) > PARAM_TOL
+        A = self.A.copy()
+        U, _, Vt = np.linalg.svd(A[drifted])
+        A[drifted] = U @ Vt
+        return _element(self.profile, *_params(self)[:5], A, self.s)
 
 
-_FIELDS = tuple(f.name for f in fields(Homothety))
-
-
-def _element(*params) -> Homothety:
-    """A Homothety from parameters, in field order, derived from valid
-    elements.  It skips the centraliser and profile checks of the public
-    constructor; a parameter that overflowed raises OverflowingValueError."""
-    phi = object.__new__(Homothety)
-    for name, value in zip(_FIELDS, params, strict=True):
-        object.__setattr__(phi, name, value)
-    if not (math.isfinite(phi.b) and math.isfinite(phi.c) and math.isfinite(phi.s)
-            and np.isfinite(phi.beta.beta0).all() and np.isfinite(phi.beta.beta1).all()):
+def _element(profile, b, beta0, beta1, c, eps, A, s) -> Homothety:
+    """A Homothety, or a batch of them, from parameters derived from valid
+    elements.  It skips every check of the public constructors; a
+    parameter that overflowed raises OverflowingValueError."""
+    if not (np.isfinite((b, c, s)).all() and np.isfinite(beta0).all()
+            and np.isfinite(beta1).all()):
         raise OverflowingValueError("group element has non-finite parameters")
+    beta = object.__new__(BetaSolution)
+    beta.__dict__.update(profile=profile, beta0=beta0, beta1=beta1)
+    phi = object.__new__(Homothety)
+    phi.__dict__.update(profile=profile, b=b, beta=beta, c=c, eps=eps, A=A, s=s)
     return phi
+
+
+def _params(phi: Homothety) -> tuple:
+    """The parameters of an element or a batch, in _element's order."""
+    return phi.b, phi.beta.beta0, phi.beta.beta1, phi.c, phi.eps, phi.A, phi.s
+
+
+def _stack(elements: Sequence[Homothety]) -> Homothety:
+    """The batch of shape (len(elements),) of the elements, in floats (eps too)."""
+    return _element(elements[0].profile, *map(partial(np.array, dtype=float),
+                                              zip(*map(_params, elements))))
+
+
+def _take(phi: Homothety, rows) -> Homothety:
+    """The rows of a batch at an index (one element) or an index array."""
+    return _element(phi.profile, *(x[rows] for x in _params(phi)))
+
+
+def _matvec(M, x):
+    """M x over leading batch axes: per row the kernel of a single product."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _dot(x, y):
+    """<x, y> over leading batch axes: per row the kernel of a single dot."""
+    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def identity(profile: SymmetricProfile) -> Homothety:
@@ -152,28 +182,28 @@ def compose(phi: Homothety, psi: Homothety) -> Homothety:
     if phi.profile != psi.profile:
         raise IncompatibleProfileError("cannot compose over different profiles")
     # x-part of the composite: e^{s1+s2} A1 A2 x + e^{s1} A1 beta2(t) + beta1(eps2 t + c2)
-    es1A1 = np.exp(phi.s) * phi.A
-    X = es1A1 @ psi.beta.beta0
-    Xd = es1A1 @ psi.beta.beta1
+    es1A1 = np.exp(phi.s)[..., None, None] * phi.A
+    X = _matvec(es1A1, psi.beta.beta0)
+    Xd = _matvec(es1A1, psi.beta.beta1)
+    del es1A1  # one (..., n, n) temporary at a time
     Y, Yd = beta_eval(phi.beta, psi.c)
     e2 = psi.eps
     b = (np.exp(2 * phi.s) * psi.b + e2 * phi.b
-         + 0.5 * (float(Xd @ Y) - e2 * float(Yd @ X)))
-    beta = BetaSolution(phi.profile, X + Y, Xd + e2 * Yd)
-    return _element(phi.profile, float(b), beta, phi.c + phi.eps * psi.c, phi.eps * e2,
-                    phi.A @ psi.A, phi.s + psi.s).renormalized()
+         + 0.5 * (_dot(Xd, Y) - e2 * _dot(Yd, X)))
+    return _element(phi.profile, b, X + Y, Xd + np.asarray(e2)[..., None] * Yd,
+                    phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
+                    phi.s + psi.s).renormalized()
 
 
 def inverse(phi: Homothety) -> Homothety:
     eps, c, s = phi.eps, phi.c, phi.s
-    A_inv = phi.A.T
+    A_inv = phi.A.swapaxes(-1, -2)
     # x-part of the inverse: e^{-s} A^T (x - beta(eps^{-1}(t - c))) at time t,
     # i.e. beta_inv(t) = -e^{-s} A^T beta(eps t - eps c)
     val, der = beta_eval(phi.beta, -eps * c)
     ems = np.exp(-s)
-    beta_inv = BetaSolution(phi.profile, -ems * (A_inv @ val), -ems * eps * (A_inv @ der))
-    return _element(phi.profile, float(-eps * ems * ems * phi.b), beta_inv, -eps * c, eps,
-                    A_inv, -s)
+    return _element(phi.profile, -eps * ems * ems * phi.b, -ems[..., None] * _matvec(A_inv, val),
+                    (-ems * eps)[..., None] * _matvec(A_inv, der), -eps * c, eps, A_inv, -s)
 
 
 def project(phi: Homothety) -> Tuple[float, int, np.ndarray, float]:

@@ -67,13 +67,16 @@ def load_count(data: dict, key: str, default: int, high: Optional[int] = None) -
     return value
 
 
-def load_profile(data: Any) -> SymmetricProfile:
+def load_profile(data: Any, high: int) -> SymmetricProfile:
+    """The profile of a JSON object, at most `high` x `high`."""
     _require(isinstance(data, dict), "profile must be a JSON object")
     _require("S" in data, "profile is missing the field 'S'")
     try:
         S = np.asarray(data["S"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"profile field 'S' is not a numeric matrix: {exc}") from exc
+    _require(S.size <= high * high,
+             f"'S' of shape {S.shape} exceeds the largest profile, {high} x {high}")
     if "n" in data:
         n = load_count(data, "n", 1)
         _require(S.shape == (n, n), f"'S' shape {S.shape} does not match n = {n}")

@@ -1,7 +1,8 @@
-"""Arrays of points: a batched call of the group action or of the
-curvature layer equals the calls on single points, the boundary
-contracts hold on arrays, the phase guard judges the largest
-|t|, and the sampled verdicts hold across seeds."""
+"""Arrays of points and batches of elements: a batched call of the group
+action, of the group law or of the curvature layer equals the calls on
+single points or elements, the boundary contracts hold on arrays, the
+phase guard judges each row at its own |t|, and the sampled verdicts hold
+across seeds."""
 
 from dataclasses import replace
 from functools import partial
@@ -21,7 +22,16 @@ from cwgeom.curvature import (
 )
 from cwgeom.dynamics import inessential_rescaling
 from cwgeom.errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
-from cwgeom.group import Homothety, apply, differential
+from cwgeom.group import (
+    Homothety,
+    _stack,
+    _take,
+    apply,
+    compose,
+    differential,
+    element_distance,
+    inverse,
+)
 from cwgeom.quotients import verify_example
 
 from oracles import jacobian_finite_difference
@@ -52,6 +62,41 @@ def test_batch_rows_equal_single_points(kind, n, seed, eps, N):
         assert np.max(np.abs(image - apply(phi, p).as_array())) <= tol
         assert np.max(np.abs(J - differential(phi, p))) <= tol
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([-1, 1]), N=st.sampled_from([1, 7, 64]))
+def test_batched_law_rows_equal_single_elements(kind, n, seed, eps, N):
+    """Row i of compose and inverse on batches of N elements is the call on
+    element i alone: (eps, c, s) exactly, and every other parameter within
+    4 ulp of the group-law scale squared (b is quadratic in the
+    parameters), since beta is evaluated through gemm for a batch and gemv
+    for one element.  The profile has a repeated eigenvalue, so A turns
+    its eigenspace."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    phis = [replace(element(prof, rng), eps=eps) for _ in range(N)]
+    psis = [element(prof, rng) for _ in range(N)]
+    products, inverses = compose(_stack(phis), _stack(psis)), inverse(_stack(phis))
+    assert products.A.shape == inverses.A.shape == (N, prof.n, prof.n)
+    for i, (phi, psi) in enumerate(zip(phis, psis)):
+        for got, want, parts in ((_take(products, i), compose(phi, psi), (phi, psi)),
+                                 (_take(inverses, i), inverse(phi), (phi,))):
+            assert (got.eps, got.c, got.s) == (want.eps, want.c, want.s)
+            assert element_distance(got, want) <= 4 * ULP * scale(prof, *parts) ** 2
+
+
+def test_renormalized_repairs_only_the_drifted_rows():
+    rng = np.random.default_rng(6)
+    prof = spectral_profile("mixed", 4, rng, repeat=True)
+    phis = [element(prof, rng) for _ in range(3)]
+    phis[1] = Homothety(prof, A=phis[1].A * (1 + 2e-9))
+    batch = _stack(phis).renormalized()
+    for i in (0, 2):
+        assert np.array_equal(batch.A[i], phis[i].A)
+    assert np.max(np.abs(batch.A[1].T @ batch.A[1] - np.eye(prof.n))) <= 1e-12
+    assert np.array_equal(batch.A[1], phis[1].renormalized().A)
 
 
 def test_a_repeated_eigenvalue_gets_a_nontrivial_rotation():
@@ -96,6 +141,18 @@ class TestPhaseGuardOnArrays:
             beta_eval(beta, self.t)
         # the times within the limit still evaluate
         beta_eval(beta, self.t[0])
+
+    def test_each_row_is_judged_at_its_own_time(self):
+        # row 0 has data in the fast column, row 1 only in the slow one: at
+        # 1.5 2^51 only the fast column's phase is lost
+        beta = BetaSolution(self.prof, [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]])
+        late = 2.0 ** 51 * 1.5
+        val, der = beta_eval(beta, np.array([0.3, late]))
+        for row, t in enumerate([0.3, late]):
+            one = BetaSolution(self.prof, beta.beta0[row], beta.beta1[row])
+            assert np.array_equal(val[row], beta_eval(one, t)[0])
+        with pytest.raises(PreconditionError, match=f"at \\|t\\| = {late} "):
+            beta_eval(beta, np.array([late, 0.3]))
 
     def test_rows_equal_scalar_calls_without_data(self):
         beta = BetaSolution(self.prof, [0.0, 1.0], [0.0, -0.5])

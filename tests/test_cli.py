@@ -361,7 +361,7 @@ class TestMalformedPayloads:
         ("classify", {"n": 1.0, "S": [[1.0]]}),
         # the Jacobians of n = 200000 would take 16 TB
         ("pullback-check", {"n": 200000}),
-        ("pullback-check", {"n": cli.MAX_PULLBACK_N + 1}),
+        ("pullback-check", {"n": cli.MAX_PROFILE_N + 1}),
         # K conjugates and K points, held at once
         ("orbit", dict(ORBIT, K=100000000)),
         ("orbit", dict(ORBIT, K=cli.MAX_ORBIT_K + 1)),
@@ -374,10 +374,13 @@ class TestMalformedPayloads:
         # 13120 words of 64 x 64 matrices
         ("pd-report", {"profile": {"S": np.eye(64).tolist()}, "max_length": 8,
                        "generators": [{"c": 1.0, "s": 0.1}, {"c": 0.5, "s": -0.2}]}),
+        # a profile past MAX_PROFILE_N, refused by every subcommand that loads one
+        ("classify", {"S": np.eye(cli.MAX_PROFILE_N + 1).tolist()}),
+        ("compose", {"profile": {"S": np.eye(cli.MAX_PROFILE_N + 1).tolist()}}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
             "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max",
-            "pd-entries-above-max"])
+            "pd-entries-above-max", "classify-n-above-max", "compose-n-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
@@ -532,7 +535,7 @@ def test_usage_errors_exit_2(argv, capsys, monkeypatch):
 def test_pullback_size_bound_exits_2(n, samples, capsys, monkeypatch):
     """samples * (n+2)^2 above MAX_PULLBACK_ENTRIES is an input error, and
     the bound admits the default 50 samples at the largest n."""
-    assert 50 * (cli.MAX_PULLBACK_N + 2) ** 2 <= cli.MAX_PULLBACK_ENTRIES
+    assert 50 * (cli.MAX_PROFILE_N + 2) ** 2 <= cli.MAX_PULLBACK_ENTRIES
     assert samples * (n + 2) ** 2 > cli.MAX_PULLBACK_ENTRIES
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": n})))
     code, out, err = run(capsys, ["pullback-check", "-", "--samples", str(samples)])

@@ -1,6 +1,7 @@
 """Fixed points, essentiality, normal forms, orbit obstructions."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from cwgeom.dynamics import (
     solve_conjugation_beta,
 )
 from cwgeom.errors import (
+    OverflowingValueError,
     PreconditionError,
     ResonanceError,
     UnsupportedCaseError,
@@ -564,20 +566,50 @@ class TestPDSweepOrder:
         assert isinstance(expected[0], type)
         assert _outcome(library_pd_report, gens, 3) == expected
 
+    @pytest.mark.parametrize("block_entries", [dynamics.PD_BLOCK_ENTRIES, 3 * 9, 9],
+                             ids=["one-block", "3-row-blocks", "1-row-blocks"])
+    @pytest.mark.parametrize("order, first", [
+        ("overflow-then-phase", OverflowingValueError),
+        ("phase-then-overflow", PreconditionError),
+        ("both-in-one-word", PreconditionError),
+    ], ids=["overflow-then-phase", "phase-then-overflow", "both-in-one-word"])
+    def test_first_failing_word_in_a_level_decides(self, monkeypatch, block_entries,
+                                                   order, first):
+        # on S = [[-1]]: the word (big-s, big-b) has b = e^{708} 100 = inf,
+        # and the word (beta, far) reads beta at t = 8e15, past its phase
+        # limit; with blocks of (n+2)^2 = 9 entries per row, a level of
+        # these words spans blocks of 3 rows or of 1, so the two failing
+        # words lie in different blocks
+        prof = SymmetricProfile([[-1.0]])
+        big_s, big_b = Homothety(prof, s=354.0), Homothety(prof, b=100.0)
+        far = Homothety(prof, c=8e15, s=0.1)
+        beta = Homothety(prof, b=1.0, beta=BetaSolution(prof, [0.5], [0.2]))
+        gens = {"overflow-then-phase": [big_s, big_b, far, beta],
+                "phase-then-overflow": [beta, far, big_s, big_b],
+                # (1, 2) both loses its phase and overflows
+                "both-in-one-word": [replace(beta, s=354.0), replace(far, b=100.0)]}[order]
+        monkeypatch.setattr(dynamics, "PD_BLOCK_ENTRIES", block_entries)
+        expected = _outcome(product_loop_pd_report, gens, 2)
+        assert expected[0] is first
+        assert _outcome(library_pd_report, gens, 2) == expected
+
     @pytest.mark.parametrize("g, max_length", [(1, 4), (2, 3), (3, 4)])
-    def test_one_compose_per_word(self, monkeypatch, g, max_length):
+    def test_one_compose_per_level_block(self, monkeypatch, g, max_length):
+        # each level here fits in one block: one batched compose per length,
+        # whose rows are that length's words
         rng = np.random.default_rng(5)
         prof = spectral_profile("mixed", 2, rng, repeat=False)
         gens = [random_homothety(prof, rng, strict=True) for _ in range(g)]
-        calls = []
+        rows = []
 
         def counted(phi, psi):
-            calls.append(1)
+            rows.append(len(psi.c))
             return compose(phi, psi)
 
         monkeypatch.setattr(dynamics, "compose", counted)
         report = pd_necessary_report(gens, max_length)
-        assert len(calls) == report.words_checked
+        assert rows == [2 * g * (2 * g - 1) ** k for k in range(max_length)]
+        assert sum(rows) == report.words_checked
 
 class TestCentraliserDemo:
     def test_projection_argument(self):
