@@ -9,13 +9,14 @@ and output:
 Flags follow the subcommand, and each subcommand accepts only the flags it
 reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
-and --tolerance pullback=VALUE (finite, > 0); verify-example takes --r,
-for the real-lattice example only.  Bounds: every profile, and the n of a
-pullback-check, has n <= 1024; a pullback-check has 1 <= samples <= 10000
-with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000; a
-pd-report on an n x n profile with g generators and max_length L has at
-most 100000 reduced words, sum over k <= L of 2g(2g-1)^(k-1), and
-words * (n+2)^2 <= 2e7 (the MAX_ constants below).
+and --tolerance pullback=VALUE (finite, > 0, default core.PULLBACK_TOL);
+verify-example takes --r, for the real-lattice example only.  Bounds:
+every profile, and the n of a pullback-check, has n <= 1024; a
+pullback-check has 1 <= samples <= 10000 with samples * (n+2)^2 <=
+50 * 1026^2; an orbit has K <= 10000; a pd-report on an n x n profile
+with g generators and max_length L has at most 100000 reduced words,
+sum over k <= L of 2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the
+MAX_ constants below).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -155,7 +156,7 @@ def _pullback_check(n, which, seed, samples, tolerance) -> dict:
         (lambda a: np.exp(2 * a[..., 0])) if real else (lambda a: 1.0 / np.cos(a[..., 0]) ** 2),
         points)
     return {"map": which, "n": n, "samples": samples, "max_residual": worst,
-            "pass": worst <= tolerance}
+            "pass": bool(core.within(worst, tolerance))}
 
 
 COMMANDS = {
@@ -274,7 +275,7 @@ def _flags() -> dict:
         "seed": dict(type=_at_least(0), default=os.environ.get("CW_LAB_SEED") or "42",
                      help="seed of the random samples (default: CW_LAB_SEED or 42)"),
         "samples": dict(type=_at_least(1), default=50, help="number of random samples"),
-        "tolerance": dict(type=_tolerance, default=1e-9, metavar="pullback=VALUE",
+        "tolerance": dict(type=_tolerance, default=core.PULLBACK_TOL, metavar="pullback=VALUE",
                           help="largest residual that passes"),
         "r": dict(type=_at_least(3), help="root parameter of the real-lattice example"),
     }

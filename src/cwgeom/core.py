@@ -23,7 +23,35 @@ from .errors import (
     PreconditionError,
 )
 
-DEFAULT_TOL = 1e-9
+# The tolerance policy: every threshold of the package, named once by what
+# it judges.  `within` is the one judge, residual <= tol * max(1, size); a
+# threshold whose verdicts name a size is relative to it (past size 1), and
+# absolute otherwise.
+PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
+PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I, or of
+#                         |A|(1 - |A|); in the PD sweep too, on c and s in exact arithmetic
+FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
+RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue
+ORBIT_TOL = 1e-6        # an orbit's last point from its limit, in every coordinate
+PD_SLACK = 1e-12        # (s/c)^2 past lambda_max^2 by more is a PD obstruction, in exact arithmetic
+PULLBACK_TOL = 1e-9     # pullback-check's default largest conformal defect of a flat chart
+DOMAIN_TOL = 1e-12      # margin inside the open domain of a flat chart
+MEASURE_TOL = 1e-9      # an interval of zero measure, in the box regions of the quotients
+DIVISOR_FLOOR = 1e-300  # a positive norm too small to divide by
+# the example checks of the quotients, by what lies between the values they compare
+EXACT_TOL = 1e-12       # a few float operations
+ROUNDOFF_TOL = 1e-9     # one closed-form evaluation or group product against another
+COMPOSED_TOL = 1e-8     # composed maps, exponential charts or Jacobians
+GROWTH_TOL = 1e-7       # a displayed formula growing like e^{-2t}, relative to its values
+WORD_TOL = 1e-6         # a word of several group products, relative to its parameters
+APPROACH_TOL = 1e-3     # how near conjugates come to the identity
+RATE_TOL = 0.1          # a fitted geometric rate, relative to the expected one
+
+
+def within(residual, tol: float, size=1.0):
+    """The one judge: whether residual <= tol * max(1, size), elementwise
+    over arrays, so a NaN residual fails."""
+    return np.less_equal(residual, tol * np.maximum(1.0, size))
 
 
 @dataclass(frozen=True)
@@ -48,7 +76,7 @@ class SymmetricProfile:
     OverflowingValueError.
     """
 
-    def __init__(self, S, tolerance: float = DEFAULT_TOL):
+    def __init__(self, S, tolerance: float = PROFILE_TOL):
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] < 1:
             raise MalformedProfileError(f"S must be a square matrix, got shape {S.shape}")

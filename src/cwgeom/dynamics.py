@@ -18,6 +18,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    DIVISOR_FLOOR,
+    FIXED_POINT_TOL,
+    ORBIT_TOL,
+    PARAM_TOL,
+    PD_SLACK,
+    RESONANCE_TOL,
     BetaSolution,
     Point,
     SymmetricProfile,
@@ -26,6 +32,7 @@ from .core import (
     classify,
     coords,
     require_phase,
+    within,
 )
 from .errors import (
     OverflowingValueError,
@@ -34,7 +41,6 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .group import (
-    PARAM_TOL,
     Homothety,
     _stack,
     _take,
@@ -47,8 +53,6 @@ from .group import (
     project,
 )
 
-RESONANCE_TOL = 1e-7
-ORBIT_TOL = 1e-6
 # the most entries, rows * (n+2)^2, that the PD sweep composes in one call
 PD_BLOCK_ENTRIES = 2 ** 16
 
@@ -62,55 +66,51 @@ class FixedPointReport:
     residual: float = 0.0
 
 
-def _solve_v(phi: Homothety, t_star: float, x_star: np.ndarray) -> Optional[float]:
-    """Solve the affine v-equation v = eps(e^{2s} v + b - <beta'(t*),
-    e^s A x* + beta(t*)/2>) for v; None if the map translates v."""
-    val, der = beta_eval(phi.beta, t_star)
-    d = phi.eps * (phi.b
-                   - float(der @ (np.exp(phi.s) * (phi.A @ x_star) + 0.5 * val)))
-    slope = phi.eps * np.exp(2 * phi.s)
-    if abs(1.0 - slope) <= PARAM_TOL:
-        return None if abs(d) > 1e-8 else 0.0
-    return d / (1.0 - slope)
-
-
-def _fixed_time(phi: Homothety) -> Optional[float]:
-    """The time fixed by t -> eps t + c: c/2 for eps = -1, 0 when c = 0,
-    and None when the t-part is a translation."""
-    if phi.eps == -1:
-        return phi.c / 2.0
-    return 0.0 if abs(phi.c) <= PARAM_TOL else None
+def _fixed_time(phi: Homothety):
+    """The time fixed by t -> eps t + c, per row of a batch: c/2 for
+    eps = -1, 0 when c = 0, and NaN when the t-part is a translation."""
+    return np.where(phi.eps == -1, phi.c / 2.0,
+                    np.where(within(np.abs(phi.c), PARAM_TOL), 0.0, np.nan))
 
 
 def fixed_point(phi: Homothety) -> FixedPointReport:
     """Fixed-point classification of a homothety.
 
     A fixed point lies at the fixed time t* of the t-part, on the x-block
-    solution of (e^s A - I) x = -beta(t*) and the v-equation.  Strict case:
+    solution of (e^s A - I) x = -beta(t*) and the solution v* of
+    v = eps(e^{2s} v + b - <beta'(t*), e^s A x* + beta(t*)/2>).  Strict case:
     it exists iff eps = -1 or c = 0.  Isometry case: the x-block system
     (A - I) x = -beta(t*) must be consistent, and for eps = +1 the v-shift
-    must vanish.
+    must vanish.  Each gate judges by FIXED_POINT_TOL relative to the terms
+    its residual subtracts: beta(t*) on the x-block, b, <beta', e^s A x*>
+    and <beta', beta>/2 on the v-shift, all of them on the fixed point.
     """
     none = FixedPointReport(False, None, "none_translation")
-    t_star = _fixed_time(phi)
-    if t_star is None:
+    t_star = float(_fixed_time(phi))
+    if np.isnan(t_star):
         return none
     strict = phi.is_strict
-    val, _ = beta_eval(phi.beta, t_star)
+    val, der = beta_eval(phi.beta, t_star)
+    x_size = float(np.max(np.abs(val)))
     # an isometry's s, within PARAM_TOL of 0, is read as 0
     M = (np.exp(phi.s) if strict else 1.0) * phi.A - np.eye(phi.profile.n)
     if strict:
         x_star = np.linalg.solve(M, -val)
     else:
         x_star = np.linalg.lstsq(M, -val, rcond=None)[0]
-        if float(np.max(np.abs(M @ x_star + val))) > 1e-8:
+        if not within(float(np.max(np.abs(M @ x_star + val))), FIXED_POINT_TOL, x_size):
             return none
-    v_star = _solve_v(phi, t_star, x_star)
-    if v_star is None:
+    esAx = np.exp(phi.s) * (phi.A @ x_star)
+    d = phi.eps * (phi.b - float(der @ (esAx + 0.5 * val)))
+    v_size = max(abs(phi.b), abs(float(der @ esAx)), 0.5 * abs(float(der @ val)))
+    slope = phi.eps * np.exp(2 * phi.s)
+    shift = within(abs(1.0 - slope), PARAM_TOL)  # v -> v + d, fixed only where d = 0
+    if shift and not within(abs(d), FIXED_POINT_TOL, v_size):
         return none
+    v_star = 0.0 if shift else d / (1.0 - slope)
     p = Point(t_star, x_star, v_star)
     res = float(np.max(np.abs(apply(phi, p) - p)))
-    if not strict and phi.eps == 1 and res > 1e-8:
+    if not strict and phi.eps == 1 and not within(res, FIXED_POINT_TOL, max(x_size, v_size)):
         return none
     reason = ("isometry_euclidean_fp" if not strict
               else "strict_eps_minus1" if phi.eps == -1 else "strict_c_zero")
@@ -163,7 +163,7 @@ def inessential_rescaling(phi: Homothety) -> Callable:
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
-    if _fixed_time(phi) is not None:
+    if not np.isnan(_fixed_time(phi)):
         raise PreconditionError("phi has a fixed point; no equivariant rescaling exists")
     s, c = phi.s, phi.c
 
@@ -202,16 +202,14 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
     in which case a resonance error is raised.
     """
     A = profile.require_centraliser(A)
-    if abs(s) <= PARAM_TOL:
+    if within(abs(s), PARAM_TOL):
         raise PreconditionError("conjugation solve requires a strict homothety (s != 0)")
-    if abs(c) > PARAM_TOL:
+    if not within(abs(c), PARAM_TOL):
         ratio_sq = (s / c) ** 2
-        for blk in profile.spectrum:
-            lam_sq = blk.eigenvalue
-            if lam_sq > 0 and abs(ratio_sq - lam_sq) <= RESONANCE_TOL * max(1.0, lam_sq):
-                raise ResonanceError(
-                    f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue {lam_sq:.6g} of S"
-                )
+        lam_sq = np.array([blk.eigenvalue for blk in profile.spectrum])
+        hit = lam_sq[(lam_sq > 0) & within(np.abs(ratio_sq - lam_sq), RESONANCE_TOL, lam_sq)]
+        if hit.size:
+            raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue {hit[0]:.6g} of S")
     Q = profile.eigenvectors
     y0, y1 = betahat.beta0 @ Q, betahat.beta1 @ Q
     # the shift by c reads betahat's columns at phase r c, as beta_eval does
@@ -288,7 +286,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     """
     if K < 1:
         raise PreconditionError("the orbit needs K >= 1 steps")
-    if gamma.eps != 1 or abs(gamma.b) > PARAM_TOL or not gamma.beta.is_zero():
+    if gamma.eps != 1 or not within(abs(gamma.b), PARAM_TOL) or not gamma.beta.is_zero():
         raise PreconditionError("gamma must lie in E(1) x C_O(n)(S) x R")
     prof = phi.profile
     origin = Point(0.0, np.zeros(prof.n), 0.0)
@@ -299,7 +297,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         conjugates.append(current)
     pts = [apply(g, origin) for g in conjugates]
     limit = Point(phi.c, np.zeros(prof.n), 0.0)
-    converged = float(np.max(np.abs(pts[-1] - limit))) <= ORBIT_TOL
+    converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
     norms = np.array([np.linalg.norm(p.x) for p in pts])
     rate = None
     # estimate the decay rate on the tail only, past any transient; the
@@ -309,7 +307,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     if tail.size >= 10 and np.all(tail < np.inf):
         half = tail.size // 2
         m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
-        if m1 > 1e-300 and m2 > 1e-300:
+        if min(m1, m2) > DIVISOR_FLOOR:
             rate = float((m2 / m1) ** (1.0 / half))
     return OrbitReport(pts, limit, converged, rate, conjugates)
 
@@ -399,12 +397,12 @@ def pd_necessary_report(generators: Sequence[Homothety],
 def _pd_obstructions(cls, elem: Homothety, words: np.ndarray, labels) -> List[PDObstruction]:
     """The obstructions among a batch of word elements, in row order; row i
     is the word of letter indices words[i, 1:]."""
-    strict = np.abs(elem.s) > PARAM_TOL
-    fixed = strict & ((elem.eps == -1) | (np.abs(elem.c) <= PARAM_TOL))  # as _fixed_time
+    strict = elem.is_strict
+    fixed = strict & ~np.isnan(_fixed_time(elem))
     free = strict & ~fixed
     if cls.type != "imaginary":
         # only a positive eigenvalue bounds (s/c)^2; an overflowing ratio exceeds it
-        bound = np.inf if cls.lambda_max_sq is None else cls.lambda_max_sq + 1e-12
+        bound = np.inf if cls.lambda_max_sq is None else cls.lambda_max_sq + PD_SLACK
         with np.errstate(over="ignore"):
             free &= (elem.s / np.where(free, elem.c, 1.0)) ** 2 > bound
     rows, out = np.flatnonzero(fixed | free), []

@@ -19,11 +19,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Point, SymmetricProfile, coords, join, same_form
+from .core import DOMAIN_TOL, Point, SymmetricProfile, coords, join, same_form
 from .curvature import conformal_change_at, conformal_christoffel_at, nabla_df
 from .errors import DomainError, UnsupportedCaseError
-
-DOMAIN_TOL = 1e-12
 
 
 @dataclass(frozen=True)

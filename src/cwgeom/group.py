@@ -35,6 +35,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .core import (
+    PARAM_TOL,
     BetaSolution,
     Point,
     SymmetricProfile,
@@ -42,12 +43,11 @@ from .core import (
     coords,
     join,
     same_form,
+    within,
 )
 from .curvature import metric_at
 from .errors import IncompatibleProfileError, OverflowingValueError
 from .flat import SmoothMap, conformal_defect
-
-PARAM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,9 @@ class Homothety:
         object.__setattr__(self, "s", float(self.s))
 
     @property
-    def is_strict(self) -> bool:
-        return abs(self.s) > PARAM_TOL
+    def is_strict(self):
+        """|s| > PARAM_TOL, per row of a batch."""
+        return ~within(np.abs(self.s), PARAM_TOL)
 
     def renormalized(self) -> "Homothety":
         """Project A back to the orthogonal group (polar decomposition) in

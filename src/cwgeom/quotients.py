@@ -28,8 +28,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (BetaSolution, SymmetricProfile, beta_eval, beta_reparam, coords,
-                   random_centralising_orthogonal, symplectic_form)
+from .core import (APPROACH_TOL, COMPOSED_TOL, DIVISOR_FLOOR, EXACT_TOL, GROWTH_TOL,
+                   MEASURE_TOL, ORBIT_TOL, PARAM_TOL, RATE_TOL, ROUNDOFF_TOL, WORD_TOL,
+                   BetaSolution, SymmetricProfile, beta_eval, beta_reparam, coords,
+                   random_centralising_orthogonal, symplectic_form, within)
 from .dynamics import orbit_obstruction_sequence
 from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
@@ -46,7 +48,6 @@ from .group import (
 )
 from .curvature import metric_at
 
-MEASURE_TOL = 1e-9
 # the orbit length of the real-lattice example's homothety variant
 LATTICE_K_MAX = 30
 
@@ -70,9 +71,9 @@ class ExampleReport:
 
 
 def _check(name: str, residual: float, tol: float, size: float = 1.0) -> CheckResult:
-    """Pass when residual <= tol * max(1, size), so that an identity
-    between large quantities is judged relative to their size."""
-    return CheckResult(name, bool(residual <= tol * max(1.0, size)), float(residual))
+    """The check that core.within passes the residual: an identity between
+    quantities larger than 1 is judged relative to their size."""
+    return CheckResult(name, bool(within(residual, tol, size)), float(residual))
 
 
 def _param_size(phi: Homothety) -> float:
@@ -88,11 +89,11 @@ def _residual(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _chart_checks(f, finv, pts: np.ndarray, identities) -> List[CheckResult]:
-    """One check per (name, element, target, tol) in identities: the
+    """One COMPOSED_TOL check per (name, element, target) in identities: the
     largest deviation of f^-1 . element . f from target on the points."""
     f_pts = f(pts)
-    return [_check(name, _residual(finv(apply(elem, f_pts)), target), tol)
-            for name, elem, target, tol in identities]
+    return [_check(name, _residual(finv(apply(elem, f_pts)), target), COMPOSED_TOL)
+            for name, elem, target in identities]
 
 
 # ---------------------------------------------------------------------------
@@ -133,33 +134,33 @@ def verify_imaginary_torus_example(samples: int = 50, seed: int = 42) -> Example
     q0, q1, q2, q3 = pts.T
 
     # round trips of the conjugating diffeomorphism
-    checks = [_check("f_round_trip", _residual(_ex1_finv(_ex1_f(pts)), pts), 1e-9)]
+    checks = [_check("f_round_trip", _residual(_ex1_finv(_ex1_f(pts)), pts), ROUNDOFF_TOL)]
     checks += _chart_checks(_ex1_f, _ex1_finv, pts, [
-        ("conj_gamma", gamma, np.stack([q0 + np.pi / 2, q2, -q1, q3 + 2 * q1 * q2], axis=-1), 1e-8),
-        ("conj_eta", eta, pts + [0.0, 0.0, 0.0, -1.0], 1e-8),
-        ("conj_zeta", zeta, pts + [0.0, 1.0, 0.0, 0.0], 1e-8),
-        ("conj_zeta_hat", zeta_hat, np.stack([q0, q1, q2 + 1.0, q3 - 2 * q1], axis=-1), 1e-8),
-        ("conj_gamma4", power(gamma, 4), pts + [2 * np.pi, 0.0, 0.0, 0.0], 1e-8),
+        ("conj_gamma", gamma, np.stack([q0 + np.pi / 2, q2, -q1, q3 + 2 * q1 * q2], axis=-1)),
+        ("conj_eta", eta, pts + [0.0, 0.0, 0.0, -1.0]),
+        ("conj_zeta", zeta, pts + [0.0, 1.0, 0.0, 0.0]),
+        ("conj_zeta_hat", zeta_hat, np.stack([q0, q1, q2 + 1.0, q3 - 2 * q1], axis=-1)),
+        ("conj_gamma4", power(gamma, 4), pts + [2 * np.pi, 0.0, 0.0, 0.0]),
     ])
 
     # all generators are genuine isometries
     iso_res = max(homothety_factor_check(g, rng=rng)
                   for g in (gamma, eta, zeta, zeta_hat))
-    checks.append(_check("generators_are_isometries", iso_res, 1e-8))
+    checks.append(_check("generators_are_isometries", iso_res, COMPOSED_TOL))
 
     # group arithmetic agrees with pointwise composition for zeta and its
     # gamma-conjugate (the omega-cocycle consistency)
     few = pts[:20]
     checks.append(_check("group_vs_pointwise",
                          _residual(apply(compose(zeta, zeta_hat), few),
-                                   apply(zeta, apply(zeta_hat, few))), 1e-9))
+                                   apply(zeta, apply(zeta_hat, few))), ROUNDOFF_TOL))
 
     # commutator of the conjugated zeta generators is a central v-shift
     # by 2, i.e. the square of the conjugated eta-inverse: the conjugated
     # group is an integer Heisenberg-type lattice, cocompact and discrete
     comm = compose(zeta, compose(zeta_hat, compose(inverse(zeta), inverse(zeta_hat))))
     checks += _chart_checks(_ex1_f, _ex1_finv, pts, [
-        ("commutator_is_central_v_shift", comm, pts + [0.0, 0.0, 0.0, 2.0], 1e-8)])
+        ("commutator_is_central_v_shift", comm, pts + [0.0, 0.0, 0.0, 2.0])])
 
     # index-4 structure: the conjugated gamma-powers rotate the (x, y)
     # block for k = 1, 2, 3 and become a pure translation at k = 4; the
@@ -200,7 +201,7 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     beta = BetaSolution(prof, [1.0, 1.0], [lr, -lr])  # (rho^t, rho^{-t})
     betahat = beta_reparam(beta, 1.0, 1)              # beta(t + 1)
 
-    checks = [_check("vieta_product", abs(rho * (1.0 / rho) - 1.0), 1e-12)]
+    checks = [_check("vieta_product", abs(rho * (1.0 / rho) - 1.0), EXACT_TOL)]
 
     # beta grows like rho^t, so the recurrence and shift checks are judged
     # relative to the size of what they compare
@@ -208,10 +209,10 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     terms = np.array([beta_eval(betahat, t + 1.0)[0], r * beta_eval(betahat, t)[0],
                       beta_eval(beta, t)[0]])
     checks.append(_check("recurrence", float(np.max(np.abs(terms[0] - terms[1] + terms[2]))),
-                         1e-9, float(np.max(np.abs(terms)))))
+                         ROUNDOFF_TOL, float(np.max(np.abs(terms)))))
 
     checks.append(_check("lagrangian_omega",
-                         abs(symplectic_form(beta, betahat)), 1e-9))
+                         abs(symplectic_form(beta, betahat)), ROUNDOFF_TOL))
 
     eta = Homothety(prof, beta=beta)
     etahat = Homothety(prof, beta=betahat)
@@ -220,10 +221,10 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     # shift stability of the lattice: conjugation by the t-shift maps
     # eta -> etahat and etahat -> eta^{-1} etahat^r
     tau_eta = compose(inverse(gamma), compose(eta, gamma))
-    checks.append(_check("shift_eta", element_distance(tau_eta, etahat), 1e-8))
+    checks.append(_check("shift_eta", element_distance(tau_eta, etahat), COMPOSED_TOL))
     tau_etahat = compose(inverse(gamma), compose(etahat, gamma))
     target = compose(inverse(eta), power(etahat, r))
-    checks.append(_check("shift_etahat", element_distance(tau_etahat, target), 1e-6,
+    checks.append(_check("shift_etahat", element_distance(tau_etahat, target), WORD_TOL,
                          max(_param_size(tau_etahat), _param_size(target))))
 
     # homothety variant: gammahat scales by rho per unit time; conjugating
@@ -233,11 +234,11 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     orbit = orbit_obstruction_sequence(gammahat, alpha, K=LATTICE_K_MAX)
     res_b = max(abs(phi.b - rho ** (1 - 2 * k)) / rho ** (1 - 2 * k)
                 for k, phi in enumerate(orbit.conjugates, 1))
-    checks.append(_check("conjugate_b_is_rho_power", res_b, 1e-8))
+    checks.append(_check("conjugate_b_is_rho_power", res_b, COMPOSED_TOL))
     checks.append(_check("non_discreteness", min(element_distance(phi, identity(prof))
-                                                 for phi in orbit.conjugates), 1e-3))
+                                                 for phi in orbit.conjugates), APPROACH_TOL))
     checks.append(_check("orbit_converges_to_zero",
-                         float(np.linalg.norm(coords(orbit.points[-1]))), 1e-6))
+                         float(np.linalg.norm(coords(orbit.points[-1]))), ORBIT_TOL))
 
     commentary = (f"rho = {rho:.6f}; the isometric lattice is shift-stable, "
                   "while the homothety variant conjugates the v-translation "
@@ -274,10 +275,10 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
     pts = rng.normal(size=(50, 3)) * 1.5
 
     f_pts = _ex3_f(pts)
-    checks = [_check("f_round_trip", _residual(_ex3_finv(f_pts), pts), 1e-8)]
+    checks = [_check("f_round_trip", _residual(_ex3_finv(f_pts), pts), COMPOSED_TOL)]
     checks += _chart_checks(_ex3_f, _ex3_finv, pts, [
-        ("conj_gamma", gamma, pts + [1.0, 0.0, 0.0], 1e-8),
-        ("conj_eta", eta, pts + [0.0, 1.0, 0.0], 1e-8)])
+        ("conj_gamma", gamma, pts + [1.0, 0.0, 0.0]),
+        ("conj_eta", eta, pts + [0.0, 1.0, 0.0])])
 
     # the displayed zeta uses the sign-flipped v-part; as a plain map it
     # conjugates to a pure shear in the middle coordinate
@@ -288,12 +289,12 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
     want[:, 1] += np.exp(-2 * pts[:, 0])
     # the shear grows like e^{-2t}, so the check is judged relative to the
     # size of what it compares
-    checks.append(_check("conj_zeta_displayed", _residual(got, want), 1e-7,
+    checks.append(_check("conj_zeta_displayed", _residual(got, want), GROWTH_TOL,
                          max(float(np.max(np.abs(got))), float(np.max(np.abs(want))))))
 
     for name, g in (("eta_is_isometry", eta), ("zeta_is_isometry", zeta),
                     ("gamma_is_homothety", gamma)):
-        checks.append(_check(name, homothety_factor_check(g, rng=rng), 1e-8))
+        checks.append(_check(name, homothety_factor_check(g, rng=rng), COMPOSED_TOL))
 
     # decay mode: gamma^{-i} zeta gamma^i (0) collapses like e^{-2i}
     norms = np.linalg.norm(coords(orbit_obstruction_sequence(gamma, zeta, K=20).points),
@@ -301,8 +302,8 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
     fit = np.polyfit(np.arange(1, 21), np.log(norms), 1)
     rate = np.exp(fit[0])
     checks.append(_check("decay_rate_e_minus_2",
-                         abs(rate - np.exp(-2.0)) / np.exp(-2.0), 0.1))
-    checks.append(_check("decay_terminal", norms[-1], 1e-6))
+                         abs(rate - np.exp(-2.0)) / np.exp(-2.0), RATE_TOL))
+    checks.append(_check("decay_terminal", norms[-1], ORBIT_TOL))
 
     commentary = ("Only the e^{+t} solution survives conjugation by the "
                   "homothety; the e^{-t} direction decays at rate e^{-2} "
@@ -370,14 +371,15 @@ def _box_minus_holes_nonempty(box: Box, holes: Sequence[Box]) -> bool:
 
 
 def _require_axis_map(phi: Homothety) -> None:
-    A = phi.A
     if phi.eps != 1 or not phi.beta.is_zero():
         raise UnsupportedCaseError("generator must preserve axis boxes "
                                    "(eps = +1, beta = 0)")
-    pattern = np.abs(A)
-    if not (np.allclose(pattern @ np.ones(A.shape[0]), 1.0, atol=1e-9)
-            and np.allclose(np.ones(A.shape[0]) @ pattern, 1.0, atol=1e-9)
-            and np.allclose(pattern * (1 - pattern), 0.0, atol=1e-9)):
+    # each |entry| of A is 0 or 1 within PARAM_TOL, and rounded they are
+    # one 1 per row and per column
+    pattern = np.abs(phi.A)
+    ones = np.rint(pattern)
+    if not (within(np.max(pattern * np.abs(1 - pattern)), PARAM_TOL)
+            and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()):
         raise UnsupportedCaseError("generator matrix must be a signed permutation")
 
 
@@ -437,7 +439,7 @@ def rescale_field(p):
     a = coords(p)
     x, v = a[..., 1:-1], a[..., -1]
     q = np.sum(x * x, axis=-1) ** 2 + v * v
-    if np.min(q, initial=np.inf) <= 1e-300:
+    if np.min(q, initial=np.inf) <= DIVISOR_FLOOR:
         raise PreconditionError("f is undefined on the axis {x = 0, v = 0}")
     return 1.0 / np.sqrt(q)
 
@@ -462,14 +464,14 @@ def verify_inessential_rescale_U(n: int = 2) -> ExampleReport:
     worst = max(conformal_defect(SmoothMap(n, partial(apply, phi), partial(differential, phi)),
                                  fg, fg, lambda a: 1.0, pts)
                 for phi in elements)
-    checks = [_check("rescale_equivariance", worst, 1e-8)]
+    checks = [_check("rescale_equivariance", worst, COMPOSED_TOL)]
 
     # the t-translation leaves f untouched outright
     gamma = Homothety(prof, c=1.0)
     p = np.r_[0.3, np.ones(n), 1.2]
     checks.append(_check("t_translation_invariance",
                          abs(rescale_field(apply(gamma, p)) - rescale_field(p)),
-                         1e-12))
+                         EXACT_TOL))
     commentary = ("This makes the centraliser inessential on U; it is not a "
                   "proof that the quotient's conformal structure is "
                   "inessential, since transformations of the quotient need "

@@ -3,8 +3,8 @@
 Schemas:
     profile     {"n": int >= 1, "S": [[real]], "tolerance": real > 0}
                 ("n" and "tolerance" optional; the tolerance, default
-                1e-9, scales SymmetricProfile's symmetry, spectral
-                grouping, zero-eigenvalue and centraliser checks)
+                core.PROFILE_TOL, scales SymmetricProfile's symmetry,
+                spectral grouping, zero-eigenvalue and centraliser checks)
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
     point       [t, x_1, ..., x_n, v]
@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import DEFAULT_TOL, BetaSolution, Point, SymmetricProfile
+from .core import PROFILE_TOL, BetaSolution, Point, SymmetricProfile
 from .curvature import CurvatureTensor4
 from .errors import CWError, InputError
 from .group import Homothety
@@ -80,7 +80,7 @@ def load_profile(data: Any, high: int) -> SymmetricProfile:
     if "n" in data:
         n = load_count(data, "n", 1)
         _require(S.shape == (n, n), f"'S' shape {S.shape} does not match n = {n}")
-    return SymmetricProfile(S, tolerance=load_real(data, "tolerance", DEFAULT_TOL))
+    return SymmetricProfile(S, tolerance=load_real(data, "tolerance", PROFILE_TOL))
 
 
 def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:

@@ -4,10 +4,10 @@ traces, and closed forms the library itself has no use for."""
 
 import numpy as np
 
-from cwgeom.core import SymmetricProfile, coords
+from cwgeom.core import PARAM_TOL, SymmetricProfile, coords
 from cwgeom.curvature import FD_STEP, metric_at
 from cwgeom.flat import SmoothMap
-from cwgeom.group import PARAM_TOL, Homothety, element_distance, identity
+from cwgeom.group import Homothety, element_distance, identity
 
 
 def jacobian_finite_difference(forward, p) -> np.ndarray:

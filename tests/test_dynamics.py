@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cwgeom import dynamics
 from cwgeom.core import (
+    PARAM_TOL,
     BetaSolution,
     Point,
     SymmetricProfile,
@@ -37,7 +38,6 @@ from cwgeom.errors import (
     UnsupportedCaseError,
 )
 from cwgeom.group import (
-    PARAM_TOL,
     Homothety,
     apply,
     compose,
@@ -150,6 +150,42 @@ class TestFixedPoint:
         assert element_distance(power(phi, 4), identity(prof)) <= 1e-6
         rep = fixed_point(phi)
         assert not rep.exists and rep.point is None
+
+
+def _conjugated_isometry(eps, scale, rng):
+    """g h g^-1 for h = (eps, A) with A a random element of C_O(n)(S), which
+    fixes the origin, and g a translation whose b and beta have size
+    `scale`: an isometry with c = 0 that fixes the point g(0)."""
+    n = int(rng.integers(2, 5))
+    prof = SymmetricProfile(-rng.uniform(0.5, 2.0) * np.eye(n))
+    h = Homothety(prof, eps=eps, A=random_centralising_orthogonal(prof, rng))
+    g = Homothety(prof, b=scale * rng.normal(),
+                  beta=BetaSolution(prof, scale * rng.normal(size=n), scale * rng.normal(size=n)))
+    return conjugate(g, h)
+
+
+class TestFixedPointScale:
+    """The fixed-point gates are relative to what their residuals subtract,
+    so a fixed point is found at any size of beta and b."""
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+    def test_conjugated_isometries_have_fixed_points(self, eps, scale, rng):
+        for _ in range(12):
+            phi = _conjugated_isometry(eps, scale, rng)
+            rep = fixed_point(phi)
+            assert rep.exists and rep.reason == "isometry_euclidean_fp"
+            assert rep.residual <= 1e-8 * scale ** 2
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_true_v_shift_is_no_fixed_point(self, scale, rng):
+        # a v-shift of 1e-6 times the terms the v-equation subtracts
+        for _ in range(12):
+            phi = _conjugated_isometry(1, scale, rng)
+            x = fixed_point(phi).point.x
+            val, der = beta_eval(phi.beta, 0.0)
+            size = max(abs(phi.b), abs(float(der @ (phi.A @ x))), 0.5 * abs(float(der @ val)))
+            assert not fixed_point(replace(phi, b=phi.b + 1e-6 * size)).exists
 
 
 def _rotation_of_order(prof, k, rng):

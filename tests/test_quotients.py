@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cwgeom import quotients
-from cwgeom.core import SymmetricProfile
+from cwgeom.core import PARAM_TOL, SymmetricProfile
 from cwgeom.errors import PreconditionError, UnsupportedCaseError
-from cwgeom.group import Homothety
+from cwgeom.group import Homothety, _element
 from cwgeom.quotients import (
     BoxRegion,
     EXAMPLES,
@@ -110,6 +110,28 @@ class TestBoxArithmetic:
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         with pytest.raises(UnsupportedCaseError):
             self_adjacency(region, [Homothety(prof, A=rot)])
+
+    def test_axis_map_tolerance_is_param_tol(self):
+        # an entry of |A| is 0 or 1 within PARAM_TOL and no looser: the
+        # row and column sums add no tolerance of their own
+        prof = SymmetricProfile(-np.eye(2))
+        for off, accepted in ((0.9, True), (1.1, False)):
+            for A in (np.diag([1 + off * PARAM_TOL, -1.0]),
+                      np.array([[off * PARAM_TOL, 1.0], [1.0, 0.0]])):
+                phi = _element(prof, 0.0, np.zeros(2), np.zeros(2), 0.0, 1, A, 0.0)
+                if accepted:
+                    quotients._require_axis_map(phi)
+                else:
+                    with pytest.raises(UnsupportedCaseError):
+                        quotients._require_axis_map(phi)
+
+    @pytest.mark.parametrize("A", [[[1.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]],
+                                   [[0.0, 0.0], [0.0, 0.0]]])
+    def test_axis_map_needs_one_unit_per_row_and_column(self, A):
+        prof = SymmetricProfile(-np.eye(2))
+        phi = _element(prof, 0.0, np.zeros(2), np.zeros(2), 0.0, 1, np.array(A), 0.0)
+        with pytest.raises(UnsupportedCaseError):
+            quotients._require_axis_map(phi)
 
 
 class TestRemovedFixedPoints:
