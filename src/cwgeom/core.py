@@ -28,6 +28,7 @@ from .errors import (
 # threshold whose verdicts name a size is relative to it (past size 1), and
 # absolute otherwise.
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
+PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, AS - SA, gaps, flatness
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I, or of
 #                         |A|(1 - |A|); in the PD sweep too, on c and s in exact arithmetic
 FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
@@ -68,10 +69,10 @@ class SymmetricProfile:
     """The symmetric n x n matrix S defining the metric, with a cached
     eigendecomposition.
 
-    S is stored dense; eigenvalues within ``tolerance`` of each other are
-    grouped into a single spectral block, and eigenvalues within
-    ``zero_threshold`` = tolerance * max(1, max |eigenvalue|) of zero are
-    treated as exactly zero, here and in ``classify``.  A finite S whose
+    S is stored dense; eigenvalues within ``zero_threshold`` = tolerance *
+    max(1, max |eigenvalue|) of zero are treated as exactly zero, here and
+    in ``classify``, and those within PROFILE_SLACK * zero_threshold of each
+    other are grouped into a single spectral block.  A finite S whose
     symmetrisation, trace or eigenvalues overflow is rejected with an
     OverflowingValueError.
     """
@@ -107,7 +108,7 @@ class SymmetricProfile:
         self.zero_threshold = self.tolerance * max(1.0, float(np.max(np.abs(w))))
         # absolute bound, on the scale of S, for commuting with S and for
         # equality of profiles
-        self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * 10
+        self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * PROFILE_SLACK
         self.spectrum = self._group_spectrum(w, Q)
         self._branches = self._column_branches()
 
@@ -116,7 +117,7 @@ class SymmetricProfile:
         i = 0
         while i < self.n:
             j = i + 1
-            while j < self.n and abs(w[j] - w[i]) <= 10 * self.zero_threshold:
+            while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * self.zero_threshold:
                 j += 1
             ev = float(np.mean(w[i:j]))
             if abs(ev) <= self.zero_threshold:
@@ -177,7 +178,7 @@ class SymmetricProfile:
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n, self.n):
             return False
-        ortho = float(np.max(np.abs(A.T @ A - np.eye(self.n)))) <= self.tolerance * 10
+        ortho = float(np.max(np.abs(A.T @ A - np.eye(self.n)))) <= self.tolerance * PROFILE_SLACK
         commutes = float(np.max(np.abs(A @ self.S - self.S @ A))) <= self._scale_tol
         return ortho and commutes
 
@@ -218,8 +219,8 @@ def classify(profile: SymmetricProfile) -> Classification:
     tolerance) a scalar matrix.
     """
     w = profile.eigenvalues
-    zero = profile.zero_threshold
-    near_zero = np.abs(w) <= zero
+    zero_tol = profile.zero_threshold
+    near_zero = np.abs(w) <= zero_tol
     invertible = not bool(np.any(near_zero))
     if np.any(near_zero):
         kind = "degenerate"
@@ -230,8 +231,8 @@ def classify(profile: SymmetricProfile) -> Classification:
     else:
         kind = "mixed"
     mean = float(np.trace(profile.S)) / profile.n
-    flat = float(np.max(np.abs(profile.S - mean * np.eye(profile.n)))) <= zero * 10
-    positive = w[w > zero]
+    flat = float(np.max(np.abs(profile.S - mean * np.eye(profile.n)))) <= zero_tol * PROFILE_SLACK
+    positive = w[w > zero_tol]
     lam = float(np.max(positive)) if positive.size else None
     return Classification(kind, invertible, flat, lam)
 

@@ -23,7 +23,9 @@ outside; products, inverses and renormalised elements of valid elements
 are checked only for overflow.
 
 `apply` and `differential` act on an (..., n+2) array of points, one per
-row; a `Point` goes through the same formula.
+row; a `Point` goes through the same formula.  They broadcast a batch of
+elements against the leading axes of the points, its last axis 1 standing
+for the rows: a (B, 1) batch at (N, n+2) points gives (B, N, n+2) images.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def _dot(x, y):
     return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
+def _rowmat(x, M):
+    """x M for rows x (..., N, n) and M (n, n), or a batch (..., 1, n, n) whose
+    size-1 axis stands for the N rows: one product per element, of all its rows."""
+    return x @ M.reshape(M.shape[:-3] + M.shape[-2:])
+
+
 def identity(profile: SymmetricProfile) -> Homothety:
     return Homothety(profile)
 
@@ -151,7 +159,7 @@ def apply(phi: Homothety, p):
     a = coords(p, phi.profile.n)
     t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
     val, der = beta_eval(phi.beta, t)
-    esAx = np.exp(phi.s) * (x @ phi.A.T)
+    esAx = np.exp(phi.s)[..., None] * _rowmat(x, phi.A.swapaxes(-1, -2))
     w = phi.eps * (np.exp(2 * phi.s) * v + phi.b
                    - np.sum(der * (esAx + 0.5 * val), axis=-1))
     return same_form(p, join(phi.eps * t + phi.c, esAx + val, w))
@@ -166,14 +174,14 @@ def differential(phi: Homothety, p) -> np.ndarray:
     val, der = beta_eval(phi.beta, t)
     dder = val @ prof.S  # beta''(t)
     es = np.exp(phi.s)
-    esAx = es * (x @ phi.A.T)
-    J = np.zeros(a.shape + (prof.n + 2,))
+    esAx = es[..., None] * _rowmat(x, phi.A.swapaxes(-1, -2))
+    J = np.zeros(val.shape[:-1] + (prof.n + 2, prof.n + 2))
     J[..., 0, 0] = phi.eps
     J[..., 1:-1, 0] = der
-    J[..., 1:-1, 1:-1] = es * phi.A
+    J[..., 1:-1, 1:-1] = es[..., None, None] * phi.A
     J[..., -1, 0] = -phi.eps * (np.sum(dder * (esAx + 0.5 * val), axis=-1)
                                 + 0.5 * np.sum(der * der, axis=-1))
-    J[..., -1, 1:-1] = -phi.eps * es * (der @ phi.A)
+    J[..., -1, 1:-1] = (-phi.eps * es)[..., None] * _rowmat(der, phi.A)
     J[..., -1, -1] = phi.eps * np.exp(2 * phi.s)
     return J
 

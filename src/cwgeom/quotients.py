@@ -37,6 +37,8 @@ from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
 from .group import (
     Homothety,
+    _stack,
+    _take,
     apply,
     compose,
     differential,
@@ -383,28 +385,27 @@ def _require_axis_map(phi: Homothety) -> None:
         raise UnsupportedCaseError("generator matrix must be a signed permutation")
 
 
-def _transform_boxes(phi: Homothety, boxes: Sequence[Box]) -> List[Box]:
-    """Images of axis boxes under an axis-preserving group element.  Each
-    image coordinate is monotone in one source coordinate, so the image
-    of a box is spanned by the images of its lowest and highest corners."""
-    img = apply(phi, np.array(boxes).transpose(0, 2, 1))  # (box, corner, n+2)
-    lo, hi = np.minimum(img[:, 0], img[:, 1]), np.maximum(img[:, 0], img[:, 1])
-    return [tuple(zip(*pair)) for pair in zip(lo.tolist(), hi.tolist())]
-
-
 def self_adjacency(region: BoxRegion, generators: Sequence[Homothety],
                    exponent_range: int = 3) -> set:
     """Exponent tuples (i_1, ..., i_k) with |i_j| <= exponent_range for
     which the image of the region under g_1^{i_1} ... g_k^{i_k} meets the
-    region in a set of positive measure."""
+    region in a set of positive measure.  The words are one batch, folded
+    by one compose per generator after the first; each generator maps each
+    coordinate monotonely, so one apply of the lowest and highest corner of
+    every box under every word spans the image boxes."""
     for g in generators:
         _require_axis_map(g)
-    out = set()
     exps = range(-exponent_range, exponent_range + 1)
-    powers = [{e: power(g, e) for e in exps} for g in generators]
-    for combo in itertools.product(exps, repeat=len(generators)):
-        word = reduce(compose, (p[e] for p, e in zip(powers, combo)))
-        img_outer, *img_holes = _transform_boxes(word, [region.outer, *region.holes])
+    combos = list(itertools.product(exps, repeat=len(generators)))
+    columns = (np.array(combos) + exponent_range).T  # each word's row in each generator's powers
+    words = reduce(compose, (_take(_stack([power(g, e) for e in exps]), col)
+                             for g, col in zip(generators, columns)))
+    corners = np.array([region.outer, *region.holes]).transpose(0, 2, 1)  # (box, corner, n+2)
+    img = apply(_take(words, np.s_[:, None, None]), corners)  # (word, box, corner, n+2)
+    lo, hi = img.min(axis=-2).tolist(), img.max(axis=-2).tolist()
+    out = set()
+    for combo, word_lo, word_hi in zip(combos, lo, hi):
+        img_outer, *img_holes = [tuple(zip(*pair)) for pair in zip(word_lo, word_hi)]
         overlap = _box_intersect(img_outer, region.outer)
         if overlap is None:
             continue
@@ -446,9 +447,9 @@ def rescale_field(p):
 
 def verify_inessential_rescale_U(n: int = 2) -> ExampleReport:
     """On U = R^{n+2} minus the t-axis, f = (|x|^4 + v^2)^{-1/2} makes
-    every element of E(1) x C_O(n)(S) x R an isometry of f g_S: each of
-    30 sampled elements is checked at each of 30 sample points, drawn
-    with seed 42."""
+    every element of E(1) x C_O(n)(S) x R an isometry of f g_S: 30
+    sampled elements, drawn with seed 42, form a (30, 1) batch, and one
+    pullback judges each of them at each of 30 sample points."""
     prof = SymmetricProfile(-np.eye(n))
     rng = np.random.default_rng(42)
     elements, rows = [], []
@@ -460,10 +461,10 @@ def verify_inessential_rescale_U(n: int = 2) -> ExampleReport:
                                   s=rng.normal()))
         rows.append([rng.normal(), *(rng.normal(size=n) + 0.5), rng.normal() + 0.5])
     pts = np.array(rows)
+    batch = _take(_stack(elements), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
-    worst = max(conformal_defect(SmoothMap(n, partial(apply, phi), partial(differential, phi)),
-                                 fg, fg, lambda a: 1.0, pts)
-                for phi in elements)
+    worst = conformal_defect(SmoothMap(n, partial(apply, batch), partial(differential, batch)),
+                             fg, fg, lambda a: 1.0, pts)
     checks = [_check("rescale_equivariance", worst, COMPOSED_TOL)]
 
     # the t-translation leaves f untouched outright

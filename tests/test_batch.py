@@ -87,6 +87,76 @@ def test_batched_law_rows_equal_single_elements(kind, n, seed, eps, N):
             assert element_distance(got, want) <= 4 * ULP * scale(prof, *parts) ** 2
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([-1, 1]), B=st.sampled_from([1, 7, 64]),
+       N=st.sampled_from([1, 7, 64]))
+def test_element_batch_rows_equal_single_elements(kind, n, seed, eps, B, N):
+    """Row (i, j) of apply and differential for a (B, 1) batch of elements
+    at N points is element i alone at point j, within 4 ulp of the
+    group-law scale squared: beta is evaluated through gemm for a batch
+    and gemv for one element.  The profile has a repeated eigenvalue, so A
+    turns its eigenspace."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    m = prof.n + 2
+    phis = [replace(element(prof, rng), eps=eps) for _ in range(B)]
+    pts = rng.uniform(-2, 2, size=(N, m))
+    batch = _take(_stack(phis), np.s_[:, None])
+    images, jacobians = apply(batch, pts), differential(batch, pts)
+    assert images.shape == (B, N, m) and jacobians.shape == (B, N, m, m)
+    for phi, image, J in zip(phis, images, jacobians):
+        tol = np.array([4 * ULP * scale(prof, phi, t=t) ** 2 for t in pts[:, 0]])
+        assert (np.max(np.abs(image - apply(phi, pts)), axis=-1) <= tol).all()
+        assert (np.max(np.abs(J - differential(phi, pts)), axis=(-2, -1)) <= tol).all()
+
+
+def test_element_batch_broadcasts_over_every_point_axis():
+    """A (B, 1, 1) batch at (K, N) points, as self_adjacency maps box
+    corners, gives the (B, 1) batch's rows at each of the K rows."""
+    rng = np.random.default_rng(11)
+    prof = spectral_profile("mixed", 3, rng, repeat=True)
+    elements = _stack([element(prof, rng) for _ in range(5)])
+    pts = rng.uniform(-2, 2, size=(4, 6, prof.n + 2))
+    for f in (apply, differential):
+        got = f(_take(elements, np.s_[:, None, None]), pts)
+        assert got.shape[:3] == (5, 4, 6)
+        for k in range(4):
+            assert np.array_equal(got[:, k], f(_take(elements, np.s_[:, None]), pts[k]))
+
+
+def _reference_action(phi, a):
+    """apply and differential of one element on an (N, n+2) array by the
+    formulas with x A^T as one product of all the rows."""
+    t, x, v = a[:, 0], a[:, 1:-1], a[:, -1]
+    val, der = beta_eval(phi.beta, t)
+    es = np.exp(phi.s)
+    esAx = es * (x @ phi.A.T)
+    w = phi.eps * (np.exp(2 * phi.s) * v + phi.b - np.sum(der * (esAx + 0.5 * val), axis=-1))
+    J = np.zeros(a.shape + (a.shape[-1],))
+    J[:, 0, 0] = phi.eps
+    J[:, 1:-1, 0] = der
+    J[:, 1:-1, 1:-1] = es * phi.A
+    J[:, -1, 0] = -phi.eps * (np.sum((val @ phi.profile.S) * (esAx + 0.5 * val), axis=-1)
+                              + 0.5 * np.sum(der * der, axis=-1))
+    J[:, -1, 1:-1] = -phi.eps * es * (der @ phi.A)
+    J[:, -1, -1] = phi.eps * np.exp(2 * phi.s)
+    return np.column_stack((phi.eps * t + phi.c, esAx + val, w)), J
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_one_element_is_the_single_product_path_to_the_bit(seed):
+    """A batch's matrix product reshapes A; one element's stays x A^T over
+    all the rows, so its images and Jacobians are those floats exactly."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(KINDS[seed % 4], int(rng.integers(1, 9)), rng, repeat=seed % 2 == 1)
+    phi = element(prof, rng)
+    pts = rng.uniform(-2, 2, size=(int(rng.integers(1, 41)), prof.n + 2))
+    image, J = _reference_action(phi, pts)
+    assert np.array_equal(apply(phi, pts), image)
+    assert np.array_equal(differential(phi, pts), J)
+
+
 def test_renormalized_repairs_only_the_drifted_rows():
     rng = np.random.default_rng(6)
     prof = spectral_profile("mixed", 4, rng, repeat=True)

@@ -188,6 +188,29 @@ class TestFixedPointScale:
             assert not fixed_point(replace(phi, b=phi.b + 1e-6 * size)).exists
 
 
+def _c_zero_isometry():
+    """S = -I, beta(t) = sin(t - 1) e_1 (beta_reparam of (0, e_1) by -1) and
+    b = 0.7: an eps = +1 isometry with c = 0 whose t-part fixes every t,
+    and the point (1, (0.7, 0), 0.3) it fixes."""
+    prof = SymmetricProfile(-np.eye(2))
+    beta = beta_reparam(BetaSolution(prof, [0.0, 0.0], [1.0, 0.0]), -1.0, 1)
+    return Homothety(prof, b=0.7, beta=beta), Point(1.0, [0.7, 0.0], 0.3)
+
+
+def test_c_zero_isometry_fixes_a_point_off_t_zero():
+    phi, p = _c_zero_isometry()
+    assert phi.c == 0.0 and phi.eps == 1 and not phi.is_strict
+    assert np.max(np.abs(apply(phi, p) - p)) <= 1e-15
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: fixed_point tries only t* = 0 for an "
+                   "eps = +1 isometry with c = 0, and reports none_translation; the t at "
+                   "which the x-system is consistent and the v-shift vanishes needs a search")
+def test_c_zero_isometry_fixed_point_is_found():
+    phi, p = _c_zero_isometry()
+    assert fixed_point(phi).exists
+
+
 def _rotation_of_order(prof, k, rng):
     """A rotation by 2 pi / k in a plane of a repeated eigenvalue of S, and
     a beta inside that plane, so that the element is torsion once its b
@@ -459,6 +482,21 @@ class TestOrbitObstruction:
             prev = compose(inverse(gamma), compose(prev, gamma))
             assert element_distance(conj, prev) == 0.0
             np.testing.assert_array_equal(coords(apply(conj, origin)), coords(point))
+
+    def test_decaying_mode_stays_at_round_off(self):
+        """S = 1, gamma = (c = 1, s = 1) and zeta with beta = e^{-t}: the walk
+        gives x_k = e^{-2k} to 1e-13 relative for k = 1..20 (1.8e-15 today).
+        A closed form of the conjugates evaluates beta at k c_gamma and
+        loses this decaying mode (relative error 1.7 at k = 19), so the
+        orbit is batched only once beta is stored as growing and decaying
+        amplitudes (ROADMAP item 2)."""
+        prof = SymmetricProfile(np.eye(1))
+        gamma = Homothety(prof, c=1.0, s=1.0)
+        zeta = Homothety(prof, beta=BetaSolution(prof, [1.0], [-1.0]))
+        rep = orbit_obstruction_sequence(gamma, zeta, K=20)
+        x = np.array([p.x[0] for p in rep.points])
+        decay = np.exp(-2.0 * np.arange(1, 21))
+        assert np.max(np.abs(x - decay) / decay) <= 1e-13
 
     def test_gamma_must_be_in_quotient_factor(self, rng):
         prof = SymmetricProfile(-np.eye(1))

@@ -29,6 +29,8 @@ ALLOWED = {
 }
 # the judges, and the position of the tolerance among their arguments
 JUDGES = {"within": 1, "_check": 2}
+# a name that holds a tolerance: a factor on it is named in core's table too
+TOLERANCE_NAME = re.compile(r"tol|threshold", re.IGNORECASE)
 
 
 def _table():
@@ -89,6 +91,33 @@ def test_every_judged_tolerance_is_named():
                 if not isinstance(tol, (ast.Name, ast.Attribute)):
                     literal.append(f"{path.name}:{node.lineno}")
     assert literal == []
+
+
+def _factors(node):
+    """The factors of a product, through nested multiplications."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _is_number(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def test_no_tolerance_is_scaled_by_a_bare_number():
+    """A product of a tolerance or threshold name with a numeric literal,
+    such as `tolerance * 10`, hides a factor outside core's table."""
+    scaled = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            factors = _factors(node)
+            names = [getattr(f, "id", getattr(f, "attr", "")) for f in factors]
+            if (len(factors) > 1 and any(map(_is_number, factors))
+                    and any(TOLERANCE_NAME.search(name) for name in names if name)):
+                scaled.add(f"{path.name}:{node.lineno}")
+    assert sorted(scaled) == []
 
 
 def test_readme_lists_the_table():
