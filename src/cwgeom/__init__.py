@@ -33,7 +33,6 @@ from .curvature import (
 from .dynamics import (
     FixedPointReport,
     NormalFormResult,
-    centraliser_projection_demo,
     fixed_point,
     inessential_rescaling,
     is_essential,
@@ -57,7 +56,6 @@ from .group import (
     homothety_factor_check,
     identity,
     inverse,
-    project,
     pure_homothety,
 )
 from .quotients import (

@@ -166,13 +166,6 @@ class SymmetricProfile:
             d0[..., cols] = sr * o
         return ch, sh, d0
 
-    def reassemble(self) -> np.ndarray:
-        """Rebuild S from the spectral blocks (round-trip check)."""
-        out = np.zeros((self.n, self.n))
-        for b in self.spectrum:
-            out += b.eigenvalue * (b.basis @ b.basis.T)
-        return out
-
     def in_centraliser(self, A) -> bool:
         """Whether A is orthogonal and commutes with S, within tolerance."""
         A = np.asarray(A, dtype=float)
@@ -310,12 +303,11 @@ class BetaSolution:
         object.__setattr__(self, "beta0", b0)
         object.__setattr__(self, "beta1", b1)
 
-    def is_zero(self, tol: float = None) -> bool:
-        tol = self.profile.tolerance if tol is None else tol
-        return float(np.max(np.abs(self.beta0))) <= tol and float(np.max(np.abs(self.beta1))) <= tol
-
-    def __call__(self, t: float):
-        return beta_eval(self, t)
+    def is_zero(self) -> bool:
+        """Whether beta(0) and beta'(0) read as 0 by PARAM_TOL, as a group
+        element's other parameters do."""
+        return bool(within(np.max(np.abs(self.beta0)), PARAM_TOL)
+                    and within(np.max(np.abs(self.beta1)), PARAM_TOL))
 
 
 def require_phase(profile: SymmetricProfile, t, y0, y1) -> None:

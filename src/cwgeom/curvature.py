@@ -44,8 +44,7 @@ class CurvatureTensor4:
     Its nonzero entries are, for i, j in 1..n, R[i,0,j,0] = R[0,i,0,j] =
     sign * M_ij and R[i,0,0,j] = R[0,i,j,0] = -sign * M_ij.  `components`,
     the dense array, is built on first request and cached; it is the dense
-    Kulkarni-Nomizu product times the sign, signed zeros included.  Sums,
-    differences and scalar multiples stay in block form.
+    Kulkarni-Nomizu product times the sign, signed zeros included.
     """
 
     def __init__(self, block, sign: float = 1.0):
@@ -64,26 +63,6 @@ class CurvatureTensor4:
         R[x, 0, 0, x] = R[0, x, x, 0] = 0.0 - M
         R *= self.sign
         return R
-
-    def symmetry_defect(self) -> float:
-        """Max violation of the four Riemann symmetries: the antisymmetries
-        hold exactly, and pair exchange and Bianchi reduce to the symmetry
-        of M."""
-        return float(np.max(np.abs(self.block - self.block.T)))
-
-    def _combine(self, other, op):
-        return CurvatureTensor4(op(self.sign * self.block, other.sign * other.block))
-
-    def __add__(self, other):
-        return self._combine(other, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, np.subtract)
-
-    def __mul__(self, scalar):
-        return CurvatureTensor4((scalar * self.sign) * self.block)
-
-    __rmul__ = __mul__
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.block)))
@@ -168,16 +147,13 @@ def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
     Christoffel symbol has an upper t index, so C vanishes identically;
     the formula is still evaluated rather than short-circuited.
     """
-    m = profile.n + 2
     if point is None:
         point = Point(0.3, 0.7 * np.ones(profile.n), -0.2)
     P = schouten(profile)
     gamma = christoffel_at(profile, point)
     # coordinate derivative of the constant P is zero
     nablaP = -np.einsum("lij,lk->ijk", gamma, P) - np.einsum("lik,jl->ijk", gamma, P)
-    C = nablaP - np.transpose(nablaP, (1, 0, 2))
-    assert C.shape == (m, m, m)
-    return C
+    return nablaP - np.transpose(nablaP, (1, 0, 2))
 
 
 def riemann_finite_difference(profile: SymmetricProfile, point) -> np.ndarray:

@@ -47,10 +47,8 @@ from .group import (
     apply,
     compose,
     conjugate,
-    element_distance,
     identity,
     inverse,
-    project,
 )
 
 # the most entries, rows * (n+2)^2, that the PD sweep composes in one call
@@ -417,46 +415,3 @@ def _pd_obstructions(cls, elem: Homothety, words: np.ndarray, labels) -> List[PD
                   f"{cls.lambda_max_sq:.6g}"))
         out.append(PDObstruction(tuple(word), kind, detail))
     return out
-
-
-@dataclass(frozen=True)
-class CentraliserDemoReport:
-    injective: bool
-    c_values: List[float]
-    orbit_norms: List[float]
-    convergence_consistent: bool
-
-
-def centraliser_projection_demo(eta: Homothety,
-                                gammas: Sequence[Homothety]) -> CentraliserDemoReport:
-    """Numerical content of the projection argument: on the centraliser of
-    a strict origin-fixing homothety eta, the quotient projection
-    (c, eps, A, s) is injective, and c_n -> 0 forces gamma_n(0) -> 0."""
-    if not eta.is_strict or eta.eps != 1:
-        raise PreconditionError("eta must be a strict homothety with eps = +1")
-    origin = Point(0.0, np.zeros(eta.profile.n), 0.0)
-    if float(np.max(np.abs(apply(eta, origin) - origin))) > 1e-8:
-        raise PreconditionError("eta must fix the origin")
-    for g in gammas:
-        if element_distance(compose(g, eta), compose(eta, g)) > 1e-7:
-            raise PreconditionError("all supplied elements must centralise eta")
-    # injectivity: distinct elements have distinct projections
-    injective = True
-    for i in range(len(gammas)):
-        for j in range(i + 1, len(gammas)):
-            gi, gj = gammas[i], gammas[j]
-            if element_distance(gi, gj) > 1e-7:
-                ci, ei, Ai, si = project(gi)
-                cj, ej, Aj, sj = project(gj)
-                same_proj = (ei == ej and abs(ci - cj) <= 1e-9
-                             and abs(si - sj) <= 1e-9
-                             and float(np.max(np.abs(Ai - Aj))) <= 1e-9)
-                if same_proj:
-                    injective = False
-    cs = [abs(g.c) for g in gammas]
-    norms = [float(np.linalg.norm(apply(g, origin).as_array())) for g in gammas]
-    # if the c-sequence decays, the orbit points must decay with it
-    consistent = True
-    if len(cs) >= 2 and cs[-1] < 0.1 * max(cs[0], 1e-30):
-        consistent = norms[-1] <= 10 * max(cs[-1], 1e-12) + 1e-9
-    return CentraliserDemoReport(injective, cs, norms, consistent)

@@ -14,27 +14,27 @@ so a check over N points is one evaluation; metrics are Gram arrays
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import DOMAIN_TOL, Point, SymmetricProfile, coords, join, same_form
 from .curvature import conformal_change_at, conformal_christoffel_at, nabla_df
-from .errors import DomainError, UnsupportedCaseError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class SmoothMap:
     """A smooth map of R^{n+2} given by closed-form evaluators on (..., n+2)
-    arrays of points: `forward` to (..., n+2), `jacobian` to (..., n+2, n+2)
-    and `in_domain` to (...) booleans.  Calling it and `jacobian_at` take a
-    Point or such an array and check `in_domain`; the evaluators do not."""
+    arrays of points: `forward` to (..., n+2), its analytic `jacobian` to
+    (..., n+2, n+2) and `in_domain` to (...) booleans.  Calling it and
+    `jacobian_at` take a Point or such an array and check `in_domain`; the
+    evaluators do not."""
 
     n: int
     forward: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    inverse: Optional["SmoothMap"] = None
+    jacobian: Callable[[np.ndarray], np.ndarray]
     in_domain: Callable[[np.ndarray], np.ndarray] = lambda a: True
 
     def _require(self, p) -> np.ndarray:
@@ -48,9 +48,6 @@ class SmoothMap:
         return same_form(p, self.forward(self._require(p)))
 
     def jacobian_at(self, p) -> np.ndarray:
-        """The analytic Jacobian; UnsupportedCaseError on a map without one."""
-        if self.jacobian is None:
-            raise UnsupportedCaseError("the map carries no Jacobian")
         return self.jacobian(self._require(p))
 
 
@@ -67,10 +64,9 @@ def _half_space(q: np.ndarray) -> np.ndarray:
     return q[..., 0] > DOMAIN_TOL
 
 
-def _warped_chart(n: int, lam: float, rho, u, u_inv, in_domain=lambda a: True,
-                  image=lambda q: True) -> SmoothMap:
+def _warped_chart(n: int, lam: float, rho, u, in_domain=lambda a: True) -> SmoothMap:
     """The warped chart of S = lam I (see the module docstring); rho(t)
-    gives (rho, rho'), and `image` is the domain of the inverse."""
+    gives (rho, rho')."""
 
     def fwd(a):
         t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
@@ -90,14 +86,7 @@ def _warped_chart(n: int, lam: float, rho, u, u_inv, in_domain=lambda a: True,
         J[..., -1, -1] = 1.0
         return J
 
-    def inv(q):
-        t = u_inv(q[..., 0])
-        r, dr = rho(t)
-        x = r[..., None] * q[..., 1:-1]
-        return join(t, x, q[..., -1] - 0.5 * np.sum(x * x, axis=-1) * dr / r)
-
-    return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=in_domain,
-                     inverse=SmoothMap(n, forward=inv, in_domain=image))
+    return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=in_domain)
 
 
 def minkowski_map(n: int) -> SmoothMap:
@@ -105,22 +94,21 @@ def minkowski_map(n: int) -> SmoothMap:
     half-space {u > 0}: u = e^{2t}/2, y = e^t x, z = v - |x|^2/2, the
     warped chart with rho = e^-t."""
     return _warped_chart(n, 1.0, lambda t: (np.exp(-t), -np.exp(-t)),
-                         lambda t: 0.5 * np.exp(2 * t), lambda u: 0.5 * np.log(2 * u),
-                         image=_half_space)
+                         lambda t: 0.5 * np.exp(2 * t))
 
 
 def imaginary_local_map(n: int) -> SmoothMap:
     """The local conformal map of the imaginary-type model on the strip
     |t| < pi/2: u = tan t, y = x/cos t, z = v - |x|^2 tan(t)/2, the warped
     chart with rho = cos t."""
-    return _warped_chart(n, -1.0, lambda t: (np.cos(t), -np.sin(t)), np.tan, np.arctan,
+    return _warped_chart(n, -1.0, lambda t: (np.cos(t), -np.sin(t)), np.tan,
                          in_domain=lambda a: np.abs(a[..., 0]) < np.pi / 2 - DOMAIN_TOL)
 
 
 def minkowski_inversion(n: int) -> SmoothMap:
     """(u, y, z) -> (1/(4u), y/(2u), -z - |y|^2/(2u)): the isometry
     (t, x, v) -> (-t, x, -v) seen through the Minkowski map; satisfies
-    eta^* g0 = g0 / (4u^2) on {u > 0}.  It is its own inverse."""
+    eta^* g0 = g0 / (4u^2) on {u > 0}, an involution of {u > 0}."""
 
     def fwd(q):
         u, y, z = q[..., 0], q[..., 1:-1], q[..., -1]
@@ -137,8 +125,7 @@ def minkowski_inversion(n: int) -> SmoothMap:
         J[..., -1, -1] = -1.0
         return J
 
-    eta = SmoothMap(n, forward=fwd, jacobian=jac, in_domain=_half_space)
-    return replace(eta, inverse=eta)
+    return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=_half_space)
 
 
 def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], np.ndarray],

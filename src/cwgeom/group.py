@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -213,11 +213,6 @@ def inverse(phi: Homothety) -> Homothety:
     ems = np.exp(-s)
     return _element(phi.profile, -eps * ems * ems * phi.b, -ems[..., None] * _matvec(A_inv, val),
                     (-ems * eps)[..., None] * _matvec(A_inv, der), -eps * c, eps, A_inv, -s)
-
-
-def project(phi: Homothety) -> Tuple[float, int, np.ndarray, float]:
-    """Quotient map H_S -> E(1) x C_O(n)(S) x R, dropping (b, beta)."""
-    return (phi.c, phi.eps, phi.A.copy(), phi.s)
 
 
 def element_distance(phi: Homothety, psi: Homothety) -> float:

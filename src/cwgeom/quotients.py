@@ -52,6 +52,8 @@ from .curvature import metric_at
 
 # the orbit length of the real-lattice example's homothety variant
 LATTICE_K_MAX = 30
+# the largest |exponent| of each generator in self_adjacency's words
+ADJACENCY_RANGE = 3
 
 
 @dataclass(frozen=True)
@@ -116,14 +118,15 @@ def _ex1_finv(q: np.ndarray) -> np.ndarray:
     return np.stack([t, xr, yr, -v - xr * yr], axis=-1)
 
 
-def verify_imaginary_torus_example(samples: int = 50, seed: int = 42) -> ExampleReport:
+def verify_imaginary_torus_example(seed: int = 42) -> ExampleReport:
     """Isometric quotient of the 4-dimensional imaginary-type model space.
 
     The group is generated by the t-shift gamma by pi/2, the v-shift eta,
     and the Heisenberg isometry zeta with beta = (cos t, sin t).  A
     change of coordinates f makes the action affine with constant linear
     part; the conjugated generators stabilize a cocompact discrete
-    subgroup of index 4 (a Heisenberg-type integer lattice).
+    subgroup of index 4 (a Heisenberg-type integer lattice).  The
+    identities are checked at 50 points drawn with `seed`.
     """
     prof = SymmetricProfile(-np.eye(2))
     gamma = Homothety(prof, c=np.pi / 2)
@@ -132,7 +135,7 @@ def verify_imaginary_torus_example(samples: int = 50, seed: int = 42) -> Example
     zeta_hat = compose(inverse(gamma), compose(zeta, gamma))
 
     rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(samples, 4)) * 2.0
+    pts = rng.normal(size=(50, 4)) * 2.0
     q0, q1, q2, q3 = pts.T
 
     # round trips of the conjugating diffeomorphism
@@ -385,9 +388,8 @@ def _require_axis_map(phi: Homothety) -> None:
         raise UnsupportedCaseError("generator matrix must be a signed permutation")
 
 
-def self_adjacency(region: BoxRegion, generators: Sequence[Homothety],
-                   exponent_range: int = 3) -> set:
-    """Exponent tuples (i_1, ..., i_k) with |i_j| <= exponent_range for
+def self_adjacency(region: BoxRegion, generators: Sequence[Homothety]) -> set:
+    """Exponent tuples (i_1, ..., i_k) with |i_j| <= ADJACENCY_RANGE for
     which the image of the region under g_1^{i_1} ... g_k^{i_k} meets the
     region in a set of positive measure.  The words are one batch, folded
     by one compose per generator after the first; each generator maps each
@@ -395,9 +397,9 @@ def self_adjacency(region: BoxRegion, generators: Sequence[Homothety],
     every box under every word spans the image boxes."""
     for g in generators:
         _require_axis_map(g)
-    exps = range(-exponent_range, exponent_range + 1)
+    exps = range(-ADJACENCY_RANGE, ADJACENCY_RANGE + 1)
     combos = list(itertools.product(exps, repeat=len(generators)))
-    columns = (np.array(combos) + exponent_range).T  # each word's row in each generator's powers
+    columns = (np.array(combos) + ADJACENCY_RANGE).T  # each word's row in each generator's powers
     words = reduce(compose, (_take(_stack([power(g, e) for e in exps]), col)
                              for g, col in zip(generators, columns)))
     corners = np.array([region.outer, *region.holes]).transpose(0, 2, 1)  # (box, corner, n+2)
@@ -414,23 +416,23 @@ def self_adjacency(region: BoxRegion, generators: Sequence[Homothety],
     return out
 
 
-def example4_regions(n: int = 1) -> Tuple[BoxRegion, BoxRegion]:
+def example4_regions() -> Tuple[BoxRegion, BoxRegion]:
     """The fundamental region R and the neighbourhood V of its closure for
-    the removed-fixed-points quotient on R^{n+2} minus the t-axis."""
+    the removed-fixed-points quotient on R^3 minus the t-axis."""
     R = BoxRegion(
-        outer=((0.0, 1.0),) + ((-2.0, 2.0),) * n + ((-4.0, 4.0),),
-        holes=(((0.0, 1.0),) + ((-1.0, 1.0),) * n + ((-1.0, 1.0),),),
+        outer=((0.0, 1.0), (-2.0, 2.0), (-4.0, 4.0)),
+        holes=(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),),
     )
     V = BoxRegion(
-        outer=((-1.0, 2.0),) + ((-4.0, 4.0),) * n + ((-16.0, 16.0),),
-        holes=(((-1.0, 2.0),) + ((-0.5, 0.5),) * n + ((-0.25, 0.25),),),
+        outer=((-1.0, 2.0), (-4.0, 4.0), (-16.0, 16.0)),
+        holes=(((-1.0, 2.0), (-0.5, 0.5), (-0.25, 0.25)),),
     )
     return R, V
 
 
-def example4_generators(n: int = 1) -> Tuple[Homothety, Homothety]:
-    """gamma = unit t-shift, eta = pure homothety with factor 2."""
-    prof = SymmetricProfile(-np.eye(n))
+def example4_generators() -> Tuple[Homothety, Homothety]:
+    """gamma = unit t-shift, eta = pure homothety with factor 2, on R^3."""
+    prof = SymmetricProfile(-np.eye(1))
     return Homothety(prof, c=1.0), Homothety(prof, s=np.log(2.0))
 
 
@@ -445,12 +447,12 @@ def rescale_field(p):
     return 1.0 / np.sqrt(q)
 
 
-def verify_inessential_rescale_U(n: int = 2) -> ExampleReport:
-    """On U = R^{n+2} minus the t-axis, f = (|x|^4 + v^2)^{-1/2} makes
-    every element of E(1) x C_O(n)(S) x R an isometry of f g_S: 30
+def verify_inessential_rescale_U() -> ExampleReport:
+    """On U = R^3 minus the t-axis, f = (x^4 + v^2)^{-1/2} makes
+    every element of E(1) x C_O(1)(S) x R an isometry of f g_S: 30
     sampled elements, drawn with seed 42, form a (30, 1) batch, and one
     pullback judges each of them at each of 30 sample points."""
-    prof = SymmetricProfile(-np.eye(n))
+    prof = SymmetricProfile(-np.eye(1))
     rng = np.random.default_rng(42)
     elements, rows = [], []
     for _ in range(30):
@@ -459,17 +461,17 @@ def verify_inessential_rescale_U(n: int = 2) -> ExampleReport:
                                   eps=int(rng.choice([-1, 1])),
                                   A=random_centralising_orthogonal(prof, rng),
                                   s=rng.normal()))
-        rows.append([rng.normal(), *(rng.normal(size=n) + 0.5), rng.normal() + 0.5])
+        rows.append([rng.normal(), rng.normal() + 0.5, rng.normal() + 0.5])
     pts = np.array(rows)
     batch = _take(_stack(elements), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
-    worst = conformal_defect(SmoothMap(n, partial(apply, batch), partial(differential, batch)),
+    worst = conformal_defect(SmoothMap(1, partial(apply, batch), partial(differential, batch)),
                              fg, fg, lambda a: 1.0, pts)
     checks = [_check("rescale_equivariance", worst, COMPOSED_TOL)]
 
     # the t-translation leaves f untouched outright
     gamma = Homothety(prof, c=1.0)
-    p = np.r_[0.3, np.ones(n), 1.2]
+    p = np.array([0.3, 1.0, 1.2])
     checks.append(_check("t_translation_invariance",
                          abs(rescale_field(apply(gamma, p)) - rescale_field(p)),
                          EXACT_TOL))
@@ -488,15 +490,15 @@ def verify_removed_fixed_points_example() -> ExampleReport:
     R, V = example4_regions()
     gamma, eta = example4_generators()
     checks = []
-    adj_R = self_adjacency(R, [gamma, eta], exponent_range=3)
+    adj_R = self_adjacency(R, [gamma, eta])
     checks.append(CheckResult("fundamental_region_disjoint",
                               adj_R == {(0, 0)}, 0.0))
-    adj_V = self_adjacency(V, [gamma, eta], exponent_range=3)
+    adj_V = self_adjacency(V, [gamma, eta])
     expected = {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
     checks.append(CheckResult("V_self_adjacency_window", adj_V == expected, 0.0))
     sym = all((-i, -j) in adj_V for (i, j) in adj_V)
     checks.append(CheckResult("adjacency_symmetric", sym, 0.0))
-    sub = verify_inessential_rescale_U(n=1)
+    sub = verify_inessential_rescale_U()
     checks.extend(sub.checks)
     return ExampleReport("removed-fixed-points", checks, sub.commentary)
 

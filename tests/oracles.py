@@ -4,7 +4,7 @@ traces, and closed forms the library itself has no use for."""
 
 import numpy as np
 
-from cwgeom.core import PARAM_TOL, SymmetricProfile, coords
+from cwgeom.core import PARAM_TOL, SymmetricProfile, coords, join
 from cwgeom.curvature import FD_STEP, metric_at
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
@@ -67,8 +67,26 @@ def minkowski_dilation(n: int, c: float) -> SmoothMap:
     through the Minkowski map."""
     d = np.array([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
     return SmoothMap(n, forward=lambda a: a * d,
-                     jacobian=lambda a: np.broadcast_to(np.diag(d), a.shape + d.shape),
-                     inverse=SmoothMap(n, forward=lambda q: q / d))
+                     jacobian=lambda a: np.broadcast_to(np.diag(d), a.shape + d.shape))
+
+
+def minkowski_map_inverse(q) -> np.ndarray:
+    """The inverse of flat.minkowski_map on {u > 0}, at a Point or an
+    (..., n+2) array of points: t = ln(2u)/2, x = e^-t y, v = z + |x|^2/2."""
+    q = coords(q)
+    t = 0.5 * np.log(2 * q[..., 0])
+    x = np.exp(-t)[..., None] * q[..., 1:-1]
+    return join(t, x, q[..., -1] + 0.5 * np.sum(x * x, axis=-1))
+
+
+def imaginary_local_map_inverse(q) -> np.ndarray:
+    """The inverse of flat.imaginary_local_map, at a Point or an (..., n+2)
+    array of points: t = arctan u, x = y cos t, v = z + |x|^2 u/2."""
+    q = coords(q)
+    u = q[..., 0]
+    t = np.arctan(u)
+    x = np.cos(t)[..., None] * q[..., 1:-1]
+    return join(t, x, q[..., -1] + 0.5 * np.sum(x * x, axis=-1) * u)
 
 
 def is_identity(phi: Homothety, tol: float = PARAM_TOL) -> bool:

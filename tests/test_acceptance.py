@@ -186,7 +186,8 @@ def test_criterion_5_normal_form():
         done += 1
         worst = max(worst, res.residual)
         assert abs(res.normal.b) <= 1e-12
-        assert res.normal.beta.is_zero(1e-12)
+        assert np.max(np.abs(res.normal.beta.beta0)) <= 1e-12
+        assert np.max(np.abs(res.normal.beta.beta1)) <= 1e-12
         assert res.normal.c >= 0.0
         assert element_distance(conjugate(res.conjugator, phi),
                                 res.normal) <= 1e-6

@@ -446,6 +446,25 @@ def test_oscillating_beta_at_a_lost_phase_exits_3(command, payload, code, capsys
         assert err == "" and json.loads(out)
 
 
+@pytest.mark.parametrize("size, code", [(1e-7, 3), (1e-10, 0)])
+@pytest.mark.parametrize("part", ["b", "beta0", "beta1"])
+def test_orbit_reads_gammas_heisenberg_part_by_one_threshold(part, size, code, capsys,
+                                                             monkeypatch):
+    """gamma's b and beta are read as 0 by the same PARAM_TOL, whatever the
+    profile's own tolerance: past it, gamma leaves E(1) x C_O(n)(S) x R."""
+    payload = {"profile": {"S": [[-1.0]], "tolerance": 1e-5},
+               "gamma": {"c": 1.0, "s": 0.5, part: size if part == "b" else [size]},
+               "phi": {"c": 1.2}, "K": 5}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    got, out, err = run(capsys, ["orbit", "-"])
+    assert got == code
+    if code == 3:
+        assert out == "" and json.loads(err)["error"] == {
+            "kind": "precondition", "detail": "gamma must lie in E(1) x C_O(n)(S) x R"}
+    else:
+        assert err == "" and json.loads(out)["converged"]
+
+
 TRACE_OVERFLOWS = [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]]
 SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
 

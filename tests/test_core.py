@@ -30,7 +30,9 @@ class TestSymmetricProfile:
     def test_spectral_round_trip(self, rng):
         for _ in range(20):
             prof = random_profile(rng)
-            assert np.max(np.abs(prof.reassemble() - prof.S)) <= 1e-9
+            # S rebuilt from the spectral blocks
+            rebuilt = sum(b.eigenvalue * (b.basis @ b.basis.T) for b in prof.spectrum)
+            assert np.max(np.abs(rebuilt - prof.S)) <= 1e-9
             assert sum(b.multiplicity for b in prof.spectrum) == prof.n
 
     def test_repeated_eigenvalues_grouped(self):
@@ -158,7 +160,7 @@ class TestBetaSolution:
         prof = random_profile(rng, 3)
         b0, b1 = rng.normal(size=3), rng.normal(size=3)
         beta = BetaSolution(prof, b0, b1)
-        val, der = beta(0.0)
+        val, der = beta_eval(beta, 0.0)
         assert np.max(np.abs(val - b0)) <= 1e-12
         assert np.max(np.abs(der - b1)) <= 1e-12
 

@@ -146,21 +146,10 @@ class TestBlockAgainstDense:
         for n in (1, 2, 3, 5):
             prof = random_profile(rng, n)
             for T in (riemann(prof), weyl(prof)):
-                assert T.symmetry_defect() == riemann_symmetry_defect(T.components)
+                # the block is exactly symmetric, so the dense tensor has
+                # every Riemann symmetry exactly
+                assert riemann_symmetry_defect(T.components) == 0.0
                 assert T.max_abs() == np.max(np.abs(T.components))
-
-    def test_arithmetic_equals_dense(self, rng):
-        for n in (1, 2, 3, 5):
-            prof = random_profile(rng, n)
-            R, W = riemann(prof), weyl(prof)
-            DR, DW = R.components, W.components
-            for got, want in ((R + W, DR + DW), (R - W, DR - DW), (W - R, DW - DR),
-                              (2.5 * R, 2.5 * DR), (W * -3.0, DW * -3.0),
-                              (-1.0 * (R + W), -1.0 * (DR + DW))):
-                assert isinstance(got, CurvatureTensor4)
-                assert np.array_equal(got.components, want)
-                assert got.max_abs() == np.max(np.abs(want))
-                assert got.symmetry_defect() == riemann_symmetry_defect(want)
 
 
 class TestCurvatureJson:

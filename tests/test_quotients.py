@@ -36,7 +36,7 @@ class TestImaginaryTorus:
         _assert_report_passes(verify_imaginary_torus_example())
 
     def test_check_names(self):
-        names = {c.name for c in verify_imaginary_torus_example(samples=10).checks}
+        names = {c.name for c in verify_imaginary_torus_example().checks}
         assert {"f_round_trip", "conj_gamma", "conj_eta", "conj_zeta",
                 "conj_zeta_hat", "conj_gamma4",
                 "commutator_is_central_v_shift"} <= names
@@ -139,14 +139,14 @@ class TestRemovedFixedPoints:
         _assert_report_passes(verify_removed_fixed_points_example())
 
     def test_fundamental_region_only_touches_itself(self):
-        R, _ = example4_regions(1)
-        gamma, eta = example4_generators(1)
-        assert self_adjacency(R, [gamma, eta], exponent_range=3) == {(0, 0)}
+        R, _ = example4_regions()
+        gamma, eta = example4_generators()
+        assert self_adjacency(R, [gamma, eta]) == {(0, 0)}
 
     def test_neighbourhood_window_is_exact(self):
-        _, V = example4_regions(1)
-        gamma, eta = example4_generators(1)
-        adj = self_adjacency(V, [gamma, eta], exponent_range=3)
+        _, V = example4_regions()
+        gamma, eta = example4_generators()
+        adj = self_adjacency(V, [gamma, eta])
         assert adj == {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
         assert all((-i, -j) in adj for (i, j) in adj)
 
@@ -167,7 +167,7 @@ class TestRemovedFixedPoints:
             rescale_field(Point(1.0, np.zeros(2), 0.0))
 
     def test_rescale_identity_on_U(self):
-        report = verify_inessential_rescale_U(n=2)
+        report = verify_inessential_rescale_U()
         _assert_report_passes(report)
         assert report.checks[0].residual <= 1e-8
 

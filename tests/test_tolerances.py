@@ -22,9 +22,6 @@ PACKAGE = ROOT / "src" / "cwgeom"
 THRESHOLD = re.compile(r"\d[eE]-\d")
 # definitions outside core's table that may hold such literals, each with its reason
 ALLOWED = {
-    ("dynamics.py", "centraliser_projection_demo"):
-        "the projection demo of the paper's third claim keeps its own absolute gates "
-        "until a checked verdict replaces it",
     ("curvature.py", "FD_STEP"): "a finite-difference step, not a tolerance",
 }
 # the judges, and the position of the tolerance among their arguments
