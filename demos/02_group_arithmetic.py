@@ -17,7 +17,6 @@ from cwgeom import (
     compose,
     homothety_factor_check,
     inverse,
-    pure_homothety,
 )
 
 prof = SymmetricProfile(-np.eye(2))
@@ -36,7 +35,7 @@ rt = apply(inverse(phi), apply(phi, p))
 print("inverse round-trips a point:  ", np.max(np.abs(rt - p)))
 
 # the pure homothety h_s: (t, x, v) -> (t, e^s x, e^{2s} v)
-h = pure_homothety(SymmetricProfile(np.eye(1)), np.log(2.0))
+h = Homothety(SymmetricProfile(np.eye(1)), s=np.log(2.0))
 q = apply(h, Point(1.0, np.array([1.0]), 3.0))
 print(f"h_(ln 2) sends (1, 1, 3) to ({q.t}, {q.x[0]}, {q.v})")
 

@@ -13,7 +13,6 @@ from .core import (
     Point,
     SymmetricProfile,
     beta_eval,
-    beta_reparam,
     classify,
     symplectic_form,
 )
@@ -56,7 +55,6 @@ from .group import (
     homothety_factor_check,
     identity,
     inverse,
-    pure_homothety,
 )
 from .quotients import (
     BoxRegion,

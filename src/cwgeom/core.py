@@ -345,22 +345,6 @@ def symplectic_form(beta: BetaSolution, betahat: BetaSolution) -> float:
     return 0.5 * (float(beta.beta0 @ betahat.beta1) - float(beta.beta1 @ betahat.beta0))
 
 
-def beta_reparam(beta: BetaSolution, c: float, eps: int, A=None) -> BetaSolution:
-    """The solution t -> A beta(eps*t + c), re-expressed by its initial data.
-
-    A must lie in the centraliser of S in O(n); eps is +-1.
-    """
-    p = beta.profile
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if A is None:
-        A = np.eye(p.n)
-    else:
-        A = p.require_centraliser(A)
-    val, der = beta_eval(beta, c)
-    return BetaSolution(p, A @ val, eps * (A @ der))
-
-
 def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:
     """A random element of C_O(n)(S): on each eigenspace of S a Haar block
     Q sign(diag R) from the QR factors of a Gaussian matrix (Q alone would

@@ -4,15 +4,15 @@ obstructions to properly discontinuous cocompact actions.
 Fixed points take one path: at the fixed time t* of t -> eps t + c, solve
 (e^s A - I) x = -beta(t*) on the x-block, then the affine v-equation.  So
 a strict homothety fixes a point iff eps = -1 or c = 0, which is also
-when it is essential; otherwise a rescaling f with f(phi(p)) = f(p) - s
-is built from a smooth partition of unity along the t-axis.  The
-conjugation equation e^s A beta(t + c) - beta(t) = betahat(t) is one
-2n x 2n solve in the eigenbasis of S, on SymmetricProfile.flow.
+when it is essential; otherwise f = -s t / c has f(phi(p)) = f(p) - s,
+so phi is an isometry of e^{2f} g_S.  The conjugation equation
+e^s A beta(t + c) - beta(t) = betahat(t) is one 2n x 2n solve in the
+eigenbasis of S, on SymmetricProfile.flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from .core import (
     Point,
     SymmetricProfile,
     beta_eval,
-    beta_reparam,
     classify,
     coords,
     require_phase,
@@ -42,6 +41,8 @@ from .errors import (
 )
 from .group import (
     Homothety,
+    _dot,
+    _element,
     _stack,
     _take,
     apply,
@@ -128,51 +129,19 @@ def is_essential(phi: Homothety) -> bool:
     return essential_fixed_point(phi).exists
 
 
-def _smooth_step(x):
-    """C^infinity step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.asarray(x, dtype=float)
-
-    def h(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    a = h(x)
-    return a / (a + h(1.0 - x))
-
-
-def _bump(tau):
-    """Smooth bump with plateau [0, 1] and support (-1/4, 5/4)."""
-    tau = np.asarray(tau, dtype=float)
-    up = _smooth_step((tau + 0.25) / 0.25)
-    down = _smooth_step((1.25 - tau) / 0.25)
-    return up * down
-
-
 def inessential_rescaling(phi: Homothety) -> Callable:
     """Rescaling function for a fixed-point-free strict homothety.
 
-    Returns a smooth f with f(apply(phi, p)) = f(p) - s for all p, so phi
-    is an isometry of e^{2f} g_S; f takes a Point to a float and an
-    (..., n+2) array of points to (...) values.  Built from translates of
-    a bump along the t-axis in units of c, normalized to a partition of
-    unity.
+    Returns f(p) = -s t / c, so f(apply(phi, p)) = f(p) - s for all p and
+    phi is an isometry of e^{2f} g_S; f takes a Point to a float and an
+    (..., n+2) array of points to (...) values.
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
     if not np.isnan(_fixed_time(phi)):
         raise PreconditionError("phi has a fixed point; no equivariant rescaling exists")
-    s, c = phi.s, phi.c
-
-    def f(p):
-        tau = coords(p, phi.profile.n)[..., 0] / c
-        ks = np.floor(tau)[..., None] + np.arange(-2.0, 3.0)
-        weights = _bump(tau[..., None] - ks)
-        out = -s * np.sum(ks * weights, axis=-1) / np.sum(weights, axis=-1)
-        return float(out) if isinstance(p, Point) else out
-
-    return f
+    slope = -phi.s / phi.c
+    return lambda p: slope * coords(p, phi.profile.n)[..., 0]
 
 
 def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> np.ndarray:
@@ -245,9 +214,9 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     # chi has x-part x + beta_chi(t); chi^{-1} phi chi removes beta when
     # beta_chi(t + c) - e^s A beta_chi(t) = beta(t), i.e. the solver
     # equation with shift -c and right-hand side -beta(. - c)
-    rhs = beta_reparam(phi.beta, -phi.c, 1)
-    rhs = BetaSolution(prof, -rhs.beta0, -rhs.beta1)
-    beta_chi = solve_conjugation_beta(prof, phi.A, phi.s, -phi.c, rhs)
+    val, der = beta_eval(phi.beta, -phi.c)
+    beta_chi = solve_conjugation_beta(prof, phi.A, phi.s, -phi.c,
+                                      BetaSolution(prof, -val, -der))
     chi = Homothety(prof, beta=beta_chi)
     g = inverse(chi)
     current = conjugate(g, phi)
@@ -261,7 +230,8 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     residual = max(abs(current.b),
                    float(np.max(np.abs(current.beta.beta0))),
                    float(np.max(np.abs(current.beta.beta1))))
-    clean = replace(current, b=0.0, beta=BetaSolution(prof))
+    zero = np.zeros(prof.n)
+    clean = _element(prof, 0.0, zero, zero, current.c, current.eps, current.A, current.s)
     return NormalFormResult(g, clean, residual)
 
 
@@ -280,34 +250,36 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     when y_K lies within ORBIT_TOL of the limit in every coordinate.
 
     gamma must lie in E(1) x C_O(n)(S) x R (no Heisenberg part, eps = +1).
-    The report fits a geometric decay rate to the x-block norms.
+    The K conjugates act on the origin as one batch, and the report fits a
+    geometric decay rate to the x-block norms.
     """
     if K < 1:
         raise PreconditionError("the orbit needs K >= 1 steps")
     if gamma.eps != 1 or not within(abs(gamma.b), PARAM_TOL) or not gamma.beta.is_zero():
         raise PreconditionError("gamma must lie in E(1) x C_O(n)(S) x R")
-    prof = phi.profile
-    origin = Point(0.0, np.zeros(prof.n), 0.0)
+    n = phi.profile.n
     ginv = inverse(gamma)
     current, conjugates = phi, []
     for _ in range(K):
         current = compose(ginv, compose(current, gamma))
         conjugates.append(current)
-    pts = [apply(g, origin) for g in conjugates]
-    limit = Point(phi.c, np.zeros(prof.n), 0.0)
-    converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
-    norms = np.array([np.linalg.norm(p.x) for p in pts])
+    # row k is conjugate k's image of the origin
+    pts = apply(_take(_stack(conjugates), np.s_[:, None]), np.zeros((1, n + 2)))[:, 0]
+    limit = Point(phi.c, np.zeros(n), 0.0)
+    converged = bool(within(float(np.max(np.abs(pts[-1] - limit.as_array()))), ORBIT_TOL))
+    x = pts[:, 1:-1]
+    norms = np.sqrt(_dot(x, x))  # per row the sum np.linalg.norm makes of one vector
     rate = None
     # estimate the decay rate on the tail only, past any transient; the
     # x-norms oscillate under the rotational part, so compare arithmetic
     # means of two windows rather than fitting the noisy log-norms
     tail = norms[K // 3:]
-    if tail.size >= 10 and np.all(tail < np.inf):
+    if tail.size >= 10:
         half = tail.size // 2
         m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
         if min(m1, m2) > DIVISOR_FLOOR:
             rate = float((m2 / m1) ** (1.0 / half))
-    return OrbitReport(pts, limit, converged, rate, conjugates)
+    return OrbitReport(list(map(Point.from_array, pts)), limit, converged, rate, conjugates)
 
 
 @dataclass(frozen=True)

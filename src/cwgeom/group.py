@@ -148,11 +148,6 @@ def identity(profile: SymmetricProfile) -> Homothety:
     return Homothety(profile)
 
 
-def pure_homothety(profile: SymmetricProfile, s: float) -> Homothety:
-    """h_s : (t, x, v) -> (t, e^s x, e^{2s} v)."""
-    return Homothety(profile, s=s)
-
-
 def apply(phi: Homothety, p):
     """The image of p, a Point or an (..., n+2) array of points, in the
     same form; OverflowingValueError if an image point is not finite."""

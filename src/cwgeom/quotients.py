@@ -30,13 +30,14 @@ import numpy as np
 
 from .core import (APPROACH_TOL, COMPOSED_TOL, DIVISOR_FLOOR, EXACT_TOL, GROWTH_TOL,
                    MEASURE_TOL, ORBIT_TOL, PARAM_TOL, RATE_TOL, ROUNDOFF_TOL, WORD_TOL,
-                   BetaSolution, SymmetricProfile, beta_eval, beta_reparam, coords,
+                   BetaSolution, SymmetricProfile, beta_eval, coords,
                    random_centralising_orthogonal, symplectic_form, within)
 from .dynamics import orbit_obstruction_sequence
 from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
 from .group import (
     Homothety,
+    _element,
     _stack,
     _take,
     apply,
@@ -204,7 +205,7 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     lr = np.log(rho)
     prof = SymmetricProfile(lr ** 2 * np.eye(2))
     beta = BetaSolution(prof, [1.0, 1.0], [lr, -lr])  # (rho^t, rho^{-t})
-    betahat = beta_reparam(beta, 1.0, 1)              # beta(t + 1)
+    betahat = BetaSolution(prof, *beta_eval(beta, 1.0))  # beta(t + 1)
 
     checks = [_check("vieta_product", abs(rho * (1.0 / rho) - 1.0), EXACT_TOL)]
 
@@ -395,6 +396,8 @@ def self_adjacency(region: BoxRegion, generators: Sequence[Homothety]) -> set:
     by one compose per generator after the first; each generator maps each
     coordinate monotonely, so one apply of the lowest and highest corner of
     every box under every word spans the image boxes."""
+    if not generators:
+        raise PreconditionError("self_adjacency needs at least one generator")
     for g in generators:
         _require_axis_map(g)
     exps = range(-ADJACENCY_RANGE, ADJACENCY_RANGE + 1)
@@ -451,19 +454,19 @@ def verify_inessential_rescale_U() -> ExampleReport:
     """On U = R^3 minus the t-axis, f = (x^4 + v^2)^{-1/2} makes
     every element of E(1) x C_O(1)(S) x R an isometry of f g_S: 30
     sampled elements, drawn with seed 42, form a (30, 1) batch, and one
-    pullback judges each of them at each of 30 sample points."""
+    pullback judges each of them at each of 30 sample points.  The draws
+    are valid by construction, so the batch is built unchecked."""
     prof = SymmetricProfile(-np.eye(1))
     rng = np.random.default_rng(42)
-    elements, rows = [], []
+    draws, rows = [], []
     for _ in range(30):
-        elements.append(Homothety(prof,
-                                  c=rng.normal(),
-                                  eps=int(rng.choice([-1, 1])),
-                                  A=random_centralising_orthogonal(prof, rng),
-                                  s=rng.normal()))
+        c, eps = rng.normal(), rng.choice([-1.0, 1.0])
+        draws.append((c, eps, random_centralising_orthogonal(prof, rng), rng.normal()))
         rows.append([rng.normal(), rng.normal() + 0.5, rng.normal() + 0.5])
     pts = np.array(rows)
-    batch = _take(_stack(elements), np.s_[:, None])
+    c, eps, A, s = map(np.array, zip(*draws))
+    zero = np.zeros((30, 1))
+    batch = _take(_element(prof, np.zeros(30), zero, zero, c, eps, A, s), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
     worst = conformal_defect(SmoothMap(1, partial(apply, batch), partial(differential, batch)),
                              fg, fg, lambda a: 1.0, pts)

@@ -9,7 +9,6 @@ from cwgeom.core import (
     Point,
     SymmetricProfile,
     beta_eval,
-    beta_reparam,
     classify,
     random_centralising_orthogonal,
     symplectic_form,
@@ -22,8 +21,17 @@ from cwgeom.errors import (
 )
 
 from cwgeom.dynamics import solve_conjugation_beta
+from cwgeom.group import Homothety, compose
 
 from conftest import random_profile
+
+
+def reparam(beta, c, eps, A):
+    """t -> A beta(eps t + c): the beta-part of h_A (h_beta tau_{c, eps}),
+    with h_A the rotation, h_beta the Heisenberg element and tau the t-map."""
+    prof = beta.profile
+    return compose(Homothety(prof, A=A), compose(Homothety(prof, beta=beta),
+                                                 Homothety(prof, c=c, eps=eps))).beta
 
 
 class TestSymmetricProfile:
@@ -188,22 +196,17 @@ class TestBetaSolution:
             assert np.max(np.abs(vscaled - 2.5 * (A @ va))) <= 1e-9
 
     def test_reparam_pointwise(self, rng):
-        # beta_reparam must represent t -> A beta(eps t + c) exactly
+        # the beta-part of a product represents t -> A beta(eps t + c) exactly
         prof = random_profile(rng, 3)
         beta = BetaSolution(prof, rng.normal(size=3), rng.normal(size=3))
         A = random_centralising_orthogonal(prof, rng)
         for eps in (1, -1):
             for c in (-0.7, 0.0, 1.9):
-                rep = beta_reparam(beta, c, eps, A)
+                rep = reparam(beta, c, eps, A)
                 for t in (-2.0, 0.3, 1.1):
                     lhs, _ = beta_eval(rep, t)
                     rhs, _ = beta_eval(beta, eps * t + c)
                     assert np.max(np.abs(lhs - A @ rhs)) <= 1e-8
-
-    def test_reparam_rejects_bad_eps(self, rng):
-        prof = random_profile(rng, 2)
-        with pytest.raises(ValueError):
-            beta_reparam(BetaSolution(prof), 0.0, 2)
 
 
 class TestSymplecticForm:
@@ -239,8 +242,7 @@ class TestSymplecticForm:
         A = random_centralising_orthogonal(prof, rng)
         w0 = symplectic_form(a, b)
         for eps in (1, -1):
-            wa = symplectic_form(beta_reparam(a, 0.9, eps, A),
-                                 beta_reparam(b, 0.9, eps, A))
+            wa = symplectic_form(reparam(a, 0.9, eps, A), reparam(b, 0.9, eps, A))
             assert abs(wa - eps * w0) <= 1e-9
 
     def test_profile_mismatch(self, rng):

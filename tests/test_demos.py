@@ -1,4 +1,6 @@
-"""Every demo runs to completion in a fresh interpreter."""
+"""Every demo runs to completion in a fresh interpreter, with a numpy
+RuntimeWarning an error as in the rest of the suite, and writes nothing
+to stderr."""
 
 import glob
 import os
@@ -18,6 +20,7 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_runs(path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run([sys.executable, path], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", path], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

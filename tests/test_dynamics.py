@@ -15,7 +15,6 @@ from cwgeom.core import (
     Point,
     SymmetricProfile,
     beta_eval,
-    beta_reparam,
     classify,
     coords,
     random_centralising_orthogonal,
@@ -87,7 +86,7 @@ class TestFixedPoint:
         prof = random_profile(rng, 2)
         c = 0.9
         seed = BetaSolution(prof, np.zeros(2), rng.normal(size=2))
-        beta = beta_reparam(seed, -c / 2.0, 1)  # vanishes at t = c/2
+        beta = BetaSolution(prof, *beta_eval(seed, -c / 2.0))  # vanishes at t = c/2
         phi = Homothety(prof, c=c, eps=-1, beta=beta)
         rep = fixed_point(phi)
         assert rep.exists and rep.residual <= 1e-8
@@ -129,7 +128,7 @@ class TestFixedPoint:
         prof = random_profile(rng, 2)
         c = 0.7
         seed = BetaSolution(prof, np.zeros(2), rng.normal(size=2))
-        beta = beta_reparam(seed, -c / 2.0, 1)
+        beta = BetaSolution(prof, *beta_eval(seed, -c / 2.0))
         phi0 = Homothety(prof, c=c, eps=-1, beta=beta)
         residue = power(phi0, 2)
         assert abs(residue.c) <= 1e-12
@@ -187,11 +186,11 @@ class TestFixedPointScale:
 
 
 def _c_zero_isometry():
-    """S = -I, beta(t) = sin(t - 1) e_1 (beta_reparam of (0, e_1) by -1) and
+    """S = -I, beta(t) = sin(t - 1) e_1 (the solution (0, e_1) shifted by -1) and
     b = 0.7: an eps = +1 isometry with c = 0 whose t-part fixes every t,
     and the point (1, (0.7, 0), 0.3) it fixes."""
     prof = SymmetricProfile(-np.eye(2))
-    beta = beta_reparam(BetaSolution(prof, [0.0, 0.0], [1.0, 0.0]), -1.0, 1)
+    beta = BetaSolution(prof, *beta_eval(BetaSolution(prof, [0.0, 0.0], [1.0, 0.0]), -1.0))
     return Homothety(prof, b=0.7, beta=beta), Point(1.0, [0.7, 0.0], 0.3)
 
 
@@ -232,7 +231,7 @@ def test_finite_order_isometries_have_verified_fixed_points(kind, n, k, reflecti
     if reflection:
         k, c = 2, float(rng.uniform(-2, 2))
         odd = BetaSolution(prof, np.zeros(n), rng.uniform(-2, 2, n))
-        phi = Homothety(prof, c=c, eps=-1, beta=beta_reparam(odd, -c / 2.0, 1))
+        phi = Homothety(prof, c=c, eps=-1, beta=BetaSolution(prof, *beta_eval(odd, -c / 2.0)))
     else:
         A, beta = _rotation_of_order(prof, k, rng)
         residue = power(Homothety(prof, beta=beta, A=A), k)
@@ -269,6 +268,14 @@ class TestEssentiality:
             p = random_point(rng, 2, scale=3.0)
             assert abs(f(apply(phi, p)) - (f(p) - phi.s)) <= 1e-8
 
+    def test_rescaling_is_minus_s_t_over_c(self):
+        # f = -s t / c, pinned where every product is exact
+        prof = SymmetricProfile(-np.eye(2))
+        f = inessential_rescaling(Homothety(prof, c=2.0, s=0.5, b=1.0))
+        assert f(Point(3.0, [1.0, -2.0], 0.5)) == -0.75
+        pts = np.column_stack([[-4.0, 0.0, 1.5, 8.0], np.ones((4, 3))])
+        np.testing.assert_array_equal(f(pts), [1.0, 0.0, -0.375, -2.0])
+
     def test_preconditions(self, rng):
         prof = random_profile(rng, 2)
         iso = random_homothety(prof, rng, strict=False)
@@ -277,6 +284,22 @@ class TestEssentiality:
         fixed = random_homothety(prof, rng, strict=True, eps=-1)
         with pytest.raises(PreconditionError):
             inessential_rescaling(fixed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       c=st.floats(1e-3, 10.0), negative=st.booleans(), u=st.floats(-3.0, 3.0))
+def test_rescaling_equivariant_to_round_off(kind, n, seed, c, negative, u):
+    """|f(phi p) - f(p) + s| <= 4 ulp |s| (1 + |t/c|) for a fixed-point-free
+    strict phi (eps = +1) at a point p with t in [-3|c|, 3|c|]."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, False)
+    c = -c if negative else c
+    phi = random_homothety(prof, rng, strict=True, eps=1, c=c)
+    p = Point(u * abs(c), rng.normal(size=prof.n), rng.normal())
+    f = inessential_rescaling(phi)
+    bound = 4 * np.finfo(float).eps * abs(phi.s) * (1 + abs(p.t / c))
+    assert abs(f(apply(phi, p)) - f(p) + phi.s) <= bound
 
 
 class TestConjugationSolve:
@@ -466,16 +489,17 @@ class TestOrbitObstruction:
         assert rep.limit.t == pytest.approx(1.4)
         assert np.max(np.abs(rep.points[-1] - rep.limit)) <= 1e-8
 
-    def test_conjugates_are_the_walk(self, rng):
+    @pytest.mark.parametrize("n", [1, 8, 32])
+    def test_conjugates_are_the_walk(self, rng, n):
         """The report carries gamma^{-k} phi gamma^k for k = 1..K, the
         same floats as the walk by hand, and point k is the image of the
-        origin under conjugate k."""
-        prof = SymmetricProfile(-np.eye(2))
+        origin under conjugate k, the same floats as one apply of it."""
+        prof = random_profile(rng, n)
         gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
         phi = random_homothety(prof, rng, eps=1, c=0.8)
         rep = orbit_obstruction_sequence(gamma, phi, K=12)
         assert len(rep.conjugates) == 12
-        origin = Point(0.0, np.zeros(2), 0.0)
+        origin = Point(0.0, np.zeros(n), 0.0)
         prev = phi
         for conj, point in zip(rep.conjugates, rep.points):
             prev = compose(inverse(gamma), compose(prev, gamma))

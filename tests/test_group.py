@@ -17,7 +17,6 @@ from cwgeom.group import (
     identity,
     inverse,
     power,
-    pure_homothety,
 )
 
 from conftest import random_homothety, random_point, random_profile
@@ -27,7 +26,7 @@ from oracles import is_identity
 class TestApply:
     def test_pinned_pure_homothety(self):
         prof = SymmetricProfile(np.eye(1))
-        h = pure_homothety(prof, np.log(2.0))
+        h = Homothety(prof, s=np.log(2.0))  # h_s: (t, x, v) -> (t, e^s x, e^{2s} v)
         q = apply(h, Point(1.0, np.array([1.0]), 3.0))
         assert np.max(np.abs(q - Point(1.0, np.array([2.0]), 12.0))) <= 1e-12
 
@@ -220,7 +219,7 @@ class TestStructure:
 
     def test_centralises_and_pure_centraliser(self, rng):
         prof = random_profile(rng, 2)
-        h = pure_homothety(prof, 0.7)
+        h = Homothety(prof, s=0.7)
         # t-shift commutes with h_s; Heisenberg elements do not
         gamma = Homothety(prof, c=1.3)
         assert element_distance(compose(gamma, h), compose(h, gamma)) <= 1e-12

@@ -150,6 +150,11 @@ class TestRemovedFixedPoints:
         assert adj == {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
         assert all((-i, -j) in adj for (i, j) in adj)
 
+    def test_self_adjacency_needs_a_generator(self):
+        R, _ = example4_regions()
+        with pytest.raises(PreconditionError):
+            self_adjacency(R, [])
+
     def test_self_adjacency_builds_each_power_once(self, monkeypatch):
         """One power per generator and exponent, 2 x 7 for each of the two
         regions, however many words combine them."""
