@@ -9,7 +9,6 @@ curvature against a brute-force finite-difference computation.
 import numpy as np
 
 from cwgeom import (
-    Point,
     SymmetricProfile,
     classify,
     metric_at,
@@ -34,7 +33,7 @@ for name, prof in profiles.items():
 
 print()
 prof = SymmetricProfile(np.diag([2.0, -1.0]))
-p = Point(0.4, np.array([1.0, -0.5]), 0.2)
+p = np.array([0.4, 1.0, -0.5, 0.2])  # (t, x, v)
 print("metric at p:")
 print(metric_at(prof, p))
 

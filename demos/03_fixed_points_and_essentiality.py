@@ -11,7 +11,6 @@ import numpy as np
 from cwgeom import (
     BetaSolution,
     Homothety,
-    Point,
     SymmetricProfile,
     apply,
     fixed_point,
@@ -39,7 +38,6 @@ f = inessential_rescaling(phi)
 rng = np.random.default_rng(0)
 worst = max(
     abs(f(apply(phi, p)) - (f(p) - phi.s))
-    for p in (Point(rng.normal(), rng.normal(size=2), rng.normal())
-              for _ in range(200)))
+    for p in rng.normal(size=(200, 4)))
 print(f"\nequivariance of the rescaling, max |f(phi p) - f(p) + s| "
       f"over 200 points: {worst:.2e}")

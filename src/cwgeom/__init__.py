@@ -10,7 +10,6 @@ machine verification of four explicit quotient constructions.
 from .core import (
     BetaSolution,
     Classification,
-    Point,
     SymmetricProfile,
     beta_eval,
     classify,

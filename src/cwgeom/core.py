@@ -3,9 +3,8 @@ points of R^{n+2}, closed-form solutions of the linear ODE system
 beta'' = S beta, and the symplectic form on its solution space.
 
 Coordinate convention throughout the package: a point of R^{n+2} is
-(t, x^1..x^n, v) with frame order (d_t, d_1..d_n, d_v).  Maps compute on
-(..., n+2) arrays, one point per row; `coords` and `same_form` let a
-`Point` in and out.
+(t, x^1..x^n, v) with frame order (d_t, d_1..d_n, d_v).  Maps take and
+return (..., n+2) arrays, one point per row.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, AS - SA, 
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I, or of
 #                         |A|(1 - |A|); in the PD sweep too, on c and s in exact arithmetic
 FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
-RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue
+RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue;
+#                         and |mu - 1| for the eigenvalues mu of A on that eigenspace
 ORBIT_TOL = 1e-6        # an orbit's last point from its limit, in every coordinate
 PD_SLACK = 1e-12        # (s/c)^2 past lambda_max^2 by more is a PD obstruction, in exact arithmetic
 PULLBACK_TOL = 1e-9     # pullback-check's default largest conformal defect of a flat chart
@@ -72,9 +72,8 @@ class SymmetricProfile:
     S is stored dense; eigenvalues within ``zero_threshold`` = tolerance *
     max(1, max |eigenvalue|) of zero are treated as exactly zero, here and
     in ``classify``, and those within PROFILE_SLACK * zero_threshold of each
-    other are grouped into a single spectral block.  A finite S whose
-    symmetrisation, trace or eigenvalues overflow is rejected with an
-    OverflowingValueError.
+    other are grouped into a single spectral block.  A finite S whose trace
+    or eigenvalues overflow is rejected with an OverflowingValueError.
     """
 
     def __init__(self, S, tolerance: float = PROFILE_TOL):
@@ -94,9 +93,8 @@ class SymmetricProfile:
                     f"S is not symmetric: max |S - S^T| = {sym_defect:.3e} > {tolerance:.3e}"
                 )
             self.n = S.shape[0]
-            self.S = 0.5 * (S + S.T)
-            if not np.all(np.isfinite(self.S)):
-                raise OverflowingValueError("S overflows when symmetrised")
+            # halved before the sum, which cannot overflow for a finite S
+            self.S = 0.5 * S + 0.5 * S.T
             if not np.isfinite(np.trace(self.S)):
                 raise OverflowingValueError("the trace of S overflows")
             self.tolerance = float(tolerance)
@@ -230,6 +228,8 @@ def classify(profile: SymmetricProfile) -> Classification:
     return Classification(kind, invertible, flat, lam)
 
 
+# Kept for the benchmark's reads: perfbench/reports.py:94-100 passes Points
+# to homothety_factor_check, and :53-54 reads rep.points[-1].t/.x/.v.
 @dataclass(frozen=True)
 class Point:
     """Coordinates (t, x, v) of a point of R^{n+2}."""
@@ -251,16 +251,12 @@ class Point:
         a = np.asarray(a, dtype=float)
         return Point(float(a[0]), a[1:-1].copy(), float(a[-1]))
 
-    def __sub__(self, other: "Point") -> np.ndarray:
-        return self.as_array() - other.as_array()
-
 
 def coords(points, n: Optional[int] = None) -> np.ndarray:
-    """The (..., n+2) float array of a Point, a list of Points or an array
-    of points; IncompatibleProfileError if its last axis is not n + 2."""
-    if isinstance(points, Point):
-        a = points.as_array()
-    elif isinstance(points, (list, tuple)):
+    """The (..., n+2) float array of an array of points or of a list of
+    Points (perfbench/reports.py:94-100 passes one to homothety_factor_check);
+    IncompatibleProfileError if its last axis is not n + 2."""
+    if isinstance(points, (list, tuple)):
         a = np.array([p.as_array() for p in points]) if points else np.empty((0, n + 2))
     else:
         a = np.asarray(points, dtype=float)
@@ -274,11 +270,8 @@ def join(t, x, v) -> np.ndarray:
     return np.concatenate((t[..., None], x, v[..., None]), axis=-1)
 
 
-def same_form(points, a: np.ndarray):
-    """The points a, computed from `points`, as a Point if that was one;
-    OverflowingValueError if a coordinate is not finite."""
-    if isinstance(points, Point):
-        return Point.from_array(a)
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """The points a; OverflowingValueError if a coordinate is not finite."""
     if not np.isfinite(a).all():
         raise OverflowingValueError("point has non-finite coordinates")
     return a

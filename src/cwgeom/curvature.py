@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Point, SymmetricProfile, coords
+from .core import SymmetricProfile, coords
 
 FD_STEP = 1e-5
 
@@ -77,8 +77,8 @@ def dt_squared(n: int) -> np.ndarray:
 
 
 def metric_at(profile: SymmetricProfile, points) -> np.ndarray:
-    """Gram matrices of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at a Point or
-    an (..., n+2) array of points: shape (..., n+2, n+2)."""
+    """Gram matrices of g_S = 2 dv dt + (x, Sx)(dt)^2 + dx^2 at an
+    (..., n+2) array of points: shape (..., n+2, n+2)."""
     n = profile.n
     x = coords(points, n)[..., 1:-1]
     g = np.zeros(x.shape[:-1] + (n + 2, n + 2))
@@ -89,8 +89,8 @@ def metric_at(profile: SymmetricProfile, points) -> np.ndarray:
 
 
 def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
-    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_{ij} of g_S at a
-    Point or an (..., n+2) array of points.
+    """Christoffel symbols Gamma[..., k, i, j] = Gamma^k_{ij} of g_S at an
+    (..., n+2) array of points.
 
     Nonzero symbols: Gamma^v_{ti} = Gamma^v_{it} = (Sx)_i and
     Gamma^j_{tt} = -(Sx)_j; everything else vanishes (in particular
@@ -140,7 +140,7 @@ def weyl(profile: SymmetricProfile) -> CurvatureTensor4:
     return CurvatureTensor4(M)
 
 
-def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
+def cotton(profile: SymmetricProfile, point=None) -> np.ndarray:
     """Cotton tensor C_{ijk} = (nabla_i P)_{jk} - (nabla_j P)_{ik}.
 
     P is constant in coordinates and has only a tt-entry, while no
@@ -148,7 +148,7 @@ def cotton(profile: SymmetricProfile, point: Point = None) -> np.ndarray:
     the formula is still evaluated rather than short-circuited.
     """
     if point is None:
-        point = Point(0.3, 0.7 * np.ones(profile.n), -0.2)
+        point = np.concatenate(([0.3], np.full(profile.n, 0.7), [-0.2]))
     P = schouten(profile)
     gamma = christoffel_at(profile, point)
     # coordinate derivative of the constant P is zero
@@ -173,16 +173,16 @@ def riemann_finite_difference(profile: SymmetricProfile, point) -> np.ndarray:
 
 def nabla_df(profile: SymmetricProfile, points, gradient, hessian) -> np.ndarray:
     """Covariant Hessian (nabla df)_{ij} = hess_{ij} - Gamma^k_{ij} df_k of
-    f with coordinate gradient (..., m) and hessian (..., m, m) at a Point
-    or an (..., m) array of points."""
+    f with coordinate gradient (..., m) and hessian (..., m, m) at an
+    (..., m) array of points."""
     gamma = christoffel_at(profile, points)
     return hessian - np.einsum("...kij,...k->...ij", gamma, gradient)
 
 
 def conformal_change_at(profile: SymmetricProfile, points, value, gradient, hessian):
     """Curvature of g_hat = e^{2f} g_S from the 2-jet of f, its value (...),
-    coordinate gradient (..., m) and hessian (..., m, m), at a Point or an
-    (..., m) array of points.
+    coordinate gradient (..., m) and hessian (..., m, m), at an (..., m)
+    array of points.
 
     Returns a dict with riemann_hat (the hatted (0,4) tensor itself,
     including the e^{2f} factor, (..., m, m, m, m)), ricci_hat
@@ -220,7 +220,7 @@ def conformal_change_at(profile: SymmetricProfile, points, value, gradient, hess
 
 def conformal_christoffel_at(profile: SymmetricProfile, points, gradient) -> np.ndarray:
     """Christoffel symbols of e^{2f} g_S from the coordinate gradient
-    (..., m) of f, at a Point or an (..., m) array of points:
+    (..., m) of f, at an (..., m) array of points:
     Ghat^k_{ij} = G^k_{ij} + delta^k_i df_j + delta^k_j df_i - g_ij (grad f)^k."""
     m = profile.n + 2
     g = metric_at(profile, points)

@@ -30,10 +30,12 @@ from .core import (
     beta_eval,
     classify,
     coords,
+    require_finite,
     require_phase,
     within,
 )
 from .errors import (
+    IncompatibleProfileError,
     OverflowingValueError,
     PreconditionError,
     ResonanceError,
@@ -59,7 +61,7 @@ PD_BLOCK_ENTRIES = 2 ** 16
 @dataclass(frozen=True)
 class FixedPointReport:
     exists: bool
-    point: Optional[Point]
+    point: Optional[np.ndarray]  # (n+2,)
     reason: str  # strict_eps_minus1 | strict_c_zero | isometry_euclidean_fp
     #             | none_translation
     residual: float = 0.0
@@ -107,7 +109,7 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     if shift and not within(abs(d), FIXED_POINT_TOL, v_size):
         return none
     v_star = 0.0 if shift else d / (1.0 - slope)
-    p = Point(t_star, x_star, v_star)
+    p = require_finite(np.concatenate(([t_star], x_star, [v_star])))
     res = float(np.max(np.abs(apply(phi, p) - p)))
     if not strict and phi.eps == 1 and not within(res, FIXED_POINT_TOL, max(x_size, v_size)):
         return none
@@ -133,8 +135,8 @@ def inessential_rescaling(phi: Homothety) -> Callable:
     """Rescaling function for a fixed-point-free strict homothety.
 
     Returns f(p) = -s t / c, so f(apply(phi, p)) = f(p) - s for all p and
-    phi is an isometry of e^{2f} g_S; f takes a Point to a float and an
-    (..., n+2) array of points to (...) values.
+    phi is an isometry of e^{2f} g_S; f takes an (..., n+2) array of points
+    to (...) values.
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
@@ -153,8 +155,8 @@ def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> 
 
 
 def block_determinant(eigenvalue: float, s: float, c: float) -> float:
-    """Determinant of the scalar (A = 1, d = 1) conjugation block; vanishes
-    exactly at the resonance s = +-lambda c for positive eigenvalues."""
+    """Determinant of the scalar (d = 1) conjugation block at A = 1, which
+    vanishes exactly at the resonance s = +-lambda c for positive eigenvalues."""
     M = _conjugation_matrix(SymmetricProfile([[eigenvalue]]),
                             np.full((1, 1), np.exp(s)), c)
     return float(np.linalg.det(M))
@@ -165,8 +167,9 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta.
 
     One linear solve for the initial data of beta in the eigenbasis of S.
-    Solvable for s != 0 unless (s/c)^2 equals a positive eigenvalue of S,
-    in which case a resonance error is raised.
+    For s != 0 it is singular only where (s/c)^2 hits a positive eigenvalue
+    r^2 and A fixes a vector of its eigenspace (e^{s +- rc} mu = 1 with
+    |mu| = 1 forces mu = 1), both judged by RESONANCE_TOL: a ResonanceError.
     """
     A = profile.require_centraliser(A)
     if within(abs(s), PARAM_TOL):
@@ -174,9 +177,12 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
     if not within(abs(c), PARAM_TOL):
         ratio_sq = (s / c) ** 2
         lam_sq = np.array([blk.eigenvalue for blk in profile.spectrum])
-        hit = lam_sq[(lam_sq > 0) & within(np.abs(ratio_sq - lam_sq), RESONANCE_TOL, lam_sq)]
-        if hit.size:
-            raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue {hit[0]:.6g} of S")
+        hits = (lam_sq > 0) & within(np.abs(ratio_sq - lam_sq), RESONANCE_TOL, lam_sq)
+        for k in np.flatnonzero(hits):
+            basis = profile.spectrum[k].basis
+            if within(np.abs(np.linalg.eigvals(basis.T @ A @ basis) - 1).min(), RESONANCE_TOL):
+                raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue "
+                                     f"{lam_sq[k]:.6g} of S, on which A fixes a vector")
     Q = profile.eigenvectors
     y0, y1 = betahat.beta0 @ Q, betahat.beta1 @ Q
     # the shift by c reads betahat's columns at phase r c, as beta_eval does
@@ -237,8 +243,9 @@ def normal_form(phi: Homothety) -> NormalFormResult:
 
 @dataclass(frozen=True)
 class OrbitReport:
+    # Points, not an array: perfbench/reports.py:53-54 reads rep.points[-1].t/.x/.v
     points: List[Point]
-    limit: Point
+    limit: np.ndarray  # (n+2,)
     converged: bool
     rate: Optional[float]
     conjugates: List[Homothety]  # gamma^{-k} phi gamma^k, k = 1..K
@@ -265,8 +272,8 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         conjugates.append(current)
     # row k is conjugate k's image of the origin
     pts = apply(_take(_stack(conjugates), np.s_[:, None]), np.zeros((1, n + 2)))[:, 0]
-    limit = Point(phi.c, np.zeros(n), 0.0)
-    converged = bool(within(float(np.max(np.abs(pts[-1] - limit.as_array()))), ORBIT_TOL))
+    limit = np.concatenate(([phi.c], np.zeros(n + 1)))
+    converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
     x = pts[:, 1:-1]
     norms = np.sqrt(_dot(x, x))  # per row the sum np.linalg.norm makes of one vector
     rate = None
@@ -328,6 +335,8 @@ def pd_necessary_report(generators: Sequence[Homothety],
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
     prof = generators[0].profile
+    if any(g.profile != prof for g in generators):
+        raise IncompatibleProfileError("the generators are over different profiles")
     cls = classify(prof)
     # letter j is g_{j//2+1} for even j and its inverse for odd j: j ^ 1 cancels j
     letters = _stack([h for g in generators for h in (g, inverse(g))])

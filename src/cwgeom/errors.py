@@ -33,8 +33,8 @@ class PreconditionError(CWError):
 
 
 class ResonanceError(CWError):
-    """(s/c)^2 hits an eigenvalue of S: the conjugation linear system is
-    singular."""
+    """(s/c)^2 hits a positive eigenvalue of S on whose eigenspace A fixes
+    a vector: the conjugation linear system is singular."""
 
     kind = "resonance"
 

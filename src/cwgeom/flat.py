@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DOMAIN_TOL, Point, SymmetricProfile, coords, join, same_form
+from .core import DOMAIN_TOL, SymmetricProfile, coords, join, require_finite
 from .curvature import conformal_change_at, conformal_christoffel_at, nabla_df
 from .errors import DomainError
 
@@ -29,8 +29,8 @@ class SmoothMap:
     """A smooth map of R^{n+2} given by closed-form evaluators on (..., n+2)
     arrays of points: `forward` to (..., n+2), its analytic `jacobian` to
     (..., n+2, n+2) and `in_domain` to (...) booleans.  Calling it and
-    `jacobian_at` take a Point or such an array and check `in_domain`; the
-    evaluators do not."""
+    `jacobian_at` take such an array and check `in_domain`; the evaluators
+    do not."""
 
     n: int
     forward: Callable[[np.ndarray], np.ndarray]
@@ -45,7 +45,7 @@ class SmoothMap:
         return a
 
     def __call__(self, p):
-        return same_form(p, self.forward(self._require(p)))
+        return require_finite(self.forward(self._require(p)))
 
     def jacobian_at(self, p) -> np.ndarray:
         return self.jacobian(self._require(p))
@@ -178,14 +178,10 @@ def incomplete_geodesic_residual(profile: SymmetricProfile, s: float) -> float:
     curve s -> (ln(2s+1)/2, 0, 0), which leaves the space at s = -1/2."""
     if s <= -0.5:
         raise DomainError("the curve is defined for s > -1/2")
-    n = profile.n
-    m = n + 2
+    m = profile.n + 2
     w = 2.0 * s + 1.0
-    p = Point(0.5 * np.log(w), np.zeros(n), 0.0)
-    vel = np.zeros(m)
-    vel[0] = 1.0 / w
-    acc = np.zeros(m)
-    acc[0] = -2.0 / w ** 2
+    p, vel, acc = np.zeros((3, m))  # the curve's point, velocity and acceleration
+    p[0], vel[0], acc[0] = 0.5 * np.log(w), 1.0 / w, -2.0 / w ** 2
     gamma_hat = conformal_christoffel_at(profile, p, np.eye(m)[0])
     residual = acc + np.einsum("kij,i,j->k", gamma_hat, vel, vel)
     return float(np.max(np.abs(residual)))

@@ -23,7 +23,7 @@ outside; products, inverses and renormalised elements of valid elements
 are checked only for overflow.
 
 `apply` and `differential` act on an (..., n+2) array of points, one per
-row; a `Point` goes through the same formula.  They broadcast a batch of
+row, and return arrays.  They broadcast a batch of
 elements against the leading axes of the points, its last axis 1 standing
 for the rows: a (B, 1) batch at (N, n+2) points gives (B, N, n+2) images.
 """
@@ -39,12 +39,11 @@ import numpy as np
 from .core import (
     PARAM_TOL,
     BetaSolution,
-    Point,
     SymmetricProfile,
     beta_eval,
     coords,
     join,
-    same_form,
+    require_finite,
     within,
 )
 from .curvature import metric_at
@@ -149,20 +148,20 @@ def identity(profile: SymmetricProfile) -> Homothety:
 
 
 def apply(phi: Homothety, p):
-    """The image of p, a Point or an (..., n+2) array of points, in the
-    same form; OverflowingValueError if an image point is not finite."""
+    """The images of p, an (..., n+2) array of points, as such an array;
+    OverflowingValueError if an image point is not finite."""
     a = coords(p, phi.profile.n)
     t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
     val, der = beta_eval(phi.beta, t)
     esAx = np.exp(phi.s)[..., None] * _rowmat(x, phi.A.swapaxes(-1, -2))
     w = phi.eps * (np.exp(2 * phi.s) * v + phi.b
                    - np.sum(der * (esAx + 0.5 * val), axis=-1))
-    return same_form(p, join(phi.eps * t + phi.c, esAx + val, w))
+    return require_finite(join(phi.eps * t + phi.c, esAx + val, w))
 
 
 def differential(phi: Homothety, p) -> np.ndarray:
-    """Analytic Jacobian of apply(phi, .) at p, a Point or an (..., n+2)
-    array of points, in frame order (t, x, v): shape (..., n+2, n+2)."""
+    """Analytic Jacobian of apply(phi, .) at p, an (..., n+2) array of
+    points, in frame order (t, x, v): shape (..., n+2, n+2)."""
     prof = phi.profile
     a = coords(p, prof.n)
     t, x = a[..., 0], a[..., 1:-1]
@@ -244,10 +243,9 @@ def conjugate(g: Homothety, phi: Homothety) -> Homothety:
     return compose(g, compose(phi, inverse(g)))
 
 
-def homothety_factor_check(phi: Homothety, points: Sequence[Point] = None,
-                           rng=None) -> float:
-    """Max entrywise deviation |phi^* g - e^{2s} g| over sample points, a
-    sequence of Points or an (N, n+2) array (ten random ones by default),
+def homothety_factor_check(phi: Homothety, points=None, rng=None) -> float:
+    """Max entrywise deviation |phi^* g - e^{2s} g| over sample points, an
+    (N, n+2) array or a list of Points (ten random ones by default),
     through the analytic Jacobian of the action."""
     prof = phi.profile
     if points is None:

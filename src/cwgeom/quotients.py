@@ -244,7 +244,7 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     checks.append(_check("non_discreteness", min(element_distance(phi, identity(prof))
                                                  for phi in orbit.conjugates), APPROACH_TOL))
     checks.append(_check("orbit_converges_to_zero",
-                         float(np.linalg.norm(coords(orbit.points[-1]))), ORBIT_TOL))
+                         float(np.linalg.norm(orbit.points[-1].as_array())), ORBIT_TOL))
 
     commentary = (f"rho = {rho:.6f}; the isometric lattice is shift-stable, "
                   "while the homothety variant conjugates the v-translation "
@@ -440,8 +440,8 @@ def example4_generators() -> Tuple[Homothety, Homothety]:
 
 
 def rescale_field(p):
-    """f(t, x, v) = (|x|^4 + v^2)^{-1/2} at a Point or an (..., n+2) array
-    of points, defined off the t-axis."""
+    """f(t, x, v) = (|x|^4 + v^2)^{-1/2} at an (..., n+2) array of points,
+    defined off the t-axis."""
     a = coords(p)
     x, v = a[..., 1:-1], a[..., -1]
     q = np.sum(x * x, axis=-1) ** 2 + v * v

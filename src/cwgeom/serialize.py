@@ -109,10 +109,10 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
         raise InputError(f"malformed homothety data: {exc}") from exc
 
 
-def load_point(n: int, data: Any) -> Point:
+def load_point(n: int, data: Any) -> np.ndarray:
     a = _real_array(data, "point")
     _require(a.shape == (n + 2,), f"point must have {n + 2} coordinates")
-    return Point.from_array(a)
+    return a
 
 
 def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:
@@ -170,6 +170,7 @@ def _jsonable(value: Any) -> Any:
         return {"b": value.b, "beta0": value.beta.beta0.tolist(),
                 "beta1": value.beta.beta1.tolist(), "c": value.c, "eps": value.eps,
                 "A": value.A.tolist(), "s": value.s}
+    # OrbitReport.points, whose .t/.x/.v perfbench/reports.py:53-54 reads
     if isinstance(value, Point):
         return value.as_array().tolist()
     if isinstance(value, np.ndarray):

@@ -5,7 +5,6 @@ import pytest
 
 from cwgeom.core import (
     BetaSolution,
-    Point,
     SymmetricProfile,
     random_centralising_orthogonal,
 )
@@ -42,8 +41,8 @@ def random_homothety(prof, rng, strict=None, eps=None, c=None):
 
 
 def random_point(rng, n, scale=1.0):
-    return Point(float(rng.normal() * scale), rng.normal(size=n) * scale,
-                 float(rng.normal() * scale))
+    """A random point (t, x, v) as an (n+2,) array."""
+    return rng.normal(size=n + 2) * scale
 
 
 @pytest.fixture

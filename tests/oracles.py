@@ -12,7 +12,7 @@ from cwgeom.group import Homothety, element_distance, identity
 
 def jacobian_finite_difference(forward, p) -> np.ndarray:
     """Central finite differences, step 1e-6, of a map's `forward` at a
-    Point or an (..., m) array of points: shape (..., m, m)."""
+    an (..., m) array of points: shape (..., m, m)."""
     step = 1e-6
     a = coords(p)
     # row j of a +- e is the point moved along coordinate j
@@ -71,8 +71,8 @@ def minkowski_dilation(n: int, c: float) -> SmoothMap:
 
 
 def minkowski_map_inverse(q) -> np.ndarray:
-    """The inverse of flat.minkowski_map on {u > 0}, at a Point or an
-    (..., n+2) array of points: t = ln(2u)/2, x = e^-t y, v = z + |x|^2/2."""
+    """The inverse of flat.minkowski_map on {u > 0}, at an (..., n+2)
+    array of points: t = ln(2u)/2, x = e^-t y, v = z + |x|^2/2."""
     q = coords(q)
     t = 0.5 * np.log(2 * q[..., 0])
     x = np.exp(-t)[..., None] * q[..., 1:-1]
@@ -80,8 +80,8 @@ def minkowski_map_inverse(q) -> np.ndarray:
 
 
 def imaginary_local_map_inverse(q) -> np.ndarray:
-    """The inverse of flat.imaginary_local_map, at a Point or an (..., n+2)
-    array of points: t = arctan u, x = y cos t, v = z + |x|^2 u/2."""
+    """The inverse of flat.imaginary_local_map, at an (..., n+2) array of
+    points: t = arctan u, x = y cos t, v = z + |x|^2 u/2."""
     q = coords(q)
     u = q[..., 0]
     t = np.arctan(u)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwgeom.core import BetaSolution, Point, SymmetricProfile, beta_eval
+from cwgeom.core import BetaSolution, SymmetricProfile, beta_eval
 from cwgeom.curvature import (
     conformal_change_at,
     conformal_christoffel_at,
@@ -45,7 +45,7 @@ ULP = np.finfo(float).eps
        eps=st.sampled_from([-1, 1]), N=st.sampled_from([1, 7, 64]))
 def test_batch_rows_equal_single_points(kind, n, seed, eps, N):
     """Row i of apply and differential on an (N, n+2) array is the call on
-    Point i, within 4 ulp of the group-law scale squared (the v-part is
+    point i alone, within 4 ulp of the group-law scale squared (the v-part is
     quadratic in the parameters): a single point and a batch go through
     different BLAS kernels.  The profile has a repeated eigenvalue, so A
     turns its eigenspace."""
@@ -57,10 +57,9 @@ def test_batch_rows_equal_single_points(kind, n, seed, eps, N):
     assert images.shape == (N, prof.n + 2) and jacobians.shape == (N, prof.n + 2, prof.n + 2)
     oracle = jacobian_finite_difference(partial(apply, phi), pts)
     for row, image, J, J_fd in zip(pts, images, jacobians, oracle):
-        p = Point.from_array(row)
-        tol = 4 * ULP * scale(prof, phi, t=p.t) ** 2
-        assert np.max(np.abs(image - apply(phi, p).as_array())) <= tol
-        assert np.max(np.abs(J - differential(phi, p))) <= tol
+        tol = 4 * ULP * scale(prof, phi, t=row[0]) ** 2
+        assert np.max(np.abs(image - apply(phi, row))) <= tol
+        assert np.max(np.abs(J - differential(phi, row))) <= tol
         assert np.max(np.abs(J - J_fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(J))))
 
 
@@ -267,13 +266,12 @@ def test_curvature_rows_equal_single_points(kind, n, seed, N):
     batched = {"kn": kulkarni_nomizu(gram, hess), "nabla_df": nabla_df(prof, pts, grad, hess),
                "gamma_hat": conformal_christoffel_at(prof, pts, grad), "f": f(pts),
                **conformal_change_at(prof, pts, value, grad, hess)}
-    for i, row in enumerate(pts):
-        p = Point.from_array(row)
+    for i, p in enumerate(pts):
         single = {"kn": kulkarni_nomizu(gram[i], hess[i]),
                   "nabla_df": nabla_df(prof, p, grad[i], hess[i]),
                   "gamma_hat": conformal_christoffel_at(prof, p, grad[i]), "f": f(p),
                   **conformal_change_at(prof, p, value[i], grad[i], hess[i])}
-        size = ((1 + np.max(np.abs(prof.S))) * (1 + np.max(np.abs(row)) ** 2)
+        size = ((1 + np.max(np.abs(prof.S))) * (1 + np.max(np.abs(p)) ** 2)
                 * (1 + np.max(np.abs(grad[i])) + np.max(np.abs(hess[i])))
                 * np.exp(2 * abs(value[i])))
         for key, want in single.items():

@@ -466,6 +466,7 @@ def test_orbit_reads_gammas_heisenberg_part_by_one_threshold(part, size, code, c
 
 
 TRACE_OVERFLOWS = [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]]
+# symmetrises without overflow since S is halved first; its trace overflows
 SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
 
 
@@ -477,7 +478,7 @@ SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
 ], ids=["classify-trace-overflows", "classify-symmetrised-overflows",
         "curvature-trace-overflows", "curvature-symmetrised-overflows"])
 def test_overflowing_profile_exits_3(command, S):
-    """A profile whose symmetrisation, trace or eigenvalues overflow is
+    """A profile whose trace or eigenvalues overflow is
     rejected at the boundary: never a wrong verdict or NaN."""
     proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
     assert proc.returncode == 3
@@ -495,6 +496,22 @@ def test_curvature_of_a_trace_near_the_float_maximum_exits_0():
     assert data["ricci"][0][0] == -1.78e308
     assert data["schouten"][0][0] == -8.9e307
     assert data["cotton_max_abs"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["classify", "curvature"])
+def test_symmetric_profile_near_the_float_maximum_exits_0(command):
+    """A finite symmetric S near the float maximum, with trace 0, is halved
+    before it is symmetrised, so no sum overflows and it is accepted."""
+    S = [[1e308, 0.0], [0.0, -1e308]]
+    proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
+    assert proc.returncode == 0 and proc.stderr == ""
+    data = json.loads(proc.stdout, parse_constant=_reject_constant)
+    if command == "classify":
+        assert data["type"] == "mixed" and data["lambda_max_sq"] == 1e308
+    else:
+        # R = -S kn (dt)^2 has R[1,0,1,0] = -S_11; Ric = -tr(S) (dt)^2 = 0
+        assert data["riemann"][1][0][1][0] == -1e308
+        assert np.max(np.abs(data["ricci"])) == 0.0
 
 
 @pytest.mark.parametrize("r", [10**8, 10**200], ids=["1e8", "1e200"])

@@ -27,6 +27,11 @@ def _g0(n):
     return lambda q: g
 
 
+def _strip_point(rng, n, tmax):
+    """A random point (t, x, v) with |t| < tmax, as an (n+2,) array."""
+    return np.concatenate(([rng.uniform(-tmax, tmax)], rng.normal(size=n), [rng.normal()]))
+
+
 class TestMinkowskiMap:
     def test_round_trip(self, rng):
         for n in (1, 2, 3):
@@ -34,15 +39,15 @@ class TestMinkowskiMap:
             for _ in range(10):
                 p = random_point(rng, n)
                 q = F(p)
-                assert q.t > 0
+                assert q[0] > 0
                 back = minkowski_map_inverse(q)
-                assert np.max(np.abs(back - p.as_array())) <= 1e-10
+                assert np.max(np.abs(back - p)) <= 1e-10
 
     def test_pullback_is_conformal(self, rng):
         # F^* g0 = e^{2t} g_+ for S = I
         for n in (1, 2):
             prof = SymmetricProfile(np.eye(n))
-            points = [random_point(rng, n) for _ in range(25)]
+            points = np.array([random_point(rng, n) for _ in range(25)])
             assert conformal_defect(minkowski_map(n), _g0(n), lambda a: metric_at(prof, a),
                                     lambda a: np.exp(2 * a[..., 0]), points) <= 1e-9
 
@@ -58,17 +63,15 @@ class TestImaginaryLocalMap:
     def test_round_trip(self, rng):
         F = imaginary_local_map(2)
         for _ in range(10):
-            p = Point(float(rng.uniform(-1.4, 1.4)), rng.normal(size=2),
-                      float(rng.normal()))
+            p = _strip_point(rng, 2, 1.4)
             back = imaginary_local_map_inverse(F(p))
-            assert np.max(np.abs(back - p.as_array())) <= 1e-10
+            assert np.max(np.abs(back - p)) <= 1e-10
 
     def test_pullback_is_conformal(self, rng):
         # F^* g0 = g_- / cos^2 t on the strip |t| < pi/2
         for n in (1, 2):
             prof = SymmetricProfile(-np.eye(n))
-            points = [Point(float(rng.uniform(-1.4, 1.4)), rng.normal(size=n),
-                            float(rng.normal())) for _ in range(25)]
+            points = np.array([_strip_point(rng, n, 1.4) for _ in range(25)])
             assert conformal_defect(imaginary_local_map(n), _g0(n),
                                     lambda a: metric_at(prof, a),
                                     lambda a: np.cos(a[..., 0]) ** -2, points) <= 1e-9
@@ -76,9 +79,9 @@ class TestImaginaryLocalMap:
     def test_domain_error(self):
         F = imaginary_local_map(1)
         with pytest.raises(DomainError):
-            F(Point(np.pi / 2, np.zeros(1), 0.0))
+            F(np.array([np.pi / 2, 0.0, 0.0]))
         with pytest.raises(DomainError):
-            conformal_defect(F, _g0(1), _g0(1), lambda a: 1.0, Point(2.0, np.zeros(1), 0.0))
+            conformal_defect(F, _g0(1), _g0(1), lambda a: 1.0, np.array([2.0, 0.0, 0.0]))
 
 
 class TestConjugatedIdentities:
@@ -89,7 +92,7 @@ class TestConjugatedIdentities:
         D = minkowski_dilation(n, c)
         for _ in range(20):
             p = random_point(rng, n)
-            lhs = F(Point(p.t + c, p.x, p.v))
+            lhs = F(p + np.r_[c, np.zeros(n + 1)])
             rhs = D(F(p))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
@@ -100,7 +103,7 @@ class TestConjugatedIdentities:
         eta = minkowski_inversion(n)
         for _ in range(20):
             p = random_point(rng, n)
-            lhs = F(Point(-p.t, p.x, -p.v))
+            lhs = F(p * np.r_[-1.0, np.ones(n), -1.0])
             rhs = eta(F(p))
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
@@ -108,8 +111,7 @@ class TestConjugatedIdentities:
         n = 2
         eta = minkowski_inversion(n)
         for _ in range(20):
-            q = Point(float(rng.uniform(0.2, 3.0)), rng.normal(size=n),
-                      float(rng.normal()))
+            q = np.concatenate(([rng.uniform(0.2, 3.0)], rng.normal(size=n), [rng.normal()]))
             # involution
             assert np.max(np.abs(eta(eta(q)) - q)) <= 1e-9
             # eta^* g0 = g0 / (4u^2)
@@ -119,7 +121,7 @@ class TestConjugatedIdentities:
     def test_inversion_domain(self):
         eta = minkowski_inversion(1)
         with pytest.raises(DomainError):
-            eta(Point(0.0, np.zeros(1), 0.0))
+            eta(np.zeros(3))
 
 
 class TestWarpedChart:
@@ -138,9 +140,9 @@ class TestWarpedChart:
         make, _, tmax, _, closed = self.CHARTS[name]
         F = make(3)
         for _ in range(10):
-            p = Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=3), float(rng.normal()))
-            u, y, z = closed(p.t, p.x, p.v)
-            assert np.max(np.abs(F(p) - Point(u, y, z))) <= 1e-12 * max(1.0, abs(u), abs(z))
+            p = _strip_point(rng, 3, tmax)
+            u, y, z = closed(p[0], p[1:-1], p[-1])
+            assert np.max(np.abs(F(p) - np.r_[u, y, z])) <= 1e-12 * max(1.0, abs(u), abs(z))
             Jfd = jacobian_finite_difference(F.forward, p)
             assert np.max(np.abs(F.jacobian_at(p) - Jfd)) <= 1e-5 * max(1.0, np.max(np.abs(Jfd)))
 
@@ -152,11 +154,11 @@ class TestWarpedChart:
         g0 = minkowski_metric(n)
         gram = lambda a: metric_at(prof, a)
         factor = lambda a: rho(a[..., 0]) ** -2
-        points = [Point(float(rng.uniform(-tmax, tmax)), rng.normal(size=n),
-                        float(rng.normal())) for _ in range(20)]
+        # a list of Points, the form the benchmark passes, and one array
+        # give the same residual
+        points = [Point.from_array(_strip_point(rng, n, tmax)) for _ in range(20)]
         right = conformal_defect(make(n), lambda q: g0, gram, factor, points)
         assert right <= 1e-9
-        # the same points as one array give the same residual
         assert conformal_defect(make(n), lambda q: g0, gram, factor,
                                 np.array([p.as_array() for p in points])) == right
         # a wrong factor, or the other model's metric, is seen at once
@@ -169,7 +171,7 @@ class TestWarpedChart:
 
 def _at(t):
     """The point (t, 0, 0) of R^3; in flat coordinates t is u."""
-    return Point(t, np.zeros(1), 0.0)
+    return np.array([t, 0.0, 0.0])
 
 
 DOMAIN_ERRORS = {
@@ -181,7 +183,7 @@ DOMAIN_ERRORS = {
     "inversion-jacobian": lambda: minkowski_inversion(1).jacobian_at(_at(-1.0)),
     "conformal-defect": lambda: conformal_defect(
         imaginary_local_map(1), lambda q: minkowski_metric(1),
-        lambda a: np.eye(3), lambda a: 1.0, [_at(0.0), _at(2.0)]),
+        lambda a: np.eye(3), lambda a: 1.0, np.array([_at(0.0), _at(2.0)])),
 }
 
 

@@ -6,6 +6,7 @@ oracles.py is imported by a test."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -50,6 +51,16 @@ def test_every_exported_name_has_a_caller():
     public = [name for name in cwgeom.__all__
               if not isinstance(getattr(cwgeom, name), types.ModuleType)]
     assert sorted(name for name in public if name not in used) == []
+
+
+def test_point_is_named_only_where_the_benchmark_reads_it():
+    """Maps take and return (..., n+2) arrays.  Point stays only for the
+    benchmark's reads (perfbench/reports.py): the class in core, the orbit
+    report's points in dynamics, their JSON form in serialize."""
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if re.search(r"\bPoint\b", path.read_text(encoding="utf-8")))
+    assert naming == ["core.py", "dynamics.py", "serialize.py"]
+    assert "Point" not in cwgeom.__all__
 
 
 def test_every_package_definition_has_a_caller():

@@ -23,7 +23,6 @@ from cwgeom.quotients import (
     verify_real_lattice_example,
     verify_removed_fixed_points_example,
 )
-from cwgeom.core import Point
 
 
 def _assert_report_passes(report):
@@ -166,10 +165,9 @@ class TestRemovedFixedPoints:
         assert len(calls) == 28
 
     def test_rescale_field(self):
-        p = Point(0.0, np.array([1.0]), 2.0)
-        assert rescale_field(p) == pytest.approx(1.0 / np.sqrt(1.0 + 4.0))
+        assert rescale_field(np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0 / np.sqrt(1.0 + 4.0))
         with pytest.raises(PreconditionError):
-            rescale_field(Point(1.0, np.zeros(2), 0.0))
+            rescale_field(np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_rescale_identity_on_U(self):
         report = verify_inessential_rescale_U()
