@@ -11,12 +11,12 @@ reads: every subcommand takes --output FILE and --format json|pretty;
 pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
 and --tolerance pullback=VALUE (finite, > 0, default core.PULLBACK_TOL);
 verify-example takes --r, for the real-lattice example only.  Bounds:
-every profile, and the n of a pullback-check, has n <= 1024; a
-pullback-check has 1 <= samples <= 10000 with samples * (n+2)^2 <=
-50 * 1026^2; an orbit has K <= 10000; a pd-report on an n x n profile
-with g generators and max_length L has at most 100000 reduced words,
-sum over k <= L of 2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the
-MAX_ constants below).
+every profile, and the n of a pullback-check, has n <= 1024, and a
+curvature profile n <= 64; a pullback-check has 1 <= samples <= 10000
+with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000; a
+pd-report on an n x n profile with g generators and max_length L has at
+most 100000 reduced words, sum over k <= L of 2g(2g-1)^(k-1), and
+words * (n+2)^2 <= 2e7 (the MAX_ constants below).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -49,6 +49,10 @@ EXIT_PRECONDITION = 3
 # (ru_maxrss) on a 1024 x 1024 profile, mostly to load its JSON
 MAX_PROFILE_N = 1024
 _profile = partial(serialize.load_profile, high=MAX_PROFILE_N)  # every profile the CLI loads
+# the largest n of a curvature profile: the reply holds two dense (n+2)^4
+# tensors at about 11 B per index, 210 MB written in 0.6 s at n = 64 (37 MB
+# ru_maxrss), which would be about 12 TB at n = 1024
+MAX_CURVATURE_N = 64
 # pullback-check bounds: samples are drawn one by one in a Python loop, and
 # the default 50 at n = 1024 hold (50, n+2, n+2) arrays of 420 MB each,
 # which peaked at 1.69 GB (ru_maxrss)
@@ -167,7 +171,7 @@ COMMANDS = {
                           "conformally_flat": cls.conformally_flat,
                           "lambda_max_sq": cls.lambda_max_sq}),
     "curvature": Subcommand(
-        load=lambda data: [_profile(data)],
+        load=lambda data: [serialize.load_profile(data, high=MAX_CURVATURE_N)],
         call=lambda prof: {
             "riemann": curvature.riemann(prof),
             "ricci": curvature.ricci(prof),

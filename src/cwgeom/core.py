@@ -254,10 +254,12 @@ class Point:
 
 def coords(points, n: Optional[int] = None) -> np.ndarray:
     """The (..., n+2) float array of an array of points or of a list of
-    Points (perfbench/reports.py:94-100 passes one to homothety_factor_check);
-    IncompatibleProfileError if its last axis is not n + 2."""
+    points, each a Point (perfbench/reports.py:94-100 passes them to
+    homothety_factor_check) or an array; IncompatibleProfileError if its
+    last axis is not n + 2."""
     if isinstance(points, (list, tuple)):
-        a = np.array([p.as_array() for p in points]) if points else np.empty((0, n + 2))
+        a = (np.array([p.as_array() if isinstance(p, Point) else p for p in points], dtype=float)
+             if points else np.empty((0, n + 2)))
     else:
         a = np.asarray(points, dtype=float)
     if n is not None and a.shape[-1:] != (n + 2,):
@@ -336,15 +338,3 @@ def symplectic_form(beta: BetaSolution, betahat: BetaSolution) -> float:
     if beta.profile != betahat.profile:
         raise IncompatibleProfileError("symplectic form needs a common profile")
     return 0.5 * (float(beta.beta0 @ betahat.beta1) - float(beta.beta1 @ betahat.beta0))
-
-
-def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:
-    """A random element of C_O(n)(S): on each eigenspace of S a Haar block
-    Q sign(diag R) from the QR factors of a Gaussian matrix (Q alone would
-    always have determinant (-1)^(d-1))."""
-    A = np.zeros((profile.n, profile.n))
-    for blk in profile.spectrum:
-        d = blk.multiplicity
-        Qb, R = np.linalg.qr(rng.normal(size=(d, d)))
-        A += blk.basis @ (Qb * np.sign(np.diag(R))) @ blk.basis.T
-    return A

@@ -1,13 +1,10 @@
-"""Shared helpers for the test suite: random profiles and group elements."""
+"""Shared helpers for the test suite: random profiles, centraliser
+elements and group elements."""
 
 import numpy as np
 import pytest
 
-from cwgeom.core import (
-    BetaSolution,
-    SymmetricProfile,
-    random_centralising_orthogonal,
-)
+from cwgeom.core import BetaSolution, SymmetricProfile
 from cwgeom.group import Homothety
 
 
@@ -21,6 +18,18 @@ def random_profile(rng, n=None, norm_cap=4.0):
     if nrm > norm_cap:
         S *= norm_cap / nrm
     return SymmetricProfile(S)
+
+
+def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:
+    """A random element of C_O(n)(S): on each eigenspace of S a Haar block
+    Q sign(diag R) from the QR factors of a Gaussian matrix (Q alone would
+    always have determinant (-1)^(d-1))."""
+    A = np.zeros((profile.n, profile.n))
+    for blk in profile.spectrum:
+        d = blk.multiplicity
+        Qb, R = np.linalg.qr(rng.normal(size=(d, d)))
+        A += blk.basis @ (Qb * np.sign(np.diag(R))) @ blk.basis.T
+    return A
 
 
 def random_homothety(prof, rng, strict=None, eps=None, c=None):

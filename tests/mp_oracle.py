@@ -1,0 +1,147 @@
+"""An extended-precision oracle for the homothety group.
+
+The flow of beta'' = S beta is mpmath's expm of [[0, I], [S, 0]] t at DPS
+digits, which shares nothing with cwgeom's eigenbasis code.  On it sit
+the action of an element (b, beta, c, eps, A, s),
+
+    (t, x, v) |-> (eps t + c, e^s A x + beta(t),
+                   eps (e^{2s} v + b - <beta'(t), e^s A x + beta(t)/2>)),
+
+and the product, inverse and powers of elements, each read off the
+action alone: the product's beta is the x-part of the composite map and
+its b the v-part of its image of the origin, the inverse's b the v-part
+of the preimage of the origin, and a power is a chain of products.
+Float inputs are converted exactly, so the oracle's own error is far
+below float64 round-off."""
+
+from dataclasses import dataclass
+
+import mpmath as mp
+import numpy as np
+
+DPS = 70
+
+
+@dataclass(frozen=True)
+class Element:
+    """A group element over the profile S, with mpf parameters."""
+
+    S: mp.matrix
+    b: mp.mpf
+    beta0: mp.matrix
+    beta1: mp.matrix
+    c: mp.mpf
+    eps: int
+    A: mp.matrix
+    s: mp.mpf
+
+
+def _column(a) -> mp.matrix:
+    return mp.matrix([mp.mpf(float(q)) for q in np.ravel(a)])
+
+
+def _square(a) -> mp.matrix:
+    return mp.matrix([[mp.mpf(float(q)) for q in row] for row in np.asarray(a)])
+
+
+def _dot(x: mp.matrix, y: mp.matrix):
+    return mp.fsum(x[i] * y[i] for i in range(x.rows))
+
+
+def element(phi) -> Element:
+    """The oracle's copy of a single cwgeom Homothety, converted exactly."""
+    with mp.workdps(DPS):
+        return Element(_square(phi.profile.S), mp.mpf(float(phi.b)), _column(phi.beta.beta0),
+                       _column(phi.beta.beta1), mp.mpf(float(phi.c)), int(phi.eps),
+                       _square(phi.A), mp.mpf(float(phi.s)))
+
+
+def _flow(e: Element, t):
+    """(beta(t), beta'(t)) of e's beta, by the matrix exponential of the
+    first-order system (beta, beta')' = [[0, I], [S, 0]] (beta, beta')."""
+    n = e.S.rows
+    M = mp.zeros(2 * n, 2 * n)
+    for i in range(n):
+        M[i, n + i] = 1
+        for j in range(n):
+            M[n + i, j] = e.S[i, j]
+    y = mp.expm(M * t) * mp.matrix([*e.beta0, *e.beta1])
+    return mp.matrix([y[i] for i in range(n)]), mp.matrix([y[n + i] for i in range(n)])
+
+
+def _act(e: Element, t, x: mp.matrix, v, flow=None):
+    """The image (t, x, v) of one point under e; `flow` is (beta(t),
+    beta'(t)) when known."""
+    val, der = _flow(e, t) if flow is None else flow
+    esAx = mp.exp(e.s) * (e.A * x)
+    return (e.eps * t + e.c, esAx + val,
+            e.eps * (mp.exp(2 * e.s) * v + e.b - _dot(der, esAx + val / 2)))
+
+
+def apply(e: Element, p) -> np.ndarray:
+    """The image of the point p, an (n+2,) float array, rounded to floats."""
+    with mp.workdps(DPS):
+        t, *x, v = (mp.mpf(float(q)) for q in p)
+        t, x, v = _act(e, t, mp.matrix(x), v)
+        return np.array([float(t), *map(float, x), float(v)])
+
+
+def _b(beta0: mp.matrix, beta1: mp.matrix, eps: int, v0):
+    """The b of the element with initial data (beta0, beta1) and eps that
+    maps the origin to a point with v-part v0."""
+    return eps * v0 + _dot(beta1, beta0) / 2
+
+
+def compose(e1: Element, e2: Element) -> Element:
+    """The element acting as e1 after e2."""
+    with mp.workdps(DPS):
+        # x-part of the composite: e^{s1} A1 (e^{s2} A2 x + beta2(t)) + beta1(eps2 t + c2)
+        Y, Yd = _flow(e1, e2.c)
+        es1A1 = mp.exp(e1.s) * e1.A
+        beta0, beta1 = es1A1 * e2.beta0 + Y, es1A1 * e2.beta1 + e2.eps * Yd
+        eps = e1.eps * e2.eps
+        # e2 maps the origin to a point at time c2, where e1's flow is (Y, Y')
+        origin = _act(e2, 0, mp.zeros(e1.S.rows, 1), 0, (e2.beta0, e2.beta1))
+        _, _, v0 = _act(e1, *origin, (Y, Yd))
+        return Element(e1.S, _b(beta0, beta1, eps, v0), beta0, beta1, e1.c + e1.eps * e2.c,
+                       eps, e1.A * e2.A, e1.s + e2.s)
+
+
+def inverse(e: Element) -> Element:
+    """The element that undoes e: it maps the origin to the point that e
+    maps to the origin, (t, x) = (-eps c, -e^{-s} A^-1 beta(t)).  A^-1 is
+    the exact inverse of the float matrix A, which is orthogonal only to
+    round-off."""
+    with mp.workdps(DPS):
+        t = -e.eps * e.c
+        val, der = _flow(e, t)
+        ems, A_inv = mp.exp(-e.s), mp.inverse(e.A)
+        beta0, beta1 = -ems * (A_inv * val), -ems * e.eps * (A_inv * der)
+        # the v whose image under e has v-part 0, with e^s A x = -beta(t)
+        v0 = ems ** 2 * (_dot(der, -val / 2) - e.b)
+        return Element(e.S, _b(beta0, beta1, e.eps, v0), beta0, beta1, t, e.eps, A_inv, -e.s)
+
+
+def powers(e: Element, k: int) -> list:
+    """[e, e^2, ..., e^k] by k - 1 products with e; k >= 1."""
+    out = [e]
+    for _ in range(k - 1):
+        out.append(compose(out[-1], e))
+    return out
+
+
+def power(e: Element, k: int) -> Element:
+    """e^k by |k| - 1 products of e, or of its inverse for k < 0; k != 0."""
+    return powers(e if k > 0 else inverse(e), abs(k))[-1]
+
+
+def relative_error(phi, e: Element) -> float:
+    """Max |parameter of the cwgeom element phi - parameter of e| over the
+    largest |parameter| of e, or over 1 if that is smaller; infinite if
+    the eps parts differ."""
+    if int(phi.eps) != e.eps:
+        return np.inf
+    with mp.workdps(DPS):
+        want = np.array([float(q) for q in (e.b, *e.beta0, *e.beta1, e.c, *e.A, e.s)])
+    got = np.r_[phi.b, phi.beta.beta0, phi.beta.beta1, phi.c, np.ravel(phi.A), phi.s]
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))

@@ -4,7 +4,7 @@ traces, and closed forms the library itself has no use for."""
 
 import numpy as np
 
-from cwgeom.core import PARAM_TOL, SymmetricProfile, coords, join
+from cwgeom.core import MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
 from cwgeom.curvature import FD_STEP, metric_at
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
@@ -91,3 +91,27 @@ def imaginary_local_map_inverse(q) -> np.ndarray:
 
 def is_identity(phi: Homothety, tol: float = PARAM_TOL) -> bool:
     return element_distance(phi, identity(phi.profile)) <= tol
+
+
+def box_minus_holes_nonempty(box, holes) -> bool:
+    """Whether the box ((lo, hi), ...) minus the union of the holes, boxes
+    of the same form, has positive measure, by recursive splitting along
+    hole faces; an overlap no wider than MEASURE_TOL is empty.  Reference
+    for quotients._positive_measure."""
+    def intersect(a, b):
+        out = tuple((max(alo, blo), min(ahi, bhi)) for (alo, ahi), (blo, bhi) in zip(a, b))
+        return None if any(hi - lo <= MEASURE_TOL for lo, hi in out) else out
+
+    live = [h for h in (intersect(box, h) for h in holes) if h is not None]
+    if not live:
+        return True
+    # split the box along one face of the first hole that cuts its interior
+    for axis, ((blo, bhi), (hlo, hhi)) in enumerate(zip(box, live[0])):
+        for cut in (hlo, hhi):
+            if blo + MEASURE_TOL < cut < bhi - MEASURE_TOL:
+                left = box[:axis] + ((blo, cut),) + box[axis + 1:]
+                right = box[:axis] + ((cut, bhi),) + box[axis + 1:]
+                return (box_minus_holes_nonempty(left, live)
+                        or box_minus_holes_nonempty(right, live))
+    # no face cuts the interior, so the hole covers the box on every axis
+    return False

@@ -11,11 +11,7 @@ import sys
 import numpy as np
 
 from cwgeom.cli import main as cli_main
-from cwgeom.core import (
-    BetaSolution,
-    SymmetricProfile,
-    random_centralising_orthogonal,
-)
+from cwgeom.core import BetaSolution, SymmetricProfile
 from cwgeom.curvature import (
     kulkarni_nomizu,
     metric_at,
@@ -53,7 +49,8 @@ from cwgeom.group import (
 )
 from cwgeom.quotients import verify_example, verify_real_lattice_example
 
-from conftest import random_homothety, random_point, random_profile
+from conftest import (random_centralising_orthogonal, random_homothety, random_point,
+                      random_profile)
 from oracles import minkowski_dilation, trace_with_metric
 
 

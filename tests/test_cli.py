@@ -377,10 +377,13 @@ class TestMalformedPayloads:
         # a profile past MAX_PROFILE_N, refused by every subcommand that loads one
         ("classify", {"S": np.eye(cli.MAX_PROFILE_N + 1).tolist()}),
         ("compose", {"profile": {"S": np.eye(cli.MAX_PROFILE_N + 1).tolist()}}),
+        # two dense (n+2)^4 tensors, refused before either is built
+        ("curvature", {"S": np.eye(cli.MAX_CURVATURE_N + 1).tolist()}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
             "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max",
-            "pd-entries-above-max", "classify-n-above-max", "compose-n-above-max"])
+            "pd-entries-above-max", "classify-n-above-max", "compose-n-above-max",
+            "curvature-n-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
@@ -466,24 +469,24 @@ def test_orbit_reads_gammas_heisenberg_part_by_one_threshold(part, size, code, c
 
 
 TRACE_OVERFLOWS = [[8e307, 0.0, 0.0], [0.0, 8e307, 0.0], [0.0, 0.0, 8e307]]
-# symmetrises without overflow since S is halved first; its trace overflows
-SYMMETRISED_OVERFLOWS = [[1e308, 0.0], [0.0, 1e308]]
+# trace 0, but eigenvalues of size 1.5e308 * sqrt(2)
+EIGENVALUES_OVERFLOW = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
 
 
-@pytest.mark.parametrize("command, S", [
-    ("classify", TRACE_OVERFLOWS),
-    ("classify", SYMMETRISED_OVERFLOWS),
-    ("curvature", TRACE_OVERFLOWS),
-    ("curvature", SYMMETRISED_OVERFLOWS),
-], ids=["classify-trace-overflows", "classify-symmetrised-overflows",
-        "curvature-trace-overflows", "curvature-symmetrised-overflows"])
-def test_overflowing_profile_exits_3(command, S):
+@pytest.mark.parametrize("command, S, detail", [
+    ("classify", TRACE_OVERFLOWS, "the trace of S overflows"),
+    ("classify", EIGENVALUES_OVERFLOW, "the eigenvalues of S overflow"),
+    ("curvature", TRACE_OVERFLOWS, "the trace of S overflows"),
+    ("curvature", EIGENVALUES_OVERFLOW, "the eigenvalues of S overflow"),
+], ids=["classify-trace-overflows", "classify-eigenvalues-overflow",
+        "curvature-trace-overflows", "curvature-eigenvalues-overflow"])
+def test_overflowing_profile_exits_3(command, S, detail):
     """A profile whose trace or eigenvalues overflow is
     rejected at the boundary: never a wrong verdict or NaN."""
     proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps({"S": S}))
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+    assert json.loads(proc.stderr)["error"] == {"kind": "overflow", "detail": detail}
 
 
 def test_curvature_of_a_trace_near_the_float_maximum_exits_0():

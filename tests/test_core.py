@@ -10,7 +10,6 @@ from cwgeom.core import (
     SymmetricProfile,
     beta_eval,
     classify,
-    random_centralising_orthogonal,
     symplectic_form,
 )
 from cwgeom.errors import (
@@ -23,7 +22,7 @@ from cwgeom.errors import (
 from cwgeom.dynamics import solve_conjugation_beta
 from cwgeom.group import Homothety, compose
 
-from conftest import random_profile
+from conftest import random_centralising_orthogonal, random_profile
 
 
 def reparam(beta, c, eps, A):

@@ -15,7 +15,6 @@ from cwgeom.core import (
     SymmetricProfile,
     beta_eval,
     classify,
-    random_centralising_orthogonal,
 )
 from cwgeom.dynamics import (
     block_determinant,
@@ -45,7 +44,8 @@ from cwgeom.group import (
     power,
 )
 
-from conftest import random_homothety, random_point, random_profile
+from conftest import (random_centralising_orthogonal, random_homothety, random_point,
+                      random_profile)
 from test_group_law import KINDS, spectral_profile
 
 
@@ -317,7 +317,6 @@ class TestConjugationSolve:
         for _ in range(10):
             prof = random_profile(rng)
             n = prof.n
-            from cwgeom.core import random_centralising_orthogonal
             A = random_centralising_orthogonal(prof, rng)
             s = float(rng.uniform(0.3, 1.0))
             c = float(rng.uniform(0.5, 1.5))

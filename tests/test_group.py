@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cwgeom.core import BetaSolution, SymmetricProfile, symplectic_form
+from cwgeom.core import BetaSolution, Point, SymmetricProfile, symplectic_form
 from cwgeom.curvature import metric_at
 from cwgeom.errors import IncompatibleProfileError
 from cwgeom.group import (
@@ -134,6 +134,17 @@ class TestInverse:
 
 
 class TestHomothetyFactor:
+    def test_points_as_a_list_of_arrays_or_of_points(self, rng):
+        """A list of (n+2,) arrays is stacked like a list of Points and
+        judged as the (N, n+2) array of the same points."""
+        prof = SymmetricProfile(np.eye(1))
+        phi = random_homothety(prof, rng, strict=True)
+        pts = rng.normal(size=(4, 3))
+        want = homothety_factor_check(phi, points=pts)
+        assert homothety_factor_check(phi, points=list(pts)) == want
+        assert homothety_factor_check(phi, points=[Point.from_array(p) for p in pts]) == want
+        assert homothety_factor_check(phi, points=[np.zeros(3)]) <= 1e-8
+
     def test_pullback_factor(self, rng):
         # phi^* g = e^{2s} g via the analytic Jacobian, all eps branches
         for _ in range(20):

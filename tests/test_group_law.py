@@ -15,10 +15,11 @@ from cwgeom.core import (
     SymmetricProfile,
     beta_eval,
     classify,
-    random_centralising_orthogonal,
 )
 from cwgeom.errors import OverflowingValueError
 from cwgeom.group import Homothety, apply, compose, identity, inverse, power
+
+from conftest import random_centralising_orthogonal
 
 KINDS = ("real", "imaginary", "mixed", "degenerate")
 

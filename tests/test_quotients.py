@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwgeom import quotients
 from cwgeom.core import PARAM_TOL, SymmetricProfile
@@ -10,8 +12,7 @@ from cwgeom.group import Homothety, _element
 from cwgeom.quotients import (
     BoxRegion,
     EXAMPLES,
-    _box_intersect,
-    _box_minus_holes_nonempty,
+    _positive_measure,
     example4_generators,
     example4_regions,
     rescale_field,
@@ -23,6 +24,8 @@ from cwgeom.quotients import (
     verify_real_lattice_example,
     verify_removed_fixed_points_example,
 )
+
+from oracles import box_minus_holes_nonempty
 
 
 def _assert_report_passes(report):
@@ -81,21 +84,52 @@ class TestFailed3d:
         _assert_report_passes(verify_failed_3d_example(seed=194890681))
 
 
-class TestBoxArithmetic:
-    def test_intersect(self):
-        a = ((0.0, 2.0), (0.0, 2.0))
-        b = ((1.0, 3.0), (-1.0, 1.0))
-        assert _box_intersect(a, b) == ((1.0, 2.0), (0.0, 1.0))
-        assert _box_intersect(a, ((5.0, 6.0), (0.0, 1.0))) is None
+def _measure(box, holes):
+    """_positive_measure of one box and its holes, given as ((lo, hi), ...)."""
+    lo, hi = np.array(box, dtype=float).T
+    return bool(_positive_measure(lo, hi, np.array(holes, dtype=float).reshape(-1, len(box), 2)
+                                  .transpose(0, 2, 1)))
 
+
+def _spans(unique):
+    """Intervals (lo, hi) with ends on the integer grid -3..3, lo < hi if unique."""
+    return st.lists(st.integers(-3, 3), min_size=2, max_size=2,
+                    unique=unique).map(lambda ends: tuple(sorted(ends)))
+
+
+# a box of m <= 3 axes, nondegenerate as the recursive splitting assumes,
+# and up to 3 holes, possibly flat
+_GRID_BOX = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(_spans(True), min_size=m, max_size=m),
+    st.lists(st.lists(_spans(False), min_size=m, max_size=m), max_size=3)))
+
+
+class TestBoxArithmetic:
     def test_minus_holes(self):
         box = ((0.0, 1.0), (0.0, 1.0))
-        assert _box_minus_holes_nonempty(box, [])
-        assert not _box_minus_holes_nonempty(box, [((-1.0, 2.0), (-1.0, 2.0))])
-        assert _box_minus_holes_nonempty(box, [((0.25, 0.75), (0.25, 0.75))])
+        assert _measure(box, [])
+        assert not _measure(box, [((-1.0, 2.0), (-1.0, 2.0))])
+        assert _measure(box, [((0.25, 0.75), (0.25, 0.75))])
         # two holes that jointly cover the box
-        assert not _box_minus_holes_nonempty(
-            box, [((-1.0, 0.6), (-1.0, 2.0)), ((0.4, 2.0), (-1.0, 2.0))])
+        assert not _measure(box, [((-1.0, 0.6), (-1.0, 2.0)), ((0.4, 2.0), (-1.0, 2.0))])
+        # a hole that misses the box, and one that overlaps it by less than MEASURE_TOL
+        assert _measure(box, [((5.0, 6.0), (0.0, 1.0)), ((-1.0, 1e-12), (-1.0, 2.0))])
+        # an empty box, and one thinner than MEASURE_TOL
+        assert not _measure(((1.0, 0.0), (0.0, 1.0)), [])
+        assert not _measure(((0.0, 1e-12), (0.0, 1.0)), [])
+
+    def test_minus_holes_over_a_word_axis(self):
+        lo, hi = np.zeros((2, 2)), np.ones((2, 2))
+        holes = np.array([[[[-1.0, -1.0], [2.0, 2.0]]], [[[0.5, 0.5], [2.0, 2.0]]]])
+        assert _positive_measure(lo, hi, holes).tolist() == [False, True]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_GRID_BOX)
+    def test_minus_holes_matches_the_recursive_splitting(self, drawn):
+        """The cell test agrees with splitting the box along hole faces,
+        on boxes and holes with integer corners."""
+        box, holes = tuple(drawn[0]), [tuple(h) for h in drawn[1]]
+        assert _measure(box, holes) == box_minus_holes_nonempty(box, holes)
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
@@ -155,14 +189,17 @@ class TestRemovedFixedPoints:
             self_adjacency(R, [])
 
     def test_self_adjacency_builds_each_power_once(self, monkeypatch):
-        """One power per generator and exponent, 2 x 7 for each of the two
-        regions, however many words combine them."""
+        """The powers of every generator come from one walk of
+        ADJACENCY_RANGE batched composes, and the words from one more per
+        generator after the first: 4 for each of the two regions, 8 per
+        report, however many words combine them, and no call to power."""
         calls = []
-        real = quotients.power
-        monkeypatch.setattr(quotients, "power",
-                            lambda g, e: calls.append((g, e)) or real(g, e))
+        real = quotients.compose
+        monkeypatch.setattr(quotients, "compose",
+                            lambda g, h: calls.append((g, h)) or real(g, h))
+        monkeypatch.delattr(quotients, "power")
         _assert_report_passes(verify_example("removed-fixed-points"))
-        assert len(calls) == 28
+        assert len(calls) == 8
 
     def test_rescale_field(self):
         assert rescale_field(np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0 / np.sqrt(1.0 + 4.0))
