@@ -13,10 +13,10 @@ and --tolerance pullback=VALUE (finite, > 0, default core.PULLBACK_TOL);
 verify-example takes --r, for the real-lattice example only.  Bounds:
 every profile, and the n of a pullback-check, has n <= 1024, and a
 curvature profile n <= 64; a pullback-check has 1 <= samples <= 10000
-with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000; a
-pd-report on an n x n profile with g generators and max_length L has at
-most 100000 reduced words, sum over k <= L of 2g(2g-1)^(k-1), and
-words * (n+2)^2 <= 2e7 (the MAX_ constants below).
+with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000 and
+K * (n+2)^2 <= 2e7; a pd-report on an n x n profile with g generators
+and max_length L has at most 100000 reduced words, sum over k <= L of
+2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the MAX_ constants below).
 
 Exit codes: 0 success (or all checks passed), 1 a verification report
 contains a failed check, 2 malformed input or usage, 3 a precondition of
@@ -58,8 +58,13 @@ MAX_CURVATURE_N = 64
 # which peaked at 1.69 GB (ru_maxrss)
 MAX_PULLBACK_SAMPLES = 10_000
 MAX_PULLBACK_ENTRIES = 50 * (MAX_PROFILE_N + 2) ** 2  # samples * (n+2)^2
-# the longest orbit: about 2 s and 45 MB of K conjugates and points at n = 1
+# the longest orbit: about 0.2 s and 37 MB (ru_maxrss) at n = 1
 MAX_ORBIT_K = 10_000
+# the most K * (n+2)^2 of an orbit, which holds K conjugates with an n x n
+# matrix each: 199 MB (ru_maxrss) at n = 42, K = 10000 (0.9 s), 195 MB at
+# n = 64, K = 4500 (0.7 s) and 329 MB at n = 1024, K = 18 (2.3 s), of which
+# the loaded payload takes 84 MB
+MAX_ORBIT_ENTRIES = 20_000_000
 # the most reduced words of a pd-report sweep: at n = 2 and 2 generators,
 # L = 9 (39364 words) took about 0.3 s and 35 MB (ru_maxrss), 158 generators at
 # L = 2 (99856 words) 0.4 s and 38 MB
@@ -126,6 +131,16 @@ def _max_length(data, n: int) -> int:
                              f"{MAX_PD_ENTRIES} words * (n+2)^2 at n = {n}")
         level *= letters - 1
     return max_length
+
+
+def _orbit_length(data, n: int) -> int:
+    """The K of an orbit payload on an n x n profile, refused past
+    MAX_ORBIT_K or past MAX_ORBIT_ENTRIES K * (n+2)^2."""
+    K = serialize.load_count(data, "K", 60, high=MAX_ORBIT_K)
+    if K * (n + 2) ** 2 > MAX_ORBIT_ENTRIES:
+        raise InputError(f"'K' = {K} asks for more than {MAX_ORBIT_ENTRIES} "
+                         f"K * (n+2)^2 at n = {n}")
+    return K
 
 
 def _root(name: str, r: Optional[int]) -> dict:
@@ -206,7 +221,7 @@ COMMANDS = {
         load=_with_profile(lambda prof, data: [
             serialize.load_homothety(prof, data.get("gamma", {})),
             serialize.load_homothety(prof, data.get("phi", {})),
-            serialize.load_count(data, "K", 60, high=MAX_ORBIT_K)]),
+            _orbit_length(data, prof.n)]),
         call=lambda gamma, phi, K: dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
         dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),

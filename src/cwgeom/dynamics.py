@@ -243,12 +243,16 @@ def normal_form(phi: Homothety) -> NormalFormResult:
 
 @dataclass(frozen=True)
 class OrbitReport:
+    """The images of the origin under gamma^{-k} phi gamma^k, k = 1..K,
+    their limit, convergence and fitted decay rate, and the conjugates
+    themselves as one (K,) batch."""
+
     # Points, not an array: perfbench/reports.py:53-54 reads rep.points[-1].t/.x/.v
     points: List[Point]
     limit: np.ndarray  # (n+2,)
     converged: bool
     rate: Optional[float]
-    conjugates: List[Homothety]  # gamma^{-k} phi gamma^k, k = 1..K
+    conjugates: Homothety  # the (K,) batch of gamma^{-k} phi gamma^k, k = 1..K
 
 
 def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) -> OrbitReport:
@@ -256,22 +260,48 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     to (c_phi, 0, 0), the obstruction to proper discontinuity: converged
     when y_K lies within ORBIT_TOL of the limit in every coordinate.
 
-    gamma must lie in E(1) x C_O(n)(S) x R (no Heisenberg part, eps = +1).
-    The K conjugates act on the origin as one batch, and the report fits a
-    geometric decay rate to the x-block norms.
+    gamma = (0, 0, c_g, +1, A_g, s_g) must lie in E(1) x C_O(n)(S) x R (no
+    Heisenberg part, eps = +1).  Then psi -> gamma^{-1} psi gamma takes b
+    to e^{-2 s_g} b, c to c + (eps - 1) c_g, A to A_g^T A A_g and beta to
+    e^{-s_g} A_g^T beta(. + c_g), and keeps eps and s.  The K steps run
+    this recurrence with no group-law call: beta's data stays in the
+    eigenbasis of S, where the shift by c_g is the elementwise flow of
+    SymmetricProfile.flow (so a decaying mode keeps its relative
+    precision), and is mapped back once at the end.  The K conjugates act
+    on the origin as one batch, and the report fits a geometric decay
+    rate to the x-block norms.
     """
     if K < 1:
         raise PreconditionError("the orbit needs K >= 1 steps")
     if gamma.eps != 1 or not within(abs(gamma.b), PARAM_TOL) or not gamma.beta.is_zero():
         raise PreconditionError("gamma must lie in E(1) x C_O(n)(S) x R")
-    n = phi.profile.n
-    ginv = inverse(gamma)
-    current, conjugates = phi, []
-    for _ in range(K):
-        current = compose(ginv, compose(current, gamma))
-        conjugates.append(current)
+    prof = phi.profile
+    if gamma.profile != prof:
+        raise IncompatibleProfileError("gamma and phi are over different profiles")
+    n, Q, c_g = prof.n, prof.eigenvectors, gamma.c
+    ch, sh, d0 = prof.flow(c_g)
+    # y -> y M on eigenbasis rows is beta -> e^{-s_g} A_g^T beta
+    M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
+    e2s = np.exp(-2 * gamma.s)
+    # A_g and phi's A projected once where they drifted: compose projects
+    # every product, and conjugating by the projected A_g is the same map
+    A_g, A = gamma.renormalized().A, phi.renormalized().A
+    y, As, b = np.empty((K, 2, n)), np.empty((K, n, n)), np.empty(K)
+    y0, y1, bk = phi.beta.beta0 @ Q, phi.beta.beta1 @ Q, phi.b
+    # a parameter that overflows makes _element raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            # the shift by c_g reads the columns at phase r c_g, as beta_eval does
+            require_phase(prof, c_g, y0, y1)
+            y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k])
+            A = As[k] = A_g.T @ (A @ A_g)
+            bk = b[k] = e2s * bk
+        c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
+    beta = y @ Q.T
+    conjugates = _element(prof, b, beta[:, 0], beta[:, 1], c, np.full(K, float(phi.eps)),
+                          As, np.full(K, phi.s))
     # row k is conjugate k's image of the origin
-    pts = apply(_take(_stack(conjugates), np.s_[:, None]), np.zeros((1, n + 2)))[:, 0]
+    pts = apply(_take(conjugates, np.s_[:, None]), np.zeros((1, n + 2)))[:, 0]
     limit = np.concatenate(([phi.c], np.zeros(n + 1)))
     converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
     x = pts[:, 1:-1]

@@ -31,7 +31,7 @@ for the rows: a (B, 1) batch at (N, n+2) points gives (B, N, n+2) images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -209,19 +209,18 @@ def inverse(phi: Homothety) -> Homothety:
                     (-ems * eps)[..., None] * _matvec(A_inv, der), -eps * c, eps, A_inv, -s)
 
 
-def element_distance(phi: Homothety, psi: Homothety) -> float:
-    """Max componentwise distance of the parameter tuples; infinite if the
-    eps parts differ."""
-    if phi.eps != psi.eps:
-        return np.inf
-    return max(
-        abs(phi.b - psi.b),
-        float(np.max(np.abs(phi.beta.beta0 - psi.beta.beta0))),
-        float(np.max(np.abs(phi.beta.beta1 - psi.beta.beta1))),
-        abs(phi.c - psi.c),
-        float(np.max(np.abs(phi.A - psi.A))),
-        abs(phi.s - psi.s),
-    )
+def element_distance(phi: Homothety, psi: Homothety):
+    """Max componentwise distance of the parameter tuples, per row of
+    broadcast batches (a float for two single elements); infinite where
+    the eps parts differ."""
+    d = reduce(np.maximum, (np.abs(phi.b - psi.b),
+                            np.abs(phi.beta.beta0 - psi.beta.beta0).max(axis=-1),
+                            np.abs(phi.beta.beta1 - psi.beta.beta1).max(axis=-1),
+                            np.abs(phi.c - psi.c),
+                            np.abs(phi.A - psi.A).max(axis=(-2, -1)),
+                            np.abs(phi.s - psi.s)))
+    d = np.where(phi.eps == psi.eps, d, np.inf)
+    return float(d) if d.ndim == 0 else d
 
 
 def power(phi: Homothety, k: int) -> Homothety:

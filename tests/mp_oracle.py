@@ -145,3 +145,14 @@ def relative_error(phi, e: Element) -> float:
         want = np.array([float(q) for q in (e.b, *e.beta0, *e.beta1, e.c, *e.A, e.s)])
     got = np.r_[phi.b, phi.beta.beta0, phi.beta.beta1, phi.c, np.ravel(phi.A), phi.s]
     return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+def b_error(phi, e: Element) -> float:
+    """|b of the cwgeom element phi - b of e| over the size of the terms
+    the oracle's b sums, the larger of |b| and |<beta'(0), beta(0)>| / 2:
+    relative, however small b is.  The oracle reads b off the action of
+    float parameters, and an A orthogonal only to round-off leaves that
+    round-off times the second term in it."""
+    with mp.workdps(DPS):
+        size = max(abs(float(e.b)), abs(float(_dot(e.beta1, e.beta0))) / 2)
+        return float(abs(mp.mpf(float(phi.b)) - e.b)) / size

@@ -124,6 +124,24 @@ def test_element_batch_broadcasts_over_every_point_axis():
             assert np.array_equal(got[:, k], f(_take(elements, np.s_[:, None]), pts[k]))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_element_distance_rows_equal_single_elements(kind):
+    """element_distance of a (B, 1) batch against an (N,) batch is the
+    (B, N) array of the distances of the single elements, which are
+    floats, and inf in the rows whose eps differ."""
+    rng = np.random.default_rng(9)
+    prof = spectral_profile(kind, 3, rng, repeat=True)
+    phis = [element(prof, rng) for _ in range(5)]
+    psis = [element(prof, rng) for _ in range(4)]
+    got = element_distance(_take(_stack(phis), np.s_[:, None]), _stack(psis))
+    assert got.shape == (5, 4)
+    want = [[element_distance(phi, psi) for psi in psis] for phi in phis]
+    assert all(type(d) is float for row in want for d in row)
+    assert np.array_equal(got, want)
+    eps_differ = np.array([[phi.eps != psi.eps for psi in psis] for phi in phis])
+    assert eps_differ.any() and (np.isinf(got) == eps_differ).all()
+
+
 def _reference_action(phi, a):
     """apply and differential of one element on an (N, n+2) array by the
     formulas with x A^T as one product of all the rows."""

@@ -345,6 +345,16 @@ def test_pd_entry_bound_admits_its_largest_length(n, largest):
         cli._max_length(dict(data, max_length=largest + 1), n)
 
 
+@pytest.mark.parametrize("n, largest", [(1, 10000), (42, 10000), (64, 4591), (1024, 18)])
+def test_orbit_entry_bound_admits_its_largest_K(n, largest):
+    """An orbit on an n x n profile loads up to the largest K within
+    MAX_ORBIT_K whose K * (n+2)^2 stays within MAX_ORBIT_ENTRIES; one more
+    step does not.  The peak memory of each of these sizes was measured."""
+    assert cli._orbit_length({"K": largest}, n) == largest
+    with pytest.raises(InputError):
+        cli._orbit_length({"K": largest + 1}, n)
+
+
 class TestMalformedPayloads:
     """Malformed payloads exit 2 with a JSON error on stderr and no
     traceback, run in a fresh process as a user would run them."""
@@ -365,6 +375,9 @@ class TestMalformedPayloads:
         # K conjugates and K points, held at once
         ("orbit", dict(ORBIT, K=100000000)),
         ("orbit", dict(ORBIT, K=cli.MAX_ORBIT_K + 1)),
+        # 4592 conjugates of 64 x 64 matrices
+        ("orbit", dict(ORBIT, profile={"S": (-np.eye(64)).tolist()}, phi={"c": 1.2},
+                       K=4592)),
         # about 2.7e14 reduced words
         ("pd-report", {"profile": {"S": [[1.0]]}, "max_length": 30,
                        "generators": [{"c": 1.0, "s": 0.1}, {"c": 0.5, "s": -0.2}]}),
@@ -381,9 +394,9 @@ class TestMalformedPayloads:
         ("curvature", {"S": np.eye(cli.MAX_CURVATURE_N + 1).tolist()}),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
-            "K-100000000", "K-above-max", "pd-length-30", "pd-words-above-max",
-            "pd-entries-above-max", "classify-n-above-max", "compose-n-above-max",
-            "curvature-n-above-max"])
+            "K-100000000", "K-above-max", "orbit-entries-above-max", "pd-length-30",
+            "pd-words-above-max", "pd-entries-above-max", "classify-n-above-max",
+            "compose-n-above-max", "curvature-n-above-max"])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
@@ -416,7 +429,10 @@ def test_overflow_exits_3_with_json_error():
                "point": [1.0, 1e300, 0.0]}),
     ("apply", {"profile": {"S": [[1e154]]}, "phi": {"beta1": [1e154]},
                "point": [1e16, 0.0, -2.0]}),
-], ids=["apply", "compose", "apply-inf-minus-inf", "apply-zero-times-inf"])
+    # b grows by e^{708} per conjugation
+    ("orbit", {"profile": {"S": [[-1.0]]}, "gamma": {"c": 1.0, "s": -354.0},
+               "phi": {"b": 100.0}, "K": 3}),
+], ids=["apply", "compose", "apply-inf-minus-inf", "apply-zero-times-inf", "orbit"])
 def test_overflow_stderr_is_one_json_document(command, payload):
     """An overflow exits 3 with nothing on stdout, and no numpy warning
     precedes the JSON error: stderr parses whole."""
@@ -434,7 +450,12 @@ def test_overflow_stderr_is_one_json_document(command, payload):
     ("compose", {"profile": {"S": [[-1.0]]}, "phi": {}, "psi": {"c": 1e300}}, 0),
     ("apply", {"profile": {"S": [[-1.0]]}, "phi": {"beta0": [1.0]},
                "point": [0.0, 1.0, 0.0]}, 0),
-], ids=["apply-lost-phase", "compose-lost-phase", "compose-zero-beta", "apply-t-zero"])
+    ("orbit", {"profile": {"S": [[-1.0]]}, "gamma": {"c": 1e300, "s": 0.5},
+               "phi": {"beta0": [1.0]}, "K": 3}, 3),
+    ("orbit", {"profile": {"S": [[-1.0]]}, "gamma": {"c": 1e300, "s": 0.5},
+               "phi": {"c": 1.2}, "K": 3}, 0),
+], ids=["apply-lost-phase", "compose-lost-phase", "compose-zero-beta", "apply-t-zero",
+        "orbit-lost-phase", "orbit-zero-beta"])
 def test_oscillating_beta_at_a_lost_phase_exits_3(command, payload, code, capsys,
                                                    monkeypatch):
     """An oscillating beta with data, evaluated where one ulp of its phase

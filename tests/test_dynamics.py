@@ -35,6 +35,7 @@ from cwgeom.errors import (
 )
 from cwgeom.group import (
     Homothety,
+    _take,
     apply,
     compose,
     conjugate,
@@ -43,10 +44,11 @@ from cwgeom.group import (
     inverse,
     power,
 )
+from cwgeom.quotients import _param_size
 
 from conftest import (random_centralising_orthogonal, random_homothety, random_point,
                       random_profile)
-from test_group_law import KINDS, spectral_profile
+from test_group_law import KINDS, element, spectral_profile
 
 
 def _rot(angle):
@@ -511,29 +513,59 @@ class TestOrbitObstruction:
         assert np.max(np.abs(rep.points[-1].as_array() - rep.limit)) <= 1e-8
 
     @pytest.mark.parametrize("n", [1, 8, 32])
-    def test_conjugates_are_the_walk(self, rng, n):
-        """The report carries gamma^{-k} phi gamma^k for k = 1..K, the
-        same floats as the walk by hand, and point k is the image of the
-        origin under conjugate k, the same floats as one apply of it."""
-        prof = random_profile(rng, n)
-        gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
-        phi = random_homothety(prof, rng, eps=1, c=0.8)
-        rep = orbit_obstruction_sequence(gamma, phi, K=12)
-        assert len(rep.conjugates) == 12
-        origin = np.zeros(n + 2)
-        prev = phi
-        for conj, point in zip(rep.conjugates, rep.points):
-            prev = compose(inverse(gamma), compose(prev, gamma))
-            assert element_distance(conj, prev) == 0.0
-            np.testing.assert_array_equal(apply(conj, origin), point.as_array())
+    def test_conjugates_agree_with_the_walk(self, rng, n):
+        """The report carries gamma^{-k} phi gamma^k for k = 1..K as one
+        batch, on every profile type with a repeated eigenvalue that A_gamma
+        turns, for eps_phi = +-1.  The recurrence and the walk by hand
+        round differently: every parameter agrees within 1e-13 of the
+        largest one (8.3e-15 at most over 200 seeds at n <= 32), and b
+        within 1e-13 of itself, since its one term is e^{-2 s_gamma}
+        b_{k-1}.  Point k is the image of the origin under conjugate k, the
+        same floats as one apply of it."""
+        K = 12
+        for kind, eps in itertools.product(KINDS, (1, -1)):
+            prof = spectral_profile(kind, n, rng, repeat=True)
+            gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
+            phi = replace(element(prof, rng), eps=eps)
+            rep = orbit_obstruction_sequence(gamma, phi, K=K)
+            assert rep.conjugates.b.shape == (K,)
+            walk = phi
+            for k, point in enumerate(rep.points):
+                walk = compose(inverse(gamma), compose(walk, gamma))
+                conj = _take(rep.conjugates, k)
+                assert element_distance(conj, walk) <= 1e-13 * max(1.0, _param_size(walk))
+                assert abs(conj.b - walk.b) <= 1e-13 * abs(walk.b)
+                np.testing.assert_array_equal(apply(conj, np.zeros(prof.n + 2)),
+                                              point.as_array())
+
+    def test_drifted_A_is_projected_as_compose_projects(self):
+        """A profile tolerance of 1e-5 admits A with A^T A - I = 2e-7, past
+        PARAM_TOL, which compose projects back to the orthogonal group in
+        every product.  The conjugates' A are orthogonal and agree with the
+        walk, where conjugating by the unprojected A_gamma would scale them
+        by (1 + 1e-7)^(2k + 1)."""
+        prof = SymmetricProfile(-np.eye(2), tolerance=1e-5)
+        gamma = Homothety(prof, c=0.9, s=0.4, A=(1 + 1e-7) * _rot(0.3))
+        phi = Homothety(prof, c=0.8, b=0.3, A=(1 + 1e-7) * _rot(-1.1),
+                        beta=BetaSolution(prof, [1.0, 0.5], [0.0, -1.0]))
+        rep = orbit_obstruction_sequence(gamma, phi, K=30)
+        A = rep.conjugates.A
+        assert np.max(np.abs(A.swapaxes(-1, -2) @ A - np.eye(2))) <= 1e-14
+        walk = phi
+        for k in range(30):
+            walk = compose(inverse(gamma), compose(walk, gamma))
+        assert element_distance(_take(rep.conjugates, -1), walk) <= 1e-13
 
     def test_decaying_mode_stays_at_round_off(self):
-        """S = 1, gamma = (c = 1, s = 1) and zeta with beta = e^{-t}: the walk
-        gives x_k = e^{-2k} to 1e-13 relative for k = 1..20 (1.8e-15 today).
-        A closed form of the conjugates evaluates beta at k c_gamma and
-        loses this decaying mode (relative error 1.7 at k = 19), so the
-        orbit is batched only once beta is stored as growing and decaying
-        amplitudes (ROADMAP item 2)."""
+        """S = 1, gamma = (c = 1, s = 1) and zeta with beta = e^{-t}: the
+        conjugates give x_k = e^{-2k} to 1e-13 relative for k = 1..20
+        (1.7e-15 today, as the compose walk gave).  The step shifts beta's
+        eigenbasis data by the elementwise flow over c_gamma, so the
+        decaying mode keeps its relative precision.  A closed form
+        evaluating beta at k c_gamma loses it (relative error 1.7 at
+        k = 19), and so does the step applied as one 2n x 2n matrix
+        product through BLAS, whose fused multiply-adds gave x_19 = 2.1e-18
+        against e^{-40} = 4.25e-18."""
         prof = SymmetricProfile(np.eye(1))
         gamma = Homothety(prof, c=1.0, s=1.0)
         zeta = Homothety(prof, beta=BetaSolution(prof, [1.0], [-1.0]))
@@ -542,12 +574,50 @@ class TestOrbitObstruction:
         decay = np.exp(-2.0 * np.arange(1, 21))
         assert np.max(np.abs(x - decay) / decay) <= 1e-13
 
+    def test_zero_central_part_stays_zero_under_an_expanding_gamma(self):
+        """b = 0 and beta = 0 stay 0 for K = 100 steps of s_gamma = -6,
+        one factor e^{12} per step, where a closed form e^{-2 s_gamma k} b
+        would overflow to inf * 0 = NaN."""
+        prof = SymmetricProfile(-np.eye(2))
+        rep = orbit_obstruction_sequence(Homothety(prof, c=1.0, s=-6.0),
+                                         Homothety(prof, c=0.5, s=0.2), K=100)
+        assert not rep.conjugates.b.any() and not rep.conjugates.beta.beta0.any()
+        assert rep.converged
+
+    def test_shift_at_a_lost_phase_raises(self):
+        """c_gamma = 1e300 on S = -1 is past the time at which an ulp of the
+        phase r c_gamma is a radian: with beta != 0 the orbit refuses, as
+        beta_eval does; with beta = 0 there is nothing to shift."""
+        prof = SymmetricProfile([[-1.0]])
+        gamma = Homothety(prof, c=1e300, s=0.5)
+        with pytest.raises(PreconditionError):
+            orbit_obstruction_sequence(gamma, Homothety(prof, beta=BetaSolution(prof, [1.0])))
+        assert orbit_obstruction_sequence(gamma, Homothety(prof, c=1.2)).converged
+
+    def test_makes_no_group_law_call(self, monkeypatch):
+        """The conjugates come from the parameter recurrence alone: no
+        compose or inverse call for 60 conjugates."""
+        calls = []
+        for name in ("compose", "inverse"):
+            real = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        prof = SymmetricProfile(-np.diag([1.0, 1.0, 4.0]))
+        rep = orbit_obstruction_sequence(Homothety(prof, c=0.9, s=0.4),
+                                         Homothety(prof, c=0.8, b=0.3), K=60)
+        assert rep.converged and calls == []
+
     def test_gamma_must_be_in_quotient_factor(self, rng):
         prof = SymmetricProfile(-np.eye(1))
         bad = Homothety(prof, c=1.0, s=0.5,
                         beta=BetaSolution(prof, [1.0], [0.0]))
         with pytest.raises(PreconditionError):
             orbit_obstruction_sequence(bad, Homothety(prof, c=1.0))
+
+    def test_gamma_and_phi_share_a_profile(self):
+        with pytest.raises(IncompatibleProfileError):
+            orbit_obstruction_sequence(Homothety(SymmetricProfile(-np.eye(1)), c=1.0, s=0.5),
+                                       Homothety(SymmetricProfile(-4 * np.eye(1)), c=1.0))
 
     @pytest.mark.parametrize("K", [0, -3])
     def test_needs_at_least_one_step(self, K):
