@@ -198,6 +198,9 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
 
 @dataclass(frozen=True)
 class NormalFormResult:
+    """N = g phi g^{-1} = (0, 0, c, +1, A, s) with c >= 0, and the residual:
+    the largest |b|, |beta(0)|, |beta'(0)| of the computed g phi g^{-1}."""
+
     conjugator: Homothety
     normal: Homothety
     residual: float
@@ -208,34 +211,27 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     E(1) x C_O(n)(S) x R, by an isometry from Hei_n extended by the
     reflection (t, x, v) -> (-t, x, -v) to force c >= 0.
 
-    The beta-part is removed by solving the conjugation linear system,
-    the central parameter in closed form: conjugation by the central
-    element with parameter b0 adds b0 (1 - e^{2s}) to it.
+    The conjugator g = (b_g, beta_g, 0, +1, I, 0) solves g phi = N g with
+    N = (0, 0, c, +1, A, s): e^s A beta_g(t) - beta_g(t + c) = beta(t) is
+    one conjugation solve, and b_g (e^{2s} - 1) = b + (<beta'(0),
+    beta_g(c)> - <beta_g'(c), beta(0)>) / 2.  For c < 0 the reflection is
+    composed on the left; N is read off one product g phi g^{-1}.
     """
     prof = phi.profile
     if not phi.is_strict:
         raise PreconditionError("normal form applies to strict homotheties")
     if phi.eps != 1:
         raise UnsupportedCaseError("normal form requires eps = +1")
-    # chi has x-part x + beta_chi(t); chi^{-1} phi chi removes beta when
-    # beta_chi(t + c) - e^s A beta_chi(t) = beta(t), i.e. the solver
-    # equation with shift -c and right-hand side -beta(. - c)
+    # the solver equation with shift -c and right-hand side beta(. - c)
     val, der = beta_eval(phi.beta, -phi.c)
-    beta_chi = solve_conjugation_beta(prof, phi.A, phi.s, -phi.c,
-                                      BetaSolution(prof, -val, -der))
-    chi = Homothety(prof, beta=beta_chi)
-    g = inverse(chi)
+    beta_g = solve_conjugation_beta(prof, phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
+    Y, Yd = beta_eval(beta_g, phi.c)
+    cross = float(phi.beta.beta1 @ Y - Yd @ phi.beta.beta0)
+    g = Homothety(prof, b=(phi.b + 0.5 * cross) / np.expm1(2 * phi.s), beta=beta_g)
+    if phi.c < 0:
+        g = compose(Homothety(prof, eps=-1), g)
     current = conjugate(g, phi)
-    z = Homothety(prof, b=-current.b / (1.0 - np.exp(2 * phi.s)))
-    g = compose(z, g)
-    current = conjugate(z, current)
-    if current.c < 0:
-        refl = Homothety(prof, eps=-1)
-        g = compose(refl, g)
-        current = conjugate(refl, current)
-    residual = max(abs(current.b),
-                   float(np.max(np.abs(current.beta.beta0))),
-                   float(np.max(np.abs(current.beta.beta1))))
+    residual = float(np.max(np.abs(np.r_[current.b, current.beta.beta0, current.beta.beta1])))
     zero = np.zeros(prof.n)
     clean = _element(prof, 0.0, zero, zero, current.c, current.eps, current.A, current.s)
     return NormalFormResult(g, clean, residual)

@@ -242,14 +242,13 @@ def conjugate(g: Homothety, phi: Homothety) -> Homothety:
     return compose(g, compose(phi, inverse(g)))
 
 
-def homothety_factor_check(phi: Homothety, points=None, rng=None) -> float:
+def homothety_factor_check(phi: Homothety, points=None) -> float:
     """Max entrywise deviation |phi^* g - e^{2s} g| over sample points, an
-    (N, n+2) array or a list of Points (ten random ones by default),
-    through the analytic Jacobian of the action."""
+    (N, n+2) array or a list of Points (ten default_rng(0) draws by
+    default), through the analytic Jacobian of the action."""
     prof = phi.profile
     if points is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        points = rng.normal(size=(10, prof.n + 2))
+        points = np.random.default_rng(0).normal(size=(10, prof.n + 2))
     action = SmoothMap(prof.n, partial(apply, phi), partial(differential, phi))
     gram = partial(metric_at, prof)
     return conformal_defect(action, gram, gram, lambda a: np.exp(2 * phi.s), points)

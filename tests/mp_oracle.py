@@ -15,6 +15,7 @@ Float inputs are converted exactly, so the oracle's own error is far
 below float64 round-off."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -56,23 +57,31 @@ def element(phi) -> Element:
                        _square(phi.A), mp.mpf(float(phi.s)))
 
 
-def _flow(e: Element, t):
-    """(beta(t), beta'(t)) of e's beta, by the matrix exponential of the
-    first-order system (beta, beta')' = [[0, I], [S, 0]] (beta, beta')."""
-    n = e.S.rows
+@lru_cache(maxsize=None)
+def _propagator(S: tuple, n: int, t, dps: int) -> mp.matrix:
+    """expm([[0, I], [S, 0]] t) at dps digits, for S given as its n*n
+    entries row by row; a walk of products with one element reads it at
+    one t only."""
     M = mp.zeros(2 * n, 2 * n)
     for i in range(n):
         M[i, n + i] = 1
         for j in range(n):
-            M[n + i, j] = e.S[i, j]
-    y = mp.expm(M * t) * mp.matrix([*e.beta0, *e.beta1])
+            M[n + i, j] = S[n * i + j]
+    return mp.expm(M * t)
+
+
+def flow(e: Element, t):
+    """(beta(t), beta'(t)) of e's beta, by the matrix exponential of the
+    first-order system (beta, beta')' = [[0, I], [S, 0]] (beta, beta')."""
+    n = e.S.rows
+    y = _propagator(tuple(e.S), n, mp.mpf(t), mp.mp.dps) * mp.matrix([*e.beta0, *e.beta1])
     return mp.matrix([y[i] for i in range(n)]), mp.matrix([y[n + i] for i in range(n)])
 
 
-def _act(e: Element, t, x: mp.matrix, v, flow=None):
-    """The image (t, x, v) of one point under e; `flow` is (beta(t),
+def _act(e: Element, t, x: mp.matrix, v, known=None):
+    """The image (t, x, v) of one point under e; `known` is (beta(t),
     beta'(t)) when known."""
-    val, der = _flow(e, t) if flow is None else flow
+    val, der = flow(e, t) if known is None else known
     esAx = mp.exp(e.s) * (e.A * x)
     return (e.eps * t + e.c, esAx + val,
             e.eps * (mp.exp(2 * e.s) * v + e.b - _dot(der, esAx + val / 2)))
@@ -96,7 +105,7 @@ def compose(e1: Element, e2: Element) -> Element:
     """The element acting as e1 after e2."""
     with mp.workdps(DPS):
         # x-part of the composite: e^{s1} A1 (e^{s2} A2 x + beta2(t)) + beta1(eps2 t + c2)
-        Y, Yd = _flow(e1, e2.c)
+        Y, Yd = flow(e1, e2.c)
         es1A1 = mp.exp(e1.s) * e1.A
         beta0, beta1 = es1A1 * e2.beta0 + Y, es1A1 * e2.beta1 + e2.eps * Yd
         eps = e1.eps * e2.eps
@@ -114,7 +123,7 @@ def inverse(e: Element) -> Element:
     round-off."""
     with mp.workdps(DPS):
         t = -e.eps * e.c
-        val, der = _flow(e, t)
+        val, der = flow(e, t)
         ems, A_inv = mp.exp(-e.s), mp.inverse(e.A)
         beta0, beta1 = -ems * (A_inv * val), -ems * e.eps * (A_inv * der)
         # the v whose image under e has v-part 0, with e^s A x = -beta(t)
@@ -135,15 +144,17 @@ def power(e: Element, k: int) -> Element:
     return powers(e if k > 0 else inverse(e), abs(k))[-1]
 
 
-def relative_error(phi, e: Element) -> float:
+def relative_error(phi, e: Element, with_b: bool = True) -> float:
     """Max |parameter of the cwgeom element phi - parameter of e| over the
     largest |parameter| of e, or over 1 if that is smaller; infinite if
-    the eps parts differ."""
+    the eps parts differ.  With with_b false, b is left out of both."""
     if int(phi.eps) != e.eps:
         return np.inf
     with mp.workdps(DPS):
         want = np.array([float(q) for q in (e.b, *e.beta0, *e.beta1, e.c, *e.A, e.s)])
     got = np.r_[phi.b, phi.beta.beta0, phi.beta.beta1, phi.c, np.ravel(phi.A), phi.s]
+    if not with_b:
+        want, got = want[1:], got[1:]
     return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
 
 

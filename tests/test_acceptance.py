@@ -132,7 +132,8 @@ def test_criterion_3_group_faithfulness():
     for _ in range(20):
         prof = random_profile(rng)
         phi = random_homothety(prof, rng, strict=True)
-        worst_fac = max(worst_fac, homothety_factor_check(phi, rng=rng))
+        pts = rng.normal(size=(10, prof.n + 2))
+        worst_fac = max(worst_fac, homothety_factor_check(phi, pts))
     ok = worst_comp <= 1e-8 and worst_inv <= 1e-8 and worst_fac <= 1e-8
     report("criterion-3 group-faithfulness", ok,
            f"compose {worst_comp:.2e}, inverse {worst_inv:.2e}, "

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cwgeom import dynamics
+from cwgeom import dynamics, group
 from cwgeom.core import (
     PARAM_TOL,
     BetaSolution,
@@ -475,6 +475,38 @@ class TestNormalForm:
         res = normal_form(phi)
         assert res.normal.c == pytest.approx(1.2)
         assert res.conjugator.eps == -1
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 6e-8])
+    def test_residual_tracks_the_rebuilt_element(self, delta):
+        """Near the resonance s = -c on S = (1) the conjugator's beta grows
+        like 1/delta (1.1e7 at delta = 6e-8) and the conjugation loses
+        digits (g^{-1} N g misses phi by about 1e-5 at delta = 1e-6); the
+        residual must show that loss, within a factor 10."""
+        prof = SymmetricProfile(np.eye(1))
+        phi = Homothety(prof, b=0.3, beta=BetaSolution(prof, [1.0], [0.5]), c=1.0,
+                        s=-(1.0 + delta))
+        res = normal_form(phi)
+        miss = element_distance(conjugate(inverse(res.conjugator), res.normal), phi)
+        assert type(res.residual) is float
+        assert res.residual >= 0.1 * miss
+
+    @pytest.mark.parametrize("c, composes", [(-1.2, 3), (1.2, 2), (0.0, 2)])
+    def test_one_conjugation(self, monkeypatch, c, composes):
+        """The conjugator comes from one solve and a closed-form b: the only
+        group-law calls are the reflection's product for c < 0 and the one
+        conjugation g phi g^{-1}."""
+        calls = {"compose": 0, "inverse": 0}
+        for name in calls:
+            def counted(*args, real=getattr(group, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            for module in (group, dynamics):
+                monkeypatch.setattr(module, name, counted)
+        prof = SymmetricProfile(-np.diag([1.0, 4.0]))
+        phi = Homothety(prof, b=0.3, beta=BetaSolution(prof, [1.0, 0.5], [0.5, 1.0]),
+                        c=c, s=0.5)
+        assert normal_form(phi).normal.c == abs(c)
+        assert calls == {"compose": composes, "inverse": 1}
 
     def test_resonant_raises(self):
         prof = SymmetricProfile(np.eye(1))

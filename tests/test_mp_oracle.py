@@ -1,16 +1,19 @@
-"""Forward errors of the group law, and of the orbit conjugates, against
-the extended-precision oracle of mp_oracle.py, on elements with every
-parameter non-zero, eps = +-1, n = 3 and A a rotation on a repeated
-eigenvalue of S."""
+"""Forward errors of the group law, of the orbit conjugates, of the
+conjugation solve and of the normal form against the extended-precision
+oracle of mp_oracle.py, on elements with every parameter non-zero,
+eps = +-1, n = 3 and A a rotation on a repeated eigenvalue of S, and on
+random draws of test_group_law."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from cwgeom.core import BetaSolution, SymmetricProfile
-from cwgeom.dynamics import orbit_obstruction_sequence
+from cwgeom.dynamics import normal_form, orbit_obstruction_sequence, solve_conjugation_beta
 from cwgeom.group import Homothety, _take, apply, compose, identity, inverse, power
 
 import mp_oracle as mo
+from test_group_law import element, spectral_profile
 
 # the largest forward error relative to the largest parameter, where the
 # group law's round trip is at round-off
@@ -30,10 +33,10 @@ ORBIT_PROFILES = {**PROFILES, "real": np.diag([1.0, 1.0, 4.0]),
                   "mixed": np.diag([1.0, 1.0, -4.0])}
 
 
-def _phi(kind, eps, A=A3):
+def _phi(kind, eps, A=A3, c=1.0):
     prof = SymmetricProfile(ORBIT_PROFILES[kind])
     return Homothety(prof, b=0.7, beta=BetaSolution(prof, [1.0, 0.0, 0.5], [0.0, 1.0, -0.5]),
-                     c=1.0, eps=eps, A=A, s=0.3)
+                     c=c, eps=eps, A=A, s=0.3)
 
 
 @CASES
@@ -63,6 +66,61 @@ def test_power_forward_error_up_to_k_10(kind, eps):
     for sign, walk in ((1, mo.powers(e, 10)), (-1, mo.powers(mo.inverse(e), 10))):
         for k, want in enumerate(walk, 1):
             assert mo.relative_error(power(phi, sign * k), want) <= FORWARD_TOL, sign * k
+
+
+@pytest.mark.parametrize("kind", PROFILES)
+def test_power_forward_error_on_random_draws(kind):
+    """power(phi, k), k in {2, 5, 10, -10}, on test_group_law's draws: n = 3
+    with a repeated eigenvalue, non-diagonal S, random A and eps, seeds
+    0-11.  b is judged against the size of the terms the oracle sums for it
+    (mp_oracle.b_error), the rest against the largest parameter but b,
+    which grows like |beta|^2 (b of power(phi, 10) is about -1.7e3 at the
+    imaginary seed 3)."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        phi = element(spectral_profile(kind, 3, rng, True), rng)
+        e = mo.element(phi)
+        walks = {1: mo.powers(e, 10), -1: mo.powers(mo.inverse(e), 10)}
+        for k in (2, 5, 10, -10):
+            got, want = power(phi, k), walks[np.sign(k)][abs(k) - 1]
+            assert mo.b_error(got, want) <= FORWARD_TOL, (seed, k)
+            assert mo.relative_error(got, want, with_b=False) <= FORWARD_TOL, (seed, k)
+
+
+NORMAL_CASES = pytest.mark.parametrize("kind, c", [(k, c) for k in ORBIT_PROFILES
+                                                   for c in (1.0, -1.0)])
+
+
+@NORMAL_CASES
+def test_conjugation_solve_forward_error(kind, c):
+    """The solution of e^s A beta(t + c) - beta(t) = betahat(t) put back into
+    the equation through the oracle's flow, at t = 0, 0.5 and 1.2, relative
+    to the largest entry of the initial data.  s = 0.3 is far from the
+    resonances: (s/c)^2 = 0.09 against the eigenvalues 1 and 4."""
+    phi = _phi(kind, 1, c=c)
+    beta = solve_conjugation_beta(phi.profile, A3, phi.s, c, phi.beta)
+    sol, rhs = mo.element(Homothety(phi.profile, beta=beta)), mo.element(phi)
+    size = max(1.0, *(np.max(np.abs(v)) for v in (beta.beta0, beta.beta1,
+                                                  phi.beta.beta0, phi.beta.beta1)))
+    with mp.workdps(mo.DPS):
+        for t in (0.0, 0.5, 1.2):
+            t = mp.mpf(t)
+            defect = (mp.exp(rhs.s) * (rhs.A * mo.flow(sol, t + rhs.c)[0])
+                      - mo.flow(sol, t)[0] - mo.flow(rhs, t)[0])
+            assert max(abs(float(q)) for q in defect) <= FORWARD_TOL * size, t
+
+
+@NORMAL_CASES
+def test_normal_form_forward_error(kind, c):
+    """The oracle's g phi g^{-1}, from the returned conjugator g, is the
+    returned normal (0, 0, |c|, +1, A3, 0.3), and the residual is at
+    round-off."""
+    phi = _phi(kind, 1, c=c)
+    res = normal_form(phi)
+    g = mo.element(res.conjugator)
+    want = mo.compose(mo.compose(g, mo.element(phi)), mo.inverse(g))
+    assert mo.relative_error(res.normal, want) <= FORWARD_TOL
+    assert res.normal.c == abs(c) and res.residual <= FORWARD_TOL
 
 
 @pytest.mark.parametrize("kind, eps", [(k, e) for k in ORBIT_PROFILES for e in (1, -1)])
