@@ -223,7 +223,7 @@ COMMANDS = {
             serialize.load_homothety(prof, data.get("phi", {})),
             _orbit_length(data, prof.n)]),
         call=lambda gamma, phi, K: dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
-        dump=lambda rep: {"sequence": rep.points, "limit": rep.limit,
+        dump=lambda rep: {"sequence": rep.sequence, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
     "pullback-check": Subcommand(
         load=lambda data: [serialize.load_count(data, "n", 2, high=MAX_PROFILE_N),

@@ -229,7 +229,7 @@ def classify(profile: SymmetricProfile) -> Classification:
 
 
 # Kept for the benchmark's reads: perfbench/reports.py:94-100 passes Points
-# to homothety_factor_check, and :53-54 reads rep.points[-1].t/.x/.v.
+# to homothety_factor_check, and :53-54 reads rep.points[-1].t/.x/.v (built on read).
 @dataclass(frozen=True)
 class Point:
     """Coordinates (t, x, v) of a point of R^{n+2}."""

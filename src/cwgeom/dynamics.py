@@ -239,16 +239,20 @@ def normal_form(phi: Homothety) -> NormalFormResult:
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """The images of the origin under gamma^{-k} phi gamma^k, k = 1..K,
-    their limit, convergence and fitted decay rate, and the conjugates
-    themselves as one (K,) batch."""
+    """The images of the origin under gamma^{-k} phi gamma^k, k = 1..K, as
+    one (K, n+2) array, their limit, convergence and fitted decay rate,
+    and the conjugates themselves as one (K,) batch."""
 
-    # Points, not an array: perfbench/reports.py:53-54 reads rep.points[-1].t/.x/.v
-    points: List[Point]
+    sequence: np.ndarray  # (K, n+2), row k - 1 the image under conjugate k
     limit: np.ndarray  # (n+2,)
     converged: bool
     rate: Optional[float]
     conjugates: Homothety  # the (K,) batch of gamma^{-k} phi gamma^k, k = 1..K
+
+    @property
+    def points(self) -> List[Point]:
+        """The sequence as Points, built on read (perfbench/reports.py:53)."""
+        return list(map(Point.from_array, self.sequence))
 
 
 def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) -> OrbitReport:
@@ -263,9 +267,9 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     this recurrence with no group-law call: beta's data stays in the
     eigenbasis of S, where the shift by c_g is the elementwise flow of
     SymmetricProfile.flow (so a decaying mode keeps its relative
-    precision), and is mapped back once at the end.  The K conjugates act
-    on the origin as one batch, and the report fits a geometric decay
-    rate to the x-block norms.
+    precision), and is mapped back once at the end.  Conjugate k sends the
+    origin to (c, beta(0), eps (b - <beta'(0), beta(0)>/2)) in closed form,
+    and the report fits a geometric decay rate to the x-block norms.
     """
     if K < 1:
         raise PreconditionError("the orbit needs K >= 1 steps")
@@ -282,22 +286,23 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     # A_g and phi's A projected once where they drifted: compose projects
     # every product, and conjugating by the projected A_g is the same map
     A_g, A = gamma.renormalized().A, phi.renormalized().A
-    y, As, b = np.empty((K, 2, n)), np.empty((K, n, n)), np.empty(K)
-    y0, y1, bk = phi.beta.beta0 @ Q, phi.beta.beta1 @ Q, phi.b
+    y, As, b = np.empty((K + 1, 2, n)), np.empty((K, n, n)), np.empty(K)
+    y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
+    y0, y1 = y[0]
     # a parameter that overflows makes _element raise below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            # the shift by c_g reads the columns at phase r c_g, as beta_eval does
-            require_phase(prof, c_g, y0, y1)
-            y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k])
+            y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k + 1])
             A = As[k] = A_g.T @ (A @ A_g)
             bk = b[k] = e2s * bk
         c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
-    beta = y @ Q.T
+    # step k shifted row k, reading the columns at phase r c_g as beta_eval does
+    require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
+    beta = y[1:] @ Q.T
     conjugates = _element(prof, b, beta[:, 0], beta[:, 1], c, np.full(K, float(phi.eps)),
                           As, np.full(K, phi.s))
-    # row k is conjugate k's image of the origin
-    pts = apply(_take(conjugates, np.s_[:, None]), np.zeros((1, n + 2)))[:, 0]
+    v = phi.eps * (b - _dot(beta[:, 1], beta[:, 0]) / 2)
+    pts = require_finite(np.column_stack((c, beta[:, 0], v)))
     limit = np.concatenate(([phi.c], np.zeros(n + 1)))
     converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
     x = pts[:, 1:-1]
@@ -312,7 +317,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
         if min(m1, m2) > DIVISOR_FLOOR:
             rate = float((m2 / m1) ** (1.0 / half))
-    return OrbitReport(list(map(Point.from_array, pts)), limit, converged, rate, conjugates)
+    return OrbitReport(pts, limit, converged, rate, conjugates)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ the Minkowski metric g0 = 2 du dz + dy^2.  Both flat charts are one warped
 chart (t, x, v) -> (u(t), x/rho, v + |x|^2 rho'/(2 rho)), rho > 0 solving
 rho'' = lam rho and u' = rho^-2, which pulls g0 back to rho^-2 g_S for
 S = lam I: rho = e^-t maps the real type onto {u > 0}, rho = cos t the
-imaginary type on |t| < pi/2.  `conformal_defect` is the one check of
+imaginary type on |t| < pi/2.  `conformal_defect` checks a SmoothMap's
 F^* g = lambda g.  The closed-form Riccati blow-up rules out a global flat
 rescaling in the imaginary case.
 

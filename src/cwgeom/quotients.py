@@ -13,11 +13,11 @@
 Each verification returns a report of named checks with residuals; a
 failed check is a failed report, never an exception.  The verifiers
 share their parts: `_check` judges a residual against a tolerance
-relative to the size of what it compares, `_chart_checks` compares
-f^-1 . g . f with its target on the sample points for a chart f, and
-the real lattice reads its conjugates off `orbit_obstruction_sequence`,
-the (K,) batch of its stepwise parameter recurrence, with one array
-expression per check.
+relative to the size of what it compares, and `_chart_checks` compares
+rows of f^-1 . g . f with their targets.  Each example acts on a point
+set once, with one (B, 1) batch; the orbits are read off the (K,) batch
+and the (K, n+2) sequence of `orbit_obstruction_sequence`, and example 4
+judges both of its regions on one batch of words.
 """
 
 from __future__ import annotations
@@ -37,20 +37,8 @@ from .core import (APPROACH_TOL, COMPOSED_TOL, DIVISOR_FLOOR, EXACT_TOL, GROWTH_
 from .dynamics import orbit_obstruction_sequence
 from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
-from .group import (
-    Homothety,
-    _element,
-    _stack,
-    _take,
-    apply,
-    compose,
-    differential,
-    element_distance,
-    homothety_factor_check,
-    identity,
-    inverse,
-    power,
-)
+from .group import (Homothety, _element, _stack, _take, apply, compose, differential,
+                    element_distance, homothety_factor_check, identity, inverse, power)
 from .curvature import metric_at
 
 # the orbit length of the real-lattice example's homothety variant
@@ -86,8 +74,8 @@ def _check(name: str, residual: float, tol: float, size: float = 1.0) -> CheckRe
 def _param_size(phi: Homothety) -> float:
     """The largest |parameter| of a group element, the scale of
     element_distance."""
-    return float(np.max(np.abs(np.r_[phi.b, phi.beta.beta0, phi.beta.beta1,
-                                     phi.c, phi.A.ravel(), phi.s])))
+    return float(max(abs(phi.b), abs(phi.c), abs(phi.s), np.abs(phi.beta.beta0).max(),
+                     np.abs(phi.beta.beta1).max(), np.abs(phi.A).max()))
 
 
 def _residual(got: np.ndarray, want: np.ndarray) -> float:
@@ -95,12 +83,10 @@ def _residual(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)))
 
 
-def _chart_checks(f, finv, pts: np.ndarray, identities) -> List[CheckResult]:
-    """One COMPOSED_TOL check per (name, element, target) in identities: the
-    largest deviation of f^-1 . element . f from target on the points."""
-    f_pts = f(pts)
-    return [_check(name, _residual(finv(apply(elem, f_pts)), target), COMPOSED_TOL)
-            for name, elem, target in identities]
+def _chart_checks(names, got: np.ndarray, targets) -> List[CheckResult]:
+    """One COMPOSED_TOL check per name, of row i of got against targets[i]."""
+    residuals = np.max(np.abs(got - np.stack(targets)), axis=(1, 2))
+    return [_check(name, res, COMPOSED_TOL) for name, res in zip(names, residuals)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,47 +122,54 @@ def verify_imaginary_torus_example(seed: int = 42) -> ExampleReport:
     eta = Homothety(prof, b=1.0)
     zeta = Homothety(prof, beta=BetaSolution(prof, [1.0, 0.0], [0.0, 1.0]))
     zeta_hat = compose(inverse(gamma), compose(zeta, gamma))
+    powers = [gamma]  # gamma^1..gamma^4, one compose a step
+    for _ in range(3):
+        powers.append(compose(powers[-1], gamma))
+    zeta_zeta_hat = compose(zeta, zeta_hat)
+    # the commutator zeta zeta_hat zeta^-1 zeta_hat^-1 = (zeta zeta_hat) (zeta_hat zeta)^-1
+    comm = compose(zeta_zeta_hat, inverse(compose(zeta_hat, zeta)))
 
     pts = np.random.default_rng(seed).normal(size=(50, 4)) * 2.0
     q0, q1, q2, q3 = pts.T
+    # one batch acts on f of the samples, f of the probe (the unit vectors
+    # and the origin, whose images give a linear part) and 20 samples
+    f_all = _ex1_f(np.vstack([pts, np.eye(4), np.zeros(4)]))
+    batch = _take(_stack([gamma, eta, zeta, zeta_hat, powers[3], comm, powers[1], powers[2],
+                          zeta_zeta_hat]), np.s_[:, None])
+    images = apply(batch, np.vstack([f_all, pts[:20]]))
+    back = _ex1_finv(np.concatenate([images[:, :55], f_all[None]]))  # and f^-1 . f
 
     # round trips of the conjugating diffeomorphism
-    checks = [_check("f_round_trip", _residual(_ex1_finv(_ex1_f(pts)), pts), ROUNDOFF_TOL)]
-    checks += _chart_checks(_ex1_f, _ex1_finv, pts, [
-        ("conj_gamma", gamma, np.stack([q0 + np.pi / 2, q2, -q1, q3 + 2 * q1 * q2], axis=-1)),
-        ("conj_eta", eta, pts + [0.0, 0.0, 0.0, -1.0]),
-        ("conj_zeta", zeta, pts + [0.0, 1.0, 0.0, 0.0]),
-        ("conj_zeta_hat", zeta_hat, np.stack([q0, q1, q2 + 1.0, q3 - 2 * q1], axis=-1)),
-        ("conj_gamma4", power(gamma, 4), pts + [2 * np.pi, 0.0, 0.0, 0.0]),
-    ])
+    checks = [_check("f_round_trip", _residual(back[-1, :50], pts), ROUNDOFF_TOL)]
+    checks += _chart_checks(
+        ["conj_gamma", "conj_eta", "conj_zeta", "conj_zeta_hat", "conj_gamma4"], back[:5, :50],
+        [np.stack([q0 + np.pi / 2, q2, -q1, q3 + 2 * q1 * q2], axis=-1),
+         pts + [0.0, 0.0, 0.0, -1.0],
+         pts + [0.0, 1.0, 0.0, 0.0],
+         np.stack([q0, q1, q2 + 1.0, q3 - 2 * q1], axis=-1),
+         pts + [2 * np.pi, 0.0, 0.0, 0.0]])
 
     # all generators are genuine isometries
-    iso_res = max(homothety_factor_check(g, pts) for g in (gamma, eta, zeta, zeta_hat))
-    checks.append(_check("generators_are_isometries", iso_res, COMPOSED_TOL))
+    checks.append(_check("generators_are_isometries",
+                         np.max(homothety_factor_check(_take(batch, np.s_[:4]), pts)),
+                         COMPOSED_TOL))
 
     # group arithmetic agrees with pointwise composition for zeta and its
     # gamma-conjugate (the omega-cocycle consistency)
-    few = pts[:20]
     checks.append(_check("group_vs_pointwise",
-                         _residual(apply(compose(zeta, zeta_hat), few),
-                                   apply(zeta, apply(zeta_hat, few))), ROUNDOFF_TOL))
+                         _residual(images[8, 55:], apply(zeta, images[3, 55:])), ROUNDOFF_TOL))
 
     # commutator of the conjugated zeta generators is a central v-shift
     # by 2, i.e. the square of the conjugated eta-inverse: the conjugated
     # group is an integer Heisenberg-type lattice, cocompact and discrete
-    comm = compose(zeta, compose(zeta_hat, compose(inverse(zeta), inverse(zeta_hat))))
-    checks += _chart_checks(_ex1_f, _ex1_finv, pts, [
-        ("commutator_is_central_v_shift", comm, pts + [0.0, 0.0, 0.0, 2.0])])
+    checks += _chart_checks(["commutator_is_central_v_shift"], back[5:6, :50],
+                            [pts + [0.0, 0.0, 0.0, 2.0]])
 
     # index-4 structure: the conjugated gamma-powers rotate the (x, y)
-    # block for k = 1, 2, 3 and become a pure translation at k = 4; the
-    # linear part is read off the images of the unit vectors and the origin
-    probe = np.vstack([np.eye(4), np.zeros(4)])
-    ok = True
-    for k in (1, 2, 3):
-        img = _ex1_finv(apply(power(gamma, k), _ex1_f(probe)))
-        lin = (img[:4] - img[4]).T
-        ok = ok and float(np.max(np.abs(lin[1:3, 1:3] - np.eye(2)))) > 0.5
+    # block for k = 1, 2, 3 and become a pure translation at k = 4
+    img = back[[0, 6, 7], 50:]
+    lin = (img[:, :4] - img[:, 4:]).swapaxes(-1, -2)
+    ok = bool(np.all(np.max(np.abs(lin[:, 1:3, 1:3] - np.eye(2)), axis=(1, 2)) > 0.5))
     checks.append(CheckResult("gamma_powers_rotate_until_four", ok, 0.0))
 
     commentary = ("The conjugated lattice generators are 2 pi e1, e2, e3 with a "
@@ -212,8 +205,10 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     # beta grows like rho^t, so the recurrence and shift checks are judged
     # relative to the size of what they compare
     t = np.array([0.0, 0.3, 1.7])
-    terms = np.array([beta_eval(betahat, t + 1.0)[0], r * beta_eval(betahat, t)[0],
-                      beta_eval(beta, t)[0]])
+    # betahat(t + 1), r betahat(t) and beta(t), one solution per row
+    rows = BetaSolution(prof, *(np.array([hat, hat, plain])[:, None] for hat, plain in
+                                ((betahat.beta0, beta.beta0), (betahat.beta1, beta.beta1))))
+    terms = np.array([[1], [r], [1]])[..., None] * beta_eval(rows, t + [[1.0], [0.0], [0.0]])[0]
     checks.append(_check("recurrence", float(np.max(np.abs(terms[0] - terms[1] + terms[2]))),
                          ROUNDOFF_TOL, float(np.max(np.abs(terms)))))
 
@@ -226,12 +221,12 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
 
     # shift stability of the lattice: conjugation by the t-shift maps
     # eta -> etahat and etahat -> eta^{-1} etahat^r
-    tau_eta = compose(inverse(gamma), compose(eta, gamma))
-    checks.append(_check("shift_eta", element_distance(tau_eta, etahat), COMPOSED_TOL))
-    tau_etahat = compose(inverse(gamma), compose(etahat, gamma))
+    tau = compose(inverse(gamma), compose(_stack([eta, etahat]), gamma))
     target = compose(inverse(eta), power(etahat, r))
-    checks.append(_check("shift_etahat", element_distance(tau_etahat, target), WORD_TOL,
-                         max(_param_size(tau_etahat), _param_size(target))))
+    dist = element_distance(tau, _stack([etahat, target]))
+    checks.append(_check("shift_eta", dist[0], COMPOSED_TOL))
+    checks.append(_check("shift_etahat", dist[1], WORD_TOL,
+                         max(_param_size(_take(tau, 1)), _param_size(target))))
 
     # homothety variant: gammahat scales by rho per unit time; conjugating
     # the v-translation by rho gives central parameter rho^{1-2k}
@@ -245,7 +240,7 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
                          np.min(element_distance(orbit.conjugates, identity(prof))),
                          APPROACH_TOL))
     checks.append(_check("orbit_converges_to_zero",
-                         float(np.linalg.norm(orbit.points[-1].as_array())), ORBIT_TOL))
+                         float(np.linalg.norm(orbit.sequence[-1])), ORBIT_TOL))
 
     commentary = (f"rho = {rho:.6f}; the isometric lattice is shift-stable, "
                   "while the homothety variant conjugates the v-translation "
@@ -282,9 +277,10 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
 
     f_pts = _ex3_f(pts)
     checks = [_check("f_round_trip", _residual(_ex3_finv(f_pts), pts), COMPOSED_TOL)]
-    checks += _chart_checks(_ex3_f, _ex3_finv, pts, [
-        ("conj_gamma", gamma, pts + [1.0, 0.0, 0.0]),
-        ("conj_eta", eta, pts + [0.0, 1.0, 0.0])])
+    batch = _take(_stack([eta, zeta, gamma]), np.s_[:, None])
+    checks += _chart_checks(["conj_gamma", "conj_eta"],
+                            _ex3_finv(apply(_take(batch, [2, 0]), f_pts)),
+                            [pts + [1.0, 0.0, 0.0], pts + [0.0, 1.0, 0.0]])
 
     # the displayed zeta uses the sign-flipped v-part; as a plain map it
     # conjugates to a pure shear in the middle coordinate
@@ -298,13 +294,12 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
     checks.append(_check("conj_zeta_displayed", _residual(got, want), GROWTH_TOL,
                          max(float(np.max(np.abs(got))), float(np.max(np.abs(want))))))
 
-    for name, g in (("eta_is_isometry", eta), ("zeta_is_isometry", zeta),
-                    ("gamma_is_homothety", gamma)):
-        checks.append(_check(name, homothety_factor_check(g, pts), COMPOSED_TOL))
+    checks += [_check(name, res, COMPOSED_TOL) for name, res in zip(
+        ("eta_is_isometry", "zeta_is_isometry", "gamma_is_homothety"),
+        homothety_factor_check(batch, pts))]
 
     # decay mode: gamma^{-i} zeta gamma^i (0) collapses like e^{-2i}
-    norms = np.linalg.norm(coords(orbit_obstruction_sequence(gamma, zeta, K=20).points),
-                           axis=-1)
+    norms = np.linalg.norm(orbit_obstruction_sequence(gamma, zeta, K=20).sequence, axis=-1)
     fit = np.polyfit(np.arange(1, 21), np.log(norms), 1)
     rate = np.exp(fit[0])
     checks.append(_check("decay_rate_e_minus_2",
@@ -370,7 +365,7 @@ def _positive_measure(lo, hi, holes) -> np.ndarray:
 
 
 def _require_axis_map(phi: Homothety) -> None:
-    if phi.eps != 1 or not phi.beta.is_zero():
+    if np.any(phi.eps != 1) or not phi.beta.is_zero():
         raise UnsupportedCaseError("generator must preserve axis boxes "
                                    "(eps = +1, beta = 0)")
     # each |entry| of A is 0 or 1 within PARAM_TOL, and rounded they are
@@ -378,43 +373,47 @@ def _require_axis_map(phi: Homothety) -> None:
     pattern = np.abs(phi.A)
     ones = np.rint(pattern)
     if not (within(np.max(pattern * np.abs(1 - pattern)), PARAM_TOL)
-            and (ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all()):
+            and (ones.sum(axis=-2) == 1).all() and (ones.sum(axis=-1) == 1).all()):
         raise UnsupportedCaseError("generator matrix must be a signed permutation")
 
 
-def self_adjacency(region: BoxRegion, generators: Sequence[Homothety]) -> set:
-    """Exponent tuples (i_1, ..., i_k) with |i_j| <= ADJACENCY_RANGE for
-    which the image of the region under g_1^{i_1} ... g_k^{i_k} meets the
-    region in a set of positive measure.  The powers come from one walk of
-    ADJACENCY_RANGE composes from the identity by every g and g^-1 at once;
-    the words are one batch, folded by one compose per generator after the
-    first.  Each generator maps each coordinate monotonely, so the sorted
-    images of the lowest and highest corner of every box span the image
-    boxes, and one _positive_measure call judges every word.  With h holes
-    in the region, each word's overlap has K = 2h holes and the test takes
-    (2K+1)^(n+2) cells per word: 125 for example 4 (h = 1, n = 1).  Nothing
-    in the library, the CLI or perfbench/ calls it on larger regions."""
+def self_adjacency(regions: Sequence[BoxRegion], generators: Sequence[Homothety]) -> List[set]:
+    """For each region, the exponent tuples (i_1, ..., i_k) with |i_j| <=
+    ADJACENCY_RANGE for which the image of the region under g_1^{i_1} ...
+    g_k^{i_k} meets the region in a set of positive measure; the regions
+    need equally many holes, and one batch of words judges them all.  The
+    powers come from one walk of ADJACENCY_RANGE - 1 composes from the
+    letters, every g and g^-1 at once, and the words from one compose per
+    generator after the first.  Each generator maps each coordinate
+    monotonely, so the images of the lowest and highest corner of every
+    box span the image boxes, and one _positive_measure call judges every
+    word on every region: with h holes, (4h+1)^(n+2) cells per word, 125
+    for example 4 (h = 1, n = 1), whose regions are the largest the
+    library, the CLI or perfbench/ judges."""
     if not generators:
         raise PreconditionError("self_adjacency needs at least one generator")
-    for g in generators:
-        _require_axis_map(g)
+    if len({len(reg.holes) for reg in regions}) != 1:
+        raise PreconditionError("regions judged together need equally many holes")
     letters = _stack([h for g in generators for h in (g, inverse(g))])
-    steps = [_stack([identity(letters.profile)] * len(letters.c))]
-    for _ in range(ADJACENCY_RANGE):
+    _require_axis_map(letters)
+    steps = [_stack([identity(letters.profile)] * len(letters.c)), letters]
+    for _ in range(ADJACENCY_RANGE - 1):
         steps.append(compose(steps[-1], letters))
     walk = _stack(steps)  # row (e, 2j) is g_j^e and row (e, 2j + 1) is g_j^-e
     exps = range(-ADJACENCY_RANGE, ADJACENCY_RANGE + 1)
     combos = list(itertools.product(exps, repeat=len(generators)))
     words = reduce(compose, (_take(walk, (np.abs(col), 2 * j + (col < 0)))
                              for j, col in enumerate(np.array(combos).T)))
-    corners = np.array([region.outer, *region.holes]).transpose(0, 2, 1)  # (box, [lo, hi], n+2)
-    # (word, box, [lo, hi], n+2)
-    img = np.sort(apply(_take(words, np.s_[:, None, None]), corners), axis=-2)
-    holes = np.concatenate([np.broadcast_to(corners[1:], (len(combos),) + corners[1:].shape),
-                            img[:, 1:]], axis=1)
-    meets = _positive_measure(np.maximum(img[:, 0, 0], corners[0, 0]),
-                              np.minimum(img[:, 0, 1], corners[0, 1]), holes)
-    return {combo for combo, hit in zip(combos, meets) if hit}
+    # (region, box, [lo, hi], n+2), box 0 the outer one
+    corners = np.array([[reg.outer, *reg.holes] for reg in regions]).transpose(0, 1, 3, 2)
+    lo, hi = np.moveaxis(apply(_take(words, np.s_[:, None, None, None]), corners), -2, 0)
+    # (word, region, box, [lo, hi], n+2)
+    img = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-2)
+    holes = np.concatenate([np.broadcast_to(corners[:, 1:], img[:, :, 1:].shape),
+                            img[:, :, 1:]], axis=2)
+    meets = _positive_measure(np.maximum(img[:, :, 0, 0], corners[:, 0, 0]),
+                              np.minimum(img[:, :, 0, 1], corners[:, 0, 1]), holes)
+    return [{combo for combo, hit in zip(combos, col) if hit} for col in meets.T]
 
 
 def example4_regions() -> Tuple[BoxRegion, BoxRegion]:
@@ -457,13 +456,14 @@ def verify_inessential_rescale_U() -> ExampleReport:
     valid by construction and the batch is built unchecked."""
     prof = SymmetricProfile(-np.eye(1))
     rng = np.random.default_rng(42)
-    draws, rows = [], []
-    for _ in range(30):
-        c, eps = rng.normal(), rng.choice([-1.0, 1.0])
-        draws.append((c, eps, np.sign(rng.normal(size=(1, 1))), rng.normal()))
-        rows.append([rng.normal(), rng.normal() + 0.5, rng.normal() + 0.5])
-    pts = np.array(rows)
-    c, eps, A, s = map(np.array, zip(*draws))
+    # element k draws c, eps, the sign of A, s and its point (t, x, v): the
+    # normals after each eps are one draw, ending with the next element's c
+    c0, eps, rest = rng.normal(), np.empty(30), np.empty((30, 6))
+    for k in range(30):
+        eps[k] = (-1.0, 1.0)[rng.integers(0, 2)]
+        rng.standard_normal(out=rest[k])
+    c = np.concatenate(([c0], rest[:-1, 5]))
+    A, s, pts = np.sign(rest[:, :1, None]), rest[:, 1], rest[:, 2:5] + [0.0, 0.5, 0.5]
     zero = np.zeros((30, 1))
     batch = _take(_element(prof, np.zeros(30), zero, zero, c, eps, A, s), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
@@ -491,11 +491,8 @@ def verify_removed_fixed_points_example() -> ExampleReport:
     {-2..2}^2, and the inessential rescale identity holds on U."""
     R, V = example4_regions()
     gamma, eta = example4_generators()
-    checks = []
-    adj_R = self_adjacency(R, [gamma, eta])
-    checks.append(CheckResult("fundamental_region_disjoint",
-                              adj_R == {(0, 0)}, 0.0))
-    adj_V = self_adjacency(V, [gamma, eta])
+    adj_R, adj_V = self_adjacency((R, V), (gamma, eta))
+    checks = [CheckResult("fundamental_region_disjoint", adj_R == {(0, 0)}, 0.0)]
     expected = {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
     checks.append(CheckResult("V_self_adjacency_window", adj_V == expected, 0.0))
     sym = all((-i, -j) in adj_V for (i, j) in adj_V)

@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import PROFILE_TOL, BetaSolution, Point, SymmetricProfile
+from .core import PROFILE_TOL, BetaSolution, SymmetricProfile
 from .curvature import CurvatureTensor4
 from .errors import CWError, InputError
 from .group import Homothety
@@ -170,9 +170,6 @@ def _jsonable(value: Any) -> Any:
         return {"b": value.b, "beta0": value.beta.beta0.tolist(),
                 "beta1": value.beta.beta1.tolist(), "c": value.c, "eps": value.eps,
                 "A": value.A.tolist(), "s": value.s}
-    # OrbitReport.points, whose .t/.x/.v perfbench/reports.py:53-54 reads
-    if isinstance(value, Point):
-        return value.as_array().tolist()
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -181,7 +178,7 @@ def _jsonable(value: Any) -> Any:
 def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
     """Write `payload` to `fh` byte for byte as
     json.dumps(payload, indent=indent, sort_keys=True) + "\n" would, with
-    homotheties, points and arrays in their JSON form.  A CurvatureTensor4
+    homotheties and arrays in their JSON form.  A CurvatureTensor4
     at the top level of a dict is written from its block, one (n+2)-slice
     at a time, so its dense text is never held whole.
     The ASCII text reaches `fh` in writes of OUTPUT_BLOCK characters and a

@@ -30,6 +30,7 @@ from cwgeom.group import (
     compose,
     differential,
     element_distance,
+    homothety_factor_check,
     inverse,
 )
 from cwgeom.quotients import verify_example
@@ -108,6 +109,28 @@ def test_element_batch_rows_equal_single_elements(kind, n, seed, eps, B, N):
         tol = np.array([4 * ULP * scale(prof, phi, t=t) ** 2 for t in pts[:, 0]])
         assert (np.max(np.abs(image - apply(phi, pts)), axis=-1) <= tol).all()
         assert (np.max(np.abs(J - differential(phi, pts)), axis=(-2, -1)) <= tol).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       B=st.sampled_from([1, 7, 64]), N=st.sampled_from([1, 7, 64]))
+def test_factor_check_rows_equal_single_elements(kind, n, seed, B, N):
+    """homothety_factor_check on a (B, 1) batch gives row i the check of
+    element i alone, judged by its own factor e^{2 s_i}, and its largest
+    row is the largest of the B single calls, within 4 ulp of the
+    group-law scale squared (bit for bit over 7200 rows at the time of
+    writing).  Elements with s of both signs would expose a factor
+    broadcast against the point or Gram axes."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    phis = [replace(element(prof, rng), eps=int(rng.choice([-1, 1]))) for _ in range(B)]
+    pts = rng.uniform(-2, 2, size=(N, prof.n + 2))
+    got = homothety_factor_check(_take(_stack(phis), np.s_[:, None]), pts)
+    want = np.array([homothety_factor_check(phi, pts) for phi in phis])
+    tol = np.array([4 * ULP * scale(prof, phi, t=2.0) ** 2 for phi in phis])
+    assert got.shape == (B,)
+    assert (np.abs(got - want) <= tol).all()
+    assert abs(np.max(got) - np.max(want)) <= np.max(tol)
 
 
 def test_element_batch_broadcasts_over_every_point_axis():

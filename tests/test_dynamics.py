@@ -51,6 +51,9 @@ from conftest import (random_centralising_orthogonal, random_homothety, random_p
 from test_group_law import KINDS, element, spectral_profile
 
 
+ULP = np.finfo(float).eps
+
+
 def _rot(angle):
     return np.array([[np.cos(angle), -np.sin(angle)],
                      [np.sin(angle), np.cos(angle)]])
@@ -522,6 +525,20 @@ class TestNormalForm:
             normal_form(random_homothety(prof, rng, strict=True, eps=-1))
 
 
+def _assert_image_of_the_origin(prof, conj, row):
+    """row is apply(conj, origin), each part judged against its own terms:
+    (t, x) = (c, beta(0)) within 4n ulp of max(1, |c|, |beta(0)|), and
+    v = eps (b - <beta'(0), beta(0)>/2) within 8n ulp of the larger of |b|
+    and |beta'(0)| |beta(0)| / 2.  apply reads beta(0) and beta'(0) back
+    through the eigenbasis of S, n-term products both ways, which is most
+    of the difference."""
+    beta0, beta1 = conj.beta.beta0, conj.beta.beta1
+    err = np.abs(row - apply(conj, np.zeros(prof.n + 2)))
+    assert np.max(err[:-1]) <= 4 * prof.n * ULP * max(1.0, abs(conj.c), np.max(np.abs(beta0)))
+    assert err[-1] <= 8 * prof.n * ULP * max(abs(conj.b),
+                                             np.linalg.norm(beta1) * np.linalg.norm(beta0) / 2)
+
+
 class TestOrbitObstruction:
     def test_convergence_and_rate(self, rng):
         for _ in range(5):
@@ -552,8 +569,8 @@ class TestOrbitObstruction:
         round differently: every parameter agrees within 1e-13 of the
         largest one (8.3e-15 at most over 200 seeds at n <= 32), and b
         within 1e-13 of itself, since its one term is e^{-2 s_gamma}
-        b_{k-1}.  Point k is the image of the origin under conjugate k, the
-        same floats as one apply of it."""
+        b_{k-1}.  Point k is the image of the origin under conjugate k, as
+        test_sequence_is_the_image_of_the_origin bounds it."""
         K = 12
         for kind, eps in itertools.product(KINDS, (1, -1)):
             prof = spectral_profile(kind, n, rng, repeat=True)
@@ -567,8 +584,40 @@ class TestOrbitObstruction:
                 conj = _take(rep.conjugates, k)
                 assert element_distance(conj, walk) <= 1e-13 * max(1.0, _param_size(walk))
                 assert abs(conj.b - walk.b) <= 1e-13 * abs(walk.b)
-                np.testing.assert_array_equal(apply(conj, np.zeros(prof.n + 2)),
-                                              point.as_array())
+                _assert_image_of_the_origin(prof, conj, point.as_array())
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 5), eps=st.sampled_from([-1, 1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sequence_is_the_image_of_the_origin(self, kind, n, eps, seed):
+        """Row k of the closed-form sequence, (c, beta(0), eps (b -
+        <beta'(0), beta(0)>/2)) of conjugate k, is apply(conjugate k,
+        origin) within the per-part bounds of _assert_image_of_the_origin
+        (at most 2.8n ulp on (t, x) and 5.4n ulp on v over 44000 seeded
+        draws at n <= 5)."""
+        rng = np.random.default_rng(seed)
+        prof = spectral_profile(kind, n, rng, repeat=n > 1)
+        gamma = Homothety(prof, c=float(rng.uniform(0.5, 1.5)), s=float(rng.uniform(0.1, 0.9)),
+                          A=random_centralising_orthogonal(prof, rng))
+        rep = orbit_obstruction_sequence(gamma, replace(element(prof, rng), eps=eps), K=12)
+        assert rep.sequence.shape == (12, prof.n + 2)
+        for k, row in enumerate(rep.sequence):
+            _assert_image_of_the_origin(prof, _take(rep.conjugates, k), row)
+
+    def test_builds_no_point_and_calls_no_apply(self, monkeypatch):
+        """The sequence is one array in closed form: no Point is built
+        unless .points is read, and the origin is never acted on."""
+        def refuse(*args):
+            raise AssertionError("built or acted per point")
+
+        monkeypatch.setattr(dynamics.Point, "from_array", staticmethod(refuse))
+        monkeypatch.setattr(dynamics, "apply", refuse)
+        prof = SymmetricProfile(-np.diag([1.0, 1.0, 4.0]))
+        rep = orbit_obstruction_sequence(Homothety(prof, c=0.9, s=0.4),
+                                         Homothety(prof, c=0.8, b=0.3), K=60)
+        assert rep.converged and rep.sequence.shape == (60, 5)
+        with pytest.raises(AssertionError):
+            rep.points
 
     def test_drifted_A_is_projected_as_compose_projects(self):
         """A profile tolerance of 1e-5 admits A with A^T A - I = 2e-7, past

@@ -150,7 +150,10 @@ class TestHomothetyFactor:
         for _ in range(20):
             prof = random_profile(rng)
             phi = random_homothety(prof, rng, strict=True)
-            assert homothety_factor_check(phi, rng.normal(size=(10, prof.n + 2))) <= 1e-8
+            pts = rng.normal(size=(10, prof.n + 2))
+            assert homothety_factor_check(phi, pts) <= 1e-8
+            # one point as an (n+2,) array is the (1, n+2) batch of it
+            assert homothety_factor_check(phi, pts[0]) == homothety_factor_check(phi, pts[:1])
 
     def test_isometries_preserve_metric(self, rng):
         prof = random_profile(rng, 2)

@@ -55,11 +55,12 @@ def test_every_exported_name_has_a_caller():
 
 def test_point_is_named_only_where_the_benchmark_reads_it():
     """Maps take and return (..., n+2) arrays.  Point stays only for the
-    benchmark's reads (perfbench/reports.py): the class in core, the orbit
-    report's points in dynamics, their JSON form in serialize."""
+    benchmark's reads (perfbench/reports.py): the class in core and the
+    orbit report's points in dynamics, built from its sequence array when
+    read; serialize writes that array."""
     naming = sorted(path.name for path in PACKAGE.glob("*.py")
                     if re.search(r"\bPoint\b", path.read_text(encoding="utf-8")))
-    assert naming == ["core.py", "dynamics.py", "serialize.py"]
+    assert naming == ["core.py", "dynamics.py"]
     assert "Point" not in cwgeom.__all__
 
 

@@ -37,6 +37,23 @@ class TestImaginaryTorus:
     def test_report_passes(self):
         _assert_report_passes(verify_imaginary_torus_example())
 
+    def test_acts_in_one_batch(self, monkeypatch):
+        """The chart identities, the gamma-power probe and the group
+        product act as one batch on all their points; only the pointwise
+        composition takes a second apply, and the four generators one
+        factor check."""
+        calls = {"apply": 0, "homothety_factor_check": 0}
+        for name in calls:
+            real = getattr(quotients, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(quotients, name, counted)
+        _assert_report_passes(verify_imaginary_torus_example())
+        assert calls["apply"] <= 2 and calls["homothety_factor_check"] == 1
+
     def test_check_names(self):
         names = {c.name for c in verify_imaginary_torus_example().checks}
         assert {"f_round_trip", "conj_gamma", "conj_eta", "conj_zeta",
@@ -142,7 +159,7 @@ class TestBoxArithmetic:
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         with pytest.raises(UnsupportedCaseError):
-            self_adjacency(region, [Homothety(prof, A=rot)])
+            self_adjacency([region], [Homothety(prof, A=rot)])
 
     def test_axis_map_tolerance_is_param_tol(self):
         # an entry of |A| is 0 or 1 within PARAM_TOL and no looser: the
@@ -174,32 +191,40 @@ class TestRemovedFixedPoints:
     def test_fundamental_region_only_touches_itself(self):
         R, _ = example4_regions()
         gamma, eta = example4_generators()
-        assert self_adjacency(R, [gamma, eta]) == {(0, 0)}
+        assert self_adjacency([R], [gamma, eta]) == [{(0, 0)}]
 
     def test_neighbourhood_window_is_exact(self):
         _, V = example4_regions()
         gamma, eta = example4_generators()
-        adj = self_adjacency(V, [gamma, eta])
+        adj, = self_adjacency([V], [gamma, eta])
         assert adj == {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
         assert all((-i, -j) in adj for (i, j) in adj)
 
     def test_self_adjacency_needs_a_generator(self):
         R, _ = example4_regions()
         with pytest.raises(PreconditionError):
-            self_adjacency(R, [])
+            self_adjacency([R], [])
 
     def test_self_adjacency_builds_each_power_once(self, monkeypatch):
-        """The powers of every generator come from one walk of
-        ADJACENCY_RANGE batched composes, and the words from one more per
-        generator after the first: 4 for each of the two regions, 8 per
-        report, however many words combine them, and no call to power."""
+        """The words are built once for both regions: the powers of every
+        generator come from one walk of ADJACENCY_RANGE - 1 batched
+        composes from the letters, and the words from one more per
+        generator after the first, 3 per report however many words combine
+        them, with no call to power."""
         calls = []
         real = quotients.compose
         monkeypatch.setattr(quotients, "compose",
                             lambda g, h: calls.append((g, h)) or real(g, h))
         monkeypatch.delattr(quotients, "power")
         _assert_report_passes(verify_example("removed-fixed-points"))
-        assert len(calls) == 8
+        assert len(calls) == 3
+
+    def test_regions_judged_together_match_each_alone(self):
+        R, V = example4_regions()
+        gens = example4_generators()
+        assert self_adjacency((R, V), gens) == self_adjacency([R], gens) + self_adjacency([V], gens)
+        with pytest.raises(PreconditionError):
+            self_adjacency((R, BoxRegion(R.outer)), gens)
 
     def test_rescale_field(self):
         assert rescale_field(np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0 / np.sqrt(1.0 + 4.0))
