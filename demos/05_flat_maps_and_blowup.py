@@ -16,7 +16,7 @@ from cwgeom import (
     minkowski_map,
     minkowski_metric,
 )
-from cwgeom.flat import conformal_defect, incomplete_geodesic_residual, minkowski_inversion
+from cwgeom.flat import conformal_defect
 
 # Gram arrays of the metrics and conformal factors at (N, n+2) arrays of
 # points; conformal_defect is max |F^* g0 - factor * g| over the points
@@ -36,17 +36,6 @@ res = conformal_defect(imaginary_local_map(n), flat, lambda a: metric_at(prof_im
                        lambda a: np.cos(a[..., 0]) ** -2, pts)
 print(f"imaginary type (strip): |G* g0 - g/cos^2 t| = {res:.2e}")
 
-res = conformal_defect(minkowski_inversion(n), flat, flat, lambda q: 0.25 / q[..., 0] ** 2, F(pts))
-print(f"inversion: |eta* g0 - g0/(4u^2)| = {res:.2e}")
-
 out = flatness_blowup_demo(-1, y0=0.0)
 print(f"\nimaginary type, y' = y^2 + 1 from 0: blow-up at t = "
       f"{out['blowup_t']:.6f} (pi/2 = {np.pi / 2:.6f})")
-out = flatness_blowup_demo(1)
-print(f"real type, f = t solves the flatness equation: "
-      f"hessian residual {out['hessian_residual']:.1e}, "
-      f"null gradient {out['null_gradient_residual']:.1e}")
-
-res = max(incomplete_geodesic_residual(prof, s) for s in (-0.4, 0.0, 2.0, 10.0))
-print(f"incomplete geodesic of e^(2t) g: max residual {res:.1e} "
-      "(the curve exits at s = -1/2)")

@@ -1,10 +1,11 @@
 """cwgeom: numerics for Cahen-Wallach Lorentzian symmetric spaces.
 
-Curvature and Weyl tensors of the metric 2 dv dt + (x, Sx) dt^2 + dx^2,
-exact arithmetic in its homothety group, fixed-point and essentiality
-classification, conjugation normal forms, obstructions to properly
-discontinuous cocompact actions, conformal maps to Minkowski space, and
-machine verification of four explicit quotient constructions.
+Closed-form curvature and Weyl tensors of the metric
+2 dv dt + (x, Sx) dt^2 + dx^2, exact arithmetic in its homothety group,
+fixed-point and essentiality classification, conjugation normal forms,
+obstructions to properly discontinuous cocompact actions, the conformal
+charts to Minkowski space with the one pullback check they and the group
+share, and machine verification of four explicit quotient constructions.
 """
 
 from .core import (
@@ -18,9 +19,7 @@ from .core import (
 from .curvature import (
     CurvatureTensor4,
     christoffel_at,
-    conformal_change_at,
     cotton,
-    kulkarni_nomizu,
     metric_at,
     ricci,
     riemann,

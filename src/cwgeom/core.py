@@ -82,8 +82,8 @@ class SymmetricProfile:
             raise MalformedProfileError(f"S must be a square matrix, got shape {S.shape}")
         if not np.all(np.isfinite(S)):
             raise MalformedProfileError("S has non-finite entries")
-        if tolerance <= 0:
-            raise MalformedProfileError("tolerance must be positive")
+        if not 0 < tolerance < np.inf:  # NaN fails both comparisons
+            raise MalformedProfileError(f"tolerance must be finite and positive, got {tolerance}")
         # entries near the float maximum overflow below: an error, not a
         # numpy warning
         with np.errstate(over="ignore", invalid="ignore"):

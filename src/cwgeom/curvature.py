@@ -1,13 +1,14 @@
-"""Metric, connection and curvature machinery.
+"""Metric, connection and curvature of g_S, in closed form: the metric,
+Christoffel symbols, Riemann, Ricci, scalar, Schouten, Weyl and Cotton
+tensors.
 
 Everything here works in the coordinate frame (d_t, d_1..d_n, d_v) on
 R^{n+2}, m = n + 2.  Bilinear forms are (..., m, m) arrays, with one
 leading index per point where a function takes an (..., m) array of
-points, and (0,4) tensors such as riemann_finite_difference's are
-(m, m, m, m) arrays.  The curvature and Weyl tensors of the model are
-M kn (dt)^2 up to sign for an n x n block M, so they are stored as that
-block (CurvatureTensor4; 4 n^2 of their (n+2)^4 entries are nonzero).
-The sign conventions:
+points.  The curvature and Weyl tensors of the model are M kn (dt)^2 up
+to sign for an n x n block M, so they are stored as that block
+(CurvatureTensor4; 4 n^2 of their (n+2)^4 entries are nonzero, and its
+dense (m, m, m, m) array is built on request).  The sign conventions:
 
     R(X,Y,Z,V) = g(R(X,Y)V, Z),
     (A kn B)(X,Y,Z,V) = A(X,Z)B(Y,V) + B(X,Z)A(Y,V)
@@ -24,8 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import SymmetricProfile, coords
-
-FD_STEP = 1e-5
 
 # numpy mallocs its per-thread state (46 KB, mostly the big-integer
 # scratch of its float printer) the first time a thread needs it, e.g. on
@@ -106,13 +105,6 @@ def christoffel_at(profile: SymmetricProfile, point) -> np.ndarray:
     return gamma
 
 
-def kulkarni_nomizu(A, B) -> np.ndarray:
-    """Kulkarni-Nomizu product of symmetric bilinear forms, (..., m, m)
-    arrays broadcast against each other: shape (..., m, m, m, m)."""
-    return (np.einsum("...xz,...yv->...xyzv", A, B) + np.einsum("...xz,...yv->...xyzv", B, A)
-            - np.einsum("...xv,...yz->...xyzv", A, B) - np.einsum("...xv,...yz->...xyzv", B, A))
-
-
 def riemann(profile: SymmetricProfile) -> CurvatureTensor4:
     """R = -S kn (dt)^2, constant over the space."""
     return CurvatureTensor4(profile.S, sign=-1.0)
@@ -154,79 +146,3 @@ def cotton(profile: SymmetricProfile, point=None) -> np.ndarray:
     # coordinate derivative of the constant P is zero
     nablaP = -np.einsum("lij,lk->ijk", gamma, P) - np.einsum("lik,jl->ijk", gamma, P)
     return nablaP - np.transpose(nablaP, (1, 0, 2))
-
-
-def riemann_finite_difference(profile: SymmetricProfile, point) -> np.ndarray:
-    """Brute-force (0,4) curvature from Christoffel symbols:
-    R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im}G^m_{jk} - G^l_{jm}G^m_{ik},
-    lowered so that R[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
-    # row i of p0 +- E is the point moved along coordinate i
-    p0, E = coords(point, profile.n), FD_STEP * np.eye(profile.n + 2)
-    dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * FD_STEP)
-    # dgam[i, l, j, k] = d_i Gamma^l_{jk}
-    G = christoffel_at(profile, p0)
-    Rup = (np.einsum("iljk->ijkl", dgam) - np.einsum("jlik->ijkl", dgam)
-           + np.einsum("lim,mjk->ijkl", G, G) - np.einsum("ljm,mik->ijkl", G, G))
-    # Rup[i, j, k, l] = (R(d_i, d_j) d_k)^l
-    return np.einsum("ijlm,km->ijkl", Rup, metric_at(profile, p0))
-
-
-def nabla_df(profile: SymmetricProfile, points, gradient, hessian) -> np.ndarray:
-    """Covariant Hessian (nabla df)_{ij} = hess_{ij} - Gamma^k_{ij} df_k of
-    f with coordinate gradient (..., m) and hessian (..., m, m) at an
-    (..., m) array of points."""
-    gamma = christoffel_at(profile, points)
-    return hessian - np.einsum("...kij,...k->...ij", gamma, gradient)
-
-
-def conformal_change_at(profile: SymmetricProfile, points, value, gradient, hessian):
-    """Curvature of g_hat = e^{2f} g_S from the 2-jet of f, its value (...),
-    coordinate gradient (..., m) and hessian (..., m, m), at an (..., m)
-    array of points.
-
-    Returns a dict with riemann_hat (the hatted (0,4) tensor itself,
-    including the e^{2f} factor, (..., m, m, m, m)), ricci_hat
-    (..., m, m), and scal_hat, laplacian and grad_norm_sq (...).
-    """
-    m = profile.n + 2
-    g = metric_at(profile, points)
-    ginv = np.linalg.inv(g)
-    df = np.asarray(gradient, dtype=float)
-    gradf = (ginv @ df[..., None])[..., 0]  # raised index
-    norm2 = np.sum(df * gradf, axis=-1)
-    hess = nabla_df(profile, points, df, hessian)
-    df2 = df[..., :, None] * df[..., None, :]
-    lap = np.einsum("...ij,...ij->...", ginv, hess)
-
-    # Laplacian convention: lap = tr_g(nabla df).  The hatted Ricci and
-    # scalar below are the metric traces of riemann_hat, so the three
-    # outputs are mutually consistent by construction.
-    aux = hess - df2 + 0.5 * norm2[..., None, None] * g
-    e2f = np.exp(2 * np.asarray(value, dtype=float))
-    R_hat = e2f[..., None, None, None, None] * (riemann(profile).components
-                                                 - kulkarni_nomizu(g, aux))
-    ric_hat = (ricci(profile) - (m - 2) * (hess - df2)
-               - (lap + (m - 2) * norm2)[..., None, None] * g)
-    scal_hat = np.exp(-2 * np.asarray(value, dtype=float)) * (
-        scalar(profile) - (m - 1) * (2 * lap + (m - 2) * norm2))
-    return {
-        "riemann_hat": R_hat,
-        "ricci_hat": ric_hat,
-        "scal_hat": scal_hat,
-        "laplacian": lap,
-        "grad_norm_sq": norm2,
-    }
-
-
-def conformal_christoffel_at(profile: SymmetricProfile, points, gradient) -> np.ndarray:
-    """Christoffel symbols of e^{2f} g_S from the coordinate gradient
-    (..., m) of f, at an (..., m) array of points:
-    Ghat^k_{ij} = G^k_{ij} + delta^k_i df_j + delta^k_j df_i - g_ij (grad f)^k."""
-    m = profile.n + 2
-    g = metric_at(profile, points)
-    df = np.asarray(gradient, dtype=float)
-    gradf = (np.linalg.inv(g) @ df[..., None])[..., 0]
-    eye = np.eye(m)
-    return christoffel_at(profile, points) + (
-        np.einsum("ki,...j->...kij", eye, df) + np.einsum("kj,...i->...kij", eye, df)
-        - np.einsum("...ij,...k->...kij", g, gradf))

@@ -48,6 +48,7 @@ from .core import (
 )
 from .curvature import metric_at
 from .errors import IncompatibleProfileError, OverflowingValueError
+from .flat import SmoothMap, conformal_defect
 
 
 @dataclass(frozen=True)
@@ -244,14 +245,12 @@ def conjugate(g: Homothety, phi: Homothety) -> Homothety:
 def homothety_factor_check(phi: Homothety, points=None):
     """Max entrywise deviation |phi^* g - e^{2s} g| over sample points, an
     (N, n+2) array, one (n+2,) point or a list of Points (ten
-    default_rng(0) draws by default), through the analytic Jacobian: a
-    float for one element, and per row, each by its own e^{2s}, for a
-    (B, 1) batch."""
+    default_rng(0) draws by default), through the analytic Jacobian, by
+    flat.conformal_defect: a float for one element, and per row, each by
+    its own e^{2s}, for a (B, 1) batch."""
     prof = phi.profile
-    a = np.atleast_2d(coords(np.random.default_rng(0).normal(size=(10, prof.n + 2))
-                             if points is None else points, prof.n))
-    J = differential(phi, a)
-    dev = np.abs(J.swapaxes(-1, -2) @ metric_at(prof, apply(phi, a)) @ J
-                 - np.exp(2 * phi.s)[..., None, None] * metric_at(prof, a))
-    worst = dev.max(axis=(-3, -2, -1), initial=0.0)
-    return float(worst) if worst.ndim == 0 else worst
+    if points is None:
+        points = np.random.default_rng(0).normal(size=(10, prof.n + 2))
+    g = partial(metric_at, prof)
+    return conformal_defect(SmoothMap(prof.n, partial(apply, phi), partial(differential, phi)),
+                            g, g, lambda a: np.exp(2 * phi.s), points)

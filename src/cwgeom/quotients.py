@@ -467,8 +467,9 @@ def verify_inessential_rescale_U() -> ExampleReport:
     zero = np.zeros((30, 1))
     batch = _take(_element(prof, np.zeros(30), zero, zero, c, eps, A, s), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)
-    worst = conformal_defect(SmoothMap(1, partial(apply, batch), partial(differential, batch)),
-                             fg, fg, lambda a: 1.0, pts)
+    worst = np.max(conformal_defect(SmoothMap(1, partial(apply, batch),
+                                              partial(differential, batch)),
+                                    fg, fg, lambda a: 1.0, pts))
     checks = [_check("rescale_equivariance", worst, COMPOSED_TOL)]
 
     # the t-translation leaves f untouched outright

@@ -7,6 +7,7 @@ Schemas:
                 spectral grouping, zero-eigenvalue and centraliser checks)
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
+                (beta0 and beta1 of n entries, A n x n, for an n x n profile)
     point       [t, x_1, ..., x_n, v]
 
 `dump_json` is the one writer of JSON output and the one owner of each
@@ -22,7 +23,7 @@ import numpy as np
 
 from .core import PROFILE_TOL, BetaSolution, SymmetricProfile
 from .curvature import CurvatureTensor4
-from .errors import CWError, InputError
+from .errors import InputError
 from .group import Homothety
 
 
@@ -38,12 +39,15 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _real_array(value: Any, what: str) -> np.ndarray:
+def _real_array(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """The finite float array of a JSON value, of the given shape when
+    that is given."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what} must be a numeric array: {exc}") from exc
     _require(bool(np.all(np.isfinite(a))), f"{what} has non-finite entries")
+    _require(shape is None or a.shape == shape, f"{what} must have shape {shape}, got {a.shape}")
     return a
 
 
@@ -91,22 +95,12 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
     _require(abs(s) <= MAX_LOG_SCALE,
              f"'s' = {s} overflows the scale factor e^(2s); |s| must be at most "
              f"{MAX_LOG_SCALE:.2f}")
-    zero = np.zeros(profile.n)
-    beta = BetaSolution(profile, _real_array(data.get("beta0", zero), "'beta0'"),
-                        _real_array(data.get("beta1", zero), "'beta1'"))
+    n = profile.n
+    beta = BetaSolution(profile, *(_real_array(data.get(key, np.zeros(n)), f"'{key}'", (n,))
+                                   for key in ("beta0", "beta1")))
     A = data.get("A")
-    try:
-        return Homothety(profile,
-                         b=load_real(data, "b", 0.0),
-                         beta=beta,
-                         c=load_real(data, "c", 0.0),
-                         eps=int(eps),
-                         A=None if A is None else _real_array(A, "'A'"),
-                         s=s)
-    except CWError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed homothety data: {exc}") from exc
+    return Homothety(profile, b=load_real(data, "b", 0.0), beta=beta, c=load_real(data, "c", 0.0),
+                     eps=int(eps), A=None if A is None else _real_array(A, "'A'", (n, n)), s=s)
 
 
 def load_point(n: int, data: Any) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Independent oracles the tests check the library against: finite
-differences of the metric and of a map, dense-tensor symmetries and
-traces, and closed forms the library itself has no use for."""
+differences of the metric, of the Christoffel symbols and of a map,
+dense-tensor products, symmetries and traces, and closed forms the
+library itself has no use for (the Minkowski dilation and inversion, the
+chart inverses)."""
 
 import numpy as np
 
-from cwgeom.core import MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
-from cwgeom.curvature import FD_STEP, metric_at
+from cwgeom.core import DOMAIN_TOL, MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
+from cwgeom.curvature import christoffel_at, metric_at
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
 
@@ -21,7 +23,7 @@ def jacobian_finite_difference(forward, p) -> np.ndarray:
 
 
 def christoffel_finite_difference(profile: SymmetricProfile, point,
-                                  step: float = FD_STEP) -> np.ndarray:
+                                  step: float = 1e-5) -> np.ndarray:
     """Christoffel symbols from the Koszul formula with central-difference
     metric derivatives.  Independent oracle for christoffel_at."""
     # row k of p0 +- E is the point moved along coordinate k
@@ -32,6 +34,30 @@ def christoffel_finite_difference(profile: SymmetricProfile, point,
     first = 0.5 * (np.einsum("jil->lij", dg) + np.einsum("ijl->lij", dg)
                    - np.einsum("lij->lij", dg))
     return np.einsum("kl,lij->kij", ginv, first)
+
+
+def riemann_finite_difference(profile: SymmetricProfile, point,
+                              step: float = 1e-5) -> np.ndarray:
+    """Brute-force (0,4) curvature from central differences of
+    christoffel_at:
+    R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im}G^m_{jk} - G^l_{jm}G^m_{ik},
+    lowered so that R[i,j,k,l] = g(R(d_i, d_j) d_l, d_k)."""
+    # row i of p0 +- E is the point moved along coordinate i
+    p0, E = coords(point, profile.n), step * np.eye(profile.n + 2)
+    dgam = (christoffel_at(profile, p0 + E) - christoffel_at(profile, p0 - E)) / (2 * step)
+    # dgam[i, l, j, k] = d_i Gamma^l_{jk}
+    G = christoffel_at(profile, p0)
+    Rup = (np.einsum("iljk->ijkl", dgam) - np.einsum("jlik->ijkl", dgam)
+           + np.einsum("lim,mjk->ijkl", G, G) - np.einsum("ljm,mik->ijkl", G, G))
+    # Rup[i, j, k, l] = (R(d_i, d_j) d_k)^l
+    return np.einsum("ijlm,km->ijkl", Rup, metric_at(profile, p0))
+
+
+def kulkarni_nomizu(A, B) -> np.ndarray:
+    """Kulkarni-Nomizu product of symmetric bilinear forms, (..., m, m)
+    arrays broadcast against each other: shape (..., m, m, m, m)."""
+    return (np.einsum("...xz,...yv->...xyzv", A, B) + np.einsum("...xz,...yv->...xyzv", B, A)
+            - np.einsum("...xv,...yz->...xyzv", A, B) - np.einsum("...xv,...yz->...xyzv", B, A))
 
 
 def riemann_symmetry_defect(R: np.ndarray) -> float:
@@ -68,6 +94,29 @@ def minkowski_dilation(n: int, c: float) -> SmoothMap:
     d = np.array([np.exp(2 * c)] + [np.exp(c)] * n + [1.0])
     return SmoothMap(n, forward=lambda a: a * d,
                      jacobian=lambda a: np.broadcast_to(np.diag(d), a.shape + d.shape))
+
+
+def minkowski_inversion(n: int) -> SmoothMap:
+    """(u, y, z) -> (1/(4u), y/(2u), -z - |y|^2/(2u)): the isometry
+    (t, x, v) -> (-t, x, -v) seen through the Minkowski map; satisfies
+    eta^* g0 = g0 / (4u^2) on {u > 0}, an involution of {u > 0}."""
+
+    def fwd(q):
+        u, y, z = q[..., 0], q[..., 1:-1], q[..., -1]
+        return join(0.25 / u, y / (2 * u)[..., None], -z - 0.5 * np.sum(y * y, axis=-1) / u)
+
+    def jac(q):
+        u, y = q[..., 0], q[..., 1:-1]
+        J = np.zeros(q.shape + (n + 2,))
+        J[..., 0, 0] = -0.25 / u ** 2
+        J[..., 1:-1, 0] = -y / (2 * u ** 2)[..., None]
+        J[..., 1:-1, 1:-1] = np.eye(n) / (2 * u)[..., None, None]
+        J[..., -1, 0] = 0.5 * np.sum(y * y, axis=-1) / u ** 2
+        J[..., -1, 1:-1] = -y / u[..., None]
+        J[..., -1, -1] = -1.0
+        return J
+
+    return SmoothMap(n, forward=fwd, jacobian=jac, in_domain=lambda q: q[..., 0] > DOMAIN_TOL)
 
 
 def minkowski_map_inverse(q) -> np.ndarray:

@@ -12,15 +12,7 @@ import numpy as np
 
 from cwgeom.cli import main as cli_main
 from cwgeom.core import BetaSolution, SymmetricProfile
-from cwgeom.curvature import (
-    kulkarni_nomizu,
-    metric_at,
-    ricci,
-    riemann,
-    riemann_finite_difference,
-    scalar,
-    weyl,
-)
+from cwgeom.curvature import metric_at, ricci, riemann, scalar, weyl
 from cwgeom.dynamics import (
     block_determinant,
     fixed_point,
@@ -33,7 +25,6 @@ from cwgeom.errors import ResonanceError
 from cwgeom.flat import (
     flatness_blowup_demo,
     imaginary_local_map,
-    minkowski_inversion,
     minkowski_map,
     conformal_defect,
     minkowski_metric,
@@ -51,7 +42,8 @@ from cwgeom.quotients import verify_example, verify_real_lattice_example
 
 from conftest import (random_centralising_orthogonal, random_homothety, random_point,
                       random_profile)
-from oracles import minkowski_dilation, trace_with_metric
+from oracles import (kulkarni_nomizu, minkowski_dilation, minkowski_inversion,
+                     riemann_finite_difference, trace_with_metric)
 
 
 def report(name, ok, detail=""):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import cycle
 from unittest import mock
 
 import numpy as np
@@ -355,6 +356,24 @@ def test_orbit_entry_bound_admits_its_largest_K(n, largest):
         cli._orbit_length({"K": largest + 1}, n)
 
 
+HOMOTHETY_COMMANDS = ["compose", "apply", "fixed-point", "essential", "normal-form", "orbit",
+                      "pd-report"]
+# homotheties over an n = 1 profile with a beta or an A of the wrong shape
+BAD_SHAPES = {"nested-beta0": {"beta0": [[1.0], [2.0]]}, "long-beta1": {"beta1": [1.0, 2.0]},
+              "wide-A": {"A": np.eye(2).tolist()}, "nested-A": {"A": [[[1.0]]]}}
+
+
+def _homothety_payload(command, fields):
+    """A payload of the subcommand over S = (-1) whose last homothety has
+    the given fields, and c = 1, s = 0.3 besides."""
+    phi, profile = dict(fields, c=1.0, s=0.3), {"S": [[-1.0]]}
+    if command == "pd-report":
+        return {"profile": profile, "generators": [{"c": 1.0, "s": 0.1}, phi], "max_length": 2}
+    extra = {"compose": {"psi": {}}, "apply": {"point": [0.1, 0.2, 0.3]},
+             "orbit": {"gamma": {"c": 1.0, "s": 0.5}, "K": 3}}.get(command, {})
+    return {"profile": profile, "phi": phi, **extra}
+
+
 class TestMalformedPayloads:
     """Malformed payloads exit 2 with a JSON error on stderr and no
     traceback, run in a fresh process as a user would run them."""
@@ -392,17 +411,36 @@ class TestMalformedPayloads:
         ("compose", {"profile": {"S": np.eye(cli.MAX_PROFILE_N + 1).tolist()}}),
         # two dense (n+2)^4 tensors, refused before either is built
         ("curvature", {"S": np.eye(cli.MAX_CURVATURE_N + 1).tolist()}),
+        # a beta or an A of the wrong shape, on each subcommand that loads a homothety
+        *[(command, _homothety_payload(command, BAD_SHAPES[name]))
+          for command, name in zip(HOMOTHETY_COMMANDS, cycle(BAD_SHAPES))],
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
             "K-100000000", "K-above-max", "orbit-entries-above-max", "pd-length-30",
             "pd-words-above-max", "pd-entries-above-max", "classify-n-above-max",
-            "compose-n-above-max", "curvature-n-above-max"])
+            "compose-n-above-max", "curvature-n-above-max",
+            *[f"{command}-{name}"
+              for command, name in zip(HOMOTHETY_COMMANDS, cycle(BAD_SHAPES))]])
     def test_exits_2_with_json_error(self, command, payload):
         proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)["error"]
         assert err["kind"] == "input" and err["detail"]
+
+    @pytest.mark.parametrize("command", HOMOTHETY_COMMANDS)
+    def test_badly_shaped_beta_or_A_exits_2(self, command):
+        """Every bad shape on every subcommand that loads a homothety, in
+        process: an input error, while an A of the right shape outside the
+        centraliser stays a failed precondition (exit 3)."""
+        cases = [(bad, 2, "input") for bad in BAD_SHAPES.values()]
+        for bad, code, kind in cases + [({"A": [[2.0]]}, 3, "centraliser-violation")]:
+            out, err = io.StringIO(), io.StringIO()
+            payload = json.dumps(_homothety_payload(command, bad))
+            with mock.patch("sys.stdin", io.StringIO(payload)), \
+                    redirect_stdout(out), redirect_stderr(err):
+                assert main([command, "-"]) == code, bad
+            assert out.getvalue() == "" and _error(err.getvalue())["kind"] == kind, bad
 
 
 def test_overflow_exits_3_with_json_error():
@@ -717,7 +755,10 @@ def matrices(draw, n):
 
 
 def vectors(n):
-    return st.one_of(st.lists(NUMBER, min_size=n, max_size=n), BAD)
+    """Lists of length n, and badly shaped ones: nested, or of length n + 1."""
+    return st.one_of(st.lists(NUMBER, min_size=n, max_size=n), BAD,
+                     st.lists(st.lists(NUMBER, min_size=1, max_size=1), min_size=n, max_size=n),
+                     st.lists(NUMBER, min_size=n + 1, max_size=n + 1))
 
 
 def homotheties(n):

@@ -60,6 +60,13 @@ class TestSymmetricProfile:
         with pytest.raises(MalformedProfileError):
             SymmetricProfile(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1e-9])
+    def test_rejects_a_tolerance_not_finite_and_positive(self, tolerance):
+        # a NaN tolerance would pass the symmetry check of any S, and an
+        # infinite one would read every eigenvalue as zero
+        with pytest.raises(MalformedProfileError):
+            SymmetricProfile([[1.0, 5.0], [0.0, 2.0]], tolerance=tolerance)
+
     def test_centraliser_membership(self, rng):
         prof = SymmetricProfile(np.diag([1.0, 1.0, -2.0]))
         A = random_centralising_orthogonal(prof, rng)

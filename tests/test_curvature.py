@@ -6,23 +6,19 @@ import pytest
 from cwgeom.core import SymmetricProfile
 from cwgeom.curvature import (
     christoffel_at,
-    conformal_change_at,
-    conformal_christoffel_at,
     cotton,
     dt_squared,
-    kulkarni_nomizu,
     metric_at,
-    nabla_df,
     ricci,
     riemann,
-    riemann_finite_difference,
     scalar,
     schouten,
     weyl,
 )
 
 from conftest import random_profile, random_point
-from oracles import christoffel_finite_difference, riemann_symmetry_defect, trace_with_metric
+from oracles import (christoffel_finite_difference, kulkarni_nomizu, riemann_finite_difference,
+                     riemann_symmetry_defect, trace_with_metric)
 
 
 class TestMetric:
@@ -154,81 +150,3 @@ class TestCurvatureTensors:
             prof = random_profile(rng)
             assert np.max(np.abs(cotton(prof, random_point(rng, prof.n)))) \
                 <= 1e-12
-
-
-def _quadratic_jet(point, coeffs):
-    """2-jet (value, gradient, hessian) of f(p) = a.p + p^T H p / 2 at the
-    point."""
-    a, H = coeffs
-    return float(a @ point + 0.5 * point @ H @ point), a + H @ point, H
-
-
-class TestConformalChange:
-    def test_nabla_df_against_finite_differences(self, rng):
-        prof = random_profile(rng, 2)
-        p = random_point(rng, 2)
-        m = prof.n + 2
-        a = rng.normal(size=m)
-        H = 0.5 * (lambda M: M + M.T)(rng.normal(size=(m, m)))
-
-        def f(arr):
-            return float(a @ arr + 0.5 * arr @ H @ arr)
-
-        _, grad, hessian = _quadratic_jet(p, (a, H))
-        hess = nabla_df(prof, p, grad, hessian)
-        # oracle: second differences of f along coordinate pairs minus the
-        # Christoffel correction computed by an independent FD route
-        G = christoffel_finite_difference(prof, p)
-        step = 1e-4
-        fd = np.zeros((m, m))
-        for i in range(m):
-            for j in range(m):
-                ei, ej = np.zeros(m), np.zeros(m)
-                ei[i], ej[j] = step, step
-                fd[i, j] = (f(p + ei + ej) - f(p + ei - ej)
-                            - f(p - ei + ej) + f(p - ei - ej)) / (4 * step**2)
-        fd -= np.einsum("kij,k->ij", G, a + H @ p)
-        assert np.max(np.abs(hess - fd)) <= 1e-5
-
-    def test_flat_rescale_of_real_type(self):
-        # e^{2t} g is flat when S is the identity: the full hatted
-        # curvature must vanish for f = t
-        for n in (1, 2, 3):
-            prof = SymmetricProfile(np.eye(n))
-            m = n + 2
-            grad = np.zeros(m)
-            grad[0] = 1.0
-            p = np.concatenate(([0.4], 0.3 * np.ones(n), [-0.2]))
-            out = conformal_change_at(prof, p, p[0], grad, np.zeros((m, m)))
-            assert np.max(np.abs(out["riemann_hat"])) <= 1e-7
-            assert np.max(np.abs(out["ricci_hat"])) <= 1e-7
-            assert abs(out["scal_hat"]) <= 1e-7
-
-    def test_ricci_hat_is_trace_of_riemann_hat(self, rng):
-        # dual route: contract the hatted (0,4) tensor with the hatted
-        # metric and compare with the direct Ricci formula
-        prof = random_profile(rng, 2)
-        p = random_point(rng, 2)
-        m = prof.n + 2
-        a = 0.3 * rng.normal(size=m)
-        H = 0.3 * (lambda M: 0.5 * (M + M.T))(rng.normal(size=(m, m)))
-        jet = _quadratic_jet(p, (a, H))
-        out = conformal_change_at(prof, p, *jet)
-        g_hat = np.exp(2 * jet[0]) * metric_at(prof, p)
-        ric_tr = trace_with_metric(out["riemann_hat"], g_hat, slots=(0, 2))
-        assert np.max(np.abs(ric_tr - out["ricci_hat"])) <= 1e-8
-        scal_tr = float(np.einsum("ij,ij->", np.linalg.inv(g_hat), out["ricci_hat"]))
-        assert abs(scal_tr - out["scal_hat"]) <= 1e-8
-
-    def test_conformal_christoffel_consistency(self, rng):
-        # the hatted symbols must reproduce the hatted covariant Hessian of
-        # an affine function through the Koszul-style correction
-        prof = random_profile(rng, 3)
-        p = random_point(rng, 3)
-        m = prof.n + 2
-        grad = rng.normal(size=m)
-        gamma_hat = conformal_christoffel_at(prof, p, grad)
-        assert np.max(np.abs(gamma_hat - np.swapaxes(gamma_hat, 1, 2))) <= 1e-12
-        # a zero gradient recovers the ordinary symbols
-        assert np.max(np.abs(conformal_christoffel_at(prof, p, np.zeros(m))
-                             - christoffel_at(prof, p))) == 0.0

@@ -21,7 +21,6 @@ from cwgeom.curvature import (
     CurvatureTensor4,
     cotton,
     dt_squared,
-    kulkarni_nomizu,
     ricci,
     riemann,
     scalar,
@@ -30,7 +29,7 @@ from cwgeom.curvature import (
 )
 
 from conftest import random_profile
-from oracles import riemann_symmetry_defect, x_block_form
+from oracles import kulkarni_nomizu, riemann_symmetry_defect, x_block_form
 
 
 def dense_riemann(prof):

@@ -21,9 +21,7 @@ PACKAGE = ROOT / "src" / "cwgeom"
 # a float literal in exponent form below 1, such as 1e-8
 THRESHOLD = re.compile(r"\d[eE]-\d")
 # definitions outside core's table that may hold such literals, each with its reason
-ALLOWED = {
-    ("curvature.py", "FD_STEP"): "a finite-difference step, not a tolerance",
-}
+ALLOWED = {}
 # the judges, and the position of the tolerance among their arguments
 JUDGES = {"within": 1, "_check": 2}
 # a name that holds a tolerance: a factor on it is named in core's table too
