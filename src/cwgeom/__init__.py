@@ -1,7 +1,7 @@
 """cwgeom: numerics for Cahen-Wallach Lorentzian symmetric spaces.
 
 Closed-form curvature and Weyl tensors of the metric
-2 dv dt + (x, Sx) dt^2 + dx^2, exact arithmetic in its homothety group,
+2 dv dt + (x, Sx) dt^2 + dx^2, closed-form arithmetic in its homothety group,
 fixed-point and essentiality classification, conjugation normal forms,
 obstructions to properly discontinuous cocompact actions, the conformal
 charts to Minkowski space with the one pullback check they and the group

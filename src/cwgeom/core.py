@@ -28,8 +28,8 @@ from .errors import (
 # absolute otherwise.
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
 PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, AS - SA, gaps, flatness
-PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I, or of
-#                         |A|(1 - |A|); in the PD sweep too, on c and s in exact arithmetic
+PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
+#                         entering A is projected) or of |A|(1 - |A|); in the PD sweep too
 FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
 RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue;
 #                         and |mu - 1| for the eigenvalues mu of A on that eigenspace
@@ -174,12 +174,17 @@ class SymmetricProfile:
         return ortho and commutes
 
     def require_centraliser(self, A) -> np.ndarray:
+        """The one gate for A, where an element enters: A if in_centraliser and
+        orthogonal within PARAM_TOL, its polar factor U V^T if only the first."""
         A = np.asarray(A, dtype=float)
         if not self.in_centraliser(A):
             raise CentraliserViolationError(
                 "matrix is not an orthogonal matrix commuting with S"
             )
-        return A
+        if within(np.max(np.abs(A.T @ A - np.eye(self.n))), PARAM_TOL):
+            return A
+        U, _, Vt = np.linalg.svd(A)
+        return U @ Vt
 
     def __eq__(self, other):
         return self is other or (

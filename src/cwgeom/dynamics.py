@@ -283,17 +283,14 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     # y -> y M on eigenbasis rows is beta -> e^{-s_g} A_g^T beta
     M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
     e2s = np.exp(-2 * gamma.s)
-    # A_g and phi's A projected once where they drifted: compose projects
-    # every product, and conjugating by the projected A_g is the same map
-    A_g, A = gamma.renormalized().A, phi.renormalized().A
     y, As, b = np.empty((K + 1, 2, n)), np.empty((K, n, n)), np.empty(K)
-    y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
+    y[0], bk, A = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b, phi.A
     y0, y1 = y[0]
     # a parameter that overflows makes _element raise below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k + 1])
-            A = As[k] = A_g.T @ (A @ A_g)
+            A = As[k] = gamma.A.T @ (A @ gamma.A)
             bk = b[k] = e2s * bk
         c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
     # step k shifted row k, reading the columns at phase r c_g as beta_eval does
@@ -365,6 +362,8 @@ def pd_necessary_report(generators: Sequence[Homothety],
     """
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
+    if max_length < 1:
+        raise PreconditionError("the sweep needs max_length >= 1")
     prof = generators[0].profile
     if any(g.profile != prof for g in generators):
         raise IncompatibleProfileError("the generators are over different profiles")

@@ -39,9 +39,10 @@ class SmoothMap:
 
     def _require(self, p) -> np.ndarray:
         a = coords(p, self.n)
-        inside = np.broadcast_to(self.in_domain(a), a.shape[:-1])
-        if not inside.all():
-            raise DomainError(f"point outside the map's domain: {a[~inside][0]}")
+        inside = self.in_domain(a)
+        if not np.all(inside):
+            outside = ~np.broadcast_to(inside, a.shape[:-1])
+            raise DomainError(f"point outside the map's domain: {a[outside][0]}")
         return a
 
     def __call__(self, p):
@@ -112,8 +113,8 @@ def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], n
     the mapping leads with batch axes, as a (B, 1) batch of group
     elements does."""
     a = np.atleast_2d(coords(points, mapping.n))
-    J = mapping.jacobian_at(a)
-    pulled = np.swapaxes(J, -1, -2) @ target_metric(mapping(a)) @ J
+    J = mapping.jacobian_at(a)  # checks the points once
+    pulled = np.swapaxes(J, -1, -2) @ target_metric(require_finite(mapping.forward(a))) @ J
     lam = np.asarray(factor(a))[..., None, None]
     worst = np.abs(pulled - lam * source_metric(a)).max(axis=(-3, -2, -1), initial=0.0)
     return float(worst) if worst.ndim == 0 else worst

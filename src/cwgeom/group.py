@@ -18,9 +18,11 @@ X = e^{s1} A1 beta2(0), X' = e^{s1} A1 beta2'(0) and (Y, Y') =
 
 and the inverse has b^{-1} = -eps e^{-2s} b.
 
-A (and the profile of beta) is validated where an element is built from
-outside; products, inverses and renormalised elements of valid elements
-are checked only for overflow.
+An element built from outside has finite parameters, beta over its profile,
+and A made orthogonal there, once: SymmetricProfile.require_centraliser
+replaces an A past PARAM_TOL of orthogonal by its polar factor.  Products
+and inverses are checked only for overflow and never re-project A: a float
+matrix product is backward stable, so each drifts by at most about n eps.
 
 `apply` and `differential` act on an (..., n+2) array of points, one per
 row, and return arrays.  They broadcast a batch of
@@ -73,42 +75,33 @@ class Homothety:
         A = np.eye(p.n) if self.A is None else p.require_centraliser(self.A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "s", float(self.s))
+        for name in ("b", "c", "s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _require_finite_params(self.b, beta.beta0, beta.beta1, self.c, self.s)
 
     @property
     def is_strict(self):
         """|s| > PARAM_TOL, per row of a batch."""
         return ~within(np.abs(self.s), PARAM_TOL)
 
-    def renormalized(self) -> "Homothety":
-        """Project A back to the orthogonal group (polar decomposition) in
-        the rows where numerical drift has accumulated."""
-        drift = self.A.swapaxes(-1, -2) @ self.A
-        # minus the identity: the diagonal of each n x n block of the fresh product
-        drift.reshape(drift.shape[:-2] + (-1,))[..., :: self.profile.n + 1] -= 1.0
-        if np.abs(drift, out=drift).max() <= PARAM_TOL:
-            return self
-        drifted = drift.max(axis=(-2, -1)) > PARAM_TOL
-        A = self.A.copy()
-        U, _, Vt = np.linalg.svd(A[drifted])
-        A[drifted] = U @ Vt
-        return _element(self.profile, *_params(self)[:5], A, self.s)
-
 
 def _element(profile, b, beta0, beta1, c, eps, A, s) -> Homothety:
     """A Homothety, or a batch of them, from parameters derived from valid
     elements.  It skips every check of the public constructors; a
     parameter that overflowed raises OverflowingValueError."""
-    if not (np.isfinite((b, c, s)).all() and np.isfinite(beta0).all()
-            and np.isfinite(beta1).all()):
-        raise OverflowingValueError("group element has non-finite parameters")
+    _require_finite_params(b, beta0, beta1, c, s)
     beta = object.__new__(BetaSolution)
     beta.__dict__.update(profile=profile, beta0=beta0, beta1=beta1)
     phi = object.__new__(Homothety)
     phi.__dict__.update(profile=profile, b=b, beta=beta, c=c, eps=eps, A=A, s=s)
     return phi
+
+
+def _require_finite_params(b, beta0, beta1, c, s) -> None:
+    """OverflowingValueError if a parameter, or a row of a batch, is not finite."""
+    if not (np.isfinite((b, c, s)).all() and np.isfinite(beta0).all()
+            and np.isfinite(beta1).all()):
+        raise OverflowingValueError("group element has non-finite parameters")
 
 
 def _params(phi: Homothety) -> tuple:
@@ -195,7 +188,7 @@ def compose(phi: Homothety, psi: Homothety) -> Homothety:
          + 0.5 * (_dot(Xd, Y) - e2 * _dot(Yd, X)))
     return _element(phi.profile, b, X + Y, Xd + np.asarray(e2)[..., None] * Yd,
                     phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
-                    phi.s + psi.s).renormalized()
+                    phi.s + psi.s)
 
 
 def inverse(phi: Homothety) -> Homothety:

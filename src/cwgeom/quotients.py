@@ -392,6 +392,8 @@ def self_adjacency(regions: Sequence[BoxRegion], generators: Sequence[Homothety]
     library, the CLI or perfbench/ judges."""
     if not generators:
         raise PreconditionError("self_adjacency needs at least one generator")
+    if not regions:
+        raise PreconditionError("self_adjacency needs at least one region")
     if len({len(reg.holes) for reg in regions}) != 1:
         raise PreconditionError("regions judged together need equally many holes")
     letters = _stack([h for g in generators for h in (g, inverse(g))])

@@ -29,6 +29,7 @@ from cwgeom.group import (
 )
 from cwgeom.quotients import verify_example
 
+from conftest import random_centralising_orthogonal
 from oracles import jacobian_finite_difference
 from test_group_law import KINDS, element, scale, spectral_profile
 
@@ -191,16 +192,18 @@ def test_one_element_is_the_single_product_path_to_the_bit(seed):
     assert np.array_equal(differential(phi, pts), J)
 
 
-def test_renormalized_repairs_only_the_drifted_rows():
+def test_the_gate_projects_only_the_drifted_elements():
+    """Of three elements, only the one whose A enters past PARAM_TOL of
+    orthogonal is projected, to the polar factor of its A: the orthogonal A
+    it was scaled from, to round-off.  A batch keeps each row's A."""
     rng = np.random.default_rng(6)
     prof = spectral_profile("mixed", 4, rng, repeat=True)
-    phis = [element(prof, rng) for _ in range(3)]
-    phis[1] = Homothety(prof, A=phis[1].A * (1 + 2e-9))
-    batch = _stack(phis).renormalized()
+    As = [random_centralising_orthogonal(prof, rng) for _ in range(3)]
+    batch = _stack([Homothety(prof, A=A) for A in (As[0], As[1] * (1 + 2e-9), As[2])])
     for i in (0, 2):
-        assert np.array_equal(batch.A[i], phis[i].A)
+        assert np.array_equal(batch.A[i], As[i])
     assert np.max(np.abs(batch.A[1].T @ batch.A[1] - np.eye(prof.n))) <= 1e-12
-    assert np.array_equal(batch.A[1], phis[1].renormalized().A)
+    assert np.max(np.abs(batch.A[1] - As[1])) <= 1e-12
 
 
 def test_a_repeated_eigenvalue_gets_a_nontrivial_rotation():

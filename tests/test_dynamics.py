@@ -621,10 +621,10 @@ class TestOrbitObstruction:
 
     def test_drifted_A_is_projected_as_compose_projects(self):
         """A profile tolerance of 1e-5 admits A with A^T A - I = 2e-7, past
-        PARAM_TOL, which compose projects back to the orthogonal group in
-        every product.  The conjugates' A are orthogonal and agree with the
-        walk, where conjugating by the unprojected A_gamma would scale them
-        by (1 + 1e-7)^(2k + 1)."""
+        PARAM_TOL, which the constructor projects back to the orthogonal
+        group where the element enters.  The conjugates' A are orthogonal
+        and agree with the walk, where conjugating by the unprojected
+        A_gamma would scale them by (1 + 1e-7)^(2k + 1)."""
         prof = SymmetricProfile(-np.eye(2), tolerance=1e-5)
         gamma = Homothety(prof, c=0.9, s=0.4, A=(1 + 1e-7) * _rot(0.3))
         phi = Homothety(prof, c=0.8, b=0.3, A=(1 + 1e-7) * _rot(-1.1),
@@ -712,6 +712,13 @@ class TestPDReport:
     def test_needs_a_generator(self):
         with pytest.raises(PreconditionError):
             pd_necessary_report([])
+
+    @pytest.mark.parametrize("max_length", [0, -1])
+    def test_needs_a_word_length(self, max_length):
+        # a sweep of no words would read as clean
+        with pytest.raises(PreconditionError, match="max_length"):
+            pd_necessary_report([Homothety(SymmetricProfile([[1.0]]), c=1.0, s=0.5)],
+                                max_length=max_length)
 
     def test_generators_over_different_profiles_raise(self):
         # the sweep reads every word on the first generator's profile, so

@@ -1,5 +1,7 @@
 """Conformal maps to Minkowski space and the flatness dichotomy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -191,6 +193,20 @@ def test_domain_error(case):
     map, its Jacobian, and the pullback checks."""
     with pytest.raises(DomainError):
         case()
+
+
+def test_conformal_defect_checks_the_points_once():
+    """One in_domain call per check; a point outside is still named."""
+    calls = []
+    F = imaginary_local_map(1)
+    counted = replace(F, in_domain=lambda a: calls.append(a) or F.in_domain(a))
+    points = np.array([_at(0.0), _at(1.0), _at(-1.2)])
+    g = lambda a: np.eye(3)
+    assert conformal_defect(counted, g, g, lambda a: 1.0, points) \
+        == conformal_defect(F, g, g, lambda a: 1.0, points)
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match=r"domain: \[2\. 0\. 0\.\]"):
+        conformal_defect(counted, g, g, lambda a: 1.0, np.array([_at(0.0), _at(2.0)]))
 
 
 class TestFlatnessDichotomy:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from cwgeom.core import BetaSolution, Point, SymmetricProfile, symplectic_form
+from cwgeom.core import PARAM_TOL, BetaSolution, Point, SymmetricProfile, symplectic_form
 from cwgeom.curvature import metric_at
-from cwgeom.errors import IncompatibleProfileError
+from cwgeom.errors import IncompatibleProfileError, OverflowingValueError
 from cwgeom.group import (
     Homothety,
     apply,
@@ -19,8 +19,10 @@ from cwgeom.group import (
     power,
 )
 
-from conftest import random_homothety, random_point, random_profile
+from conftest import (random_centralising_orthogonal, random_homothety, random_point,
+                      random_profile)
 from oracles import is_identity
+from test_group_law import KINDS, spectral_profile
 
 
 class TestApply:
@@ -238,11 +240,42 @@ class TestStructure:
         eta = Homothety(prof, beta=BetaSolution(prof, [1.0, 0.0], [0.0, 0.0]))
         assert element_distance(compose(eta, h), compose(h, eta)) > 1e-2
 
-    def test_renormalized_projects_to_orthogonal(self):
-        prof = SymmetricProfile(np.eye(2))
-        drifted = np.eye(2) + 5e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
-        phi = Homothety(prof, A=drifted).renormalized()
-        assert np.max(np.abs(phi.A.T @ phi.A - np.eye(2))) <= 1e-12
+    @pytest.mark.parametrize("case", ["off-diagonal", "scaled"])
+    def test_a_drifted_A_enters_as_its_polar_factor(self, case):
+        """An A past PARAM_TOL of orthogonal, and within the profile's
+        centraliser test, is replaced where it enters by an orthogonal A
+        that still commutes with S."""
+        if case == "off-diagonal":
+            prof = SymmetricProfile(np.eye(2))
+            drifted = np.eye(2) + 5e-9 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        else:
+            rng = np.random.default_rng(6)
+            prof = spectral_profile("mixed", 4, rng, repeat=True)
+            drifted = random_centralising_orthogonal(prof, rng) * (1 + 2e-9)
+        A = Homothety(prof, A=drifted).A
+        assert np.max(np.abs(drifted.T @ drifted - np.eye(prof.n))) > PARAM_TOL
+        assert np.max(np.abs(A.T @ A - np.eye(prof.n))) <= 1e-12
+        assert np.max(np.abs(A @ prof.S - prof.S @ A)) <= 1e-12 * np.max(np.abs(prof.S))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_orthogonal_A_enters_bit_for_bit(self, kind):
+        """An A orthogonal to round-off is kept as given, and a product's A
+        is the product of its factors' A, never re-projected."""
+        rng = np.random.default_rng(9)
+        prof = spectral_profile(kind, 6, rng, repeat=True)
+        A, B = (random_centralising_orthogonal(prof, rng) for _ in range(2))
+        phi, psi = Homothety(prof, A=A), Homothety(prof, A=B, c=0.3, s=0.2)
+        assert np.array_equal(phi.A, A) and np.array_equal(psi.A, B)
+        assert np.array_equal(compose(phi, psi).A, A @ B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("param", ["b", "c", "s", "beta0", "beta1"])
+    def test_non_finite_parameters_rejected(self, param, bad):
+        prof = SymmetricProfile(np.diag([1.0, -2.0]))
+        kwargs = ({"beta": BetaSolution(prof, **{param: [0.5, bad]})}
+                  if param.startswith("beta") else {param: bad})
+        with pytest.raises(OverflowingValueError):
+            Homothety(prof, **kwargs)
 
     def test_bad_eps_rejected(self, rng):
         prof = random_profile(rng, 2)

@@ -3,6 +3,7 @@ per-block reference, the product and inverse against pointwise action,
 and what each group operation costs in calls to the layer below."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cwgeom.core import (
     beta_eval,
     classify,
 )
+from cwgeom.dynamics import orbit_obstruction_sequence
 from cwgeom.errors import OverflowingValueError
 from cwgeom.group import Homothety, apply, compose, identity, inverse, power
 
@@ -193,13 +195,30 @@ class TestCost:
         Homothety(phi.profile, A=phi.A)
         assert len(calls) == 1
 
-    def test_renormalized_skips_the_centraliser_check(self, pair, monkeypatch):
+    def test_the_constructor_checks_A_once(self, pair, monkeypatch):
+        """A drifted A costs one centraliser check where it enters, and
+        enters orthogonal."""
         phi, _ = pair
-        drifted = Homothety(phi.profile, A=phi.A * (1 + 2e-9))
         calls = counter(monkeypatch, SymmetricProfile, "in_centraliser")
-        fixed = drifted.renormalized()
-        assert calls == []
+        fixed = Homothety(phi.profile, A=phi.A * (1 + 2e-9))
+        assert len(calls) == 1
         assert np.max(np.abs(fixed.A.T @ fixed.A - np.eye(phi.profile.n))) <= 1e-12
+
+    def test_products_never_project(self, pair, monkeypatch):
+        """Only the entry gate calls np.linalg.svd: products, inverses,
+        powers and orbits of valid elements keep A as the group law gives it."""
+        phi, psi = pair
+        gamma = Homothety(phi.profile, c=0.4, s=0.3, A=psi.A * (1 + 2e-9))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("A projected after it entered")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        compose(phi, psi)
+        inverse(phi)
+        power(phi, -7)
+        power(gamma, 20)
+        orbit_obstruction_sequence(gamma, phi, K=60)
 
     def test_power_squares(self, monkeypatch):
         # imaginary type and a small s, so that phi^1000 stays finite
@@ -210,3 +229,24 @@ class TestCost:
         calls = counter(monkeypatch, grp, "compose")
         power(phi, 1000)
         assert len(calls) <= 2 * math.ceil(math.log2(1000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 32), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(-1000, 1000), m=st.integers(1, 200))
+def test_products_drift_from_orthogonal_by_n_eps_each(kind, n, seed, k, m):
+    """Nothing re-projects A after it enters, and none needs to: a float
+    matrix product is backward stable, so each product adds about n eps to
+    the drift of A^T A from I.  Hence the drift of power(phi, k) is at
+    most |k| (d + n eps), with d that of phi's A, and that of a left fold
+    of m elements at most m (d + n eps), with d the largest of theirs."""
+    rng = np.random.default_rng(seed)
+    prof = spectral_profile(kind, n, rng, repeat=True)
+    factors = [Homothety(prof, A=random_centralising_orthogonal(prof, rng)) for _ in range(m)]
+
+    def drift(phi):
+        return np.max(np.abs(phi.A.T @ phi.A - np.eye(prof.n)))
+
+    per_product = prof.n * np.finfo(float).eps
+    assert drift(power(factors[0], k)) <= abs(k) * (drift(factors[0]) + per_product)
+    assert drift(reduce(compose, factors)) <= m * (max(map(drift, factors)) + per_product)

@@ -64,6 +64,29 @@ def test_point_is_named_only_where_the_benchmark_reads_it():
     assert "Point" not in cwgeom.__all__
 
 
+def test_A_is_projected_in_one_function():
+    """A is made orthogonal once, where an element enters: np.linalg.svd is
+    called in one function of the package, the gate
+    SymmetricProfile.require_centraliser, and nothing re-projects the A of
+    a product (no `renormalized`)."""
+    callers = []
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "svd"):
+            callers.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            walk(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    assert callers == ["core.SymmetricProfile.require_centraliser"]
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "renormalized" in path.read_text(encoding="utf-8")] == []
+
+
 def test_every_package_definition_has_a_caller():
     used = set().union(*(_references(p) for p in SOURCES))
     defined = set().union(*(_definitions(p) for p in PACKAGE.glob("*.py")))

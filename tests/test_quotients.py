@@ -205,6 +205,10 @@ class TestRemovedFixedPoints:
         with pytest.raises(PreconditionError):
             self_adjacency([R], [])
 
+    def test_self_adjacency_needs_a_region(self):
+        with pytest.raises(PreconditionError, match="at least one region"):
+            self_adjacency([], example4_generators())
+
     def test_self_adjacency_builds_each_power_once(self, monkeypatch):
         """The words are built once for both regions: the powers of every
         generator come from one walk of ADJACENCY_RANGE - 1 batched
