@@ -19,7 +19,6 @@ from cwgeom import (
     orbit_obstruction_sequence,
     pd_necessary_report,
 )
-from cwgeom.dynamics import block_determinant
 from cwgeom.errors import ResonanceError
 
 prof = SymmetricProfile(-np.eye(2))
@@ -38,9 +37,11 @@ except ResonanceError as exc:
     print(f"resonant input raises: {exc}")
 
 lam, c = 1.0, 1.0
-print("block determinant near the resonance s = lambda c:")
+print("block determinant (e^s - e^(lambda c))(e^s - e^(-lambda c)) near the "
+      "resonance s = lambda c:")
 for s in (0.8, 0.99, 1.0, 1.01, 1.2):
-    print(f"  s={s:5.2f}  det={block_determinant(lam ** 2, s, c):+.4e}")
+    det = (np.exp(s) - np.exp(lam * c)) * (np.exp(s) - np.exp(-lam * c))
+    print(f"  s={s:5.2f}  det={det:+.4e}")
 
 # orbit obstruction on an imaginary-type space
 gamma = Homothety(prof, c=1.0, s=0.5)

@@ -8,8 +8,8 @@ and output:
 
 Flags follow the subcommand, and each subcommand accepts only the flags it
 reads: every subcommand takes --output FILE and --format json|pretty;
-pullback-check also takes --seed (default CW_LAB_SEED or 42), --samples
-and --tolerance pullback=VALUE (finite, > 0, default core.PULLBACK_TOL);
+pullback-check also takes --seed (default 42), --samples and
+--tolerance pullback=VALUE (finite, > 0, default core.PULLBACK_TOL);
 verify-example takes --r, for the real-lattice example only.  Bounds:
 every profile, and the n of a pullback-check, has n <= 1024, and a
 curvature profile n <= 64; a pullback-check has 1 <= samples <= 10000
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -286,13 +285,11 @@ def _tolerance(text: str) -> float:
 
 
 def _flags() -> dict:
-    """The argparse settings of each flag.  A string default goes through
-    the flag's type, so a malformed CW_LAB_SEED is rejected like --seed."""
+    """The argparse settings of each flag."""
     return {
         "output": dict(help="write JSON here instead of stdout"),
         "format": dict(choices=["json", "pretty"], default="json"),
-        "seed": dict(type=_at_least(0), default=os.environ.get("CW_LAB_SEED") or "42",
-                     help="seed of the random samples (default: CW_LAB_SEED or 42)"),
+        "seed": dict(type=_at_least(0), default=42, help="seed of the random samples"),
         "samples": dict(type=_at_least(1), default=50, help="number of random samples"),
         "tolerance": dict(type=_tolerance, default=core.PULLBACK_TOL, metavar="pullback=VALUE",
                           help="largest residual that passes"),

@@ -27,7 +27,7 @@ from .errors import (
 # threshold whose verdicts name a size is relative to it (past size 1), and
 # absolute otherwise.
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
-PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, AS - SA, gaps, flatness
+PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, Q^T A Q off the blocks, gaps
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
 #                         entering A is projected) or of |A|(1 - |A|); in the PD sweep too
 FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
@@ -69,11 +69,14 @@ class SymmetricProfile:
     """The symmetric n x n matrix S defining the metric, with a cached
     eigendecomposition.
 
-    S is stored dense; eigenvalues within ``zero_threshold`` = tolerance *
-    max(1, max |eigenvalue|) of zero are treated as exactly zero, here and
-    in ``classify``, and those within PROFILE_SLACK * zero_threshold of each
-    other are grouped into a single spectral block.  A finite S whose trace
-    or eigenvalues overflow is rejected with an OverflowingValueError.
+    S is stored dense.  Its eigh eigenvalues are only used to form the
+    spectral blocks: those within PROFILE_SLACK * z of the block's first
+    one are grouped, z = tolerance * max(1, max |eigenvalue|), and a block
+    whose mean is within z of zero has eigenvalue 0.0.  ``eigenvalues``
+    holds, per eigenvector column in ascending order, its block's
+    eigenvalue: the one spectral decision that the flow, ``classify`` and
+    ``in_centraliser`` read.  A finite S whose trace or eigenvalues
+    overflow is rejected with an OverflowingValueError.
     """
 
     def __init__(self, S, tolerance: float = PROFILE_TOL):
@@ -101,38 +104,32 @@ class SymmetricProfile:
             w, Q = np.linalg.eigh(self.S)
             if not np.all(np.isfinite(w)):
                 raise OverflowingValueError("the eigenvalues of S overflow")
-        self.eigenvalues = w
         self.eigenvectors = Q  # columns
-        self.zero_threshold = self.tolerance * max(1.0, float(np.max(np.abs(w))))
-        # absolute bound, on the scale of S, for commuting with S and for
-        # equality of profiles
+        # absolute bound, on the scale of S, for equality of profiles
         self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * PROFILE_SLACK
-        self.spectrum = self._group_spectrum(w, Q)
-        self._branches = self._column_branches()
-
-    def _group_spectrum(self, w, Q):
-        blocks = []
+        zero = self.tolerance * max(1.0, float(np.max(np.abs(w))))
+        self.spectrum = []
         i = 0
         while i < self.n:
             j = i + 1
-            while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * self.zero_threshold:
+            while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * zero:
                 j += 1
             ev = float(np.mean(w[i:j]))
-            if abs(ev) <= self.zero_threshold:
-                ev = 0.0
-            blocks.append(SpectralBlock(ev, j - i, Q[:, i:j].copy()))
+            self.spectrum.append(SpectralBlock(0.0 if abs(ev) <= zero else ev, j - i,
+                                               Q[:, i:j].copy()))
             i = j
-        return blocks
+        self.eigenvalues = np.repeat([b.eigenvalue for b in self.spectrum],
+                                     [b.multiplicity for b in self.spectrum])
+        self._branches = self._column_branches()
 
     def _column_branches(self):
-        """Per eigenvector column, the grouped eigenvalue decides the closed
-        form of beta'' = S beta.  eigh sorts ascending, so the negative
-        columns come first and the positive ones last: each branch is a
-        slice of columns with r = sqrt|eigenvalue|, the derivative sign
-        times r, and the even and odd function.  Zero columns are in no
-        branch (the affine solution)."""
-        lam = np.repeat([b.eigenvalue for b in self.spectrum],
-                        [b.multiplicity for b in self.spectrum])
+        """Per eigenvector column, its eigenvalue decides the closed form of
+        beta'' = S beta.  eigh sorts ascending, so the negative columns
+        come first and the positive ones last: each branch is a slice of
+        columns with r = sqrt|eigenvalue|, the derivative sign times r, and
+        the even and odd function.  Zero columns are in no branch (the
+        affine solution)."""
+        lam = self.eigenvalues
         root = np.sqrt(np.abs(lam))
         # an ulp of the phase r t of a column with eigenvalue -r^2 is a radian
         # from |t| = 2^52 / r on: beta_eval refuses data there
@@ -165,13 +162,16 @@ class SymmetricProfile:
         return ch, sh, d0
 
     def in_centraliser(self, A) -> bool:
-        """Whether A is orthogonal and commutes with S, within tolerance."""
+        """Whether A is orthogonal and commutes with S: A^T A - I, and Q^T A Q
+        wherever two columns' eigenvalues differ, are within tolerance *
+        PROFILE_SLACK of 0."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n, self.n):
             return False
-        ortho = float(np.max(np.abs(A.T @ A - np.eye(self.n)))) <= self.tolerance * PROFILE_SLACK
-        commutes = float(np.max(np.abs(A @ self.S - self.S @ A))) <= self._scale_tol
-        return ortho and commutes
+        tol, Q, w = self.tolerance * PROFILE_SLACK, self.eigenvectors, self.eigenvalues
+        ortho = float(np.max(np.abs(A.T @ A - np.eye(self.n)))) <= tol
+        mixing = np.abs(Q.T @ A @ Q)[w[:, None] != w]
+        return ortho and float(np.max(mixing, initial=0.0)) <= tol
 
     def require_centraliser(self, A) -> np.ndarray:
         """The one gate for A, where an element enters: A if in_centraliser and
@@ -207,18 +207,14 @@ class Classification:
 
 
 def classify(profile: SymmetricProfile) -> Classification:
-    """Spectral classification of the space defined by S.
-
-    Type is read off the eigenvalue signs: all negative -> imaginary,
-    all positive -> real, both -> mixed, any eigenvalue within tolerance
-    of zero -> degenerate.  Conformal flatness means S is (within
-    tolerance) a scalar matrix.
+    """Spectral classification of the space defined by S, read off the
+    profile's eigenvalues: any 0 -> degenerate, else all negative ->
+    imaginary, all positive -> real, both -> mixed.  Conformal flatness
+    means a single eigenvalue (S is scalar); lambda_max^2 is the largest
+    eigenvalue if it is positive.
     """
     w = profile.eigenvalues
-    zero_tol = profile.zero_threshold
-    near_zero = np.abs(w) <= zero_tol
-    invertible = not bool(np.any(near_zero))
-    if np.any(near_zero):
+    if np.any(w == 0):
         kind = "degenerate"
     elif np.all(w < 0):
         kind = "imaginary"
@@ -226,11 +222,8 @@ def classify(profile: SymmetricProfile) -> Classification:
         kind = "real"
     else:
         kind = "mixed"
-    mean = float(np.trace(profile.S)) / profile.n
-    flat = float(np.max(np.abs(profile.S - mean * np.eye(profile.n)))) <= zero_tol * PROFILE_SLACK
-    positive = w[w > zero_tol]
-    lam = float(np.max(positive)) if positive.size else None
-    return Classification(kind, invertible, flat, lam)
+    lam = float(w[-1]) if w[-1] > 0 else None
+    return Classification(kind, kind != "degenerate", bool(np.all(w == w[0])), lam)
 
 
 # Kept for the benchmark's reads: perfbench/reports.py:94-100 passes Points

@@ -154,14 +154,6 @@ def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> 
     return np.block([[At * ch, At * sh], [At * d0, At * ch]]) - np.eye(2 * profile.n)
 
 
-def block_determinant(eigenvalue: float, s: float, c: float) -> float:
-    """Determinant of the scalar (d = 1) conjugation block at A = 1, which
-    vanishes exactly at the resonance s = +-lambda c for positive eigenvalues."""
-    M = _conjugation_matrix(SymmetricProfile([[eigenvalue]]),
-                            np.full((1, 1), np.exp(s)), c)
-    return float(np.linalg.det(M))
-
-
 def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
                            betahat: BetaSolution) -> BetaSolution:
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta.

@@ -8,6 +8,7 @@ import numpy as np
 
 from cwgeom.core import DOMAIN_TOL, MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
 from cwgeom.curvature import christoffel_at, metric_at
+from cwgeom.dynamics import _conjugation_matrix
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
 
@@ -164,3 +165,10 @@ def box_minus_holes_nonempty(box, holes) -> bool:
                         or box_minus_holes_nonempty(right, live))
     # no face cuts the interior, so the hole covers the box on every axis
     return False
+
+
+def block_determinant(eigenvalue: float, s: float, c: float) -> float:
+    """Determinant of the scalar (d = 1) conjugation block at A = 1, which
+    vanishes exactly at the resonance s = +-lambda c for positive eigenvalues."""
+    return float(np.linalg.det(_conjugation_matrix(SymmetricProfile([[eigenvalue]]),
+                                                   np.full((1, 1), np.exp(s)), c)))

@@ -14,7 +14,6 @@ from cwgeom.cli import main as cli_main
 from cwgeom.core import BetaSolution, SymmetricProfile
 from cwgeom.curvature import metric_at, ricci, riemann, scalar, weyl
 from cwgeom.dynamics import (
-    block_determinant,
     fixed_point,
     inessential_rescaling,
     is_essential,
@@ -42,8 +41,8 @@ from cwgeom.quotients import verify_example, verify_real_lattice_example
 
 from conftest import (random_centralising_orthogonal, random_homothety, random_point,
                       random_profile)
-from oracles import (kulkarni_nomizu, minkowski_dilation, minkowski_inversion,
-                     riemann_finite_difference, trace_with_metric)
+from oracles import (block_determinant, kulkarni_nomizu, minkowski_dilation,
+                     minkowski_inversion, riemann_finite_difference, trace_with_metric)
 
 
 def report(name, ok, detail=""):

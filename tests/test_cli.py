@@ -292,13 +292,6 @@ class TestGlobalFlags:
         assert code == 0 and out == ""
         assert json.loads(dest.read_text())["type"] == "real"
 
-    def test_env_seed(self, tmp_path, capsys, monkeypatch):
-        f = write(tmp_path, "pb.json", {"n": 2, "map": "imaginary"})
-        monkeypatch.setenv("CW_LAB_SEED", "11")
-        _, out1, _ = run(capsys, ["pullback-check", f])
-        _, out2, _ = run(capsys, ["pullback-check", f, "--seed", "11"])
-        assert out1 == out2
-
     def test_samples_flag(self, tmp_path, capsys):
         f = write(tmp_path, "pb.json", {"n": 1, "map": "minkowski"})
         code, out, _ = run(capsys, ["pullback-check", f, "--samples", "5"])
@@ -692,7 +685,6 @@ def test_golden_cli(path, capsys, monkeypatch):
     recorded ones."""
     with open(path, encoding="utf-8") as fh:
         case = json.load(fh)
-    monkeypatch.delenv("CW_LAB_SEED", raising=False)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["input"])))
     code, out, _ = run(capsys, case["argv"])
     assert code == case["exit"]
@@ -710,7 +702,6 @@ def test_golden_stdout_is_strict_json(path, capsys, monkeypatch):
     JSON does not allow."""
     with open(path, encoding="utf-8") as fh:
         case = json.load(fh)
-    monkeypatch.delenv("CW_LAB_SEED", raising=False)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(case["input"])))
     _, out, _ = run(capsys, case["argv"])
     json.loads(out, parse_constant=_reject_constant)

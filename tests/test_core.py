@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from cwgeom.core import (
@@ -81,6 +83,17 @@ class TestSymmetricProfile:
         # non-orthogonal matrices fail even if they commute
         assert not prof.in_centraliser(2.0 * np.eye(3))
 
+    def test_a_rotation_mixing_close_blocks_is_not_in_the_centraliser(self):
+        # AS - SA = 6e-9 is small, but the eigenvalues 1 and 1 + 2e-8 are two
+        # blocks, and the rotation mixes them by sin(0.3)
+        prof = SymmetricProfile(np.diag([1.0, 1.0 + 2e-8]))
+        th = 0.3
+        A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        assert len(prof.spectrum) == 2
+        assert not prof.in_centraliser(A)
+        with pytest.raises(CentraliserViolationError):
+            Homothety(prof, A=A)
+
     def test_equality_is_judged_on_the_scale_of_S(self):
         # no relative slack: 5e-6 apart is a different profile
         assert SymmetricProfile([[1.0]]) != SymmetricProfile([[1.000005]])
@@ -120,6 +133,65 @@ class TestClassify:
             val, der = beta_eval(beta, t)
             assert val[0] == 1.0 + 2.0 * t and der[0] == 2.0
             assert val[1] == 0.0 and der[1] == 0.0
+
+
+    def test_a_block_near_zero_is_judged_by_its_mean(self):
+        # 0 and 5e-9 are one block, whose mean 2.5e-9 is past the zero
+        # threshold 1e-9: positive, as the flow's cosh branch reads it
+        prof = SymmetricProfile(np.diag([0.0, 5e-9]))
+        c = classify(prof)
+        assert c.type == "real" and c.invertible
+        assert c.lambda_max_sq == prof.spectrum[0].eigenvalue == pytest.approx(2.5e-9)
+
+    @pytest.mark.parametrize("S", [np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8]),
+                                   np.eye(4) + 0.9e-8 * (1.0 - np.eye(4))],
+                             ids=["diagonal", "off-diagonal"])
+    def test_two_blocks_are_not_conformally_flat(self, S):
+        # every entry of S is within 1e-8 of a scalar matrix, but its
+        # eigenvalues form two blocks
+        prof = SymmetricProfile(S)
+        assert len(prof.spectrum) == 2
+        assert not classify(prof).conformally_flat
+
+
+OFFSETS = [0.0, 0.3, 0.9, 1.1, 3.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tolerance=st.sampled_from([1e-9, 1e-6]), shared=st.sampled_from([-3.0, -1.0, 0.5, 2.0]),
+       entries=st.lists(st.tuples(st.booleans(), st.sampled_from(OFFSETS),
+                                  st.sampled_from([-1.0, 1.0])), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_classify_and_the_centraliser_read_the_eigenvalues(tolerance, shared, entries, seed):
+    """Eigenvalues clustered at 0 and at a shared value, offset by fractions
+    and multiples of the zero threshold: classify's four fields are read off
+    the profile's eigenvalues, and in_centraliser accepts a Haar draw of
+    prod O(d_k) and rejects it once rotated between two eigenvalues."""
+    rng = np.random.default_rng(seed)
+    zero = tolerance * max(1.0, abs(shared))
+    w = [(0.0 if at_zero else shared) + sign * offset * zero for at_zero, offset, sign in entries]
+    Q, _ = np.linalg.qr(rng.normal(size=(len(w), len(w))))
+    prof = SymmetricProfile((Q * w) @ Q.T, tolerance)
+    lam = prof.eigenvalues
+    signs = frozenset(np.sign(lam))
+    c = classify(prof)
+    assert c.type == ("degenerate" if 0.0 in signs else
+                      {frozenset([-1.0]): "imaginary", frozenset([1.0]): "real"}.get(signs, "mixed"))
+    assert c.invertible == (0.0 not in signs)
+    assert c.conformally_flat == (len(set(lam)) == 1)
+    assert c.lambda_max_sq == (lam.max() if lam.max() > 0 else None)
+
+    A = random_centralising_orthogonal(prof, rng)
+    assert prof.in_centraliser(A)
+    if len(set(lam)) > 1:
+        # rotate the first column's eigenvector towards one of another
+        # eigenvalue, by 1e-6 rad at the default tolerance
+        i, j = 0, int(np.flatnonzero(lam != lam[0])[0])
+        th = 1e3 * tolerance
+        qi, qj = prof.eigenvectors[:, i], prof.eigenvectors[:, j]
+        R = (np.eye(prof.n) + (np.cos(th) - 1.0) * (np.outer(qi, qi) + np.outer(qj, qj))
+             + np.sin(th) * (np.outer(qj, qi) - np.outer(qi, qj)))
+        assert not prof.in_centraliser(R @ A)
 
 
 class TestPoint:

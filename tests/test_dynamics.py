@@ -17,7 +17,6 @@ from cwgeom.core import (
     classify,
 )
 from cwgeom.dynamics import (
-    block_determinant,
     fixed_point,
     inessential_rescaling,
     is_essential,
@@ -48,6 +47,7 @@ from cwgeom.quotients import _param_size
 
 from conftest import (random_centralising_orthogonal, random_homothety, random_point,
                       random_profile)
+from oracles import block_determinant
 from test_group_law import KINDS, element, spectral_profile
 
 

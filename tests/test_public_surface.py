@@ -64,27 +64,52 @@ def test_point_is_named_only_where_the_benchmark_reads_it():
     assert "Point" not in cwgeom.__all__
 
 
-def test_A_is_projected_in_one_function():
-    """A is made orthogonal once, where an element enters: np.linalg.svd is
-    called in one function of the package, the gate
-    SymmetricProfile.require_centraliser, and nothing re-projects the A of
-    a product (no `renormalized`)."""
+def _callers(attr):
+    """module.Class.function of each call `something.attr(...)` in the package."""
     callers = []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "svd"):
+                and node.func.attr == attr):
             callers.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-    assert callers == ["core.SymmetricProfile.require_centraliser"]
-    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
-            if "renormalized" in path.read_text(encoding="utf-8")] == []
+    return callers
+
+
+def _naming(word):
+    """The package files whose text contains word."""
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if word in path.read_text(encoding="utf-8")]
+
+
+def test_A_is_projected_in_one_function():
+    """A is made orthogonal once, where an element enters: np.linalg.svd is
+    called in one function of the package, the gate
+    SymmetricProfile.require_centraliser, and nothing re-projects the A of
+    a product (no `renormalized`)."""
+    assert _callers("svd") == ["core.SymmetricProfile.require_centraliser"]
+    assert _naming("renormalized") == []
+
+
+def test_the_spectrum_is_decided_in_one_function():
+    """S's eigenvalues are grouped once, where a profile is built:
+    np.linalg.eigh is called in SymmetricProfile.__init__ only, classify and
+    in_centraliser read the grouped eigenvalues and not S, and no second
+    zero threshold is kept (no `zero_threshold`)."""
+    assert _callers("eigh") == ["core.SymmetricProfile.__init__"]
+    readers = {node.name: {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
+               for node in ast.walk(ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("classify", "in_centraliser")}
+    assert sorted(readers) == ["classify", "in_centraliser"]
+    assert [name for name, attrs in readers.items() if "S" in attrs] == []
+    assert _naming("zero_threshold") == []
 
 
 def test_every_package_definition_has_a_caller():
