@@ -55,28 +55,18 @@ def within(residual, tol: float, size=1.0):
     return np.less_equal(residual, tol * np.maximum(1.0, size))
 
 
-@dataclass(frozen=True)
-class SpectralBlock:
-    """One eigenvalue of S with its multiplicity and an orthonormal basis
-    of the eigenspace (columns of ``basis``, an n x d matrix)."""
-
-    eigenvalue: float
-    multiplicity: int
-    basis: np.ndarray
-
-
 class SymmetricProfile:
     """The symmetric n x n matrix S defining the metric, with a cached
     eigendecomposition.
 
-    S is stored dense.  Its eigh eigenvalues are only used to form the
-    spectral blocks: those within PROFILE_SLACK * z of the block's first
-    one are grouped, z = tolerance * max(1, max |eigenvalue|), and a block
-    whose mean is within z of zero has eigenvalue 0.0.  ``eigenvalues``
-    holds, per eigenvector column in ascending order, its block's
-    eigenvalue: the one spectral decision that the flow, ``classify`` and
-    ``in_centraliser`` read.  A finite S whose trace or eigenvalues
-    overflow is rejected with an OverflowingValueError.
+    S is stored dense.  Its eigh eigenvalues only form blocks: those within
+    PROFILE_SLACK * z of the block's first one, z = tolerance * max(1, max
+    |eigenvalue|); a block whose mean is within z of zero is 0.0.
+    ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
+    in ascending order, and the columns of one value span an eigenspace:
+    the only spectral data, read by the flow, ``classify``,
+    ``in_centraliser`` and solve_conjugation_beta's resonance gate.  A
+    finite S whose trace or eigenvalues overflow is an OverflowingValueError.
     """
 
     def __init__(self, S, tolerance: float = PROFILE_TOL):
@@ -108,18 +98,15 @@ class SymmetricProfile:
         # absolute bound, on the scale of S, for equality of profiles
         self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * PROFILE_SLACK
         zero = self.tolerance * max(1.0, float(np.max(np.abs(w))))
-        self.spectrum = []
+        self.eigenvalues = np.empty(self.n)
         i = 0
         while i < self.n:
             j = i + 1
             while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * zero:
                 j += 1
-            ev = float(np.mean(w[i:j]))
-            self.spectrum.append(SpectralBlock(0.0 if abs(ev) <= zero else ev, j - i,
-                                               Q[:, i:j].copy()))
+            ev = np.mean(w[i:j])
+            self.eigenvalues[i:j] = 0.0 if abs(ev) <= zero else ev
             i = j
-        self.eigenvalues = np.repeat([b.eigenvalue for b in self.spectrum],
-                                     [b.multiplicity for b in self.spectrum])
         self._branches = self._column_branches()
 
     def _column_branches(self):

@@ -132,17 +132,15 @@ def weyl(profile: SymmetricProfile) -> CurvatureTensor4:
     return CurvatureTensor4(M)
 
 
-def cotton(profile: SymmetricProfile, point=None) -> np.ndarray:
+def cotton(profile: SymmetricProfile) -> np.ndarray:
     """Cotton tensor C_{ijk} = (nabla_i P)_{jk} - (nabla_j P)_{ik}.
 
     P is constant in coordinates and has only a tt-entry, while no
     Christoffel symbol has an upper t index, so C vanishes identically;
-    the formula is still evaluated rather than short-circuited.
+    the formula is still evaluated, at a fixed point, not short-circuited.
     """
-    if point is None:
-        point = np.concatenate(([0.3], np.full(profile.n, 0.7), [-0.2]))
     P = schouten(profile)
-    gamma = christoffel_at(profile, point)
+    gamma = christoffel_at(profile, np.concatenate(([0.3], np.full(profile.n, 0.7), [-0.2])))
     # coordinate derivative of the constant P is zero
     nablaP = -np.einsum("lij,lk->ijk", gamma, P) - np.einsum("lik,jl->ijk", gamma, P)
     return nablaP - np.transpose(nablaP, (1, 0, 2))

@@ -161,31 +161,31 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
     One linear solve for the initial data of beta in the eigenbasis of S.
     For s != 0 it is singular only where (s/c)^2 hits a positive eigenvalue
     r^2 and A fixes a vector of its eigenspace (e^{s +- rc} mu = 1 with
-    |mu| = 1 forces mu = 1), both judged by RESONANCE_TOL: a ResonanceError.
+    |mu| = 1 forces mu = 1, mu an eigenvalue of Q^T A Q on r^2's columns),
+    both judged by RESONANCE_TOL: a ResonanceError.
     """
     A = profile.require_centraliser(A)
     if within(abs(s), PARAM_TOL):
         raise PreconditionError("conjugation solve requires a strict homothety (s != 0)")
+    Q, lam_sq = profile.eigenvectors, profile.eigenvalues
+    Ahat = Q.T @ A @ Q
     if not within(abs(c), PARAM_TOL):
         ratio_sq = (s / c) ** 2
-        lam_sq = np.array([blk.eigenvalue for blk in profile.spectrum])
         hits = (lam_sq > 0) & within(np.abs(ratio_sq - lam_sq), RESONANCE_TOL, lam_sq)
-        for k in np.flatnonzero(hits):
-            basis = profile.spectrum[k].basis
-            if within(np.abs(np.linalg.eigvals(basis.T @ A @ basis) - 1).min(), RESONANCE_TOL):
+        for ev in sorted(set(lam_sq[hits])):  # np.unique would import numpy.ma (1.5 MB)
+            on = np.ix_(lam_sq == ev, lam_sq == ev)
+            if within(np.abs(np.linalg.eigvals(Ahat[on]) - 1).min(), RESONANCE_TOL):
                 raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue "
-                                     f"{lam_sq[k]:.6g} of S, on which A fixes a vector")
-    Q = profile.eigenvectors
+                                     f"{ev:.6g} of S, on which A fixes a vector")
     y0, y1 = betahat.beta0 @ Q, betahat.beta1 @ Q
     # the shift by c reads betahat's columns at phase r c, as beta_eval does
     require_phase(profile, c, y0, y1)
-    M = _conjugation_matrix(profile, np.exp(s) * (Q.T @ A @ Q), c)
+    M = _conjugation_matrix(profile, np.exp(s) * Ahat, c)
     try:
         sol = np.linalg.solve(M, np.concatenate([y0, y1]))
     except np.linalg.LinAlgError as exc:
         raise ResonanceError(f"singular conjugation block: {exc}") from exc
-    n = profile.n
-    return BetaSolution(profile, Q @ sol[:n], Q @ sol[n:])
+    return BetaSolution(profile, Q @ sol[:profile.n], Q @ sol[profile.n:])
 
 
 @dataclass(frozen=True)

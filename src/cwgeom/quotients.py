@@ -456,14 +456,10 @@ def verify_inessential_rescale_U() -> ExampleReport:
     valid by construction and the batch is built unchecked."""
     prof = SymmetricProfile(-np.eye(1))
     rng = np.random.default_rng(42)
-    # element k draws c, eps, the sign of A, s and its point (t, x, v): the
-    # normals after each eps are one draw, ending with the next element's c
-    c0, eps, rest = rng.normal(), np.empty(30), np.empty((30, 6))
-    for k in range(30):
-        eps[k] = (-1.0, 1.0)[rng.integers(0, 2)]
-        rng.standard_normal(out=rest[k])
-    c = np.concatenate(([c0], rest[:-1, 5]))
-    A, s, pts = np.sign(rest[:, :1, None]), rest[:, 1], rest[:, 2:5] + [0.0, 0.5, 0.5]
+    eps = rng.choice([-1.0, 1.0], size=30)
+    c, sign, s = rng.normal(size=(3, 30))
+    pts = rng.normal(size=(30, 3)) + [0.0, 0.5, 0.5]
+    A = np.sign(sign)[:, None, None]
     zero = np.zeros((30, 1))
     batch = _take(_element(prof, np.zeros(30), zero, zero, c, eps, A, s), np.s_[:, None])
     fg = lambda a: rescale_field(a)[..., None, None] * metric_at(prof, a)

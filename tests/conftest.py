@@ -20,15 +20,23 @@ def random_profile(rng, n=None, norm_cap=4.0):
     return SymmetricProfile(S)
 
 
+def eigenspaces(profile: SymmetricProfile):
+    """(eigenvalue, orthonormal basis as columns) for each eigenspace of S,
+    in ascending order: the eigenvector columns sharing one value of
+    profile.eigenvalues."""
+    w = profile.eigenvalues
+    return [(ev, profile.eigenvectors[:, w == ev]) for ev in np.unique(w)]
+
+
 def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray:
     """A random element of C_O(n)(S): on each eigenspace of S a Haar block
     Q sign(diag R) from the QR factors of a Gaussian matrix (Q alone would
     always have determinant (-1)^(d-1))."""
     A = np.zeros((profile.n, profile.n))
-    for blk in profile.spectrum:
-        d = blk.multiplicity
+    for _, basis in eigenspaces(profile):
+        d = basis.shape[1]
         Qb, R = np.linalg.qr(rng.normal(size=(d, d)))
-        A += blk.basis @ (Qb * np.sign(np.diag(R))) @ blk.basis.T
+        A += basis @ (Qb * np.sign(np.diag(R))) @ basis.T
     return A
 
 

@@ -24,7 +24,7 @@ from cwgeom.errors import (
 from cwgeom.dynamics import solve_conjugation_beta
 from cwgeom.group import Homothety, compose
 
-from conftest import random_centralising_orthogonal, random_profile
+from conftest import eigenspaces, random_centralising_orthogonal, random_profile
 
 
 def reparam(beta, c, eps, A):
@@ -39,16 +39,28 @@ class TestSymmetricProfile:
     def test_spectral_round_trip(self, rng):
         for _ in range(20):
             prof = random_profile(rng)
-            # S rebuilt from the spectral blocks
-            rebuilt = sum(b.eigenvalue * (b.basis @ b.basis.T) for b in prof.spectrum)
+            # S rebuilt as Q diag(eigenvalues) Q^T
+            Q = prof.eigenvectors
+            rebuilt = (Q * prof.eigenvalues) @ Q.T
             assert np.max(np.abs(rebuilt - prof.S)) <= 1e-9
-            assert sum(b.multiplicity for b in prof.spectrum) == prof.n
+            assert sum(basis.shape[1] for _, basis in eigenspaces(prof)) == prof.n
 
     def test_repeated_eigenvalues_grouped(self):
         prof = SymmetricProfile(np.diag([2.0, 2.0, -1.0]))
-        assert len(prof.spectrum) == 2
-        mults = sorted(b.multiplicity for b in prof.spectrum)
+        mults = sorted(basis.shape[1] for _, basis in eigenspaces(prof))
         assert mults == [1, 2]
+
+    def test_blocks_snapped_to_zero_are_one_eigenspace(self, rng):
+        # the grouping starts a second block at 0.6e-9, 1.01e-8 past -9.5e-9,
+        # but both block means are within the zero threshold 1e-9: one
+        # eigenvalue 0.0 of multiplicity 12, and the Haar draw mixes all of it
+        prof = SymmetricProfile(np.diag([-9.5e-9] + [0.4e-9] * 10 + [0.6e-9]))
+        [(ev, basis)] = eigenspaces(prof)
+        assert ev == 0.0 and basis.shape == (12, 12)
+        A = random_centralising_orthogonal(prof, rng)
+        At = prof.eigenvectors.T @ A @ prof.eigenvectors
+        assert np.max(np.abs(At[11, :11])) > 1e-2
+        assert prof.in_centraliser(A)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(MalformedProfileError):
@@ -89,7 +101,7 @@ class TestSymmetricProfile:
         prof = SymmetricProfile(np.diag([1.0, 1.0 + 2e-8]))
         th = 0.3
         A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        assert len(prof.spectrum) == 2
+        assert len(eigenspaces(prof)) == 2
         assert not prof.in_centraliser(A)
         with pytest.raises(CentraliserViolationError):
             Homothety(prof, A=A)
@@ -127,7 +139,7 @@ class TestClassify:
         # for beta_eval alike
         prof = SymmetricProfile(np.diag([5e-9, 10.0]))
         assert classify(prof).type == "degenerate"
-        assert [b.eigenvalue for b in prof.spectrum] == [0.0, 10.0]
+        assert [ev for ev, _ in eigenspaces(prof)] == [0.0, 10.0]
         beta = BetaSolution(prof, [1.0, 0.0], [2.0, 0.0])
         for t in (-3.0, 0.5, 40.0):
             val, der = beta_eval(beta, t)
@@ -141,7 +153,8 @@ class TestClassify:
         prof = SymmetricProfile(np.diag([0.0, 5e-9]))
         c = classify(prof)
         assert c.type == "real" and c.invertible
-        assert c.lambda_max_sq == prof.spectrum[0].eigenvalue == pytest.approx(2.5e-9)
+        [(ev, _)] = eigenspaces(prof)
+        assert c.lambda_max_sq == ev == pytest.approx(2.5e-9)
 
     @pytest.mark.parametrize("S", [np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8]),
                                    np.eye(4) + 0.9e-8 * (1.0 - np.eye(4))],
@@ -150,7 +163,7 @@ class TestClassify:
         # every entry of S is within 1e-8 of a scalar matrix, but its
         # eigenvalues form two blocks
         prof = SymmetricProfile(S)
-        assert len(prof.spectrum) == 2
+        assert len(eigenspaces(prof)) == 2
         assert not classify(prof).conformally_flat
 
 

@@ -148,5 +148,4 @@ class TestCurvatureTensors:
     def test_cotton_vanishes(self, rng):
         for _ in range(5):
             prof = random_profile(rng)
-            assert np.max(np.abs(cotton(prof, random_point(rng, prof.n)))) \
-                <= 1e-12
+            assert np.max(np.abs(cotton(prof))) <= 1e-12

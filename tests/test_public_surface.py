@@ -88,6 +88,13 @@ def _naming(word):
             if word in path.read_text(encoding="utf-8")]
 
 
+def _with_attribute(attr):
+    """The package files that read or set an attribute named attr."""
+    return [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if any(isinstance(node, ast.Attribute) and node.attr == attr
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+
+
 def test_A_is_projected_in_one_function():
     """A is made orthogonal once, where an element enters: np.linalg.svd is
     called in one function of the package, the gate
@@ -101,8 +108,14 @@ def test_the_spectrum_is_decided_in_one_function():
     """S's eigenvalues are grouped once, where a profile is built:
     np.linalg.eigh is called in SymmetricProfile.__init__ only, classify and
     in_centraliser read the grouped eigenvalues and not S, and no second
-    zero threshold is kept (no `zero_threshold`)."""
+    zero threshold is kept (no `zero_threshold`).  The per-column
+    eigenvalues are the one spectral representation: no `SpectralBlock`, no
+    `spectrum` attribute, and the resonance gate of solve_conjugation_beta
+    is the one caller of np.linalg.eigvals."""
     assert _callers("eigh") == ["core.SymmetricProfile.__init__"]
+    assert _callers("eigvals") == ["dynamics.solve_conjugation_beta"]
+    assert _naming("SpectralBlock") == []
+    assert _with_attribute("spectrum") == []
     readers = {node.name: {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
                for node in ast.walk(ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8")))
                if isinstance(node, ast.FunctionDef)
