@@ -232,14 +232,12 @@ def normal_form(phi: Homothety) -> NormalFormResult:
 @dataclass(frozen=True)
 class OrbitReport:
     """The images of the origin under gamma^{-k} phi gamma^k, k = 1..K, as
-    one (K, n+2) array, their limit, convergence and fitted decay rate,
-    and the conjugates themselves as one (K,) batch."""
+    one (K, n+2) array, their limit, convergence and fitted decay rate."""
 
     sequence: np.ndarray  # (K, n+2), row k - 1 the image under conjugate k
     limit: np.ndarray  # (n+2,)
     converged: bool
     rate: Optional[float]
-    conjugates: Homothety  # the (K,) batch of gamma^{-k} phi gamma^k, k = 1..K
 
     @property
     def points(self) -> List[Point]:
@@ -254,12 +252,12 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
 
     gamma = (0, 0, c_g, +1, A_g, s_g) must lie in E(1) x C_O(n)(S) x R (no
     Heisenberg part, eps = +1).  Then psi -> gamma^{-1} psi gamma takes b
-    to e^{-2 s_g} b, c to c + (eps - 1) c_g, A to A_g^T A A_g and beta to
-    e^{-s_g} A_g^T beta(. + c_g), and keeps eps and s.  The K steps run
-    this recurrence with no group-law call: beta's data stays in the
-    eigenbasis of S, where the shift by c_g is the elementwise flow of
-    SymmetricProfile.flow (so a decaying mode keeps its relative
-    precision), and is mapped back once at the end.  Conjugate k sends the
+    to e^{-2 s_g} b, c to c + (eps - 1) c_g and beta to e^{-s_g} A_g^T
+    beta(. + c_g), and keeps eps and s; its A never acts on the origin, so
+    is not formed.  The K steps run this recurrence with no group-law
+    call: beta's data stays in the eigenbasis of S, where the shift by c_g
+    is the elementwise flow of SymmetricProfile.flow (so a decaying mode
+    keeps its relative precision), and is mapped back once at the end.  Conjugate k sends the
     origin to (c, beta(0), eps (b - <beta'(0), beta(0)>/2)) in closed form,
     and the report fits a geometric decay rate to the x-block norms.
     """
@@ -275,22 +273,19 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     # y -> y M on eigenbasis rows is beta -> e^{-s_g} A_g^T beta
     M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
     e2s = np.exp(-2 * gamma.s)
-    y, As, b = np.empty((K + 1, 2, n)), np.empty((K, n, n)), np.empty(K)
-    y[0], bk, A = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b, phi.A
+    y, b = np.empty((K + 1, 2, n)), np.empty(K)
+    y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
     y0, y1 = y[0]
-    # a parameter that overflows makes _element raise below
+    # an overflow leaves a non-finite point (v carries b and beta'), refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k + 1])
-            A = As[k] = gamma.A.T @ (A @ gamma.A)
             bk = b[k] = e2s * bk
         c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
-    # step k shifted row k, reading the columns at phase r c_g as beta_eval does
-    require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
-    beta = y[1:] @ Q.T
-    conjugates = _element(prof, b, beta[:, 0], beta[:, 1], c, np.full(K, float(phi.eps)),
-                          As, np.full(K, phi.s))
-    v = phi.eps * (b - _dot(beta[:, 1], beta[:, 0]) / 2)
+        # step k shifted row k, reading the columns at phase r c_g as beta_eval does
+        require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
+        beta = y[1:] @ Q.T
+        v = phi.eps * (b - _dot(beta[:, 1], beta[:, 0]) / 2)
     pts = require_finite(np.column_stack((c, beta[:, 0], v)))
     limit = np.concatenate(([phi.c], np.zeros(n + 1)))
     converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
@@ -306,7 +301,7 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
         if min(m1, m2) > DIVISOR_FLOOR:
             rate = float((m2 / m1) ** (1.0 / half))
-    return OrbitReport(pts, limit, converged, rate, conjugates)
+    return OrbitReport(pts, limit, converged, rate)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """JSON schemas shared by the library and the CLI.
 
-Schemas:
+Schemas (a real is a JSON number, an integer or a float, never a string
+or a boolean):
     profile     {"n": int >= 1, "S": [[real]], "tolerance": real > 0}
                 ("n" and "tolerance" optional; the tolerance, default
                 core.PROFILE_TOL, scales SymmetricProfile's symmetry,
@@ -8,7 +9,7 @@ Schemas:
     homothety   {"b": real, "beta0": [real], "beta1": [real],
                  "c": real, "eps": +-1, "A": [[real]], "s": real}
                 (beta0 and beta1 of n entries, A n x n, for an n x n profile)
-    point       [t, x_1, ..., x_n, v]
+    point       [t, x_1, ..., x_n, v]   (reals)
 
 `dump_json` is the one writer of JSON output and the one owner of each
 library type's JSON form.
@@ -17,6 +18,7 @@ library type's JSON form.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -39,13 +41,24 @@ def _require(cond: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _is_number(value: Any) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a bool."""
+    return type(value) is float or type(value) is int
+
+
 def _real_array(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndarray:
-    """The finite float array of a JSON value, of the given shape when
-    that is given."""
+    """The finite float array of a JSON value, nested lists of numbers, of
+    the given shape when that is given."""
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{what} must be a numeric array: {exc}") from exc
+    # float() reads strings and bools too, so a regular array of a.ndim
+    # levels has its leaves checked
+    leaves = [value]
+    for _ in range(a.ndim):
+        leaves = chain.from_iterable(leaves)
+    _require(all(map(_is_number, leaves)), f"{what} must hold JSON numbers only")
     _require(bool(np.all(np.isfinite(a))), f"{what} has non-finite entries")
     _require(shape is None or a.shape == shape, f"{what} must have shape {shape}, got {a.shape}")
     return a
@@ -53,9 +66,11 @@ def _real_array(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndar
 
 def load_real(data: dict, key: str, default: float) -> float:
     """The finite real field `key` of a JSON object."""
+    value = data.get(key, default)
+    _require(_is_number(value), f"'{key}' must be a real number, got {value!r}")
     try:
-        value = float(data.get(key, default))
-    except (TypeError, ValueError) as exc:
+        value = float(value)
+    except OverflowError as exc:
         raise InputError(f"'{key}' must be a real number: {exc}") from exc
     _require(bool(np.isfinite(value)), f"'{key}' must be finite")
     return value
@@ -75,10 +90,7 @@ def load_profile(data: Any, high: int) -> SymmetricProfile:
     """The profile of a JSON object, at most `high` x `high`."""
     _require(isinstance(data, dict), "profile must be a JSON object")
     _require("S" in data, "profile is missing the field 'S'")
-    try:
-        S = np.asarray(data["S"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"profile field 'S' is not a numeric matrix: {exc}") from exc
+    S = _real_array(data["S"], "profile field 'S'")
     _require(S.size <= high * high,
              f"'S' of shape {S.shape} exceeds the largest profile, {high} x {high}")
     if "n" in data:
@@ -96,8 +108,8 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
              f"'s' = {s} overflows the scale factor e^(2s); |s| must be at most "
              f"{MAX_LOG_SCALE:.2f}")
     n = profile.n
-    beta = BetaSolution(profile, *(_real_array(data.get(key, np.zeros(n)), f"'{key}'", (n,))
-                                   for key in ("beta0", "beta1")))
+    beta = BetaSolution(profile, *(_real_array(data[key], f"'{key}'", (n,)) if key in data
+                                   else np.zeros(n) for key in ("beta0", "beta1")))
     A = data.get("A")
     return Homothety(profile, b=load_real(data, "b", 0.0), beta=beta, c=load_real(data, "c", 0.0),
                      eps=int(eps), A=None if A is None else _real_array(A, "'A'", (n, n)), s=s)
@@ -209,7 +221,10 @@ def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
 
 
 def parse_json(text: str) -> Any:
+    """The JSON value of a text; an input error for text that is not JSON,
+    an integer literal past Python's digit limit, or nesting past the
+    recursion limit."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc

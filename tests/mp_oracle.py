@@ -2,7 +2,7 @@
 
 The flow of beta'' = S beta is mpmath's expm of [[0, I], [S, 0]] t at DPS
 digits, which shares nothing with cwgeom's eigenbasis code.  On it sit
-the action of an element (b, beta, c, eps, A, s),
+the action of an element (b, beta, c, eps, A, s) and its Jacobian,
 
     (t, x, v) |-> (eps t + c, e^s A x + beta(t),
                    eps (e^{2s} v + b - <beta'(t), e^s A x + beta(t)/2>)),
@@ -95,6 +95,23 @@ def apply(e: Element, p) -> np.ndarray:
         return np.array([float(t), *map(float, x), float(v)])
 
 
+def jacobian(e: Element, p) -> np.ndarray:
+    """The Jacobian of e's action at the point p, an (n+2,) float array,
+    rounded to floats: central differences of the action at DPS digits
+    with a step of 10^(-DPS/2), whose error is far below float64 round-off."""
+    with mp.workdps(DPS):
+        q, h = [mp.mpf(float(a)) for a in p], mp.mpf(10) ** (-(DPS // 2))
+
+        def image(j, step):
+            t, *x, v = (a + step if i == j else a for i, a in enumerate(q))
+            t, x, v = _act(e, t, mp.matrix(x), v)
+            return [t, *x, v]
+
+        cols = [[(hi - lo) / (2 * h) for hi, lo in zip(image(j, h), image(j, -h))]
+                for j in range(len(q))]
+        return np.array([[float(col[i]) for col in cols] for i in range(len(q))])
+
+
 def _b(beta0: mp.matrix, beta1: mp.matrix, eps: int, v0):
     """The b of the element with initial data (beta0, beta1) and eps that
     maps the origin to a point with v-part v0."""
@@ -156,6 +173,19 @@ def relative_error(phi, e: Element, with_b: bool = True) -> float:
     if not with_b:
         want, got = want[1:], got[1:]
     return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+def image_error(row, e: Element) -> float:
+    """The error of row, an (n+2,) float array, as e's image of the origin,
+    (c, beta(0), eps (b - <beta'(0), beta(0)>/2)), each part over its own
+    terms: (t, x) over max(1, |c|, |beta(0)|), v over the larger of |b|
+    and |beta'(0)| |beta(0)| / 2."""
+    with mp.workdps(DPS):
+        t, x, v = _act(e, 0, mp.zeros(e.S.rows, 1), 0, (e.beta0, e.beta1))
+        want = np.array([float(t), *map(float, x)])
+        size = max(abs(float(e.b)), float(mp.norm(e.beta1) * mp.norm(e.beta0)) / 2)
+        return max(float(np.max(np.abs(row[:-1] - want))) / max(1.0, np.max(np.abs(want))),
+                   float(abs(mp.mpf(float(row[-1])) - v)) / size)
 
 
 def b_error(phi, e: Element) -> float:

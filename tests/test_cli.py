@@ -384,10 +384,10 @@ class TestMalformedPayloads:
         # the Jacobians of n = 200000 would take 16 TB
         ("pullback-check", {"n": 200000}),
         ("pullback-check", {"n": cli.MAX_PROFILE_N + 1}),
-        # K conjugates and K points, held at once
+        # K points and K steps of n x n work
         ("orbit", dict(ORBIT, K=100000000)),
         ("orbit", dict(ORBIT, K=cli.MAX_ORBIT_K + 1)),
-        # 4592 conjugates of 64 x 64 matrices
+        # 4592 steps on a 64 x 64 profile
         ("orbit", dict(ORBIT, profile={"S": (-np.eye(64)).tolist()}, phi={"c": 1.2},
                        K=4592)),
         # about 2.7e14 reduced words
@@ -407,19 +407,56 @@ class TestMalformedPayloads:
         # a beta or an A of the wrong shape, on each subcommand that loads a homothety
         *[(command, _homothety_payload(command, BAD_SHAPES[name]))
           for command, name in zip(HOMOTHETY_COMMANDS, cycle(BAD_SHAPES))],
+        # JSON integers beyond the float range, in a field and in each array
+        ("apply", {"profile": PROFILE, "phi": {"c": 10**400}, "point": [0, 0, 0, 0]}),
+        ("apply", {"profile": PROFILE, "phi": {"beta0": [0, 10**400]}, "point": [0, 0, 0, 0]}),
+        ("compose", {"profile": PROFILE, "phi": {"A": [[1, 0], [0, 10**400]]}, "psi": {}}),
+        ("classify", {"S": [[10**400]]}),
+        ("apply", {"profile": PROFILE, "phi": {}, "point": [0, 0, 10**400, 0]}),
+        # strings and booleans where the schema says a real
+        ("apply", {"profile": {"S": [[1.0, 0], [0, 2]]},
+                   "phi": {"c": "1.5", "b": True, "beta0": ["0.1", False]},
+                   "point": [0, 0, 0, 0]}),
+        ("apply", {"profile": PROFILE, "phi": {"c": "1.5"}, "point": [0, 0, 0, 0]}),
+        ("apply", {"profile": PROFILE, "phi": {"b": True}, "point": [0, 0, 0, 0]}),
+        ("compose", {"profile": PROFILE, "phi": {"eps": True}, "psi": {}}),
+        ("apply", {"profile": PROFILE, "phi": {"beta1": [0.1, False]}, "point": [0, 0, 0, 0]}),
+        ("compose", {"profile": PROFILE, "phi": {"A": [[1.0, 0.0], [0.0, True]]}, "psi": {}}),
+        ("classify", {"S": [["1", "0"], ["0", "2"]]}),
+        ("classify", dict(PROFILE, tolerance="1e-9")),
+        ("apply", {"profile": PROFILE, "phi": {}, "point": ["0", 0, 0, True]}),
+        # text that json.loads refuses with a ValueError or a RecursionError,
+        # not a JSONDecodeError, sent as written since json.dumps cannot write it
+        ("classify", '{"S": [[' + "1" * 4400 + "]]}"),
+        ("classify", '{"S": ' + "[" * 100000 + "]" * 100000 + "}"),
     ], ids=["top-level-list", "eps-x", "K-a", "K-0", "apply-s-1000",
             "tolerance-z", "n-true", "n-float", "pullback-n-200000", "pullback-n-above-max",
             "K-100000000", "K-above-max", "orbit-entries-above-max", "pd-length-30",
             "pd-words-above-max", "pd-entries-above-max", "classify-n-above-max",
             "compose-n-above-max", "curvature-n-above-max",
             *[f"{command}-{name}"
-              for command, name in zip(HOMOTHETY_COMMANDS, cycle(BAD_SHAPES))]])
+              for command, name in zip(HOMOTHETY_COMMANDS, cycle(BAD_SHAPES))],
+            "c-1e400-int", "beta0-1e400-int", "A-1e400-int", "S-1e400-int",
+            "point-1e400-int", "strings-and-bools", "c-string", "b-bool", "eps-bool",
+            "beta1-bool", "A-bool", "S-strings", "tolerance-string", "point-string-and-bool",
+            "integer-past-the-digit-limit", "nesting-past-the-recursion-limit"])
     def test_exits_2_with_json_error(self, command, payload):
-        proc = run_python(["-m", "cwgeom.cli", command, "-"], json.dumps(payload))
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        proc = run_python(["-m", "cwgeom.cli", command, "-"], text)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         err = json.loads(proc.stderr)["error"]
         assert err["kind"] == "input" and err["detail"]
+
+    def test_input_file_that_is_not_utf8_exits_2(self, tmp_path):
+        """A file that is not UTF-8 is an input error, as the same bytes on
+        stdin are."""
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"S": [[1.0]]}')
+        proc = run_python(["-m", "cwgeom.cli", "classify", str(path)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["kind"] == "input"
 
     @pytest.mark.parametrize("command", HOMOTHETY_COMMANDS)
     def test_badly_shaped_beta_or_A_exits_2(self, command):
@@ -737,7 +774,7 @@ NUMBER = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 2.0, 354.0, -354.0, 1e16,
                      1e154, -1e154, 1e300, -1e300, 5e-324, -5e-324]),
     st.floats(-10.0, 10.0), st.integers(-3, 3))
-BAD = st.sampled_from(["x", None, True, [], {}, [1.0, "a"], math.inf, math.nan])
+BAD = st.sampled_from(["x", None, True, [], {}, [1.0, "a"], math.inf, math.nan, 10**400])
 VALUE = st.one_of(NUMBER, NUMBER, BAD)
 COUNT = st.one_of(st.integers(1, 3), st.sampled_from([0, -1, 1.5, "2"]), BAD)
 

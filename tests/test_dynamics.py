@@ -1,6 +1,7 @@
 """Fixed points, essentiality, normal forms, orbit obstructions."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from cwgeom.errors import (
 )
 from cwgeom.group import (
     Homothety,
-    _take,
     apply,
     compose,
     conjugate,
@@ -43,15 +43,11 @@ from cwgeom.group import (
     inverse,
     power,
 )
-from cwgeom.quotients import _param_size
 
 from conftest import (eigenspaces, random_centralising_orthogonal, random_homothety,
                       random_point, random_profile)
 from oracles import block_determinant
 from test_group_law import KINDS, element, spectral_profile
-
-
-ULP = np.finfo(float).eps
 
 
 def _rot(angle):
@@ -523,18 +519,19 @@ class TestNormalForm:
             normal_form(random_homothety(prof, rng, strict=True, eps=-1))
 
 
-def _assert_image_of_the_origin(prof, conj, row):
-    """row is apply(conj, origin), each part judged against its own terms:
-    (t, x) = (c, beta(0)) within 4n ulp of max(1, |c|, |beta(0)|), and
-    v = eps (b - <beta'(0), beta(0)>/2) within 8n ulp of the larger of |b|
-    and |beta'(0)| |beta(0)| / 2.  apply reads beta(0) and beta'(0) back
-    through the eigenbasis of S, n-term products both ways, which is most
-    of the difference."""
-    beta0, beta1 = conj.beta.beta0, conj.beta.beta1
-    err = np.abs(row - apply(conj, np.zeros(prof.n + 2)))
-    assert np.max(err[:-1]) <= 4 * prof.n * ULP * max(1.0, abs(conj.c), np.max(np.abs(beta0)))
-    assert err[-1] <= 8 * prof.n * ULP * max(abs(conj.b),
-                                             np.linalg.norm(beta1) * np.linalg.norm(beta0) / 2)
+def _assert_image_of_the_origin(prof, walk, row, v_floor=0.0):
+    """row is apply(walk, origin), each part judged against its own terms:
+    (t, x) = (c, beta(0)) within 1e-13 of max(1, |c|, |beta(0)|), and
+    v = eps (b - <beta'(0), beta(0)>/2) within 1e-13 of the largest of
+    v_floor, |b| and |beta'(0)| |beta(0)| / 2.  The orbit's recurrence and
+    the walk of products round differently: over 3600 draws (150 seeds, n
+    in {1, 8, 32}, every profile type, eps = +-1, 12 steps) the parts
+    stayed within 5.9e-15 and 1.0e-14 of their terms."""
+    beta0, beta1 = walk.beta.beta0, walk.beta.beta1
+    err = np.abs(row - apply(walk, np.zeros(prof.n + 2)))
+    assert np.max(err[:-1]) <= 1e-13 * max(1.0, abs(walk.c), np.max(np.abs(beta0)))
+    assert err[-1] <= 1e-13 * max(v_floor, abs(walk.b),
+                                  np.linalg.norm(beta1) * np.linalg.norm(beta0) / 2)
 
 
 class TestOrbitObstruction:
@@ -561,46 +558,46 @@ class TestOrbitObstruction:
 
     @pytest.mark.parametrize("n", [1, 8, 32])
     def test_conjugates_agree_with_the_walk(self, rng, n):
-        """The report carries gamma^{-k} phi gamma^k for k = 1..K as one
-        batch, on every profile type with a repeated eigenvalue that A_gamma
-        turns, for eps_phi = +-1.  The recurrence and the walk by hand
-        round differently: every parameter agrees within 1e-13 of the
-        largest one (8.3e-15 at most over 200 seeds at n <= 32), and b
-        within 1e-13 of itself, since its one term is e^{-2 s_gamma}
-        b_{k-1}.  Point k is the image of the origin under conjugate k, as
-        test_sequence_is_the_image_of_the_origin bounds it."""
+        """Point k of the report is the image of the origin under
+        gamma^{-k} phi gamma^k, walked by hand with compose and inverse, on
+        every profile type with a repeated eigenvalue that A_gamma turns,
+        for eps_phi = +-1, within the per-part bounds of
+        _assert_image_of_the_origin."""
         K = 12
         for kind, eps in itertools.product(KINDS, (1, -1)):
             prof = spectral_profile(kind, n, rng, repeat=True)
             gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
             phi = replace(element(prof, rng), eps=eps)
             rep = orbit_obstruction_sequence(gamma, phi, K=K)
-            assert rep.conjugates.b.shape == (K,)
+            assert len(rep.points) == K
             walk = phi
-            for k, point in enumerate(rep.points):
+            for point in rep.points:
                 walk = compose(inverse(gamma), compose(walk, gamma))
-                conj = _take(rep.conjugates, k)
-                assert element_distance(conj, walk) <= 1e-13 * max(1.0, _param_size(walk))
-                assert abs(conj.b - walk.b) <= 1e-13 * abs(walk.b)
-                _assert_image_of_the_origin(prof, conj, point.as_array())
+                _assert_image_of_the_origin(prof, walk, point.as_array())
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(KINDS), n=st.integers(1, 5), eps=st.sampled_from([-1, 1]),
            seed=st.integers(0, 2**32 - 1))
     def test_sequence_is_the_image_of_the_origin(self, kind, n, eps, seed):
         """Row k of the closed-form sequence, (c, beta(0), eps (b -
-        <beta'(0), beta(0)>/2)) of conjugate k, is apply(conjugate k,
-        origin) within the per-part bounds of _assert_image_of_the_origin
-        (at most 2.8n ulp on (t, x) and 5.4n ulp on v over 44000 seeded
-        draws at n <= 5)."""
+        <beta'(0), beta(0)>/2)) of conjugate k, is the image of the origin
+        under the walk gamma^{-k} phi gamma^k within the per-part bounds of
+        _assert_image_of_the_origin, for random gamma at n <= 5.  With
+        gamma drawn, cancellation can leave a v whose terms lie far below
+        those the walk started from, and then the recurrence and the walk
+        both miss the exact image by up to 3.3e-13 of its terms (the worst
+        of a 13000-draw scan, against mp_oracle).  So v is judged against
+        at least 1, as (t, x) is: 3.6e-14 at most over 10000 draws."""
         rng = np.random.default_rng(seed)
         prof = spectral_profile(kind, n, rng, repeat=n > 1)
         gamma = Homothety(prof, c=float(rng.uniform(0.5, 1.5)), s=float(rng.uniform(0.1, 0.9)),
                           A=random_centralising_orthogonal(prof, rng))
-        rep = orbit_obstruction_sequence(gamma, replace(element(prof, rng), eps=eps), K=12)
+        walk = replace(element(prof, rng), eps=eps)
+        rep = orbit_obstruction_sequence(gamma, walk, K=12)
         assert rep.sequence.shape == (12, prof.n + 2)
-        for k, row in enumerate(rep.sequence):
-            _assert_image_of_the_origin(prof, _take(rep.conjugates, k), row)
+        for row in rep.sequence:
+            walk = compose(inverse(gamma), compose(walk, gamma))
+            _assert_image_of_the_origin(prof, walk, row, v_floor=1.0)
 
     def test_builds_no_point_and_calls_no_apply(self, monkeypatch):
         """The sequence is one array in closed form: no Point is built
@@ -620,20 +617,18 @@ class TestOrbitObstruction:
     def test_drifted_A_is_projected_as_compose_projects(self):
         """A profile tolerance of 1e-5 admits A with A^T A - I = 2e-7, past
         PARAM_TOL, which the constructor projects back to the orthogonal
-        group where the element enters.  The conjugates' A are orthogonal
-        and agree with the walk, where conjugating by the unprojected
-        A_gamma would scale them by (1 + 1e-7)^(2k + 1)."""
+        group where the element enters.  The last point agrees with the
+        walk's, where turning beta by the unprojected A_gamma would scale
+        it by (1 + 1e-7)^k."""
         prof = SymmetricProfile(-np.eye(2), tolerance=1e-5)
         gamma = Homothety(prof, c=0.9, s=0.4, A=(1 + 1e-7) * _rot(0.3))
         phi = Homothety(prof, c=0.8, b=0.3, A=(1 + 1e-7) * _rot(-1.1),
                         beta=BetaSolution(prof, [1.0, 0.5], [0.0, -1.0]))
         rep = orbit_obstruction_sequence(gamma, phi, K=30)
-        A = rep.conjugates.A
-        assert np.max(np.abs(A.swapaxes(-1, -2) @ A - np.eye(2))) <= 1e-14
         walk = phi
         for k in range(30):
             walk = compose(inverse(gamma), compose(walk, gamma))
-        assert element_distance(_take(rep.conjugates, -1), walk) <= 1e-13
+        _assert_image_of_the_origin(prof, walk, rep.sequence[-1])
 
     def test_decaying_mode_stays_at_round_off(self):
         """S = 1, gamma = (c = 1, s = 1) and zeta with beta = e^{-t}: the
@@ -656,11 +651,11 @@ class TestOrbitObstruction:
     def test_zero_central_part_stays_zero_under_an_expanding_gamma(self):
         """b = 0 and beta = 0 stay 0 for K = 100 steps of s_gamma = -6,
         one factor e^{12} per step, where a closed form e^{-2 s_gamma k} b
-        would overflow to inf * 0 = NaN."""
+        would overflow to inf * 0 = NaN: every x and v of the sequence is 0."""
         prof = SymmetricProfile(-np.eye(2))
         rep = orbit_obstruction_sequence(Homothety(prof, c=1.0, s=-6.0),
                                          Homothety(prof, c=0.5, s=0.2), K=100)
-        assert not rep.conjugates.b.any() and not rep.conjugates.beta.beta0.any()
+        assert not rep.sequence[:, 1:].any()
         assert rep.converged
 
     def test_shift_at_a_lost_phase_raises(self):
@@ -673,8 +668,25 @@ class TestOrbitObstruction:
             orbit_obstruction_sequence(gamma, Homothety(prof, beta=BetaSolution(prof, [1.0])))
         assert orbit_obstruction_sequence(gamma, Homothety(prof, c=1.2)).converged
 
+    def test_holds_no_matrix_per_step(self):
+        """At n = 256, K = 60 the orbit's allocations peak below four n x n
+        matrices (2 MiB): it forms one n x n step matrix, and no conjugated
+        A per step (a (K, n, n) stack of them peaked at 32.25 MiB)."""
+        n = 256
+        prof = SymmetricProfile(-np.diag(np.linspace(0.5, 4.0, n)))
+        gamma = Homothety(prof, c=0.9, s=0.4, A=-np.eye(n))
+        phi = Homothety(prof, c=0.8, b=0.3, beta=BetaSolution(prof, np.ones(n), np.zeros(n)))
+        tracemalloc.start()
+        try:
+            rep = orbit_obstruction_sequence(gamma, phi, K=60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.converged
+        assert peak <= 4 * n * n * 8
+
     def test_makes_no_group_law_call(self, monkeypatch):
-        """The conjugates come from the parameter recurrence alone: no
+        """The points come from the parameter recurrence alone: no
         compose or inverse call for 60 conjugates."""
         calls = []
         for name in ("compose", "inverse"):

@@ -1,4 +1,4 @@
-"""Forward errors of the group law, of the orbit conjugates, of the
+"""Forward errors of the group law, of the orbit's points, of the
 conjugation solve and of the normal form against the extended-precision
 oracle of mp_oracle.py, on elements with every parameter non-zero,
 eps = +-1, n = 3 and A a rotation on a repeated eigenvalue of S, and on
@@ -10,7 +10,7 @@ import pytest
 
 from cwgeom.core import BetaSolution, SymmetricProfile
 from cwgeom.dynamics import normal_form, orbit_obstruction_sequence, solve_conjugation_beta
-from cwgeom.group import Homothety, _take, apply, compose, identity, inverse, power
+from cwgeom.group import Homothety, apply, compose, differential, identity, inverse, power
 
 import mp_oracle as mo
 from test_group_law import element, spectral_profile
@@ -56,6 +56,19 @@ def test_compose_inverse_and_apply_forward_error(kind, eps):
     for p in np.random.default_rng(0).normal(size=(3, 5)) * 2.0:
         want = mo.apply(e, p)
         assert np.max(np.abs(apply(phi, p) - want)) <= FORWARD_TOL * max(1.0, np.max(np.abs(want)))
+
+
+@CASES
+def test_differential_forward_error(kind, eps):
+    """differential(phi, p) against the oracle's Jacobian of the action, by
+    central differences at 70 digits, at three points, relative to the
+    largest entry of the Jacobian or 1."""
+    phi = _phi(kind, eps)
+    e = mo.element(phi)
+    for p in np.random.default_rng(1).normal(size=(3, 5)) * 2.0:
+        want = mo.jacobian(e, p)
+        err = np.max(np.abs(differential(phi, p) - want))
+        assert err <= FORWARD_TOL * max(1.0, np.max(np.abs(want))), p
 
 
 @CASES
@@ -125,26 +138,21 @@ def test_normal_form_forward_error(kind, c):
 
 @pytest.mark.parametrize("kind, eps", [(k, e) for k in ORBIT_PROFILES for e in (1, -1)])
 def test_orbit_conjugates_forward_error(kind, eps):
-    """Conjugate k of orbit_obstruction_sequence, k = 1..8, against
-    gamma^{-1} psi gamma by oracle products from psi = phi, with A_gamma
-    the rotation A3 and phi's A the reflection F3, which do not commute.
-    The parameters are judged against the largest one, as beta grows like
-    e^{(2 c_gamma - s_gamma) k} on the eigenvalue 4 of the real and mixed
-    profiles, and b also against the size of the terms the oracle sums for
-    it (mp_oracle.b_error), however small b is.  Not against b alone: b
-    decays like e^{-2 s_gamma k}, and the oracle's b of the real profile
-    is off by 4.3e-13 of itself at k = 8, the round-off of A3's
-    orthogonality times |<beta', beta>| / 2."""
+    """Point k of orbit_obstruction_sequence, k = 1..8, against the image
+    of the origin under gamma^{-1} psi gamma by oracle products from psi =
+    phi, with A_gamma the rotation A3 and phi's A the reflection F3, which
+    do not commute.  Each part is judged against its own terms
+    (mp_oracle.image_error), as beta grows like e^{(2 c_gamma - s_gamma) k}
+    on the eigenvalue 4 of the real and mixed profiles while b decays like
+    e^{-2 s_gamma k}."""
     phi = _phi(kind, eps, F3)
     gamma = Homothety(phi.profile, c=0.6, s=0.4, A=A3)
     rep = orbit_obstruction_sequence(gamma, phi, K=8)
     g = mo.element(gamma)
     g_inv, want = mo.inverse(g), mo.element(phi)
-    for k in range(8):
+    for k, row in enumerate(rep.sequence):
         want = mo.compose(g_inv, mo.compose(want, g))
-        got = _take(rep.conjugates, k)
-        assert mo.relative_error(got, want) <= FORWARD_TOL, k + 1
-        assert mo.b_error(got, want) <= FORWARD_TOL, k + 1
+        assert mo.image_error(row, want) <= FORWARD_TOL, k + 1
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: on a real profile the b cross-term "
