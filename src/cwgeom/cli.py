@@ -59,12 +59,12 @@ MAX_PULLBACK_SAMPLES = 10_000
 MAX_PULLBACK_ENTRIES = 50 * (MAX_PROFILE_N + 2) ** 2  # samples * (n+2)^2
 # the longest orbit: about 0.2 s and 37 MB (ru_maxrss) at n = 1
 MAX_ORBIT_K = 10_000
-# the most K * (n+2)^2 of an orbit, which bounds the K * n^2 work of its
-# steps (one (2, n) by n x n product each) and its K points; it holds no
-# matrix per step.  A fresh process (ru_maxrss; cli.main time, one BLAS
-# thread, best of 3) took 60 MB at n = 42, K = 10000 (0.9 s), 53 MB at
-# n = 64, K = 4500 (0.56 s) and 167 MB at n = 1024, K = 18 (1.9 s), of
-# which loading the payload and its profile takes 163 MB
+# the most K * (n+2)^2 of an orbit: sized for the n x n matrix per step
+# the orbit no longer holds, and kept so that the same requests are
+# refused.  A fresh process (ru_maxrss; cli.main time, one BLAS thread,
+# best of 3) took 60 MB at n = 42, K = 10000 (0.9 s), 53 MB at n = 64,
+# K = 4500 (0.56 s) and 167 MB at n = 1024, K = 18 (1.9 s), 163 MB of it
+# loading the payload and its profile
 MAX_ORBIT_ENTRIES = 20_000_000
 # the most reduced words of a pd-report sweep: at n = 2 and 2 generators,
 # L = 9 (39364 words) took about 0.3 s and 35 MB (ru_maxrss), 158 generators at

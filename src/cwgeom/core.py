@@ -45,7 +45,7 @@ ROUNDOFF_TOL = 1e-9     # one closed-form evaluation or group product against an
 COMPOSED_TOL = 1e-8     # composed maps, exponential charts or Jacobians
 GROWTH_TOL = 1e-7       # a displayed formula growing like e^{-2t}, relative to its values
 WORD_TOL = 1e-6         # a word of several group products, relative to its parameters
-APPROACH_TOL = 1e-3     # how near conjugated elements come to the identity
+APPROACH_TOL = 1e-3     # how near conjugates come to the identity
 RATE_TOL = 0.1          # a fitted geometric rate, relative to the expected one
 
 

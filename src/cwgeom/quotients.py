@@ -265,8 +265,8 @@ def _ex3_finv(q: np.ndarray) -> np.ndarray:
 def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
     """Failed homothetic quotient attempt on the 3-dimensional real-type
     space: the conjugated Heisenberg element with decaying beta acts
-    trivially on the direction left to compactify, and conjugating it by
-    the homothety collapses it to the identity.  The chart checks sample 50
+    trivially on the direction left to compactify and its conjugates by
+    the homothety collapse to the identity.  The chart checks sample 50
     points."""
     prof = SymmetricProfile(np.eye(1))
     gamma = Homothety(prof, c=1.0, s=1.0)
@@ -283,7 +283,7 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
                             [pts + [1.0, 0.0, 0.0], pts + [0.0, 1.0, 0.0]])
 
     # the displayed zeta uses the sign-flipped v-part; as a plain map it
-    # is conjugate to a pure shear in the middle coordinate
+    # conjugates to a pure shear in the middle coordinate
     t, x, v = np.moveaxis(f_pts, -1, 0)
     b = np.exp(-t)
     got = _ex3_finv(np.stack([t, x + b, v - b * (x + b / 2.0)], axis=-1))

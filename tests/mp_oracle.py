@@ -179,13 +179,13 @@ def image_error(row, e: Element) -> float:
     """The error of row, an (n+2,) float array, as e's image of the origin,
     (c, beta(0), eps (b - <beta'(0), beta(0)>/2)), each part over its own
     terms: (t, x) over max(1, |c|, |beta(0)|), v over the larger of |b|
-    and |beta'(0)| |beta(0)| / 2."""
+    and |beta'(0)| |beta(0)| / 2, or absolute where both are 0."""
     with mp.workdps(DPS):
         t, x, v = _act(e, 0, mp.zeros(e.S.rows, 1), 0, (e.beta0, e.beta1))
         want = np.array([float(t), *map(float, x)])
         size = max(abs(float(e.b)), float(mp.norm(e.beta1) * mp.norm(e.beta0)) / 2)
         return max(float(np.max(np.abs(row[:-1] - want))) / max(1.0, np.max(np.abs(want))),
-                   float(abs(mp.mpf(float(row[-1])) - v)) / size)
+                   float(abs(mp.mpf(float(row[-1])) - v)) / (size or 1.0))
 
 
 def b_error(phi, e: Element) -> float:

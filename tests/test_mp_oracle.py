@@ -155,6 +155,14 @@ def test_orbit_conjugates_forward_error(kind, eps):
         assert mo.image_error(row, want) <= FORWARD_TOL, k + 1
 
 
+def test_image_error_where_the_central_terms_vanish():
+    """With b = 0 and beta = 0 the origin goes to (c, 0, 0) and v has no
+    terms to be relative to, so image_error judges it absolutely."""
+    e = mo.element(Homothety(SymmetricProfile(-np.eye(2)), c=0.5, s=0.2))
+    assert mo.image_error(np.array([0.5, 0.0, 0.0, 0.0]), e) == 0.0
+    assert mo.image_error(np.array([0.5, 0.0, 0.0, 1e-3]), e) == 1e-3
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: on a real profile the b cross-term "
                    "subtracts products of two growing modes of beta, so b of power(phi, 20) "
                    "on diag(2, 3) is off by about 1e-7 of itself")
