@@ -55,7 +55,6 @@ from .group import (
     inverse,
 )
 from .quotients import (
-    BoxRegion,
     ExampleReport,
     self_adjacency,
     verify_example,

@@ -14,7 +14,9 @@ verify-example takes --r, for the real-lattice example only.  Bounds:
 every profile, and the n of a pullback-check, has n <= 1024, and a
 curvature profile n <= 64; a pullback-check has 1 <= samples <= 10000
 with samples * (n+2)^2 <= 50 * 1026^2; an orbit has K <= 10000 and
-K * (n+2)^2 <= 2e7; a pd-report on an n x n profile with g generators
+K * (n+2)^2 <= 3e8 (the largest requests took 0.6 s and 80 MB at n = 64,
+K = 10000, 1.2 s and 116 MB at n = 256, K = 4506, and 1.2 s and 139 MB
+at n = 1024, K = 284); a pd-report on an n x n profile with g generators
 and max_length L has at most 100000 reduced words, sum over k <= L of
 2g(2g-1)^(k-1), and words * (n+2)^2 <= 2e7 (the MAX_ constants below).
 
@@ -59,13 +61,15 @@ MAX_PULLBACK_SAMPLES = 10_000
 MAX_PULLBACK_ENTRIES = 50 * (MAX_PROFILE_N + 2) ** 2  # samples * (n+2)^2
 # the longest orbit: about 0.2 s and 37 MB (ru_maxrss) at n = 1
 MAX_ORBIT_K = 10_000
-# the most K * (n+2)^2 of an orbit: sized for the n x n matrix per step
-# the orbit no longer holds, and kept so that the same requests are
-# refused.  A fresh process (ru_maxrss; cli.main time, one BLAS thread,
-# best of 3) took 60 MB at n = 42, K = 10000 (0.9 s), 53 MB at n = 64,
-# K = 4500 (0.56 s) and 167 MB at n = 1024, K = 18 (1.9 s), 163 MB of it
-# loading the payload and its profile
-MAX_ORBIT_ENTRIES = 20_000_000
+# the most K * (n+2)^2 of an orbit, the work of its K steps, each a (2, n)
+# block of rows times an n x n matrix.  The largest admitted requests, in
+# a fresh process (cli.main time, best of 3, and ru_maxrss; one BLAS
+# thread, imaginary S, c_gamma = 1, s_gamma = 0 or 0.5): 0.62 s and 80 MB
+# at n = 64, K = 10000; 1.23 s and 116 MB at n = 256, K = 4506; 1.19 s and
+# 139 MB at n = 1024, K = 284, where K = 18 took 0.64 s and 125 MB.
+# Writing the (K, n+2) sequence as JSON takes most of the time past the
+# loading of the profile.
+MAX_ORBIT_ENTRIES = 300_000_000
 # the most reduced words of a pd-report sweep: at n = 2 and 2 generators,
 # L = 9 (39364 words) took about 0.3 s and 35 MB (ru_maxrss), 158 generators at
 # L = 2 (99856 words) 0.4 s and 38 MB
@@ -202,7 +206,7 @@ COMMANDS = {
     "apply": Subcommand(
         load=_with_profile(lambda prof, data: [
             serialize.load_homothety(prof, data.get("phi", {})),
-            serialize.load_point(prof.n, data.get("point"))]),
+            serialize.load_reals(data.get("point"), "point", (prof.n + 2,))]),
         call=lambda phi, p: grp.apply(phi, p)),
     "fixed-point": Subcommand(
         load=_homotheties("phi"),

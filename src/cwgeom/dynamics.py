@@ -232,10 +232,11 @@ def normal_form(phi: Homothety) -> NormalFormResult:
 @dataclass(frozen=True)
 class OrbitReport:
     """The images of the origin under gamma^{-k} phi gamma^k, k = 1..K, as
-    one (K, n+2) array, their limit, convergence and fitted decay rate."""
+    one (K, n+2) array, their limit (None where the t-coordinate
+    diverges), convergence and fitted decay rate."""
 
     sequence: np.ndarray  # (K, n+2), row k - 1 the image under conjugate k
-    limit: np.ndarray  # (n+2,)
+    limit: Optional[np.ndarray]  # (n+2,)
     converged: bool
     rate: Optional[float]
 
@@ -248,7 +249,10 @@ class OrbitReport:
 def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) -> OrbitReport:
     """The sequence y_k = gamma^{-k} phi gamma^k (0) and its convergence
     to (c_phi, 0, 0), the obstruction to proper discontinuity: converged
-    when y_K lies within ORBIT_TOL of the limit in every coordinate.
+    when y_K lies within ORBIT_TOL of the limit in every coordinate.  The
+    t-coordinate of y_k is c_phi + (eps_phi - 1) k c_gamma, so for
+    eps_phi = -1 and |c_gamma| > PARAM_TOL it diverges: the limit is None
+    and the sequence does not converge.
 
     gamma = (0, 0, c_g, +1, A_g, s_g) must lie in E(1) x C_O(n)(S) x R (no
     Heisenberg part, eps = +1).  Then psi -> gamma^{-1} psi gamma takes b
@@ -287,8 +291,10 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         beta = y[1:] @ Q.T
         v = phi.eps * (b - _dot(beta[:, 1], beta[:, 0]) / 2)
     pts = require_finite(np.column_stack((c, beta[:, 0], v)))
-    limit = np.concatenate(([phi.c], np.zeros(n + 1)))
-    converged = bool(within(float(np.max(np.abs(pts[-1] - limit))), ORBIT_TOL))
+    limit = (None if phi.eps == -1 and not within(abs(c_g), PARAM_TOL)
+             else np.concatenate(([phi.c], np.zeros(n + 1))))
+    converged = limit is not None and bool(within(float(np.max(np.abs(pts[-1] - limit))),
+                                                  ORBIT_TOL))
     x = pts[:, 1:-1]
     norms = np.sqrt(_dot(x, x))  # per row the sum np.linalg.norm makes of one vector
     rate = None

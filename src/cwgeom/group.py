@@ -23,6 +23,10 @@ and A made orthogonal there, once: SymmetricProfile.require_centraliser
 replaces an A past PARAM_TOL of orthogonal by its polar factor.  Products
 and inverses are checked only for overflow and never re-project A: a float
 matrix product is backward stable, so each drifts by at most about n eps.
+`compose`, `inverse` and `apply` run with numpy's overflow warnings off,
+so an overflow surfaces only as OverflowingValueError.  Where e^{+-s} or
+e^{+-2s} overflows, a term whose unscaled factor (b, beta's data or v) is
+exactly 0 stays that zero, as in exact arithmetic, instead of inf * 0 = NaN.
 
 `apply` and `differential` act on an (..., n+2) array of points, one per
 row, and return arrays.  They broadcast a batch of
@@ -120,6 +124,13 @@ def _take(phi: Homothety, rows) -> Homothety:
     return _element(phi.profile, *(x[rows] for x in _params(phi)))
 
 
+def _keep_zeros(scale, factor, product):
+    """product, which is scale * factor however formed, but factor's own
+    zero wherever the scale overflowed to inf: inf * 0 is NaN, while the
+    exact term of a zero factor is that zero."""
+    return np.where(np.isinf(scale) & (factor == 0), factor, product)
+
+
 def _matvec(M, x):
     """M x over leading batch axes: per row the kernel of a single product."""
     return (M @ x[..., None])[..., 0]
@@ -140,16 +151,26 @@ def identity(profile: SymmetricProfile) -> Homothety:
     return Homothety(profile)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def apply(phi: Homothety, p):
     """The images of p, an (..., n+2) array of points, as such an array;
     OverflowingValueError if an image point is not finite."""
     a = coords(p, phi.profile.n)
     t, x, v = a[..., 0], a[..., 1:-1], a[..., -1]
     val, der = beta_eval(phi.beta, t)
-    esAx = np.exp(phi.s)[..., None] * _rowmat(x, phi.A.swapaxes(-1, -2))
-    w = phi.eps * (np.exp(2 * phi.s) * v + phi.b
-                   - np.sum(der * (esAx + 0.5 * val), axis=-1))
-    return require_finite(join(phi.eps * t + phi.c, esAx + val, w))
+    es, e2s = np.exp(phi.s)[..., None], np.exp(2 * phi.s)
+    Ax = _rowmat(x, phi.A.swapaxes(-1, -2))
+
+    def image(esAx, e2sv):
+        w = phi.eps * (e2sv + phi.b - np.sum(der * (esAx + 0.5 * val), axis=-1))
+        return require_finite(join(phi.eps * t + phi.c, esAx + val, w))
+
+    try:
+        return image(es * Ax, e2s * v)
+    except OverflowingValueError:
+        if not np.isinf(e2s).any():
+            raise
+    return image(_keep_zeros(es, Ax, es * Ax), _keep_zeros(e2s, v, e2s * v))
 
 
 def differential(phi: Homothety, p) -> np.ndarray:
@@ -173,6 +194,7 @@ def differential(phi: Homothety, p) -> np.ndarray:
     return J
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compose(phi: Homothety, psi: Homothety) -> Homothety:
     """Group product: apply(compose(phi, psi), p) = apply(phi, apply(psi, p))."""
     if phi.profile != psi.profile:
@@ -183,14 +205,26 @@ def compose(phi: Homothety, psi: Homothety) -> Homothety:
     Xd = _matvec(es1A1, psi.beta.beta1)
     del es1A1  # one (..., n, n) temporary at a time
     Y, Yd = beta_eval(phi.beta, psi.c)
-    e2 = psi.eps
-    b = (np.exp(2 * phi.s) * psi.b + e2 * phi.b
-         + 0.5 * (_dot(Xd, Y) - e2 * _dot(Yd, X)))
-    return _element(phi.profile, b, X + Y, Xd + np.asarray(e2)[..., None] * Yd,
-                    phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
-                    phi.s + psi.s)
+    e2, e2s1 = psi.eps, np.exp(2 * phi.s)
+
+    def product(X, Xd, e2s1b2):
+        b = e2s1b2 + e2 * phi.b + 0.5 * (_dot(Xd, Y) - e2 * _dot(Yd, X))
+        return _element(phi.profile, b, X + Y, Xd + np.asarray(e2)[..., None] * Yd,
+                        phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
+                        phi.s + psi.s)
+
+    try:
+        return product(X, Xd, e2s1 * psi.b)
+    except OverflowingValueError:
+        if not np.isinf(e2s1).any():  # where e^{s1} overflowed, so did e^{2 s1}
+            raise
+    es1 = np.exp(phi.s)[..., None]
+    return product(*(_keep_zeros(es1, _matvec(phi.A, y), Z)
+                     for y, Z in ((psi.beta.beta0, X), (psi.beta.beta1, Xd))),
+                   _keep_zeros(e2s1, psi.b, e2s1 * psi.b))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def inverse(phi: Homothety) -> Homothety:
     eps, c, s = phi.eps, phi.c, phi.s
     A_inv = phi.A.swapaxes(-1, -2)
@@ -198,8 +232,20 @@ def inverse(phi: Homothety) -> Homothety:
     # i.e. beta_inv(t) = -e^{-s} A^T beta(eps t - eps c)
     val, der = beta_eval(phi.beta, -eps * c)
     ems = np.exp(-s)
-    return _element(phi.profile, -eps * ems * ems * phi.b, -ems[..., None] * _matvec(A_inv, val),
-                    (-ems * eps)[..., None] * _matvec(A_inv, der), -eps * c, eps, A_inv, -s)
+    e2ms, ems1 = ems * ems, ems[..., None]
+    Av, Ad = _matvec(A_inv, val), _matvec(A_inv, der)
+
+    def element(e2msb, emsAv, emsAd):
+        return _element(phi.profile, -eps * e2msb, -emsAv, np.asarray(-eps)[..., None] * emsAd,
+                        -eps * c, eps, A_inv, -s)
+
+    try:
+        return element(e2ms * phi.b, ems1 * Av, ems1 * Ad)
+    except OverflowingValueError:
+        if not np.isinf(e2ms).any():  # where e^{-s} overflowed, so did e^{-2s}
+            raise
+    return element(_keep_zeros(e2ms, phi.b, e2ms * phi.b),
+                   *(_keep_zeros(ems1, y, ems1 * y) for y in (Av, Ad)))
 
 
 def element_distance(phi: Homothety, psi: Homothety):

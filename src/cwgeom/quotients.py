@@ -17,7 +17,7 @@ relative to the size of what it compares, and `_chart_checks` compares
 rows of f^-1 . g . f with their targets.  Each example acts on a point
 set once, with one (B, 1) batch; the orbits are read off the (K, n+2)
 sequence of `orbit_obstruction_sequence`, and example 4 judges both of
-its regions on one batch of words.
+its regions, (1 + h, 2, n+2) arrays of boxes, on one batch of words.
 """
 
 from __future__ import annotations
@@ -315,26 +315,6 @@ def verify_failed_3d_example(seed: int = 42) -> ExampleReport:
 # Example 4: removed fixed points, finite self-adjacency, rescale on U
 # ---------------------------------------------------------------------------
 
-Box = Tuple[Tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class BoxRegion:
-    """Axis-aligned box minus a list of axis-aligned holes."""
-
-    outer: Box
-    holes: Tuple[Box, ...] = ()
-
-    def __post_init__(self):
-        for lo, hi in self.outer:
-            if lo >= hi:
-                raise ValueError("outer intervals must be nondegenerate")
-        object.__setattr__(self, "outer", tuple(tuple(map(float, iv)) for iv in self.outer))
-        object.__setattr__(self, "holes",
-                           tuple(tuple(tuple(map(float, iv)) for iv in h)
-                                 for h in self.holes))
-
-
 def _grid(a: np.ndarray) -> np.ndarray:
     """The cells of the grid a (..., C, m) spans, one axis of C per
     coordinate: cell (i_0, ..., i_m-1) holds a[..., i_0, 0] & ... & a[..., i_m-1, m-1]."""
@@ -375,25 +355,29 @@ def _require_axis_map(phi: Homothety) -> None:
         raise UnsupportedCaseError("generator matrix must be a signed permutation")
 
 
-def self_adjacency(regions: Sequence[BoxRegion], generators: Sequence[Homothety]) -> List[set]:
+def self_adjacency(regions: Sequence[np.ndarray], generators: Sequence[Homothety]) -> List[set]:
     """For each region, the exponent tuples (i_1, ..., i_k) with |i_j| <=
     ADJACENCY_RANGE for which the image of the region under g_1^{i_1} ...
-    g_k^{i_k} meets the region in a set of positive measure; the regions
-    need equally many holes, and one batch of words judges them all.  The
-    powers come from one walk of ADJACENCY_RANGE - 1 composes from the
-    letters, every g and g^-1 at once, and the words from one compose per
-    generator after the first.  Each generator maps each coordinate
-    monotonely, so the images of the lowest and highest corner of every
-    box span the image boxes, and one _positive_measure call judges every
-    word on every region: with h holes, (4h+1)^(n+2) cells per word, 125
-    for example 4 (h = 1, n = 1), whose regions are the largest the
-    library, the CLI or perfbench/ judges."""
+    g_k^{i_k} meets the region in a set of positive measure.  A region is
+    a (1 + h, 2, n+2) array of boxes by their lowest and highest corners:
+    the outer box, nondegenerate on every axis, then h holes, as many in
+    every region; one batch of words judges them all.  The powers come
+    from one walk of ADJACENCY_RANGE - 1 composes from the letters, every
+    g and g^-1 at once, and the words from one compose per generator
+    after the first.  Each generator maps each coordinate monotonely, so
+    the images of the corners span the image boxes, and one
+    _positive_measure call judges every word on every region:
+    (4h+1)^(n+2) cells per word, 125 for example 4 (h = 1, n = 1), whose
+    regions are the largest the library, the CLI or perfbench/ judges."""
     if not generators:
         raise PreconditionError("self_adjacency needs at least one generator")
-    if not regions:
+    if not len(regions):
         raise PreconditionError("self_adjacency needs at least one region")
-    if len({len(reg.holes) for reg in regions}) != 1:
+    if len({np.shape(reg) for reg in regions}) != 1:
         raise PreconditionError("regions judged together need equally many holes")
+    corners = np.array(regions, dtype=float)  # (region, box, [lo, hi], n+2), box 0 the outer one
+    if not (corners[:, 0, 0] < corners[:, 0, 1]).all():
+        raise PreconditionError("an outer box must be nondegenerate on every axis")
     letters = _stack([h for g in generators for h in (g, inverse(g))])
     _require_axis_map(letters)
     steps = [_stack([identity(letters.profile)] * len(letters.c)), letters]
@@ -404,8 +388,6 @@ def self_adjacency(regions: Sequence[BoxRegion], generators: Sequence[Homothety]
     combos = list(itertools.product(exps, repeat=len(generators)))
     words = reduce(compose, (_take(walk, (np.abs(col), 2 * j + (col < 0)))
                              for j, col in enumerate(np.array(combos).T)))
-    # (region, box, [lo, hi], n+2), box 0 the outer one
-    corners = np.array([[reg.outer, *reg.holes] for reg in regions]).transpose(0, 1, 3, 2)
     lo, hi = np.moveaxis(apply(_take(words, np.s_[:, None, None, None]), corners), -2, 0)
     # (word, region, box, [lo, hi], n+2)
     img = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-2)
@@ -416,17 +398,15 @@ def self_adjacency(regions: Sequence[BoxRegion], generators: Sequence[Homothety]
     return [{combo for combo, hit in zip(combos, col) if hit} for col in meets.T]
 
 
-def example4_regions() -> Tuple[BoxRegion, BoxRegion]:
+def example4_regions() -> Tuple[np.ndarray, np.ndarray]:
     """The fundamental region R and the neighbourhood V of its closure for
-    the removed-fixed-points quotient on R^3 minus the t-axis."""
-    R = BoxRegion(
-        outer=((0.0, 1.0), (-2.0, 2.0), (-4.0, 4.0)),
-        holes=(((0.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),),
-    )
-    V = BoxRegion(
-        outer=((-1.0, 2.0), (-4.0, 4.0), (-16.0, 16.0)),
-        holes=(((-1.0, 2.0), (-0.5, 0.5), (-0.25, 0.25)),),
-    )
+    the removed-fixed-points quotient on R^3 minus the t-axis, as
+    self_adjacency reads them: the outer box, then the hole about the
+    t-axis, each as its lowest and highest (t, x, v) corner."""
+    R = np.array([[[0.0, -2.0, -4.0], [1.0, 2.0, 4.0]],
+                  [[0.0, -1.0, -1.0], [1.0, 1.0, 1.0]]])
+    V = np.array([[[-1.0, -4.0, -16.0], [2.0, 4.0, 16.0]],
+                  [[-1.0, -0.5, -0.25], [2.0, 0.5, 0.25]]])
     return R, V
 
 
@@ -447,15 +427,25 @@ def rescale_field(p):
     return 1.0 / np.sqrt(q)
 
 
-def verify_inessential_rescale_U() -> ExampleReport:
-    """On U = R^3 minus the t-axis, f = (x^4 + v^2)^{-1/2} makes
-    every element of E(1) x C_O(1)(S) x R an isometry of f g_S: 30
-    sampled elements, drawn with seed 42, form a (30, 1) batch, and one
-    pullback judges each of them at each of 30 sample points.  C_O(1)(S)
-    is {+1, -1}, drawn as the sign of a normal sample, so the draws are
-    valid by construction and the batch is built unchecked."""
-    prof = SymmetricProfile(-np.eye(1))
-    rng = np.random.default_rng(42)
+def verify_removed_fixed_points_example() -> ExampleReport:
+    """Full report for the removed-fixed-points quotient on R^3 minus the
+    t-axis: the fundamental region meets no nontrivial translate, the
+    neighbourhood V is finitely self adjacent with exponent window
+    {-2..2}^2, and on U, f = (x^4 + v^2)^{-1/2} makes every element of
+    E(1) x C_O(1)(S) x R an isometry of f g_S: one pullback judges 30
+    sampled elements, drawn with seed 42 as a (30, 1) batch, at each of 30
+    sample points.  C_O(1)(S) is {+1, -1}, drawn as the sign of a normal
+    sample, so the batch is valid by construction and built unchecked."""
+    R, V = example4_regions()
+    gamma, eta = example4_generators()
+    adj_R, adj_V = self_adjacency((R, V), (gamma, eta))
+    checks = [CheckResult("fundamental_region_disjoint", adj_R == {(0, 0)}, 0.0)]
+    expected = {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
+    checks.append(CheckResult("V_self_adjacency_window", adj_V == expected, 0.0))
+    sym = all((-i, -j) in adj_V for (i, j) in adj_V)
+    checks.append(CheckResult("adjacency_symmetric", sym, 0.0))
+
+    prof, rng = gamma.profile, np.random.default_rng(42)
     eps = rng.choice([-1.0, 1.0], size=30)
     c, sign, s = rng.normal(size=(3, 30))
     pts = rng.normal(size=(30, 3)) + [0.0, 0.5, 0.5]
@@ -466,10 +456,9 @@ def verify_inessential_rescale_U() -> ExampleReport:
     worst = np.max(conformal_defect(SmoothMap(1, partial(apply, batch),
                                               partial(differential, batch)),
                                     fg, fg, lambda a: 1.0, pts))
-    checks = [_check("rescale_equivariance", worst, COMPOSED_TOL)]
+    checks.append(_check("rescale_equivariance", worst, COMPOSED_TOL))
 
     # the t-translation leaves f untouched outright
-    gamma = Homothety(prof, c=1.0)
     p = np.array([0.3, 1.0, 1.2])
     checks.append(_check("t_translation_invariance",
                          abs(rescale_field(apply(gamma, p)) - rescale_field(p)),
@@ -478,25 +467,7 @@ def verify_inessential_rescale_U() -> ExampleReport:
                   "proof that the quotient's conformal structure is "
                   "inessential, since transformations of the quotient need "
                   "not lift to the verified class.")
-    return ExampleReport("inessential-rescale-U", checks, commentary)
-
-
-def verify_removed_fixed_points_example() -> ExampleReport:
-    """Full report for the removed-fixed-points quotient on R^3 minus the
-    t-axis: the fundamental region meets no nontrivial translate, the
-    neighbourhood V is finitely self adjacent with exponent window
-    {-2..2}^2, and the inessential rescale identity holds on U."""
-    R, V = example4_regions()
-    gamma, eta = example4_generators()
-    adj_R, adj_V = self_adjacency((R, V), (gamma, eta))
-    checks = [CheckResult("fundamental_region_disjoint", adj_R == {(0, 0)}, 0.0)]
-    expected = {(i, j) for i in range(-2, 3) for j in range(-2, 3)}
-    checks.append(CheckResult("V_self_adjacency_window", adj_V == expected, 0.0))
-    sym = all((-i, -j) in adj_V for (i, j) in adj_V)
-    checks.append(CheckResult("adjacency_symmetric", sym, 0.0))
-    sub = verify_inessential_rescale_U()
-    checks.extend(sub.checks)
-    return ExampleReport("removed-fixed-points", checks, sub.commentary)
+    return ExampleReport("removed-fixed-points", checks, commentary)
 
 
 EXAMPLES = {

@@ -46,9 +46,10 @@ def _is_number(value: Any) -> bool:
     return type(value) is float or type(value) is int
 
 
-def _real_array(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndarray:
-    """The finite float array of a JSON value, nested lists of numbers, of
-    the given shape when that is given."""
+def load_reals(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """The finite float array of a JSON value, a number or nested lists of
+    numbers, of the given shape when that is given: the one reader of JSON
+    numbers."""
     try:
         a = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -66,14 +67,7 @@ def _real_array(value: Any, what: str, shape: Optional[tuple] = None) -> np.ndar
 
 def load_real(data: dict, key: str, default: float) -> float:
     """The finite real field `key` of a JSON object."""
-    value = data.get(key, default)
-    _require(_is_number(value), f"'{key}' must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError as exc:
-        raise InputError(f"'{key}' must be a real number: {exc}") from exc
-    _require(bool(np.isfinite(value)), f"'{key}' must be finite")
-    return value
+    return float(load_reals(data.get(key, default), f"'{key}'", ()))
 
 
 def load_count(data: dict, key: str, default: int, high: Optional[int] = None) -> int:
@@ -90,7 +84,7 @@ def load_profile(data: Any, high: int) -> SymmetricProfile:
     """The profile of a JSON object, at most `high` x `high`."""
     _require(isinstance(data, dict), "profile must be a JSON object")
     _require("S" in data, "profile is missing the field 'S'")
-    S = _real_array(data["S"], "profile field 'S'")
+    S = load_reals(data["S"], "profile field 'S'")
     _require(S.size <= high * high,
              f"'S' of shape {S.shape} exceeds the largest profile, {high} x {high}")
     if "n" in data:
@@ -108,17 +102,11 @@ def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
              f"'s' = {s} overflows the scale factor e^(2s); |s| must be at most "
              f"{MAX_LOG_SCALE:.2f}")
     n = profile.n
-    beta = BetaSolution(profile, *(_real_array(data[key], f"'{key}'", (n,)) if key in data
+    beta = BetaSolution(profile, *(load_reals(data[key], f"'{key}'", (n,)) if key in data
                                    else np.zeros(n) for key in ("beta0", "beta1")))
     A = data.get("A")
     return Homothety(profile, b=load_real(data, "b", 0.0), beta=beta, c=load_real(data, "c", 0.0),
-                     eps=int(eps), A=None if A is None else _real_array(A, "'A'", (n, n)), s=s)
-
-
-def load_point(n: int, data: Any) -> np.ndarray:
-    a = _real_array(data, "point")
-    _require(a.shape == (n + 2,), f"point must have {n + 2} coordinates")
-    return a
+                     eps=int(eps), A=None if A is None else load_reals(A, "'A'", (n, n)), s=s)
 
 
 def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:

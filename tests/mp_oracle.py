@@ -161,6 +161,21 @@ def power(e: Element, k: int) -> Element:
     return powers(e if k > 0 else inverse(e), abs(k))[-1]
 
 
+def fixed_point(e: Element) -> np.ndarray:
+    """The fixed point of a strict element with eps = -1 or c = 0, rounded
+    to floats: at the fixed time t* (c/2 for eps = -1, else 0), x solves
+    (e^s A - I) x = -beta(t*), and v solves v = eps (e^{2s} v + b -
+    <beta'(t*), e^s A x + beta(t*)/2>)."""
+    with mp.workdps(DPS):
+        t = e.c / 2 if e.eps == -1 else mp.mpf(0)
+        val, der = flow(e, t)
+        esA = mp.exp(e.s) * e.A
+        x = mp.lu_solve(esA - mp.eye(e.S.rows), -val)
+        d = e.eps * (e.b - _dot(der, esA * x + val / 2))
+        v = d / (1 - e.eps * mp.exp(2 * e.s))
+        return np.array([float(t), *map(float, x), float(v)])
+
+
 def relative_error(phi, e: Element, with_b: bool = True) -> float:
     """Max |parameter of the cwgeom element phi - parameter of e| over the
     largest |parameter| of e, or over 1 if that is smaller; infinite if

@@ -217,8 +217,8 @@ class TestArrayBoundary:
 
     def test_overflowing_row_raises(self):
         pts = np.array([[0.0, 1.0, 0.0], [1.0, 1e300, 0.0], [0.5, -1.0, 2.0]])
-        # an overflow, and the 0 * inf it leads to, surface as the error
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowingValueError):
+        # an overflow, and the 0 * inf it leads to, surface as the error alone
+        with pytest.raises(OverflowingValueError):
             apply(Homothety(self.prof, s=354.0), pts)
         # the same map is finite on the other rows
         assert np.isfinite(apply(Homothety(self.prof, s=354.0), pts[[0, 2]])).all()

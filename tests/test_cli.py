@@ -339,11 +339,13 @@ def test_pd_entry_bound_admits_its_largest_length(n, largest):
         cli._max_length(dict(data, max_length=largest + 1), n)
 
 
-@pytest.mark.parametrize("n, largest", [(1, 10000), (42, 10000), (64, 4591), (1024, 18)])
+@pytest.mark.parametrize("n, largest", [(1, 10000), (42, 10000), (64, 10000), (256, 4506),
+                                        (1024, 284)])
 def test_orbit_entry_bound_admits_its_largest_K(n, largest):
     """An orbit on an n x n profile loads up to the largest K within
     MAX_ORBIT_K whose K * (n+2)^2 stays within MAX_ORBIT_ENTRIES; one more
-    step does not.  The peak memory of each of these sizes was measured."""
+    step does not.  The time and peak memory at n = 64, 256 and 1024 were
+    measured (cli.MAX_ORBIT_ENTRIES)."""
     assert cli._orbit_length({"K": largest}, n) == largest
     with pytest.raises(InputError):
         cli._orbit_length({"K": largest + 1}, n)
@@ -387,9 +389,9 @@ class TestMalformedPayloads:
         # K points and K steps of n x n work
         ("orbit", dict(ORBIT, K=100000000)),
         ("orbit", dict(ORBIT, K=cli.MAX_ORBIT_K + 1)),
-        # 4592 steps on a 64 x 64 profile
-        ("orbit", dict(ORBIT, profile={"S": (-np.eye(64)).tolist()}, phi={"c": 1.2},
-                       K=4592)),
+        # 4507 steps on a 256 x 256 profile
+        ("orbit", dict(ORBIT, profile={"S": (-np.eye(256)).tolist()}, phi={"c": 1.2},
+                       K=4507)),
         # about 2.7e14 reduced words
         ("pd-report", {"profile": {"S": [[1.0]]}, "max_length": 30,
                        "generators": [{"c": 1.0, "s": 0.1}, {"c": 0.5, "s": -0.2}]}),
@@ -500,7 +502,11 @@ def test_overflow_exits_3_with_json_error():
     # b grows by e^{708} per conjugation
     ("orbit", {"profile": {"S": [[-1.0]]}, "gamma": {"c": 1.0, "s": -354.0},
                "phi": {"b": 100.0}, "K": 3}),
-], ids=["apply", "compose", "apply-inf-minus-inf", "apply-zero-times-inf", "orbit"])
+    # the word 1 1 2 has b = e^{800}
+    ("pd-report", {"profile": {"S": [[1.0]]}, "max_length": 3,
+                   "generators": [{"s": 200.0, "c": 1.0}, {"b": 1.0, "c": 1.0}]}),
+], ids=["apply", "compose", "apply-inf-minus-inf", "apply-zero-times-inf", "orbit",
+        "pd-report"])
 def test_overflow_stderr_is_one_json_document(command, payload):
     """An overflow exits 3 with nothing on stdout, and no numpy warning
     precedes the JSON error: stderr parses whole."""
@@ -508,6 +514,32 @@ def test_overflow_stderr_is_one_json_document(command, payload):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["error"]["kind"] == "overflow"
+
+
+def test_zero_words_past_an_overflowing_scale_exit_0(capsys, monkeypatch):
+    """Every word of one generator with b = 0 and beta = 0 has b = 0 and
+    beta = 0, however large e^{2s}: g g g has s = 600, and its prefix g g
+    scales the b of g by e^{800} = inf.  The sweep reports the six words
+    by the quotient law alone."""
+    payload = {"profile": {"S": [[1.0]]}, "generators": [{"s": 200.0, "c": 1.0}],
+               "max_length": 3}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, ["pd-report", "-"])
+    assert (code, err) == (0, "")
+    reply = json.loads(out)
+    assert reply["words_checked"] == 6
+    assert [o["kind"] for o in reply["obstructions"]] == ["inequality"] * 6
+
+
+def test_orbit_with_a_diverging_t_coordinate_has_no_limit(capsys, monkeypatch):
+    """For eps_phi = -1 the t-coordinate of conjugate k is c_phi - 2 k c_gamma."""
+    payload = {"profile": {"S": [[1.0]]}, "gamma": {"c": 1.0, "s": 0.5},
+               "phi": {"c": 1.0, "eps": -1}, "K": 3}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, _ = run(capsys, ["orbit", "-"])
+    reply = json.loads(out)
+    assert code == 0 and reply["limit"] is None and reply["converged"] is False
+    assert [row[0] for row in reply["sequence"]] == [-1.0, -3.0, -5.0]
 
 
 @pytest.mark.parametrize("command, payload, code", [

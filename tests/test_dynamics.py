@@ -561,6 +561,17 @@ class TestOrbitObstruction:
         assert rep.limit[0] == pytest.approx(1.4)
         assert np.max(np.abs(rep.points[-1].as_array() - rep.limit)) <= 1e-8
 
+    @pytest.mark.parametrize("c_gamma, limit", [(1.0, None), (0.0, [1.0, 0.0, 0.0])])
+    def test_no_limit_where_the_t_coordinate_diverges(self, c_gamma, limit):
+        """For eps_phi = -1 the t-coordinate of conjugate k is
+        c_phi - 2 k c_gamma: no limit unless c_gamma is 0."""
+        prof = SymmetricProfile([[1.0]])
+        rep = orbit_obstruction_sequence(Homothety(prof, c=c_gamma, s=0.5),
+                                         Homothety(prof, c=1.0, eps=-1), K=3)
+        assert rep.sequence[:, 0].tolist() == [1.0 - 2 * k * c_gamma for k in (1, 2, 3)]
+        assert (rep.limit if limit is None else rep.limit.tolist()) == limit
+        assert rep.converged == (limit is not None)
+
     @pytest.mark.parametrize("n", [1, 8, 32])
     def test_conjugates_agree_with_the_walk(self, rng, n):
         """Point k of the report is the image of the origin under
@@ -831,8 +842,7 @@ def library_pd_report(generators, max_length):
 def _outcome(sweep, generators, max_length):
     """A sweep's result, or its error's type and message."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return sweep(generators, max_length)
+        return sweep(generators, max_length)
     except Exception as exc:
         return type(exc), str(exc)
 

@@ -147,12 +147,40 @@ class TestOverflow:
     prof = SymmetricProfile([[1.0]])
 
     def test_compose(self):
-        with np.errstate(over="ignore"), pytest.raises(OverflowingValueError):
+        with pytest.raises(OverflowingValueError):
             compose(Homothety(self.prof, s=354.0), Homothety(self.prof, b=100.0))
 
     def test_inverse(self):
-        with np.errstate(over="ignore"), pytest.raises(OverflowingValueError):
+        with pytest.raises(OverflowingValueError):
             inverse(Homothety(self.prof, b=100.0, s=-354.0))
+
+    def test_a_zero_factor_survives_an_overflowing_scale(self):
+        """e^{800} is inf, and inf * 0 is NaN, but the exact term of a zero
+        b, beta or v is that zero: a dilation fixes the origin."""
+        P = self.prof
+        prod = compose(Homothety(P, s=400.0), Homothety(P))
+        assert (prod.b, prod.s) == (0.0, 400.0) and not prod.beta.beta0.any()
+        inv = inverse(Homothety(P, s=-400.0))
+        assert (inv.b, inv.s) == (0.0, 400.0) and not inv.beta.beta1.any()
+        assert apply(Homothety(P, s=400.0), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_overflowing_rows_leave_the_other_rows_bit_identical(self):
+        """In a batch, each row is what it is alone, bit for bit: e^{2s}
+        overflows in compose at s = 400, e^{-2s} in inverse at s = -400
+        and e^{s} in compose at s = 720, and the zeros of those rows stay
+        zeros."""
+        P = SymmetricProfile(np.diag([1.0, -2.0]))
+        rng = np.random.default_rng(7)
+        phis = [Homothety(P, s=400.0), Homothety(P, s=-400.0),
+                Homothety(P, s=720.0, A=-np.eye(2)), element(P, rng), element(P, rng)]
+        psis = [identity(P)] * 3 + [element(P, rng), element(P, rng)]
+        for got, alone in ((compose(grp._stack(phis), grp._stack(psis)), map(compose, phis, psis)),
+                           (inverse(grp._stack(phis)), map(inverse, phis))):
+            for k, want in enumerate(alone):
+                assert all(map(np.array_equal, grp._params(grp._take(got, k)),
+                               grp._params(want))), k
+        images = apply(grp._take(grp._stack(phis), np.s_[:, None]), np.zeros((2, 4)))
+        assert np.array_equal(images[:3], np.zeros((3, 2, 4)))
 
 
 def counter(monkeypatch, owner, name):

@@ -1,6 +1,6 @@
 """Forward errors of the group law, of the orbit's points, of the
-conjugation solve and of the normal form against the extended-precision
-oracle of mp_oracle.py, on elements with every parameter non-zero,
+conjugation solve, of the normal form and of the fixed point against the
+extended-precision oracle of mp_oracle.py, on elements with every parameter non-zero,
 eps = +-1, n = 3 and A a rotation on a repeated eigenvalue of S, and on
 random draws of test_group_law."""
 
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from cwgeom.core import BetaSolution, SymmetricProfile
-from cwgeom.dynamics import normal_form, orbit_obstruction_sequence, solve_conjugation_beta
+from cwgeom.dynamics import (fixed_point, normal_form, orbit_obstruction_sequence,
+                             solve_conjugation_beta)
 from cwgeom.group import Homothety, apply, compose, differential, identity, inverse, power
 
 import mp_oracle as mo
@@ -134,6 +135,18 @@ def test_normal_form_forward_error(kind, c):
     want = mo.compose(mo.compose(g, mo.element(phi)), mo.inverse(g))
     assert mo.relative_error(res.normal, want) <= FORWARD_TOL
     assert res.normal.c == abs(c) and res.residual <= FORWARD_TOL
+
+
+@pytest.mark.parametrize("kind, eps", [(k, e) for k in ORBIT_PROFILES for e in (1, -1)])
+def test_fixed_point_forward_error(kind, eps):
+    """The fixed point of a strict element, with eps = -1 at c = 1 or with
+    eps = +1 at c = 0, against the oracle's, relative to the largest
+    |coordinate| of the point or 1."""
+    phi = _phi(kind, -1) if eps == -1 else _phi(kind, 1, c=0.0)
+    rep = fixed_point(phi)
+    want = mo.fixed_point(mo.element(phi))
+    assert rep.exists
+    assert np.max(np.abs(rep.point - want)) <= FORWARD_TOL * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("kind, eps", [(k, e) for k in ORBIT_PROFILES for e in (1, -1)])

@@ -64,22 +64,33 @@ def test_point_is_named_only_where_the_benchmark_reads_it():
     assert "Point" not in cwgeom.__all__
 
 
-def _callers(attr):
-    """module.Class.function of each call `something.attr(...)` in the package."""
-    callers = []
+def _scopes(found):
+    """module.Class.function of each node of the package for which found(node) holds."""
+    scopes = []
 
     def walk(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
-            callers.append(".".join(scope))
+        if found(node):
+            scopes.append(".".join(scope))
         for child in ast.iter_child_nodes(node):
             walk(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         walk(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
-    return callers
+    return scopes
+
+
+def _callers(attr):
+    """module.Class.function of each call `something.attr(...)` in the package."""
+    return _scopes(lambda node: isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute) and node.func.attr == attr)
+
+
+def _readers(name):
+    """module.Class.function of each read of the bare name in the package."""
+    return _scopes(lambda node: isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   and node.id == name)
 
 
 def _naming(word):
@@ -123,6 +134,22 @@ def test_the_spectrum_is_decided_in_one_function():
     assert sorted(readers) == ["classify", "in_centraliser"]
     assert [name for name, attrs in readers.items() if "S" in attrs] == []
     assert _naming("zero_threshold") == []
+
+
+def test_a_region_is_checked_where_it_is_read():
+    """A region is an array that self_adjacency checks, and example 4's
+    rescale checks are part of its one report: no package file names
+    BoxRegion or a separate rescale report."""
+    assert _naming("BoxRegion") == [] and _naming("verify_inessential_rescale_U") == []
+
+
+def test_box_region_is_not_exported():
+    assert "BoxRegion" not in cwgeom.__all__
+
+
+def test_json_numbers_have_one_reader():
+    """serialize reads JSON numbers in one function, the one reader of _is_number."""
+    assert _readers("_is_number") == ["serialize.load_reals"]
 
 
 def test_every_package_definition_has_a_caller():

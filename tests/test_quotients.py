@@ -10,7 +10,6 @@ from cwgeom.core import PARAM_TOL, SymmetricProfile
 from cwgeom.errors import PreconditionError, UnsupportedCaseError
 from cwgeom.group import Homothety, _element
 from cwgeom.quotients import (
-    BoxRegion,
     EXAMPLES,
     _positive_measure,
     example4_generators,
@@ -20,7 +19,6 @@ from cwgeom.quotients import (
     verify_example,
     verify_failed_3d_example,
     verify_imaginary_torus_example,
-    verify_inessential_rescale_U,
     verify_real_lattice_example,
     verify_removed_fixed_points_example,
 )
@@ -149,13 +147,17 @@ class TestBoxArithmetic:
         assert _measure(box, holes) == box_minus_holes_nonempty(box, holes)
 
     def test_region_validation(self):
-        with pytest.raises(ValueError):
-            BoxRegion(outer=((1.0, 0.0),))
+        # an outer box of zero width on t, then one reversed on x
+        R, _ = example4_regions()
+        for axis, hi in ((0, 0.0), (1, -3.0)):
+            region = R.copy()
+            region[0, 1, axis] = hi
+            with pytest.raises(PreconditionError, match="nondegenerate"):
+                self_adjacency([region], example4_generators())
 
     def test_axis_map_rejection(self):
         prof = SymmetricProfile(-np.eye(2))
-        region = BoxRegion(outer=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0),
-                                  (0.0, 1.0)))
+        region = np.array([[[0.0] * 4, [1.0] * 4]])
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         with pytest.raises(UnsupportedCaseError):
@@ -228,7 +230,7 @@ class TestRemovedFixedPoints:
         gens = example4_generators()
         assert self_adjacency((R, V), gens) == self_adjacency([R], gens) + self_adjacency([V], gens)
         with pytest.raises(PreconditionError):
-            self_adjacency((R, BoxRegion(R.outer)), gens)
+            self_adjacency((R, R[:1]), gens)
 
     def test_rescale_field(self):
         assert rescale_field(np.array([0.0, 1.0, 2.0])) == pytest.approx(1.0 / np.sqrt(1.0 + 4.0))
@@ -236,9 +238,10 @@ class TestRemovedFixedPoints:
             rescale_field(np.array([1.0, 0.0, 0.0, 0.0]))
 
     def test_rescale_identity_on_U(self):
-        report = verify_inessential_rescale_U()
+        report = verify_removed_fixed_points_example()
         _assert_report_passes(report)
-        assert report.checks[0].residual <= 1e-8
+        by_name = {c.name: c for c in report.checks}
+        assert by_name["rescale_equivariance"].residual <= 1e-8
 
 
 class TestRegistry:
