@@ -65,8 +65,12 @@ class SymmetricProfile:
     ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
     in ascending order, and the columns of one value span an eigenspace:
     the only spectral data, read by the flow, ``classify``,
-    ``in_centraliser`` and solve_conjugation_beta's resonance gate.  A
-    finite S whose trace or eigenvalues overflow is an OverflowingValueError.
+    ``in_centraliser`` and solve_conjugation_beta's resonance gate.  The
+    flow reads them through tables built once here, per column: the rate
+    r, the derivative factor, each sign's slice of columns and the phase
+    limit, so that a call runs each of its functions once over all times.
+    A finite S whose trace or eigenvalues overflow is an
+    OverflowingValueError.
     """
 
     def __init__(self, S, tolerance: float = PROFILE_TOL):
@@ -107,26 +111,32 @@ class SymmetricProfile:
             ev = np.mean(w[i:j])
             self.eigenvalues[i:j] = 0.0 if abs(ev) <= zero else ev
             i = j
-        self._branches = self._column_branches()
+        self._flow_tables()
 
-    def _column_branches(self):
-        """Per eigenvector column, its eigenvalue decides the closed form of
-        beta'' = S beta.  eigh sorts ascending, so the negative columns
-        come first and the positive ones last: each branch is a slice of
-        columns with r = sqrt|eigenvalue|, the derivative sign times r, and
-        the even and odd function.  Zero columns are in no branch (the
-        affine solution)."""
+    def _flow_tables(self):
+        """The flow's per-column tables, built once.  r = sqrt|eigenvalue|
+        is a column's rate (1 on a zero column, where no function reads
+        it, so that an infinite t makes no inf * 0) and sign * r its
+        derivative factor.  eigh sorts ascending, so the negative columns
+        come first and the positive ones last: a branch with columns is
+        its even and odd function, (cos, sin) or (cosh, sinh), with the
+        slice of its columns.  Only a zero column keeps the fills (1, 0)
+        of ch and odd; with none, the nonzero mask is True and both start
+        empty."""
         lam = self.eigenvalues
-        root = np.sqrt(np.abs(lam))
+        neg, pos = int(np.sum(lam < 0)), int(np.sum(lam > 0))
+        self._rate = np.where(lam == 0, 1.0, np.sqrt(np.abs(lam)))
+        self._signed_rate = np.where(lam < 0, -self._rate, self._rate)
+        self._branches = [(even, odd, cols) for even, odd, cols in (
+            (np.cos, np.sin, slice(0, neg)), (np.cosh, np.sinh, slice(self.n - pos, self.n)))
+            if cols.start < cols.stop]
+        self._nonzero = True if neg + pos == self.n else lam != 0
+        self._fills = (np.empty, np.empty) if self._nonzero is True else (np.ones, np.zeros)
         # an ulp of the phase r t of a column with eigenvalue -r^2 is a radian
         # from |t| = 2^52 / r on: beta_eval refuses data there
-        self._phase_limit = np.divide(2.0 ** 52, root, out=np.full(self.n, np.inf), where=lam < 0)
-        neg = slice(0, int(np.sum(lam < 0)))
-        pos = slice(self.n - int(np.sum(lam > 0)), self.n)
-        return [(sl, root[sl], sign * root[sl], even, odd)
-                for sl, even, odd, sign in ((neg, np.cos, np.sin, -1.0),
-                                            (pos, np.cosh, np.sinh, 1.0))
-                if sl.start < sl.stop]
+        self._phase_limit = np.divide(2.0 ** 52, self._rate, out=np.full(self.n, np.inf),
+                                      where=lam < 0)
+        self._min_phase_limit = float(self._phase_limit[0])  # column 0 oscillates fastest
 
     def flow(self, t):
         """Per eigenvector column, the closed-form flow (ch, sh, d0) of
@@ -135,18 +145,19 @@ class SymmetricProfile:
         (ch, sh, d0) = (cosh, sinh/r, r sinh)(r t) for a positive eigenvalue
         r^2, (cos, sin/r, -r sin)(r t) for a negative one -r^2, and
         (1, t, 0) for a zero one.  t may be an array of times: each part
-        has its shape with a trailing axis of n columns."""
+        has its shape with a trailing axis of n columns.  Each function runs
+        once, on its branch's columns of all the times."""
         t = np.asarray(t, dtype=float)[..., None]
-        d0 = np.zeros(t.shape[:-1] + (self.n,))
-        ch = d0 + 1.0
-        sh = ch * t
-        for cols, r, sr, even, odd in self._branches:
-            rt = t * r
-            ch[..., cols] = even(rt)
-            o = odd(rt)
-            sh[..., cols] = o / r
-            d0[..., cols] = sr * o
-        return ch, sh, d0
+        rt = t * self._rate
+        fill_ch, fill_odd = self._fills
+        ch, odd = fill_ch(rt.shape), fill_odd(rt.shape)
+        for f_even, f_odd, cols in self._branches:
+            r = rt[..., cols]
+            f_even(r, out=ch[..., cols])
+            f_odd(r, out=odd[..., cols])
+        # rt is t on a zero column, whose sh is t
+        sh = np.divide(odd, self._rate, out=rt, where=self._nonzero)
+        return ch, sh, self._signed_rate * odd
 
     def in_centraliser(self, A) -> bool:
         """Whether A is orthogonal and commutes with S: A^T A - I, and Q^T A Q
@@ -294,10 +305,13 @@ def require_phase(profile: SymmetricProfile, t, y0, y1) -> None:
     """PreconditionError if a time, or a row of an array of times, has lost
     the phase of an eigenvector column in which its eigenbasis data y0 or
     y1 (shape (n,), or one row per time) is nonzero; the message names the
-    largest such |t|."""
+    largest such |t|.  A float time (Python or numpy) below every
+    column's limit passes at once."""
+    if isinstance(t, float) and abs(t) < profile._min_phase_limit:
+        return
     t = np.abs(np.asarray(t, dtype=float))
     t_max = float(t) if t.ndim == 0 else t.max(initial=0.0)
-    if t_max >= profile._phase_limit[0]:  # column 0 oscillates fastest
+    if t_max >= profile._min_phase_limit:
         lost = ((t[..., None] >= profile._phase_limit) & ((y0 != 0) | (y1 != 0))).any(axis=-1)
         if lost.any():
             t_lost = float(np.broadcast_to(t, lost.shape)[lost].max())

@@ -43,10 +43,10 @@ from .errors import (
 )
 from .group import (
     Homothety,
-    _dot,
     _element,
     _stack,
     _take,
+    _with_inverses,
     apply,
     compose,
     conjugate,
@@ -259,9 +259,12 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     to e^{-2 s_g} b, c to c + (eps - 1) c_g and beta to e^{-s_g} A_g^T
     beta(. + c_g), and keeps eps and s; its A never acts on the origin, so
     is not formed.  The K steps run this recurrence with no group-law
-    call: beta's data stays in the eigenbasis of S, where the shift by c_g
-    is the elementwise flow of SymmetricProfile.flow (so a decaying mode
-    keeps its relative precision), and is mapped back once at the end.  Conjugate k sends the
+    call: beta's data (y, y') stays in the eigenbasis of S, where the shift
+    by c_g is the elementwise flow of SymmetricProfile.flow (so a decaying
+    mode keeps its relative precision), and is mapped back once at the
+    end.  A step is three numpy calls: the product of F = [[ch, sh],
+    [d0, ch]] with the rows (y, y'), its sum over the inner axis, and the
+    product by M = e^{-s_g} Q^T A_g Q into the next row.  Conjugate k sends the
     origin to (c, beta(0), eps (b - <beta'(0), beta(0)>/2)) in closed form,
     and the report fits a geometric decay rate to the x-block norms.
     """
@@ -274,29 +277,29 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
         raise IncompatibleProfileError("gamma and phi are over different profiles")
     n, Q, c_g = prof.n, prof.eigenvectors, gamma.c
     ch, sh, d0 = prof.flow(c_g)
+    F = np.array(((ch, sh), (d0, ch)))
     # y -> y M on eigenbasis rows is beta -> e^{-s_g} A_g^T beta
     M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
     e2s = np.exp(-2 * gamma.s)
     y, b = np.empty((K + 1, 2, n)), np.empty(K)
     y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
-    y0, y1 = y[0]
     # an overflow leaves a non-finite point (v carries b and beta'), refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k + 1])
+            np.matmul(np.add.reduce(F * y[k], axis=1), M, out=y[k + 1])
             bk = b[k] = e2s * bk
         c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
         # step k shifted row k, reading the columns at phase r c_g as beta_eval does
         require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
         beta = y[1:] @ Q.T
-        v = phi.eps * (b - _dot(beta[:, 1], beta[:, 0]) / 2)
+        v = phi.eps * (b - np.vecdot(beta[:, 1], beta[:, 0]) / 2)
     pts = require_finite(np.column_stack((c, beta[:, 0], v)))
     limit = (None if phi.eps == -1 and not within(abs(c_g), PARAM_TOL)
              else np.concatenate(([phi.c], np.zeros(n + 1))))
     converged = limit is not None and bool(within(float(np.max(np.abs(pts[-1] - limit))),
                                                   ORBIT_TOL))
     x = pts[:, 1:-1]
-    norms = np.sqrt(_dot(x, x))  # per row the sum np.linalg.norm makes of one vector
+    norms = np.sqrt(np.vecdot(x, x))  # per row the sum np.linalg.norm makes of one vector
     rate = None
     # estimate the decay rate on the tail only, past any transient; the
     # x-norms oscillate under the rotational part, so compare arithmetic
@@ -342,9 +345,10 @@ def pd_necessary_report(generators: Sequence[Homothety],
     element is an obstruction outright.
 
     Words come by length, then in the lexicographic order of the letters
-    g_1, g_1^-1, g_2, g_2^-1, ....  Each word's element is its
-    one-letter-shorter prefix's element composed with its last letter, the
-    left fold ((id g_1) g_2) g_3 ....  A level, the words of one length, is
+    g_1, g_1^-1, g_2, g_2^-1, ..., the inverses from one batched inverse
+    of the generators.  Each word's element is its one-letter-shorter
+    prefix's element composed with its last letter, the left fold
+    ((id g_1) g_2) g_3 ....  A level, the words of one length, is
     extended in blocks of at most PD_BLOCK_ENTRIES rows * (n+2)^2, with one
     batched compose per block; the checks run on the block's (eps, c, s)
     arrays, and only obstructing rows are formatted.  So the sweep holds
@@ -362,7 +366,7 @@ def pd_necessary_report(generators: Sequence[Homothety],
         raise IncompatibleProfileError("the generators are over different profiles")
     cls = classify(prof)
     # letter j is g_{j//2+1} for even j and its inverse for odd j: j ^ 1 cancels j
-    letters = _stack([h for g in generators for h in (g, inverse(g))])
+    letters = _with_inverses(generators)
     labels = [(j // 2 + 1) * (-1) ** j for j in range(2 * len(generators))]
     k, rows = len(labels), max(1, PD_BLOCK_ENTRIES // (prof.n + 2) ** 2)
     # a level is a list of (elements, words) blocks, each dropped once it is

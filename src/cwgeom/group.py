@@ -21,12 +21,18 @@ and the inverse has b^{-1} = -eps e^{-2s} b.
 An element built from outside has finite parameters, beta over its profile,
 and A made orthogonal there, once: SymmetricProfile.require_centraliser
 replaces an A past PARAM_TOL of orthogonal by its polar factor.  Products
-and inverses are checked only for overflow and never re-project A: a float
-matrix product is backward stable, so each drifts by at most about n eps.
-`compose`, `inverse` and `apply` run with numpy's overflow warnings off,
-so an overflow surfaces only as OverflowingValueError.  Where e^{+-s} or
-e^{+-2s} overflows, a term whose unscaled factor (b, beta's data or v) is
-exactly 0 stays that zero, as in exact arithmetic, instead of inf * 0 = NaN.
+and inverses are checked only for overflow, by one sum of their
+parameters, and never re-project A: a float matrix product is backward
+stable, so each drifts by at most about n eps.  Rows taken from a batch,
+or elements stacked into one, were checked when they were made, and are
+not checked again.  `compose`, `inverse`, `apply` and `differential` run
+with numpy's overflow warnings off, so an overflow surfaces only as
+OverflowingValueError.  Where e^{+-s} or e^{+-2s} overflows, a term whose
+unscaled factor (b, beta's data or v) is exactly 0 stays that zero, as in
+exact arithmetic, instead of inf * 0 = NaN; `differential` raises on a
+Jacobian entry past the float range, as e^{2s}, its v-v entry, may be.
+`power` folds from the lowest factor of its repeated squaring, so phi^k,
+k != 0, costs exactly floor(log2|k|) + popcount(|k|) - 1 products.
 
 `apply` and `differential` act on an (..., n+2) array of points, one per
 row, and return arrays.  They broadcast a batch of
@@ -36,6 +42,7 @@ for the rows: a (B, 1) batch at (N, n+2) points gives (B, N, n+2) images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Sequence
@@ -53,7 +60,7 @@ from .core import (
     within,
 )
 from .curvature import metric_at
-from .errors import IncompatibleProfileError, OverflowingValueError
+from .errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
 from .flat import SmoothMap, conformal_defect
 
 
@@ -81,7 +88,10 @@ class Homothety:
         object.__setattr__(self, "A", A)
         for name in ("b", "c", "s"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        _require_finite_params(self.b, beta.beta0, beta.beta1, self.c, self.s)
+        # entries near the float maximum may overflow the gate's sum: an
+        # error or a pass, not a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _require_finite_params(self.b, beta.beta0, beta.beta1, self.c, self.s)
 
     @property
     def is_strict(self):
@@ -94,6 +104,12 @@ def _element(profile, b, beta0, beta1, c, eps, A, s) -> Homothety:
     elements.  It skips every check of the public constructors; a
     parameter that overflowed raises OverflowingValueError."""
     _require_finite_params(b, beta0, beta1, c, s)
+    return _assemble(profile, b, beta0, beta1, c, eps, A, s)
+
+
+def _assemble(profile, b, beta0, beta1, c, eps, A, s) -> Homothety:
+    """A Homothety, or a batch, from parameters already checked: rows of
+    valid elements."""
     beta = object.__new__(BetaSolution)
     beta.__dict__.update(profile=profile, beta0=beta0, beta1=beta1)
     phi = object.__new__(Homothety)
@@ -102,7 +118,14 @@ def _element(profile, b, beta0, beta1, c, eps, A, s) -> Homothety:
 
 
 def _require_finite_params(b, beta0, beta1, c, s) -> None:
-    """OverflowingValueError if a parameter, or a row of a batch, is not finite."""
+    """OverflowingValueError if a parameter, or a row of a batch, is not
+    finite.  A sum with a non-finite term is not finite, so one sum per row
+    (and one over a batch's rows) passes a valid element; only a sum that
+    is not finite, which finite terms can make by overflowing, is read
+    term by term."""
+    total = np.add.reduce(beta0 + beta1, axis=-1) + (b + c + s)
+    if math.isfinite(total if total.ndim == 0 else np.add.reduce(total, axis=None)):
+        return
     if not (np.isfinite((b, c, s)).all() and np.isfinite(beta0).all()
             and np.isfinite(beta1).all()):
         raise OverflowingValueError("group element has non-finite parameters")
@@ -115,13 +138,29 @@ def _params(phi: Homothety) -> tuple:
 
 def _stack(elements: Sequence[Homothety]) -> Homothety:
     """The batch of shape (len(elements),) of the elements, in floats (eps too)."""
-    return _element(elements[0].profile, *map(partial(np.array, dtype=float),
-                                              zip(*map(_params, elements))))
+    return _assemble(elements[0].profile, *map(partial(np.array, dtype=float),
+                                               zip(*map(_params, elements))))
 
 
 def _take(phi: Homothety, rows) -> Homothety:
     """The rows of a batch at an index (one element) or an index array."""
-    return _element(phi.profile, *(x[rows] for x in _params(phi)))
+    return _assemble(phi.profile, *(x[rows] for x in _params(phi)))
+
+
+def _with_inverses(elements: Sequence[Homothety]) -> Homothety:
+    """The batch of shape (2m,) of m elements and their inverses, from one
+    batched inverse: row 2i is element i and row 2i + 1 its inverse.  An
+    error is the one of the first element whose inverse fails, as
+    inverting each in turn would raise."""
+    batch = _stack(elements)
+    try:
+        inverses = inverse(batch)
+    except (PreconditionError, OverflowingValueError):
+        for phi in elements:
+            inverse(phi)
+        raise
+    return _assemble(batch.profile, *(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
+                                      for pair in zip(_params(batch), _params(inverses))))
 
 
 def _keep_zeros(scale, factor, product):
@@ -129,16 +168,6 @@ def _keep_zeros(scale, factor, product):
     zero wherever the scale overflowed to inf: inf * 0 is NaN, while the
     exact term of a zero factor is that zero."""
     return np.where(np.isinf(scale) & (factor == 0), factor, product)
-
-
-def _matvec(M, x):
-    """M x over leading batch axes: per row the kernel of a single product."""
-    return (M @ x[..., None])[..., 0]
-
-
-def _dot(x, y):
-    """<x, y> over leading batch axes: per row the kernel of a single dot."""
-    return (x[..., None, :] @ y[..., None])[..., 0, 0]
 
 
 def _rowmat(x, M):
@@ -173,9 +202,11 @@ def apply(phi: Homothety, p):
     return image(_keep_zeros(es, Ax, es * Ax), _keep_zeros(e2s, v, e2s * v))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def differential(phi: Homothety, p) -> np.ndarray:
     """Analytic Jacobian of apply(phi, .) at p, an (..., n+2) array of
-    points, in frame order (t, x, v): shape (..., n+2, n+2)."""
+    points, in frame order (t, x, v): shape (..., n+2, n+2);
+    OverflowingValueError if an entry is not finite."""
     prof = phi.profile
     a = coords(p, prof.n)
     t, x = a[..., 0], a[..., 1:-1]
@@ -191,24 +222,26 @@ def differential(phi: Homothety, p) -> np.ndarray:
                                 + 0.5 * np.sum(der * der, axis=-1))
     J[..., -1, 1:-1] = (-phi.eps * es)[..., None] * _rowmat(der, phi.A)
     J[..., -1, -1] = phi.eps * np.exp(2 * phi.s)
+    if not np.isfinite(J).all():
+        raise OverflowingValueError("the Jacobian has non-finite entries")
     return J
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def compose(phi: Homothety, psi: Homothety) -> Homothety:
     """Group product: apply(compose(phi, psi), p) = apply(phi, apply(psi, p))."""
-    if phi.profile != psi.profile:
+    if phi.profile is not psi.profile and phi.profile != psi.profile:
         raise IncompatibleProfileError("cannot compose over different profiles")
     # x-part of the composite: e^{s1+s2} A1 A2 x + e^{s1} A1 beta2(t) + beta1(eps2 t + c2)
     es1A1 = np.exp(phi.s)[..., None, None] * phi.A
-    X = _matvec(es1A1, psi.beta.beta0)
-    Xd = _matvec(es1A1, psi.beta.beta1)
+    X = np.matvec(es1A1, psi.beta.beta0)
+    Xd = np.matvec(es1A1, psi.beta.beta1)
     del es1A1  # one (..., n, n) temporary at a time
     Y, Yd = beta_eval(phi.beta, psi.c)
     e2, e2s1 = psi.eps, np.exp(2 * phi.s)
 
     def product(X, Xd, e2s1b2):
-        b = e2s1b2 + e2 * phi.b + 0.5 * (_dot(Xd, Y) - e2 * _dot(Yd, X))
+        b = e2s1b2 + e2 * phi.b + 0.5 * (np.vecdot(Xd, Y) - e2 * np.vecdot(Yd, X))
         return _element(phi.profile, b, X + Y, Xd + np.asarray(e2)[..., None] * Yd,
                         phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
                         phi.s + psi.s)
@@ -219,7 +252,7 @@ def compose(phi: Homothety, psi: Homothety) -> Homothety:
         if not np.isinf(e2s1).any():  # where e^{s1} overflowed, so did e^{2 s1}
             raise
     es1 = np.exp(phi.s)[..., None]
-    return product(*(_keep_zeros(es1, _matvec(phi.A, y), Z)
+    return product(*(_keep_zeros(es1, np.matvec(phi.A, y), Z)
                      for y, Z in ((psi.beta.beta0, X), (psi.beta.beta1, Xd))),
                    _keep_zeros(e2s1, psi.b, e2s1 * psi.b))
 
@@ -233,7 +266,7 @@ def inverse(phi: Homothety) -> Homothety:
     val, der = beta_eval(phi.beta, -eps * c)
     ems = np.exp(-s)
     e2ms, ems1 = ems * ems, ems[..., None]
-    Av, Ad = _matvec(A_inv, val), _matvec(A_inv, der)
+    Av, Ad = np.matvec(A_inv, val), np.matvec(A_inv, der)
 
     def element(e2msb, emsAv, emsAd):
         return _element(phi.profile, -eps * e2msb, -emsAv, np.asarray(-eps)[..., None] * emsAd,
@@ -263,16 +296,23 @@ def element_distance(phi: Homothety, psi: Homothety):
 
 
 def power(phi: Homothety, k: int) -> Homothety:
-    """phi^k by repeated squaring: at most 2 log2|k| products."""
-    out = identity(phi.profile)
-    base = phi if k >= 0 else inverse(phi)
-    k = abs(k)
+    """phi^k by repeated squaring, folded from its lowest factor: for
+    k != 0 exactly floor(log2|k|) + popcount(|k|) - 1 products, the
+    squarings and one per further set bit; phi^0 is the identity."""
+    if k == 0:
+        return identity(phi.profile)
+    base, k = (phi if k > 0 else inverse(phi)), abs(k)
+    while not k & 1:
+        base, k = compose(base, base), k >> 1
+    # the fold starts from its lowest factor with A in C order, as a product
+    # leaves it: compose reads A by its layout, and an inverse's is transposed
+    b, beta0, beta1, c, eps, A, s = _params(base)
+    out, k = _assemble(base.profile, b, beta0, beta1, c, eps, np.ascontiguousarray(A), s), k >> 1
     while k:
+        base = compose(base, base)
         if k & 1:
             out = compose(out, base)
         k >>= 1
-        if k:
-            base = compose(base, base)
     return out
 
 

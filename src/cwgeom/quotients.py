@@ -37,8 +37,9 @@ from .core import (APPROACH_TOL, COMPOSED_TOL, DIVISOR_FLOOR, EXACT_TOL, GROWTH_
 from .dynamics import orbit_obstruction_sequence
 from .errors import InputError, PreconditionError, UnsupportedCaseError
 from .flat import SmoothMap, conformal_defect
-from .group import (Homothety, _element, _stack, _take, apply, compose, differential,
-                    element_distance, homothety_factor_check, identity, inverse, power)
+from .group import (Homothety, _element, _stack, _take, _with_inverses, apply, compose,
+                    differential, element_distance, homothety_factor_check, identity, inverse,
+                    power)
 from .curvature import metric_at
 
 # the orbit length of the real-lattice example's homothety variant
@@ -378,7 +379,7 @@ def self_adjacency(regions: Sequence[np.ndarray], generators: Sequence[Homothety
     corners = np.array(regions, dtype=float)  # (region, box, [lo, hi], n+2), box 0 the outer one
     if not (corners[:, 0, 0] < corners[:, 0, 1]).all():
         raise PreconditionError("an outer box must be nondegenerate on every axis")
-    letters = _stack([h for g in generators for h in (g, inverse(g))])
+    letters = _with_inverses(generators)
     _require_axis_map(letters)
     steps = [_stack([identity(letters.profile)] * len(letters.c)), letters]
     for _ in range(ADJACENCY_RANGE - 1):

@@ -1,8 +1,9 @@
 """Independent oracles the tests check the library against: finite
 differences of the metric, of the Christoffel symbols and of a map,
-dense-tensor products, symmetries and traces, and closed forms the
-library itself has no use for (the Minkowski dilation and inversion, the
-chart inverses)."""
+dense-tensor products, symmetries and traces, closed forms the library
+itself has no use for (the Minkowski dilation and inversion, the chart
+inverses), and the loops the library's whole-array code replaced (the
+flow branch by branch, the orbit step as two expressions)."""
 
 import numpy as np
 
@@ -172,3 +173,56 @@ def block_determinant(eigenvalue: float, s: float, c: float) -> float:
     vanishes exactly at the resonance s = +-lambda c for positive eigenvalues."""
     return float(np.linalg.det(_conjugation_matrix(SymmetricProfile([[eigenvalue]]),
                                                    np.full((1, 1), np.exp(s)), c)))
+
+
+def bit_equal(a, b) -> bool:
+    """Whether two float arrays are np.array_equal and agree in the sign of
+    every zero as well: the same floats bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def branch_loop_flow(profile: SymmetricProfile, t):
+    """Reference for SymmetricProfile.flow: one branch of eigenvector
+    columns at a time, negative then positive, each writing its slice of
+    (ch, sh, d0) over (1, t, 0) of the zero columns."""
+    lam = profile.eigenvalues
+    root = np.sqrt(np.abs(lam))
+    neg = slice(0, int(np.sum(lam < 0)))
+    pos = slice(profile.n - int(np.sum(lam > 0)), profile.n)
+    t = np.asarray(t, dtype=float)[..., None]
+    d0 = np.zeros(t.shape[:-1] + (profile.n,))
+    ch = d0 + 1.0
+    sh = ch * t
+    for cols, even, odd, sign in ((neg, np.cos, np.sin, -1.0), (pos, np.cosh, np.sinh, 1.0)):
+        if cols.start < cols.stop:
+            r = root[cols]
+            rt = t * r
+            ch[..., cols] = even(rt)
+            o = odd(rt)
+            sh[..., cols] = o / r
+            d0[..., cols] = sign * r * o
+    return ch, sh, d0
+
+
+def recurrence_orbit_sequence(gamma: Homothety, phi: Homothety, K: int) -> np.ndarray:
+    """Reference for orbit_obstruction_sequence's sequence: the recurrence
+    on the eigenbasis data of beta stepped as two expressions, (ch y + sh
+    y', d0 y + ch y') M, on branch_loop_flow, with <beta', beta> as a
+    (1, n) x (n, 1) product per row."""
+    prof = phi.profile
+    Q = prof.eigenvectors
+    ch, sh, d0 = branch_loop_flow(prof, gamma.c)
+    M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
+    y = np.empty((K + 1, 2, prof.n))
+    b = np.empty(K)
+    y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
+    y0, y1 = y[0]
+    for k in range(K):
+        y0, y1 = np.matmul((ch * y0 + sh * y1, d0 * y0 + ch * y1), M, out=y[k + 1])
+        bk = b[k] = np.exp(-2 * gamma.s) * bk
+    c = phi.c + (phi.eps - 1) * gamma.c * np.arange(1, K + 1)
+    beta = y[1:] @ Q.T
+    dot = (beta[:, 1, None, :] @ beta[:, 0, :, None])[:, 0, 0]
+    return np.column_stack((c, beta[:, 0], phi.eps * (b - dot / 2)))

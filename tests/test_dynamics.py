@@ -46,7 +46,7 @@ from cwgeom.group import (
 
 from conftest import (eigenspaces, random_centralising_orthogonal, random_homothety,
                       random_point, random_profile)
-from oracles import block_determinant
+from oracles import bit_equal, block_determinant, recurrence_orbit_sequence
 from test_group_law import KINDS, element, spectral_profile
 
 
@@ -648,6 +648,31 @@ class TestOrbitObstruction:
             walk = compose(inverse(gamma), compose(walk, gamma))
         _assert_image_of_the_origin(prof, walk, rep.sequence[-1])
 
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_equals_the_two_expression_recurrence(self, kind, eps):
+        """The three-call step (F times the rows, summed over the inner
+        axis, times M) gives the sequence of the recurrence stepped as two
+        expressions bit for bit, with A_gamma turning a repeated
+        eigenvalue's eigenspace."""
+        rng = np.random.default_rng(21)
+        for n in (1, 4, 8):
+            prof = spectral_profile(kind, n, rng, repeat=True)
+            gamma = Homothety(prof, c=0.9, s=0.4, A=random_centralising_orthogonal(prof, rng))
+            phi = replace(element(prof, rng), eps=eps)
+            rep = orbit_obstruction_sequence(gamma, phi, K=40)
+            assert bit_equal(rep.sequence, recurrence_orbit_sequence(gamma, phi, 40)), n
+
+    def test_failed_3d_decay_equals_the_recurrence(self):
+        """failed-3d's gamma and zeta: x_20 = e^{-40} = 4.2e-18 keeps its
+        relative precision, as the two-expression recurrence's does."""
+        prof = SymmetricProfile(np.eye(1))
+        gamma = Homothety(prof, c=1.0, s=1.0)
+        zeta = Homothety(prof, beta=BetaSolution(prof, [1.0], [-1.0]))
+        rep = orbit_obstruction_sequence(gamma, zeta, K=20)
+        assert bit_equal(rep.sequence, recurrence_orbit_sequence(gamma, zeta, 20))
+        assert rep.sequence[-1, 1] == pytest.approx(np.exp(-40.0), rel=1e-13)
+
     def test_decaying_mode_stays_at_round_off(self):
         """S = 1, gamma = (c = 1, s = 1) and zeta with beta = e^{-t}: the
         conjugates give x_k = e^{-2k} to 1e-13 relative for k = 1..20
@@ -740,6 +765,33 @@ class TestPDReport:
     def test_needs_a_generator(self):
         with pytest.raises(PreconditionError):
             pd_necessary_report([])
+
+    def test_letters_come_from_one_batched_inverse(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        prof = spectral_profile("mixed", 2, rng, repeat=False)
+        gens = [random_homothety(prof, rng, strict=True) for _ in range(3)]
+        calls = []
+
+        def counted(phi):
+            calls.append(np.shape(phi.c))
+            return inverse(phi)
+
+        monkeypatch.setattr(group, "inverse", counted)
+        pd_necessary_report(gens, 2)
+        assert calls == [(3,)]
+
+    @pytest.mark.parametrize("order, first", [("overflow-then-phase", OverflowingValueError),
+                                              ("phase-then-overflow", PreconditionError)])
+    def test_first_failing_inverse_decides(self, order, first):
+        """The batched inverse raises what inverting the generators in turn
+        would: e^{-2s} b overflows for the first generator below and the
+        second's beta is read at t = -8e15, past its phase limit."""
+        prof = SymmetricProfile([[-1.0]])
+        big = Homothety(prof, b=100.0, s=-354.0)
+        far = Homothety(prof, c=8e15, beta=BetaSolution(prof, [0.5], [0.2]))
+        gens = [big, far] if order == "overflow-then-phase" else [far, big]
+        with pytest.raises(first):
+            pd_necessary_report(gens, 1)
 
     @pytest.mark.parametrize("max_length", [0, -1])
     def test_needs_a_word_length(self, max_length):

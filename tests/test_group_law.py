@@ -3,6 +3,7 @@ per-block reference, the product and inverse against pointwise action,
 and what each group operation costs in calls to the layer below."""
 
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -16,12 +17,14 @@ from cwgeom.core import (
     SymmetricProfile,
     beta_eval,
     classify,
+    require_phase,
 )
 from cwgeom.dynamics import orbit_obstruction_sequence
-from cwgeom.errors import OverflowingValueError
-from cwgeom.group import Homothety, apply, compose, identity, inverse, power
+from cwgeom.errors import OverflowingValueError, PreconditionError
+from cwgeom.group import Homothety, apply, compose, differential, identity, inverse, power
 
 from conftest import eigenspaces, random_centralising_orthogonal
+from oracles import bit_equal, branch_loop_flow
 
 KINDS = ("real", "imaginary", "mixed", "degenerate")
 
@@ -154,6 +157,38 @@ class TestOverflow:
         with pytest.raises(OverflowingValueError):
             inverse(Homothety(self.prof, b=100.0, s=-354.0))
 
+    def test_differential(self):
+        """e^{2s}, the v-v entry of the Jacobian, is past the float range
+        at s = 400: an error, and no numpy warning on the way."""
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowingValueError):
+                differential(Homothety(self.prof, s=400.0), np.zeros(3))
+        assert seen == []
+
+    def test_rows_taken_or_stacked_are_not_checked_again(self, monkeypatch):
+        """_stack and _take assemble rows of valid elements without the
+        finiteness gate, which still judges each product and inverse of
+        such rows."""
+        rng = np.random.default_rng(3)
+        P = spectral_profile("mixed", 3, rng, True)
+        phis = [element(P, rng) for _ in range(3)]
+
+        def refuse(*args):
+            raise AssertionError("a valid row checked again")
+
+        with monkeypatch.context() as m:
+            m.setattr(grp, "_require_finite_params", refuse)
+            batch = grp._stack(phis)
+            rows = [grp._take(batch, 1), grp._take(batch, [2, 0])]
+        assert all(map(np.array_equal, grp._params(rows[0]), grp._params(phis[1])))
+        assert all(map(np.array_equal, grp._params(grp._take(rows[1], 1)), grp._params(phis[0])))
+        big = grp._stack([Homothety(self.prof, s=354.0), Homothety(self.prof, b=100.0, s=-354.0)])
+        with pytest.raises(OverflowingValueError):
+            compose(grp._take(big, [0]), grp._take(big, [1]))
+        with pytest.raises(OverflowingValueError):
+            inverse(grp._take(big, 1))
+
     def test_a_zero_factor_survives_an_overflowing_scale(self):
         """e^{800} is inf, and inf * 0 is NaN, but the exact term of a zero
         b, beta or v is that zero: a dilation fixes the origin."""
@@ -256,6 +291,76 @@ class TestCost:
         calls = counter(monkeypatch, grp, "compose")
         power(phi, 1000)
         assert len(calls) <= 2 * math.ceil(math.log2(1000))
+
+    @pytest.mark.parametrize("k", [*range(1, 10), 20, -5, -37, 1000])
+    def test_power_makes_the_squarings_and_one_product_per_further_bit(self, monkeypatch, k):
+        """floor(log2|k|) squarings, and one product per set bit of |k|
+        past the lowest, which starts the fold: nothing composes with the
+        identity."""
+        rng = np.random.default_rng(8)
+        prof = spectral_profile("imaginary", 3, rng, False)
+        phi = Homothety(prof, b=1.0, beta=BetaSolution(prof, rng.normal(size=3)),
+                        c=0.5, s=1e-3)
+        calls = counter(monkeypatch, grp, "compose")
+        power(phi, k)
+        assert len(calls) == abs(k).bit_length() - 1 + bin(abs(k)).count("1") - 1
+
+
+def identity_started_power(phi, k):
+    """Reference for power: the repeated-squaring fold from the identity."""
+    out = identity(phi.profile)
+    base = phi if k >= 0 else inverse(phi)
+    k = abs(k)
+    while k:
+        if k & 1:
+            out = compose(out, base)
+        k >>= 1
+        if k:
+            base = compose(base, base)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_power_equals_the_identity_started_fold(kind):
+    """Folding from the first factor drops only the product with the
+    identity, which returns that factor but for the sign of a zero: every
+    parameter is np.array_equal to the reference's."""
+    rng = np.random.default_rng(12)
+    prof = spectral_profile(kind, 3, rng, True)
+    phi = element(prof, rng)
+    for k in [*range(1, 10), 20, -5]:
+        got, want = power(phi, k), identity_started_power(phi, k)
+        assert all(map(np.array_equal, grp._params(got), grp._params(want))), k
+    zero = power(phi, 0)
+    assert all(map(np.array_equal, grp._params(zero), grp._params(identity(prof))))
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+@pytest.mark.parametrize("kind", KINDS)
+def test_flow_equals_the_branch_loop(kind, repeat):
+    """The flow tables run each function once on its branch's columns:
+    (ch, sh, d0) equal the branch-by-branch loop bit for bit, for a
+    Python float, a numpy float, a 0-d array and an array of times."""
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 5, 9):
+        prof = spectral_profile(kind, n, rng, repeat)
+        for t in (float(rng.uniform(-3, 3)), np.float64(rng.uniform(-40, 40)),
+                  np.asarray(rng.uniform(-3, 3)), rng.uniform(-3, 3, size=(3, 4)), -0.0, 0):
+            assert all(map(bit_equal, prof.flow(t), branch_loop_flow(prof, t))), (n, t)
+
+
+@pytest.mark.parametrize("time", [float, np.float64, np.asarray, lambda t: np.array([0.5, t])],
+                         ids=["float", "float64", "0-d", "array"])
+@pytest.mark.parametrize("kind", ["imaginary", "mixed"])
+def test_the_phase_gate_refuses_every_time_type_at_the_limit(kind, time):
+    """A float time below every column's limit passes at once; |t| at or
+    past the fastest column's limit is refused whatever the time's type."""
+    prof = spectral_profile(kind, 3, np.random.default_rng(14), False)
+    limit, y = prof._phase_limit.min(), np.ones(prof.n)
+    for t in (limit, -limit, np.nextafter(limit, np.inf), 1e300):
+        with pytest.raises(PreconditionError):
+            require_phase(prof, time(t), y, y)
+    require_phase(prof, time(np.nextafter(limit, 0.0)), y, y)
 
 
 @settings(max_examples=40, deadline=None)
