@@ -81,8 +81,8 @@ class SymmetricProfile:
             raise MalformedProfileError("S has non-finite entries")
         if not 0 < tolerance < np.inf:  # NaN fails both comparisons
             raise MalformedProfileError(f"tolerance must be finite and positive, got {tolerance}")
-        # entries near the float maximum overflow below: an error, not a
-        # numpy warning
+        # entries near the float maximum overflow below: an error, or an
+        # infinite gap between eigenvalues, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             sym_defect = float(np.max(np.abs(S - S.T)))
             if sym_defect > tolerance:
@@ -98,19 +98,19 @@ class SymmetricProfile:
             w, Q = np.linalg.eigh(self.S)
             if not np.all(np.isfinite(w)):
                 raise OverflowingValueError("the eigenvalues of S overflow")
+            zero = self.tolerance * max(1.0, float(np.max(np.abs(w))))
+            self.eigenvalues = np.empty(self.n)
+            i = 0
+            while i < self.n:
+                j = i + 1
+                while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * zero:
+                    j += 1
+                ev = np.mean(w[i:j])
+                self.eigenvalues[i:j] = 0.0 if abs(ev) <= zero else ev
+                i = j
         self.eigenvectors = Q  # columns
         # absolute bound, on the scale of S, for equality of profiles
         self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * PROFILE_SLACK
-        zero = self.tolerance * max(1.0, float(np.max(np.abs(w))))
-        self.eigenvalues = np.empty(self.n)
-        i = 0
-        while i < self.n:
-            j = i + 1
-            while j < self.n and abs(w[j] - w[i]) <= PROFILE_SLACK * zero:
-                j += 1
-            ev = np.mean(w[i:j])
-            self.eigenvalues[i:j] = 0.0 if abs(ev) <= zero else ev
-            i = j
         self._flow_tables()
 
     def _flow_tables(self):
@@ -172,9 +172,9 @@ class SymmetricProfile:
         return ortho and float(np.max(mixing, initial=0.0)) <= tol
 
     def require_centraliser(self, A) -> np.ndarray:
-        """The one gate for A, where an element enters: A if in_centraliser and
-        orthogonal within PARAM_TOL, its polar factor U V^T if only the first."""
-        A = np.asarray(A, dtype=float)
+        """The one gate for A, where an element enters, in C order: A if
+        in_centraliser and orthogonal within PARAM_TOL, its polar factor UV^T if only the first."""
+        A = np.ascontiguousarray(A, dtype=float)
         if not self.in_centraliser(A):
             raise CentraliserViolationError(
                 "matrix is not an orthogonal matrix commuting with S"

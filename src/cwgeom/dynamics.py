@@ -36,7 +36,6 @@ from .core import (
 )
 from .errors import (
     IncompatibleProfileError,
-    OverflowingValueError,
     PreconditionError,
     ResonanceError,
     UnsupportedCaseError,
@@ -51,7 +50,6 @@ from .group import (
     compose,
     conjugate,
     identity,
-    inverse,
 )
 
 # the most entries, rows * (n+2)^2, that the PD sweep composes in one call
@@ -353,9 +351,9 @@ def pd_necessary_report(generators: Sequence[Homothety],
     batched compose per block; the checks run on the block's (eps, c, s)
     arrays, and only obstructing rows are formatted.  So the sweep holds
     the blocks of the previous level not yet extended, those of the next
-    level (none at the last) and one block's temporaries.  An error is the
-    one of the first failing word, within it a lost phase before an
-    overflow, as composing word by word would raise.
+    level (none at the last) and one block's temporaries.  By the row rule
+    of compose, an error is the one of the first failing word, within it a
+    lost phase before an overflow, as composing word by word would raise.
     """
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
@@ -384,13 +382,7 @@ def pd_necessary_report(generators: Sequence[Homothety],
                 p, j = p[keep], j[keep]
                 if not len(p):
                     continue
-                try:
-                    elem = compose(_take(elems, p), _take(letters, j))
-                except (PreconditionError, OverflowingValueError):
-                    # the first failing word raises, as a word-by-word sweep would
-                    for one_p, one_j in zip(p, j):
-                        compose(_take(elems, one_p), _take(letters, one_j))
-                    raise
+                elem = compose(_take(elems, p), _take(letters, j))
                 block = np.column_stack((words[p], j))
                 obstructions += _pd_obstructions(cls, elem, block, labels)
                 seen += len(p)

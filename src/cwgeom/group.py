@@ -27,10 +27,15 @@ stable, so each drifts by at most about n eps.  Rows taken from a batch,
 or elements stacked into one, were checked when they were made, and are
 not checked again.  `compose`, `inverse`, `apply` and `differential` run
 with numpy's overflow warnings off, so an overflow surfaces only as
-OverflowingValueError.  Where e^{+-s} or e^{+-2s} overflows, a term whose
-unscaled factor (b, beta's data or v) is exactly 0 stays that zero, as in
-exact arithmetic, instead of inf * 0 = NaN; `differential` raises on a
-Jacobian entry past the float range, as e^{2s}, its v-v entry, may be.
+OverflowingValueError; `differential` raises on a Jacobian entry past the
+float range, as e^{2s}, its v-v entry, may be.  The zero rule, `_scaled`:
+where e^{+-s} or e^{+-2s} overflows, a term whose unscaled factor (b,
+beta's data, A x or v) is exactly 0 stays that zero, as in exact
+arithmetic, instead of inf * 0 = NaN.  The row rule, `_row_by_row`: a
+batched `compose` or `inverse` raises what its first failing row, in
+np.ndindex order, raises alone.  Every A is in C order, as the gate, a
+product and `inverse` leave it, so `compose`, which sums e^{s1} A1 beta2
+in A1's memory order, reads A by its values alone.
 `power` folds from the lowest factor of its repeated squaring, so phi^k,
 k != 0, costs exactly floor(log2|k|) + popcount(|k|) - 1 products.
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial, reduce, wraps
 from typing import Sequence
 
 import numpy as np
@@ -150,24 +155,42 @@ def _take(phi: Homothety, rows) -> Homothety:
 def _with_inverses(elements: Sequence[Homothety]) -> Homothety:
     """The batch of shape (2m,) of m elements and their inverses, from one
     batched inverse: row 2i is element i and row 2i + 1 its inverse.  An
-    error is the one of the first element whose inverse fails, as
-    inverting each in turn would raise."""
+    error is the one of the first element whose inverse fails, by the row
+    rule of `inverse`."""
     batch = _stack(elements)
-    try:
-        inverses = inverse(batch)
-    except (PreconditionError, OverflowingValueError):
-        for phi in elements:
-            inverse(phi)
-        raise
     return _assemble(batch.profile, *(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
-                                      for pair in zip(_params(batch), _params(inverses))))
+                                      for pair in zip(_params(batch), _params(inverse(batch)))))
 
 
-def _keep_zeros(scale, factor, product):
-    """product, which is scale * factor however formed, but factor's own
-    zero wherever the scale overflowed to inf: inf * 0 is NaN, while the
-    exact term of a zero factor is that zero."""
-    return np.where(np.isinf(scale) & (factor == 0), factor, product)
+def _scaled(build, scales, factors, products):
+    """build(*products), each product its scale times its factor however
+    formed; if that overflows where a scale is inf, build again with each
+    product 0 where its factor is 0, as in exact arithmetic, not inf * 0 = NaN."""
+    try:
+        return build(*products)
+    except OverflowingValueError:
+        inf = [np.isinf(scale) for scale in scales]
+        if not any(mask.any() for mask in inf):
+            raise
+    return build(*(np.where(mask & (factor == 0), factor, product)
+                   for mask, factor, product in zip(inf, factors, products)))
+
+
+def _row_by_row(op):
+    """op, raising on batches what op raises on their first failing row, in
+    np.ndindex order of their broadcast shape; a single element, or a batch
+    axis of length 1, stands for every index along the axis."""
+    @wraps(op)
+    def batched(*elements):
+        try:
+            return op(*elements)
+        except (PreconditionError, OverflowingValueError):
+            shapes = [np.shape(phi.c) for phi in elements]
+            for index in np.ndindex(np.broadcast_shapes(*shapes)):
+                op(*(_take(phi, tuple(np.mod(index[-len(shape):], shape))) if shape else phi
+                     for phi, shape in zip(elements, shapes)))
+            raise
+    return batched
 
 
 def _rowmat(x, M):
@@ -194,12 +217,7 @@ def apply(phi: Homothety, p):
         w = phi.eps * (e2sv + phi.b - np.sum(der * (esAx + 0.5 * val), axis=-1))
         return require_finite(join(phi.eps * t + phi.c, esAx + val, w))
 
-    try:
-        return image(es * Ax, e2s * v)
-    except OverflowingValueError:
-        if not np.isinf(e2s).any():
-            raise
-    return image(_keep_zeros(es, Ax, es * Ax), _keep_zeros(e2s, v, e2s * v))
+    return _scaled(image, (es, e2s), (Ax, v), (es * Ax, e2s * v))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -227,13 +245,15 @@ def differential(phi: Homothety, p) -> np.ndarray:
     return J
 
 
+@_row_by_row
 @np.errstate(over="ignore", invalid="ignore")
 def compose(phi: Homothety, psi: Homothety) -> Homothety:
     """Group product: apply(compose(phi, psi), p) = apply(phi, apply(psi, p))."""
     if phi.profile is not psi.profile and phi.profile != psi.profile:
         raise IncompatibleProfileError("cannot compose over different profiles")
     # x-part of the composite: e^{s1+s2} A1 A2 x + e^{s1} A1 beta2(t) + beta1(eps2 t + c2)
-    es1A1 = np.exp(phi.s)[..., None, None] * phi.A
+    es1 = np.exp(phi.s)[..., None]
+    es1A1 = es1[..., None] * phi.A
     X = np.matvec(es1A1, psi.beta.beta0)
     Xd = np.matvec(es1A1, psi.beta.beta1)
     del es1A1  # one (..., n, n) temporary at a time
@@ -246,21 +266,16 @@ def compose(phi: Homothety, psi: Homothety) -> Homothety:
                         phi.c + phi.eps * psi.c, phi.eps * e2, phi.A @ psi.A,
                         phi.s + psi.s)
 
-    try:
-        return product(X, Xd, e2s1 * psi.b)
-    except OverflowingValueError:
-        if not np.isinf(e2s1).any():  # where e^{s1} overflowed, so did e^{2 s1}
-            raise
-    es1 = np.exp(phi.s)[..., None]
-    return product(*(_keep_zeros(es1, np.matvec(phi.A, y), Z)
-                     for y, Z in ((psi.beta.beta0, X), (psi.beta.beta1, Xd))),
-                   _keep_zeros(e2s1, psi.b, e2s1 * psi.b))
+    # A1 is orthogonal: A1 beta2 is exactly 0 only where beta2 is
+    return _scaled(product, (es1, es1, e2s1), (psi.beta.beta0, psi.beta.beta1, psi.b),
+                   (X, Xd, e2s1 * psi.b))
 
 
+@_row_by_row
 @np.errstate(over="ignore", invalid="ignore")
 def inverse(phi: Homothety) -> Homothety:
     eps, c, s = phi.eps, phi.c, phi.s
-    A_inv = phi.A.swapaxes(-1, -2)
+    A_inv = phi.A.swapaxes(-1, -2).copy()  # in C order, as a product leaves A
     # x-part of the inverse: e^{-s} A^T (x - beta(eps^{-1}(t - c))) at time t,
     # i.e. beta_inv(t) = -e^{-s} A^T beta(eps t - eps c)
     val, der = beta_eval(phi.beta, -eps * c)
@@ -272,13 +287,8 @@ def inverse(phi: Homothety) -> Homothety:
         return _element(phi.profile, -eps * e2msb, -emsAv, np.asarray(-eps)[..., None] * emsAd,
                         -eps * c, eps, A_inv, -s)
 
-    try:
-        return element(e2ms * phi.b, ems1 * Av, ems1 * Ad)
-    except OverflowingValueError:
-        if not np.isinf(e2ms).any():  # where e^{-s} overflowed, so did e^{-2s}
-            raise
-    return element(_keep_zeros(e2ms, phi.b, e2ms * phi.b),
-                   *(_keep_zeros(ems1, y, ems1 * y) for y in (Av, Ad)))
+    return _scaled(element, (e2ms, ems1, ems1), (phi.b, Av, Ad),
+                   (e2ms * phi.b, ems1 * Av, ems1 * Ad))
 
 
 def element_distance(phi: Homothety, psi: Homothety):
@@ -304,10 +314,7 @@ def power(phi: Homothety, k: int) -> Homothety:
     base, k = (phi if k > 0 else inverse(phi)), abs(k)
     while not k & 1:
         base, k = compose(base, base), k >> 1
-    # the fold starts from its lowest factor with A in C order, as a product
-    # leaves it: compose reads A by its layout, and an inverse's is transposed
-    b, beta0, beta1, c, eps, A, s = _params(base)
-    out, k = _assemble(base.profile, b, beta0, beta1, c, eps, np.ascontiguousarray(A), s), k >> 1
+    out, k = base, k >> 1
     while k:
         base = compose(base, base)
         if k & 1:

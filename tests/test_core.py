@@ -62,6 +62,13 @@ class TestSymmetricProfile:
         assert np.max(np.abs(At[11, :11])) > 1e-2
         assert prof.in_centraliser(A)
 
+    def test_eigenvalues_near_the_float_maximum_group_without_a_warning(self):
+        """The gap between -1e308 and 1e308 overflows to inf in the grouping:
+        two eigenspaces, and no numpy warning in process."""
+        P = SymmetricProfile(np.diag([1e308, -1e308]))
+        assert P.eigenvalues.tolist() == [-1e308, 1e308]
+        assert classify(P).type == "mixed"
+
     def test_rejects_nonsquare(self):
         with pytest.raises(MalformedProfileError):
             SymmetricProfile(np.ones((2, 3)))

@@ -493,11 +493,11 @@ class TestNormalForm:
         group-law calls are the reflection's product for c < 0 and the one
         conjugation g phi g^{-1}."""
         calls = {"compose": 0, "inverse": 0}
-        for name in calls:
+        for name, modules in (("compose", (group, dynamics)), ("inverse", (group,))):
             def counted(*args, real=getattr(group, name), name=name):
                 calls[name] += 1
                 return real(*args)
-            for module in (group, dynamics):
+            for module in modules:
                 monkeypatch.setattr(module, name, counted)
         prof = SymmetricProfile(-np.diag([1.0, 4.0]))
         phi = Homothety(prof, b=0.3, beta=BetaSolution(prof, [1.0, 0.5], [0.5, 1.0]),
@@ -732,9 +732,9 @@ class TestOrbitObstruction:
         """The points come from the parameter recurrence alone: no
         compose or inverse call for 60 conjugates."""
         calls = []
-        for name in ("compose", "inverse"):
-            real = getattr(dynamics, name)
-            monkeypatch.setattr(dynamics, name,
+        for module, name in ((group, "compose"), (group, "inverse"), (dynamics, "compose")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *args, real=real: calls.append(args) or real(*args))
         prof = SymmetricProfile(-np.diag([1.0, 1.0, 4.0]))
         rep = orbit_obstruction_sequence(Homothety(prof, c=0.9, s=0.4),

@@ -4,6 +4,7 @@ and what each group operation costs in calls to the layer below."""
 
 import math
 import warnings
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -199,23 +200,154 @@ class TestOverflow:
         assert (inv.b, inv.s) == (0.0, 400.0) and not inv.beta.beta1.any()
         assert apply(Homothety(P, s=400.0), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
+    def test_a_partly_zero_factor_still_raises(self):
+        """Only a factor entry that is exactly 0 keeps its zero: a factor
+        (1, 0), beta2(0) in compose, A beta(0) in inverse and A x in apply,
+        overflows in each operation.  On S = -I, A may turn beta2(0) into
+        A1 beta2(0) with no zero entry, which overflows all the same."""
+        P = SymmetricProfile(-np.eye(2))
+        turn = np.array([[0.6, -0.8], [0.8, 0.6]])
+        partly = BetaSolution(P, [1.0, 0.0], [0.0, 0.0])
+        for A in (np.eye(2), turn):
+            with pytest.raises(OverflowingValueError):
+                compose(Homothety(P, s=720.0, A=A), Homothety(P, beta=partly))
+        with pytest.raises(OverflowingValueError):
+            inverse(Homothety(P, s=-720.0, beta=partly))
+        with pytest.raises(OverflowingValueError):
+            apply(Homothety(P, s=720.0), [0.0, 1.0, 0.0, 0.0])
+
     def test_overflowing_rows_leave_the_other_rows_bit_identical(self):
-        """In a batch, each row is what it is alone, bit for bit: e^{2s}
-        overflows in compose at s = 400, e^{-2s} in inverse at s = -400
-        and e^{s} in compose at s = 720, and the zeros of those rows stay
-        zeros."""
+        """In a batch, each row is what it is alone, bit for bit, in the
+        sign of zeros too: e^{2s} overflows in compose and apply at s =
+        400, e^{-2s} in inverse at s = -400 and e^{s} in compose and apply
+        at s = 720, and the zeros of those rows stay zeros."""
         P = SymmetricProfile(np.diag([1.0, -2.0]))
         rng = np.random.default_rng(7)
         phis = [Homothety(P, s=400.0), Homothety(P, s=-400.0),
                 Homothety(P, s=720.0, A=-np.eye(2)), element(P, rng), element(P, rng)]
         psis = [identity(P)] * 3 + [element(P, rng), element(P, rng)]
-        for got, alone in ((compose(grp._stack(phis), grp._stack(psis)), map(compose, phis, psis)),
-                           (inverse(grp._stack(phis)), map(inverse, phis))):
+        products, inverses = compose(grp._stack(phis), grp._stack(psis)), inverse(grp._stack(phis))
+        for got, alone in ((products, map(compose, phis, psis)), (inverses, map(inverse, phis))):
             for k, want in enumerate(alone):
-                assert all(map(np.array_equal, grp._params(grp._take(got, k)),
-                               grp._params(want))), k
-        images = apply(grp._take(grp._stack(phis), np.s_[:, None]), np.zeros((2, 4)))
-        assert np.array_equal(images[:3], np.zeros((3, 2, 4)))
+                assert all(map(bit_equal, grp._params(grp._take(got, k)), grp._params(want))), k
+        for got, k in ((products, 0), (products, 2), (inverses, 1)):
+            row = grp._take(got, k)
+            assert row.b == 0.0 and not row.beta.beta0.any() and not row.beta.beta1.any()
+        # each row at its own point, the origin where e^{s} overflows
+        points = rng.uniform(-1, 1, (5, 1, 4))
+        points[[0, 2]] = 0.0
+        images = apply(grp._take(grp._stack(phis), np.s_[:, None]), points)
+        assert not images[[0, 2]].any()
+        for k, phi in enumerate(phis):
+            assert bit_equal(images[k], apply(phi, points[k])), k
+
+
+def first_error(*calls):
+    """The type and message of what the first raising call raises, or None."""
+    for call in calls:
+        try:
+            call()
+        except (PreconditionError, OverflowingValueError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestRowByRow:
+    """A batched compose or inverse raises what the loop over its rows,
+    in np.ndindex order, raises first.  On S = [[-1]] a row overflows
+    where e^{708} b is inf, and loses its phase where a nonzero beta is
+    read at t = 8e15; the batch alone would find every lost phase before
+    any overflow."""
+
+    prof = SymmetricProfile([[-1.0]])
+    beta = BetaSolution(prof, [0.5], [0.2])
+    ORDERS = ["overflow-then-phase", "phase-then-overflow", "both-in-one-row"]
+
+    def rows(self, order):
+        """(phi, psi) rows: a finite row, then the order's failing rows."""
+        P = self.prof
+        ok = (Homothety(P, s=0.3, beta=self.beta), Homothety(P, b=1.0, c=0.4))
+        over = (Homothety(P, s=354.0), Homothety(P, b=100.0))
+        phase = (Homothety(P, beta=self.beta), Homothety(P, c=8e15))
+        both = (Homothety(P, s=354.0, beta=self.beta), Homothety(P, b=100.0, c=8e15))
+        return [ok, *{"overflow-then-phase": [over, phase, ok],
+                      "phase-then-overflow": [phase, over, ok],
+                      "both-in-one-row": [ok, both, over]}[order]]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_equal_batches(self, order):
+        phis, psis = zip(*self.rows(order))
+        want = first_error(*(lambda a=a, b=b: compose(a, b) for a, b in zip(phis, psis)))
+        assert want[0] is (OverflowingValueError if order == "overflow-then-phase"
+                           else PreconditionError)
+        assert first_error(lambda: compose(grp._stack(phis), grp._stack(psis))) == want
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_a_single_element_against_a_batch(self, order):
+        """One element broadcasts against every row, on either side."""
+        P = self.prof
+        phi = Homothety(P, s=354.0, beta=self.beta)
+        psis = {"overflow-then-phase": [Homothety(P, c=0.1), Homothety(P, b=100.0),
+                                        Homothety(P, c=8e15)],
+                "phase-then-overflow": [Homothety(P, c=0.1), Homothety(P, c=8e15),
+                                        Homothety(P, b=100.0)],
+                "both-in-one-row": [Homothety(P, c=0.1), Homothety(P, b=100.0, c=8e15),
+                                    Homothety(P, b=100.0)]}[order]
+        want = first_error(*(lambda b=b: compose(phi, b) for b in psis))
+        assert want[0] is (OverflowingValueError if order == "overflow-then-phase"
+                           else PreconditionError)
+        assert first_error(lambda: compose(phi, grp._stack(psis))) == want
+        phis, psis = zip(*self.rows(order))
+        for psi in (psis[1], psis[2]):
+            want = first_error(*(lambda a=a: compose(a, psi) for a in phis))
+            assert first_error(lambda: compose(grp._stack(phis), psi)) == want
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_a_column_batch_against_a_row_batch(self, order):
+        """A (B, 1) batch against a (M,) batch is the (B, M) batch of
+        every pair, its rows in np.ndindex order."""
+        phis, psis = zip(*self.rows(order))
+        column = grp._take(grp._stack(phis), np.s_[:, None])
+        want = first_error(*(lambda a=a, b=b: compose(a, b) for a in phis for b in psis))
+        assert want is not None
+        assert first_error(lambda: compose(column, grp._stack(psis))) == want
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_inverse(self, order):
+        """e^{-2s} b overflows at s = -354, b = 100, and the inverse reads
+        beta at t = -8e15 for c = 8e15."""
+        P = self.prof
+        over, phase = Homothety(P, b=100.0, s=-354.0), Homothety(P, c=8e15, beta=self.beta)
+        both = Homothety(P, b=100.0, s=-354.0, c=8e15, beta=self.beta)
+        phis = [identity(P), *{"overflow-then-phase": [over, phase],
+                               "phase-then-overflow": [phase, over],
+                               "both-in-one-row": [both, over]}[order]]
+        want = first_error(*(lambda a=a: inverse(a) for a in phis))
+        assert want[0] is (OverflowingValueError if order == "overflow-then-phase"
+                           else PreconditionError)
+        assert first_error(lambda: inverse(grp._stack(phis))) == want
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compose_reads_A_by_value_not_by_memory_order(kind):
+    """Every A is in C order, where it enters and after an inverse: an
+    element built from an F-ordered or transposed-view A composes, on
+    either side, bit for bit as the one built from its C-ordered copy."""
+    rng = np.random.default_rng(4)
+    prof = spectral_profile(kind, 4, rng, True)
+    phi, psi = element(prof, rng), element(prof, rng)
+
+    def layouts(e):
+        A = np.ascontiguousarray(e.A)
+        return [replace(e, A=A), replace(e, A=np.asfortranarray(A)),
+                replace(e, A=np.ascontiguousarray(A.T).T)]
+
+    want = grp._params(compose(*(layouts(e)[0] for e in (phi, psi))))
+    for a in layouts(phi):
+        for b in layouts(psi):
+            assert all(map(bit_equal, grp._params(compose(a, b)), want))
+    assert inverse(phi).A.flags.c_contiguous
+    assert inverse(grp._stack([phi, psi])).A.flags.c_contiguous
 
 
 def counter(monkeypatch, owner, name):

@@ -152,6 +152,23 @@ def test_json_numbers_have_one_reader():
     assert _readers("_is_number") == ["serialize.load_reals"]
 
 
+def test_each_failure_rule_of_the_group_law_is_stated_once():
+    """The zero rule and the row rule live in one function each: np.isinf
+    is called only in group._scaled, a group-law failure is caught only in
+    group._row_by_row, and no package file names the per-term helper
+    _keep_zeros that each operation once called."""
+    def catches_group_law_failures(node):
+        caught = node.type.elts if isinstance(getattr(node, "type", None), ast.Tuple) else []
+        return isinstance(node, ast.ExceptHandler) and {"PreconditionError",
+                                                        "OverflowingValueError"} <= {
+            getattr(name, "id", None) for name in caught}
+
+    assert _callers("isinf") == ["group._scaled"]
+    assert [scope.split(".")[:2] for scope in _scopes(catches_group_law_failures)] \
+        == [["group", "_row_by_row"]]
+    assert _naming("_keep_zeros") == []
+
+
 def test_every_package_definition_has_a_caller():
     used = set().union(*(_references(p) for p in SOURCES))
     defined = set().union(*(_definitions(p) for p in PACKAGE.glob("*.py")))
