@@ -152,9 +152,8 @@ def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> 
     return np.block([[At * ch, At * sh], [At * d0, At * ch]]) - np.eye(2 * profile.n)
 
 
-def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
-                           betahat: BetaSolution) -> BetaSolution:
-    """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta.
+def solve_conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
+    """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta, over betahat's profile.
 
     One linear solve for the initial data of beta in the eigenbasis of S.
     For s != 0 it is singular only where (s/c)^2 hits a positive eigenvalue
@@ -162,6 +161,7 @@ def solve_conjugation_beta(profile: SymmetricProfile, A, s: float, c: float,
     |mu| = 1 forces mu = 1, mu an eigenvalue of Q^T A Q on r^2's columns),
     both judged by RESONANCE_TOL: a ResonanceError.
     """
+    profile = betahat.profile
     A = profile.require_centraliser(A)
     if within(abs(s), PARAM_TOL):
         raise PreconditionError("conjugation solve requires a strict homothety (s != 0)")
@@ -214,7 +214,7 @@ def normal_form(phi: Homothety) -> NormalFormResult:
         raise UnsupportedCaseError("normal form requires eps = +1")
     # the solver equation with shift -c and right-hand side beta(. - c)
     val, der = beta_eval(phi.beta, -phi.c)
-    beta_g = solve_conjugation_beta(prof, phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
+    beta_g = solve_conjugation_beta(phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
     Y, Yd = beta_eval(beta_g, phi.c)
     cross = float(phi.beta.beta1 @ Y - Yd @ phi.beta.beta0)
     g = Homothety(prof, b=(phi.b + 0.5 * cross) / np.expm1(2 * phi.s), beta=beta_g)
@@ -360,8 +360,6 @@ def pd_necessary_report(generators: Sequence[Homothety],
     if max_length < 1:
         raise PreconditionError("the sweep needs max_length >= 1")
     prof = generators[0].profile
-    if any(g.profile != prof for g in generators):
-        raise IncompatibleProfileError("the generators are over different profiles")
     cls = classify(prof)
     # letter j is g_{j//2+1} for even j and its inverse for odd j: j ^ 1 cancels j
     letters = _with_inverses(generators)

@@ -24,8 +24,9 @@ replaces an A past PARAM_TOL of orthogonal by its polar factor.  Products
 and inverses are checked only for overflow, by one sum of their
 parameters, and never re-project A: a float matrix product is backward
 stable, so each drifts by at most about n eps.  Rows taken from a batch,
-or elements stacked into one, were checked when they were made, and are
-not checked again.  `compose`, `inverse`, `apply` and `differential` run
+or elements stacked into one (`_stack`, which checks only that they share
+one profile), were checked when they were made, and are not checked
+again.  `compose`, `inverse`, `apply` and `differential` run
 with numpy's overflow warnings off, so an overflow surfaces only as
 OverflowingValueError; `differential` raises on a Jacobian entry past the
 float range, as e^{2s}, its v-v entry, may be.  The zero rule, `_scaled`:
@@ -142,9 +143,12 @@ def _params(phi: Homothety) -> tuple:
 
 
 def _stack(elements: Sequence[Homothety]) -> Homothety:
-    """The batch of shape (len(elements),) of the elements, in floats (eps too)."""
-    return _assemble(elements[0].profile, *map(partial(np.array, dtype=float),
-                                               zip(*map(_params, elements))))
+    """The batch of shape (len(elements),) of the elements, in floats (eps
+    too); IncompatibleProfileError if they are over different profiles."""
+    prof = elements[0].profile
+    if any(phi.profile is not prof and phi.profile != prof for phi in elements):
+        raise IncompatibleProfileError("cannot stack elements over different profiles")
+    return _assemble(prof, *map(partial(np.array, dtype=float), zip(*map(_params, elements))))
 
 
 def _take(phi: Homothety, rows) -> Homothety:

@@ -277,8 +277,11 @@ def test_verdicts_hold_across_seeds(name, seed):
     assert [c.name for c in report.checks if not c.passed] == []
 
 
-@pytest.mark.parametrize("r", range(3, 7))
+@pytest.mark.parametrize("r", [*range(3, 7), 50, 10**3, 10**4, 10**5, 163852])
 def test_real_lattice_verdicts_hold_for_each_r(r):
+    """Every r the example accepts, up to floor(r_max) = 163852: the
+    absolute lagrangian_omega check reads 2.3e-10 at r = 10^5 against
+    ROUNDOFF_TOL, the thinnest margin of the examples."""
     report = verify_example("real-lattice", r=r)
     assert [c.name for c in report.checks if not c.passed] == []
 

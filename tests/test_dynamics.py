@@ -307,8 +307,7 @@ class TestConjugationSolve:
         # the block matrix is diag(-3, -3), so beta = -cos(t)/3
         prof = SymmetricProfile(-np.eye(1))
         betahat = BetaSolution(prof, [1.0], [0.0])
-        beta = solve_conjugation_beta(prof, np.eye(1), np.log(2.0), np.pi,
-                                      betahat)
+        beta = solve_conjugation_beta(np.eye(1), np.log(2.0), np.pi, betahat)
         assert beta.beta0[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert beta.beta1[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -326,7 +325,7 @@ class TestConjugationSolve:
             betahat = BetaSolution(prof, rng.normal(size=n),
                                    rng.normal(size=n))
             try:
-                beta = solve_conjugation_beta(prof, A, s, c, betahat)
+                beta = solve_conjugation_beta(A, s, c, betahat)
             except ResonanceError:
                 continue
             for t in (0.0, 0.5, 1.2):
@@ -339,7 +338,7 @@ class TestConjugationSolve:
         # S = 1, c = 1, s = 1 sits exactly on the resonance (s/c)^2 = 1
         prof = SymmetricProfile(np.eye(1))
         with pytest.raises(ResonanceError):
-            solve_conjugation_beta(prof, np.eye(1), 1.0, 1.0,
+            solve_conjugation_beta(np.eye(1), 1.0, 1.0,
                                    BetaSolution(prof, [1.0], [0.0]))
 
     @pytest.mark.parametrize("A", [np.eye(2), np.diag([1.0, -1.0])],
@@ -348,7 +347,7 @@ class TestConjugationSolve:
         # (s/c)^2 = 1 on S = I_2, and A fixes e_1: the system is singular
         prof = SymmetricProfile(np.eye(2))
         with pytest.raises(ResonanceError):
-            solve_conjugation_beta(prof, A, -1.0, 1.0,
+            solve_conjugation_beta(A, -1.0, 1.0,
                                    BetaSolution(prof, [1.0, 0.5], [0.5, 1.0]))
 
     @pytest.mark.parametrize("S, A", [([[1.0]], [[-1.0]]),
@@ -368,7 +367,7 @@ class TestConjugationSolve:
     def test_requires_strict(self):
         prof = SymmetricProfile(np.eye(1))
         with pytest.raises(PreconditionError):
-            solve_conjugation_beta(prof, np.eye(1), 0.0, 1.0,
+            solve_conjugation_beta(np.eye(1), 0.0, 1.0,
                                    BetaSolution(prof, [1.0], [0.0]))
 
     def test_block_determinant_root_locus(self):
@@ -432,7 +431,7 @@ def test_conjugation_solve_matches_block_loop(kind, n, repeat, seed, s, s_sign, 
     betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
     ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, betahat)
     assume(cond <= 1e3)
-    beta = solve_conjugation_beta(prof, A, s, c, betahat)
+    beta = solve_conjugation_beta(A, s, c, betahat)
     scale = max(1.0, *(float(np.max(np.abs(v)))
                        for v in (betahat.beta0, betahat.beta1, ref0, ref1)))
     assert np.max(np.abs(beta.beta0 - ref0)) <= 1e-12 * scale

@@ -21,7 +21,7 @@ from cwgeom.core import (
     require_phase,
 )
 from cwgeom.dynamics import orbit_obstruction_sequence
-from cwgeom.errors import OverflowingValueError, PreconditionError
+from cwgeom.errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
 from cwgeom.group import Homothety, apply, compose, differential, identity, inverse, power
 
 from conftest import eigenspaces, random_centralising_orthogonal
@@ -189,6 +189,15 @@ class TestOverflow:
             compose(grp._take(big, [0]), grp._take(big, [1]))
         with pytest.raises(OverflowingValueError):
             inverse(grp._take(big, 1))
+
+    def test_stack_refuses_a_second_profile(self):
+        """A batch has one profile: _stack refuses elements over another,
+        as compose refuses to combine them, and takes equal profiles."""
+        other = SymmetricProfile(2.0 * self.prof.S)
+        with pytest.raises(IncompatibleProfileError):
+            grp._stack([Homothety(self.prof, c=1.0), Homothety(other, s=0.5)])
+        twin = SymmetricProfile(self.prof.S.copy())
+        assert grp._stack([Homothety(self.prof), Homothety(twin, c=1.0)]).profile is self.prof
 
     def test_a_zero_factor_survives_an_overflowing_scale(self):
         """e^{800} is inf, and inf * 0 is NaN, but the exact term of a zero

@@ -112,7 +112,7 @@ def test_conjugation_solve_forward_error(kind, c):
     to the largest entry of the initial data.  s = 0.3 is far from the
     resonances: (s/c)^2 = 0.09 against the eigenvalues 1 and 4."""
     phi = _phi(kind, 1, c=c)
-    beta = solve_conjugation_beta(phi.profile, A3, phi.s, c, phi.beta)
+    beta = solve_conjugation_beta(A3, phi.s, c, phi.beta)
     sol, rhs = mo.element(Homothety(phi.profile, beta=beta)), mo.element(phi)
     size = max(1.0, *(np.max(np.abs(v)) for v in (beta.beta0, beta.beta1,
                                                   phi.beta.beta0, phi.beta.beta1)))

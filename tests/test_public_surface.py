@@ -169,6 +169,25 @@ def test_each_failure_rule_of_the_group_law_is_stated_once():
     assert _naming("_keep_zeros") == []
 
 
+def test_profiles_are_compared_only_where_inputs_are_combined():
+    """An input's profile is read from one place.  `.profile` values are
+    compared only where elements or solutions given separately meet: the
+    product, the constructor's beta, _stack (so every batch, the PD
+    sweep's letters among them), the symplectic form and the orbit.
+    solve_conjugation_beta takes its profile from betahat, not as a
+    parameter."""
+    def compares_profiles(node):
+        return isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "profile"
+            for side in (node.left, *node.comparators))
+
+    assert sorted(set(_scopes(compares_profiles))) == [
+        "core.symplectic_form", "dynamics.orbit_obstruction_sequence",
+        "group.Homothety.__post_init__", "group._stack", "group.compose"]
+    assert "dynamics.solve_conjugation_beta" not in _scopes(
+        lambda node: isinstance(node, ast.arg) and node.arg == "profile")
+
+
 def test_every_package_definition_has_a_caller():
     used = set().union(*(_references(p) for p in SOURCES))
     defined = set().union(*(_definitions(p) for p in PACKAGE.glob("*.py")))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cwgeom import quotients
 from cwgeom.core import PARAM_TOL, SymmetricProfile
-from cwgeom.errors import PreconditionError, UnsupportedCaseError
+from cwgeom.errors import IncompatibleProfileError, PreconditionError, UnsupportedCaseError
 from cwgeom.group import Homothety, _element
 from cwgeom.quotients import (
     EXAMPLES,
@@ -77,6 +77,25 @@ class TestRealLattice:
         with pytest.raises(PreconditionError):
             verify_real_lattice_example(r=2)
 
+    @pytest.mark.parametrize("r", [3.0, 3.5, "3"])
+    def test_r_must_be_an_integer(self, r):
+        with pytest.raises(PreconditionError, match="r must be an integer"):
+            verify_real_lattice_example(r=r)
+
+    def test_numpy_integer_r_passes(self):
+        report = verify_real_lattice_example(r=np.int64(4))
+        _assert_report_passes(report)
+        assert report.checks == verify_real_lattice_example(r=4).checks
+
+    @pytest.mark.parametrize("r", [3, 6, 50])
+    def test_non_discreteness_reads_the_orbit_residual(self, r):
+        """min |b_k| is |b_K|, the last point's one nonzero coordinate,
+        which orbit_converges_to_zero judges as the point's norm: one
+        number, judged at ORBIT_TOL by both."""
+        by_name = {c.name: c for c in verify_real_lattice_example(r=r).checks}
+        assert by_name["non_discreteness"].residual \
+            == by_name["orbit_converges_to_zero"].residual > 0.0
+
     def test_non_discreteness_residuals(self):
         report = verify_real_lattice_example(r=3)
         by_name = {c.name: c for c in report.checks}
@@ -91,6 +110,13 @@ class TestFailed3d:
         decay = next(c for c in report.checks
                      if c.name == "decay_rate_e_minus_2")
         assert decay.residual <= 0.1
+
+    def test_decay_rate_is_seed_free(self):
+        """The decay rate is read off a closed-form orbit no seed moves, so
+        its residual, judged at COMPOSED_TOL, is the same at every seed."""
+        residuals = {next(c.residual for c in verify_failed_3d_example(seed=seed).checks
+                          if c.name == "decay_rate_e_minus_2") for seed in range(10)}
+        assert len(residuals) == 1
 
     def test_large_shear_seed_passes(self):
         # at this seed a sample sits at t = -5.9, where the shear e^{-2t}
@@ -210,6 +236,12 @@ class TestRemovedFixedPoints:
     def test_self_adjacency_needs_a_region(self):
         with pytest.raises(PreconditionError, match="at least one region"):
             self_adjacency([], example4_generators())
+
+    def test_self_adjacency_refuses_generators_over_two_profiles(self):
+        R, _ = example4_regions()
+        gamma, eta = example4_generators()
+        with pytest.raises(IncompatibleProfileError):
+            self_adjacency([R], [gamma, Homothety(SymmetricProfile(np.eye(1)), s=eta.s)])
 
     def test_self_adjacency_builds_each_power_once(self, monkeypatch):
         """The words are built once for both regions: the powers of every
