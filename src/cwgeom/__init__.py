@@ -36,7 +36,6 @@ from .dynamics import (
     normal_form,
     orbit_obstruction_sequence,
     pd_necessary_report,
-    solve_conjugation_beta,
 )
 from .errors import CWError
 from .flat import (

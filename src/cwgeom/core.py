@@ -29,8 +29,10 @@ from .errors import (
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
 PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, Q^T A Q off the blocks, gaps
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
-#                         entering A is projected) or of |A|(1 - |A|); in the PD sweep too
-FIXED_POINT_TOL = 1e-8  # a fixed point's consistency, relative to the terms its residual subtracts
+#                         entering A is projected) or of |A|(1 - |A|), a singular value of
+#                         A - I in fixed_point; in the PD sweep too
+FIXED_POINT_TOL = 1e-8  # an isometry's fixed point: one residual |phi(p) - p|, relative to the
+#                         terms it subtracts
 RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue;
 #                         and |mu - 1| for the eigenvalues mu of A on that eigenspace
 ORBIT_TOL = 1e-6        # an orbit's last point from its limit, in every coordinate
@@ -63,8 +65,8 @@ class SymmetricProfile:
     ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
     in ascending order, and the columns of one value span an eigenspace:
     the only spectral data, read by the flow, ``classify``,
-    ``in_centraliser`` and solve_conjugation_beta's resonance gate.  The
-    flow reads them through tables built once here, per column: the rate
+    ``in_centraliser`` and the resonance gate of dynamics._conjugation_beta.
+    The flow reads them through tables built once here, per column: the rate
     r, the derivative factor, each sign's slice of columns and the phase
     limit, so that a call runs each of its functions once over all times.
     A finite S whose trace or eigenvalues overflow is an

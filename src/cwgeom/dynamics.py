@@ -2,10 +2,11 @@
 obstructions to properly discontinuous cocompact actions.
 
 Fixed points take one path: at the fixed time t* of t -> eps t + c, solve
-(e^s A - I) x = -beta(t*) on the x-block, then the affine v-equation.  So
-a strict homothety fixes a point iff eps = -1 or c = 0, which is also
-when it is essential; otherwise f = -s t / c has f(phi(p)) = f(p) - s,
-so phi is an isometry of e^{2f} g_S.  The conjugation equation
+(e^s A - I) x = -beta(t*) on the x-block, then the affine v-equation, and
+judge an isometry's point by its residual.  So a strict homothety fixes a
+point iff eps = -1 or c = 0, which is also when it is essential;
+otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an isometry of
+e^{2f} g_S.  The conjugation equation
 e^s A beta(t + c) - beta(t) = betahat(t) is one 2n x 2n solve in the
 eigenbasis of S, on SymmetricProfile.flow.
 """
@@ -78,11 +79,12 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     A fixed point lies at the fixed time t* of the t-part, on the x-block
     solution of (e^s A - I) x = -beta(t*) and the solution v* of
     v = eps(e^{2s} v + b - <beta'(t*), e^s A x* + beta(t*)/2>).  Strict case:
-    it exists iff eps = -1 or c = 0.  Isometry case: the x-block system
-    (A - I) x = -beta(t*) must be consistent, and for eps = +1 the v-shift
-    must vanish.  Each gate judges by FIXED_POINT_TOL relative to the terms
-    its residual subtracts: beta(t*) on the x-block, b, <beta', e^s A x*>
-    and <beta', beta>/2 on the v-shift, all of them on the fixed point.
+    it exists iff eps = -1 or c = 0.  Isometry case: x* is the least-squares
+    solution with the singular values of A - I at or below PARAM_TOL read as
+    0, as the entry gate reads A, and v* = 0 where eps e^{2s} = 1; a point
+    exists iff each coordinate of |phi(p) - p| is within FIXED_POINT_TOL of
+    the terms it subtracts: beta(t*) on t and x (the x-block is
+    (A - I) x* + beta(t*)), and b, <beta', e^s A x*>, <beta', beta>/2 on v.
     """
     none = FixedPointReport(False, None, "none_translation")
     t_star = float(_fixed_time(phi))
@@ -90,30 +92,30 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
         return none
     strict = phi.is_strict
     val, der = beta_eval(phi.beta, t_star)
-    x_size = float(np.max(np.abs(val)))
     # an isometry's s, within PARAM_TOL of 0, is read as 0
     M = (np.exp(phi.s) if strict else 1.0) * phi.A - np.eye(phi.profile.n)
     if strict:
         x_star = np.linalg.solve(M, -val)
     else:
-        x_star = np.linalg.lstsq(M, -val, rcond=None)[0]
-        if not within(float(np.max(np.abs(M @ x_star + val))), FIXED_POINT_TOL, x_size):
-            return none
+        # rcond=None cuts at round-off times sv[0]: a second solve cuts at PARAM_TOL
+        x_star, _, rank, sv = np.linalg.lstsq(M, -val, rcond=None)
+        if np.sum(sv > PARAM_TOL) != rank:
+            x_star = (np.linalg.lstsq(M, -val, rcond=PARAM_TOL / sv[0])[0]
+                      if sv[0] > PARAM_TOL else np.zeros(phi.profile.n))
     esAx = np.exp(phi.s) * (phi.A @ x_star)
     d = phi.eps * (phi.b - float(der @ (esAx + 0.5 * val)))
-    v_size = max(abs(phi.b), abs(float(der @ esAx)), 0.5 * abs(float(der @ val)))
     slope = phi.eps * np.exp(2 * phi.s)
-    shift = within(abs(1.0 - slope), PARAM_TOL)  # v -> v + d, fixed only where d = 0
-    if shift and not within(abs(d), FIXED_POINT_TOL, v_size):
-        return none
-    v_star = 0.0 if shift else d / (1.0 - slope)
+    # v -> v + d where the slope is 1, fixed only where d = 0
+    v_star = 0.0 if within(abs(1.0 - slope), PARAM_TOL) else d / (1.0 - slope)
     p = require_finite(np.concatenate(([t_star], x_star, [v_star])))
-    res = float(np.max(np.abs(apply(phi, p) - p)))
-    if not strict and phi.eps == 1 and not within(res, FIXED_POINT_TOL, max(x_size, v_size)):
+    res = np.abs(apply(phi, p) - p)
+    size = np.r_[np.full(phi.profile.n + 1, np.max(np.abs(val))),
+                 max(abs(phi.b), abs(der @ esAx), 0.5 * abs(der @ val))]
+    if not strict and not within(res, FIXED_POINT_TOL, size).all():
         return none
     reason = ("isometry_euclidean_fp" if not strict
               else "strict_eps_minus1" if phi.eps == -1 else "strict_c_zero")
-    return FixedPointReport(True, p, reason, res)
+    return FixedPointReport(True, p, reason, float(np.max(res)))
 
 
 def essential_fixed_point(phi: Homothety) -> FixedPointReport:
@@ -152,19 +154,16 @@ def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> 
     return np.block([[At * ch, At * sh], [At * d0, At * ch]]) - np.eye(2 * profile.n)
 
 
-def solve_conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
+def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta, over betahat's profile.
 
-    One linear solve for the initial data of beta in the eigenbasis of S.
-    For s != 0 it is singular only where (s/c)^2 hits a positive eigenvalue
-    r^2 and A fixes a vector of its eigenspace (e^{s +- rc} mu = 1 with
-    |mu| = 1 forces mu = 1, mu an eigenvalue of Q^T A Q on r^2's columns),
-    both judged by RESONANCE_TOL: a ResonanceError.
+    One linear solve for the initial data of beta in the eigenbasis of S;
+    A was gated where phi entered and s != 0.  ResonanceError where (s/c)^2
+    hits a positive eigenvalue r^2 and A fixes a vector of its eigenspace
+    (e^{s +- rc} mu = 1 with |mu| = 1 forces mu = 1, mu an eigenvalue of
+    Q^T A Q on r^2's columns), both judged by RESONANCE_TOL.
     """
     profile = betahat.profile
-    A = profile.require_centraliser(A)
-    if within(abs(s), PARAM_TOL):
-        raise PreconditionError("conjugation solve requires a strict homothety (s != 0)")
     Q, lam_sq = profile.eigenvectors, profile.eigenvalues
     Ahat = Q.T @ A @ Q
     if not within(abs(c), PARAM_TOL):
@@ -214,7 +213,7 @@ def normal_form(phi: Homothety) -> NormalFormResult:
         raise UnsupportedCaseError("normal form requires eps = +1")
     # the solver equation with shift -c and right-hand side beta(. - c)
     val, der = beta_eval(phi.beta, -phi.c)
-    beta_g = solve_conjugation_beta(phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
+    beta_g = _conjugation_beta(phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
     Y, Yd = beta_eval(beta_g, phi.c)
     cross = float(phi.beta.beta1 @ Y - Yd @ phi.beta.beta0)
     g = Homothety(prof, b=(phi.b + 0.5 * cross) / np.expm1(2 * phi.s), beta=beta_g)

@@ -21,7 +21,7 @@ from cwgeom.errors import (
     PreconditionError,
 )
 
-from cwgeom.dynamics import solve_conjugation_beta
+from cwgeom.dynamics import _conjugation_beta
 from cwgeom.group import Homothety, compose
 
 from conftest import eigenspaces, random_centralising_orthogonal, random_profile
@@ -394,12 +394,12 @@ class TestPhaseLimit:
         # reads beta at time c
         prof = SymmetricProfile([[-1.0]])
         with pytest.raises(PreconditionError):
-            solve_conjugation_beta(np.eye(1), 0.5, 1e300,
-                                   BetaSolution(prof, [1.0], [0.0]))
-        zero = solve_conjugation_beta(np.eye(1), 0.5, 1e300, BetaSolution(prof))
+            _conjugation_beta(np.eye(1), 0.5, 1e300,
+                              BetaSolution(prof, [1.0], [0.0]))
+        zero = _conjugation_beta(np.eye(1), 0.5, 1e300, BetaSolution(prof))
         assert not zero.beta0.any() and not zero.beta1.any()
         # data only in the affine column is still solved at that shift
         prof = SymmetricProfile(np.diag([-1.0, 0.0]))
-        beta = solve_conjugation_beta(np.eye(2), 0.5, 1e300,
-                                      BetaSolution(prof, [0.0, 1.0], [0.0, 0.0]))
+        beta = _conjugation_beta(np.eye(2), 0.5, 1e300,
+                                 BetaSolution(prof, [0.0, 1.0], [0.0, 0.0]))
         assert np.isfinite(beta.beta0).all() and beta.beta0[0] == beta.beta1[0] == 0.0

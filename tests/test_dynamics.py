@@ -18,13 +18,13 @@ from cwgeom.core import (
     classify,
 )
 from cwgeom.dynamics import (
+    _conjugation_beta,
     fixed_point,
     inessential_rescaling,
     is_essential,
     normal_form,
     orbit_obstruction_sequence,
     pd_necessary_report,
-    solve_conjugation_beta,
 )
 from cwgeom.errors import (
     IncompatibleProfileError,
@@ -184,6 +184,50 @@ class TestFixedPointScale:
             size = max(abs(phi.b), abs(float(der @ (phi.A @ x))), 0.5 * abs(float(der @ val)))
             assert not fixed_point(replace(phi, b=phi.b + 1e-6 * size)).exists
 
+    def test_a_large_v_term_does_not_excuse_the_x_block(self):
+        """Each coordinate of the residual is judged against its own terms:
+        phi moves x by beta(0) = (1, 0), and b = 1e9 sizes v only."""
+        prof = SymmetricProfile(-np.eye(2))
+        phi = Homothety(prof, b=1e9, eps=-1, beta=BetaSolution(prof, [1.0, 0.0], [0.0, 0.0]))
+        assert not fixed_point(phi).exists
+
+
+class TestFixedPointRank:
+    """An isometry's x-solve reads a singular value of A - I at or below
+    PARAM_TOL as 0, as the entry gate reads A, and keeps one above it."""
+
+    @staticmethod
+    def _turned(angle):
+        prof = SymmetricProfile(-np.eye(2))
+        return Homothety(prof, c=0.4, eps=-1, A=_rot(angle),
+                         beta=BetaSolution(prof, [1.0, 0.0], [0.0, 0.5]))
+
+    def test_a_round_off_rotation_is_the_identity(self):
+        # A - I has singular values 1e-12, and beta(0.2) != 0: no fixed point
+        rep = fixed_point(self._turned(1e-12))
+        assert not rep.exists and rep.point is None
+
+    def test_a_small_rotation_keeps_its_fixed_point(self):
+        phi = self._turned(1e-6)
+        rep = fixed_point(phi)
+        assert rep.exists and 9e5 < np.max(np.abs(rep.point[1:-1])) < 1.1e6
+        assert rep.residual <= 1e-8
+
+    def test_singular_values_straddling_the_threshold(self):
+        # A - I has the singular values 5e-10 on the first plane, read as 0,
+        # and 2e-9 on the second, kept
+        prof = SymmetricProfile(-np.eye(4))
+        A = np.eye(4)
+        A[:2, :2], A[2:, 2:] = _rot(5e-10), _rot(2e-9)
+        kept = fixed_point(Homothety(prof, eps=-1, A=A,
+                                     beta=BetaSolution(prof, [0, 0, 1.0, 0], [0, 0, 0, 1.0])))
+        assert kept.exists
+        assert np.allclose(kept.point, [0, 0, 0, 0, 5e8, 2.5e8], rtol=1e-6, atol=1e-6)
+        # beta(0) on the first plane: A is I there, and moves the origin by beta(0)
+        cut = fixed_point(Homothety(prof, eps=-1, A=A,
+                                    beta=BetaSolution(prof, [1.0, 0, 0, 0], [0, 0, 0, 0])))
+        assert not cut.exists
+
 
 def _c_zero_isometry():
     """S = -I, beta(t) = sin(t - 1) e_1 (the solution (0, e_1) shifted by -1) and
@@ -307,7 +351,7 @@ class TestConjugationSolve:
         # the block matrix is diag(-3, -3), so beta = -cos(t)/3
         prof = SymmetricProfile(-np.eye(1))
         betahat = BetaSolution(prof, [1.0], [0.0])
-        beta = solve_conjugation_beta(np.eye(1), np.log(2.0), np.pi, betahat)
+        beta = _conjugation_beta(np.eye(1), np.log(2.0), np.pi, betahat)
         assert beta.beta0[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert beta.beta1[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -325,7 +369,7 @@ class TestConjugationSolve:
             betahat = BetaSolution(prof, rng.normal(size=n),
                                    rng.normal(size=n))
             try:
-                beta = solve_conjugation_beta(A, s, c, betahat)
+                beta = _conjugation_beta(A, s, c, betahat)
             except ResonanceError:
                 continue
             for t in (0.0, 0.5, 1.2):
@@ -338,8 +382,8 @@ class TestConjugationSolve:
         # S = 1, c = 1, s = 1 sits exactly on the resonance (s/c)^2 = 1
         prof = SymmetricProfile(np.eye(1))
         with pytest.raises(ResonanceError):
-            solve_conjugation_beta(np.eye(1), 1.0, 1.0,
-                                   BetaSolution(prof, [1.0], [0.0]))
+            _conjugation_beta(np.eye(1), 1.0, 1.0,
+                              BetaSolution(prof, [1.0], [0.0]))
 
     @pytest.mark.parametrize("A", [np.eye(2), np.diag([1.0, -1.0])],
                              ids=["identity", "reflection"])
@@ -347,8 +391,8 @@ class TestConjugationSolve:
         # (s/c)^2 = 1 on S = I_2, and A fixes e_1: the system is singular
         prof = SymmetricProfile(np.eye(2))
         with pytest.raises(ResonanceError):
-            solve_conjugation_beta(A, -1.0, 1.0,
-                                   BetaSolution(prof, [1.0, 0.5], [0.5, 1.0]))
+            _conjugation_beta(A, -1.0, 1.0,
+                              BetaSolution(prof, [1.0, 0.5], [0.5, 1.0]))
 
     @pytest.mark.parametrize("S, A", [([[1.0]], [[-1.0]]),
                                       (np.eye(2), [[0.0, -1.0], [1.0, 0.0]])],
@@ -363,12 +407,6 @@ class TestConjugationSolve:
         res = normal_form(phi)
         assert res.residual <= 1e-14
         assert element_distance(conjugate(inverse(res.conjugator), res.normal), phi) <= 1e-14
-
-    def test_requires_strict(self):
-        prof = SymmetricProfile(np.eye(1))
-        with pytest.raises(PreconditionError):
-            solve_conjugation_beta(np.eye(1), 0.0, 1.0,
-                                   BetaSolution(prof, [1.0], [0.0]))
 
     def test_block_determinant_root_locus(self):
         # for a positive eigenvalue lambda^2 the scalar block determinant
@@ -431,7 +469,7 @@ def test_conjugation_solve_matches_block_loop(kind, n, repeat, seed, s, s_sign, 
     betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
     ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, betahat)
     assume(cond <= 1e3)
-    beta = solve_conjugation_beta(A, s, c, betahat)
+    beta = _conjugation_beta(A, s, c, betahat)
     scale = max(1.0, *(float(np.max(np.abs(v)))
                        for v in (betahat.beta0, betahat.beta1, ref0, ref1)))
     assert np.max(np.abs(beta.beta0 - ref0)) <= 1e-12 * scale

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from cwgeom.core import BetaSolution, SymmetricProfile
-from cwgeom.dynamics import (fixed_point, normal_form, orbit_obstruction_sequence,
-                             solve_conjugation_beta)
+from cwgeom.dynamics import (_conjugation_beta, fixed_point, normal_form,
+                             orbit_obstruction_sequence)
 from cwgeom.group import Homothety, apply, compose, differential, identity, inverse, power
 
 import mp_oracle as mo
@@ -112,7 +112,7 @@ def test_conjugation_solve_forward_error(kind, c):
     to the largest entry of the initial data.  s = 0.3 is far from the
     resonances: (s/c)^2 = 0.09 against the eigenvalues 1 and 4."""
     phi = _phi(kind, 1, c=c)
-    beta = solve_conjugation_beta(A3, phi.s, c, phi.beta)
+    beta = _conjugation_beta(A3, phi.s, c, phi.beta)
     sol, rhs = mo.element(Homothety(phi.profile, beta=beta)), mo.element(phi)
     size = max(1.0, *(np.max(np.abs(v)) for v in (beta.beta0, beta.beta1,
                                                   phi.beta.beta0, phi.beta.beta1)))

@@ -10,7 +10,11 @@ import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import cwgeom
+
+from test_group_law import counter
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -121,10 +125,10 @@ def test_the_spectrum_is_decided_in_one_function():
     in_centraliser read the grouped eigenvalues and not S, and no second
     zero threshold is kept (no `zero_threshold`).  The per-column
     eigenvalues are the one spectral representation: no `SpectralBlock`, no
-    `spectrum` attribute, and the resonance gate of solve_conjugation_beta
-    is the one caller of np.linalg.eigvals."""
+    `spectrum` attribute, and the resonance gate of the conjugation solve
+    dynamics._conjugation_beta is the one caller of np.linalg.eigvals."""
     assert _callers("eigh") == ["core.SymmetricProfile.__init__"]
-    assert _callers("eigvals") == ["dynamics.solve_conjugation_beta"]
+    assert _callers("eigvals") == ["dynamics._conjugation_beta"]
     assert _naming("SpectralBlock") == []
     assert _with_attribute("spectrum") == []
     readers = {node.name: {a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)}
@@ -174,8 +178,8 @@ def test_profiles_are_compared_only_where_inputs_are_combined():
     compared only where elements or solutions given separately meet: the
     product, the constructor's beta, _stack (so every batch, the PD
     sweep's letters among them), the symplectic form and the orbit.
-    solve_conjugation_beta takes its profile from betahat, not as a
-    parameter."""
+    The conjugation solve dynamics._conjugation_beta takes its profile from
+    betahat, not as a parameter."""
     def compares_profiles(node):
         return isinstance(node, ast.Compare) and any(
             isinstance(side, ast.Attribute) and side.attr == "profile"
@@ -184,8 +188,34 @@ def test_profiles_are_compared_only_where_inputs_are_combined():
     assert sorted(set(_scopes(compares_profiles))) == [
         "core.symplectic_form", "dynamics.orbit_obstruction_sequence",
         "group.Homothety.__post_init__", "group._stack", "group.compose"]
-    assert "dynamics.solve_conjugation_beta" not in _scopes(
+    assert "dynamics._conjugation_beta" not in _scopes(
         lambda node: isinstance(node, ast.arg) and node.arg == "profile")
+
+
+def test_fixed_point_judges_existence_once():
+    """An isometry's fixed point is one residual judged against
+    FIXED_POINT_TOL: the tolerance is read once, in dynamics.fixed_point."""
+    assert _readers("FIXED_POINT_TOL") == ["dynamics.fixed_point"]
+
+
+def test_the_conjugation_solve_is_private():
+    """normal_form is the one caller of the conjugation solve, so no package
+    file defines or exports solve_conjugation_beta."""
+    assert _naming("solve_conjugation_beta") == []
+    assert "solve_conjugation_beta" not in cwgeom.__all__
+
+
+def test_normal_form_does_not_gate_A_again(monkeypatch):
+    """phi's A was gated when phi was built: normal_form checks no
+    centraliser membership."""
+    prof = cwgeom.SymmetricProfile(-np.eye(2))
+    beta = cwgeom.BetaSolution(prof, [1.0, 0.5], [0.5, 1.0])
+    phis = [cwgeom.Homothety(prof, b=0.3, beta=beta, c=c, s=0.4, A=[[0.0, -1.0], [1.0, 0.0]])
+            for c in (1.0, -1.0)]
+    calls = counter(monkeypatch, cwgeom.SymmetricProfile, "in_centraliser")
+    for phi in phis:
+        cwgeom.normal_form(phi)
+    assert calls == []
 
 
 def test_every_package_definition_has_a_caller():
