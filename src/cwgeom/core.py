@@ -30,7 +30,7 @@ PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, 
 PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, Q^T A Q off the blocks, gaps
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
 #                         entering A is projected) or of |A|(1 - |A|), a singular value of
-#                         A - I in fixed_point; in the PD sweep too
+#                         e^s A - I in fixed_point; in the PD sweep too
 FIXED_POINT_TOL = 1e-8  # an isometry's fixed point: one residual |phi(p) - p|, relative to the
 #                         terms it subtracts
 RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue;

@@ -80,11 +80,11 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     solution of (e^s A - I) x = -beta(t*) and the solution v* of
     v = eps(e^{2s} v + b - <beta'(t*), e^s A x* + beta(t*)/2>).  Strict case:
     it exists iff eps = -1 or c = 0.  Isometry case: x* is the least-squares
-    solution with the singular values of A - I at or below PARAM_TOL read as
-    0, as the entry gate reads A, and v* = 0 where eps e^{2s} = 1; a point
-    exists iff each coordinate of |phi(p) - p| is within FIXED_POINT_TOL of
-    the terms it subtracts: beta(t*) on t and x (the x-block is
-    (A - I) x* + beta(t*)), and b, <beta', e^s A x*>, <beta', beta>/2 on v.
+    solution with the singular values of e^s A - I at or below PARAM_TOL
+    read as 0, as the entry gate reads A, and v* = 0 where eps e^{2s} = 1; a
+    point exists iff phi(p) - p is within FIXED_POINT_TOL of the terms it
+    subtracts: beta(t*) on x, where it is (e^s A - I) x* + beta(t*), and b,
+    <beta', e^s A x*>, <beta', beta>/2 on v.  The residual is max |phi(p) - p| by apply.
     """
     none = FixedPointReport(False, None, "none_translation")
     t_star = float(_fixed_time(phi))
@@ -92,8 +92,7 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
         return none
     strict = phi.is_strict
     val, der = beta_eval(phi.beta, t_star)
-    # an isometry's s, within PARAM_TOL of 0, is read as 0
-    M = (np.exp(phi.s) if strict else 1.0) * phi.A - np.eye(phi.profile.n)
+    M = np.exp(phi.s) * phi.A - np.eye(phi.profile.n)
     if strict:
         x_star = np.linalg.solve(M, -val)
     else:
@@ -108,14 +107,15 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     # v -> v + d where the slope is 1, fixed only where d = 0
     v_star = 0.0 if within(abs(1.0 - slope), PARAM_TOL) else d / (1.0 - slope)
     p = require_finite(np.concatenate(([t_star], x_star, [v_star])))
-    res = np.abs(apply(phi, p) - p)
-    size = np.r_[np.full(phi.profile.n + 1, np.max(np.abs(val))),
+    # t* is fixed; x from the small M, as e^s A x* - x* carries round-off of |x*|
+    gap = np.abs(np.r_[M @ x_star + val, d - (1.0 - slope) * v_star])
+    size = np.r_[np.full(phi.profile.n, np.max(np.abs(val))),
                  max(abs(phi.b), abs(der @ esAx), 0.5 * abs(der @ val))]
-    if not strict and not within(res, FIXED_POINT_TOL, size).all():
+    if not strict and not within(gap, FIXED_POINT_TOL, size).all():
         return none
     reason = ("isometry_euclidean_fp" if not strict
               else "strict_eps_minus1" if phi.eps == -1 else "strict_c_zero")
-    return FixedPointReport(True, p, reason, float(np.max(res)))
+    return FixedPointReport(True, p, reason, float(np.max(np.abs(apply(phi, p) - p))))
 
 
 def essential_fixed_point(phi: Homothety) -> FixedPointReport:

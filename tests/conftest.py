@@ -40,6 +40,22 @@ def random_centralising_orthogonal(profile: SymmetricProfile, rng) -> np.ndarray
     return A
 
 
+def haar_orthogonal(rng, n) -> np.ndarray:
+    """A Haar-random element of O(n): Q sign(diag R) from the QR factors of
+    a Gaussian matrix."""
+    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def in_frame(phi, O):
+    """phi = (b, beta, c, eps, A, s) over S, written in the frame O of R^n:
+    (b, O beta, c, eps, O A O^T, s) over O S O^T."""
+    prof = SymmetricProfile(O @ phi.profile.S @ O.T)
+    beta = BetaSolution(prof, O @ phi.beta.beta0, O @ phi.beta.beta1)
+    return Homothety(prof, b=phi.b, beta=beta, c=phi.c, eps=phi.eps, A=O @ phi.A @ O.T,
+                     s=phi.s)
+
+
 def random_homothety(prof, rng, strict=None, eps=None, c=None):
     """A random group element; strict=True forces s away from zero."""
     s = float(rng.uniform(0.2, 1.0) * rng.choice([-1, 1])) if strict \

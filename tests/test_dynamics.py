@@ -44,8 +44,8 @@ from cwgeom.group import (
     power,
 )
 
-from conftest import (eigenspaces, random_centralising_orthogonal, random_homothety,
-                      random_point, random_profile)
+from conftest import (eigenspaces, haar_orthogonal, in_frame, random_centralising_orthogonal,
+                      random_homothety, random_point, random_profile)
 from oracles import bit_equal, block_determinant, recurrence_orbit_sequence
 from test_group_law import KINDS, element, spectral_profile
 
@@ -197,9 +197,9 @@ class TestFixedPointRank:
     PARAM_TOL as 0, as the entry gate reads A, and keeps one above it."""
 
     @staticmethod
-    def _turned(angle):
+    def _turned(angle, s=0.0):
         prof = SymmetricProfile(-np.eye(2))
-        return Homothety(prof, c=0.4, eps=-1, A=_rot(angle),
+        return Homothety(prof, c=0.4, eps=-1, A=_rot(angle), s=s,
                          beta=BetaSolution(prof, [1.0, 0.0], [0.0, 0.5]))
 
     def test_a_round_off_rotation_is_the_identity(self):
@@ -215,7 +215,9 @@ class TestFixedPointRank:
 
     def test_singular_values_straddling_the_threshold(self):
         # A - I has the singular values 5e-10 on the first plane, read as 0,
-        # and 2e-9 on the second, kept
+        # and 2e-9 on the second, kept; in a Haar frame the round-off of
+        # O A O^T moves the split of the planes by about 1e-16 / 1.5e-9, past
+        # FIXED_POINT_TOL, so this case is judged only in its own frame
         prof = SymmetricProfile(-np.eye(4))
         A = np.eye(4)
         A[:2, :2], A[2:, 2:] = _rot(5e-10), _rot(2e-9)
@@ -227,6 +229,35 @@ class TestFixedPointRank:
         cut = fixed_point(Homothety(prof, eps=-1, A=A,
                                     beta=BetaSolution(prof, [1.0, 0, 0, 0], [0, 0, 0, 0])))
         assert not cut.exists
+
+    def test_a_kept_singular_value_in_any_frame(self):
+        # A - I has the singular values 2e-9 on the second plane and 1e-3 on
+        # the first; in a Haar frame O, x* ~ 5e8 puts round-off of 1e-7
+        # |beta(0)| on e^s A x* - x*, but not on (A - I) x* + beta(0), so the
+        # point is kept and maps by (t, O x, v)
+        prof = SymmetricProfile(-np.eye(4))
+        A = np.eye(4)
+        A[:2, :2], A[2:, 2:] = _rot(1e-3), _rot(2e-9)
+        phi = Homothety(prof, eps=-1, A=A,
+                        beta=BetaSolution(prof, [1.0, 0, 1.0, 0], [0, 1.0, 0, 1.0]))
+        rep = fixed_point(phi)
+        assert rep.exists and np.max(np.abs(rep.point)) > 1e8
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            O = haar_orthogonal(rng, 4)
+            moved = fixed_point(in_frame(phi, O))
+            assert moved.exists
+            want = np.concatenate(([rep.point[0]], O @ rep.point[1:-1], [rep.point[-1]]))
+            assert np.max(np.abs(moved.point - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("s", [5e-10, -5e-10])
+    def test_an_isometry_with_a_small_s_keeps_its_fixed_point(self, s):
+        # |s| <= PARAM_TOL makes phi an isometry, but with eps = -1 its
+        # v-slope is -e^{2s}, so it fixes a point whatever s is: the x-solve
+        # forms e^s A - I, as for a strict element
+        rep = fixed_point(self._turned(0.01, s))
+        assert rep.exists and rep.reason == "isometry_euclidean_fp"
+        assert np.allclose(rep.point, fixed_point(self._turned(0.01)).point, rtol=1e-6)
 
 
 def _c_zero_isometry():

@@ -11,12 +11,7 @@ from cwgeom.core import FIXED_POINT_TOL, BetaSolution, SymmetricProfile
 from cwgeom.dynamics import fixed_point
 from cwgeom.group import Homothety, compose, conjugate
 
-from conftest import random_centralising_orthogonal, random_profile
-
-
-def _haar(rng, n):
-    Q, R = np.linalg.qr(rng.normal(size=(n, n)))
-    return Q * np.sign(np.diag(R))
+from conftest import haar_orthogonal, in_frame, random_centralising_orthogonal, random_profile
 
 
 def _repeated_profile(rng, n):
@@ -24,7 +19,7 @@ def _repeated_profile(rng, n):
     that its centraliser holds rotations."""
     w = rng.uniform(-2.0, 2.0, n)
     w[1] = w[0]
-    Q = _haar(rng, n)
+    Q = haar_orthogonal(rng, n)
     return SymmetricProfile(Q @ np.diag(w) @ Q.T)
 
 
@@ -47,20 +42,13 @@ def _draw(rng):
     return conjugate(g, h) if rng.random() < 0.5 else compose(g, h)
 
 
-def _in_frame(phi, O):
-    prof = SymmetricProfile(O @ phi.profile.S @ O.T)
-    beta = BetaSolution(prof, O @ phi.beta.beta0, O @ phi.beta.beta1)
-    return Homothety(prof, b=phi.b, beta=beta, c=phi.c, eps=phi.eps, A=O @ phi.A @ O.T,
-                     s=phi.s)
-
-
 def test_fixed_points_do_not_depend_on_the_frame():
     rng = np.random.default_rng(11)
     verdicts, misplaced, kinds = [], [], set()
     for _ in range(600):
         phi = _draw(rng)
-        O = _haar(rng, phi.profile.n)
-        rep, moved = fixed_point(phi), fixed_point(_in_frame(phi, O))
+        O = haar_orthogonal(rng, phi.profile.n)
+        rep, moved = fixed_point(phi), fixed_point(in_frame(phi, O))
         kinds.add((phi.eps, phi.is_strict, rep.exists))
         if rep.exists != moved.exists:
             verdicts.append((phi, rep.point, moved.point))
@@ -85,4 +73,4 @@ def test_strict_verdicts_follow_the_theorem_in_every_frame():
             continue
         expected = phi.eps == -1 or phi.c == 0.0
         assert fixed_point(phi).exists == expected
-        assert fixed_point(_in_frame(phi, _haar(rng, phi.profile.n))).exists == expected
+        assert fixed_point(in_frame(phi, haar_orthogonal(rng, phi.profile.n))).exists == expected
