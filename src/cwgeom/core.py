@@ -64,8 +64,8 @@ class SymmetricProfile:
     |eigenvalue|); a block whose mean is within z of zero is 0.0.
     ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
     in ascending order, and the columns of one value span an eigenspace:
-    the only spectral data, read by the flow, ``classify``,
-    ``in_centraliser`` and the resonance gate of dynamics._conjugation_beta.
+    the only spectral data, read by the flow, ``classify``, ``in_centraliser``
+    and dynamics._conjugation_beta, whose solve and resonance gate run per eigenspace.
     The flow reads them through tables built once here, per column: the rate
     r, the derivative factor, each sign's slice of columns and the phase
     limit, so that a call runs each of its functions once over all times.

@@ -6,9 +6,9 @@ Fixed points take one path: at the fixed time t* of t -> eps t + c, solve
 judge an isometry's point by its residual.  So a strict homothety fixes a
 point iff eps = -1 or c = 0, which is also when it is essential;
 otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an isometry of
-e^{2f} g_S.  The conjugation equation
-e^s A beta(t + c) - beta(t) = betahat(t) is one 2n x 2n solve in the
-eigenbasis of S, on SymmetricProfile.flow.
+e^{2f} g_S.  The conjugation equation e^s A beta(t + c) - beta(t) =
+betahat(t) is one 2d x 2d solve per eigenspace of S, of dimension d, on
+SymmetricProfile.flow, and its resonance gate reads the same blocks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .core import (
     RESONANCE_TOL,
     BetaSolution,
     Point,
-    SymmetricProfile,
     beta_eval,
     classify,
     coords,
@@ -73,6 +72,7 @@ def _fixed_time(phi: Homothety):
                     np.where(within(np.abs(phi.c), PARAM_TOL), 0.0, np.nan))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fixed_point(phi: Homothety) -> FixedPointReport:
     """Fixed-point classification of a homothety.
 
@@ -146,43 +146,42 @@ def inessential_rescaling(phi: Homothety) -> Callable:
     return lambda p: slope * coords(p, phi.profile.n)[..., 0]
 
 
-def _conjugation_matrix(profile: SymmetricProfile, At: np.ndarray, c: float) -> np.ndarray:
-    """The 2n x 2n matrix, in the eigenbasis of S, taking the initial data
-    (y(0), y'(0)) of beta to those of e^s A beta(t + c) - beta(t), where
-    At = e^s Q^T A Q."""
-    ch, sh, d0 = profile.flow(c)
-    return np.block([[At * ch, At * sh], [At * d0, At * ch]]) - np.eye(2 * profile.n)
-
-
 def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta, over betahat's profile.
 
-    One linear solve for the initial data of beta in the eigenbasis of S;
-    A was gated where phi entered and s != 0.  ResonanceError where (s/c)^2
-    hits a positive eigenvalue r^2 and A fixes a vector of its eigenspace
-    (e^{s +- rc} mu = 1 with |mu| = 1 forces mu = 1, mu an eigenvalue of
-    Q^T A Q on r^2's columns), both judged by RESONANCE_TOL.
+    On an eigenspace of S, a run of d columns of one value of
+    profile.eigenvalues, the flow over c is one F = [[ch, sh], [d0, ch]] and
+    A is Ahat = Q_k^T A Q_k (Q^T A Q's entries between two eigenvalues are
+    dropped): beta's eigenbasis data (y, y') solve (e^s Ahat (x) F - I)
+    (y, y') = (yhat, yhat'), one batched 2d x 2d solve per d.  A was gated
+    where phi entered and s != 0.  ResonanceError where (s/c)^2 hits a
+    positive eigenvalue r^2 and its Ahat fixes a vector (e^{s +- rc} mu = 1
+    with |mu| = 1 forces mu = 1), judged by RESONANCE_TOL.
     """
     profile = betahat.profile
-    Q, lam_sq = profile.eigenvectors, profile.eigenvalues
-    Ahat = Q.T @ A @ Q
-    if not within(abs(c), PARAM_TOL):
-        ratio_sq = (s / c) ** 2
-        hits = (lam_sq > 0) & within(np.abs(ratio_sq - lam_sq), RESONANCE_TOL, lam_sq)
-        for ev in sorted(set(lam_sq[hits])):  # np.unique would import numpy.ma (1.5 MB)
-            on = np.ix_(lam_sq == ev, lam_sq == ev)
-            if within(np.abs(np.linalg.eigvals(Ahat[on]) - 1).min(), RESONANCE_TOL):
+    Q, lam = profile.eigenvectors, profile.eigenvalues
+    y = Q.T @ np.array((betahat.beta0, betahat.beta1)).T  # row j: (y_j, y_j')
+    require_phase(profile, c, *y.T)  # the shift by c reads phase r c, as beta_eval does
+    ch, sh, d0 = profile.flow(c)
+    F = np.moveaxis(np.array(((ch, sh), (d0, ch))), -1, 0)  # a 2 x 2 flow per column
+    AQ, sol = Q.T @ A.T, np.empty_like(y)  # the one product A Q, row j (A q_j)^T
+    ratio_sq = np.nan if within(abs(c), PARAM_TOL) else (s / c) ** 2  # NaN hits nothing
+    dim = np.searchsorted(lam, lam, "right") - np.searchsorted(lam, lam)  # eigenspace sizes
+    for d in sorted(set(dim.tolist())):
+        cols = np.flatnonzero(dim == d).reshape(-1, d)  # a row per eigenspace
+        Ahat, ev = Q.T[cols] @ AQ[cols].transpose(0, 2, 1), lam[cols[:, 0]]
+        for k in np.flatnonzero((ev > 0) & within(np.abs(ratio_sq - ev), RESONANCE_TOL, ev)):
+            if within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any():
                 raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue "
-                                     f"{ev:.6g} of S, on which A fixes a vector")
-    y0, y1 = betahat.beta0 @ Q, betahat.beta1 @ Q
-    # the shift by c reads betahat's columns at phase r c, as beta_eval does
-    require_phase(profile, c, y0, y1)
-    M = _conjugation_matrix(profile, np.exp(s) * Ahat, c)
-    try:
-        sol = np.linalg.solve(M, np.concatenate([y0, y1]))
-    except np.linalg.LinAlgError as exc:
-        raise ResonanceError(f"singular conjugation block: {exc}") from exc
-    return BetaSolution(profile, Q @ sol[:profile.n], Q @ sol[profile.n:])
+                                     f"{ev[k]:.6g} of S, on which A fixes a vector")
+        M = (np.exp(s) * Ahat)[:, :, None, :, None] * F[cols[:, 0], None, :, None, :]
+        try:
+            x = np.linalg.solve(M.reshape(len(cols), 2 * d, 2 * d) - np.eye(2 * d),
+                                y[cols].reshape(len(cols), 2 * d, 1))
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError(f"singular conjugation block: {exc}") from exc
+        sol[cols] = x.reshape(len(cols), d, 2)
+    return BetaSolution(profile, *(Q @ sol).T)
 
 
 @dataclass(frozen=True)
@@ -195,6 +194,7 @@ class NormalFormResult:
     residual: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def normal_form(phi: Homothety) -> NormalFormResult:
     """Conjugate a non-resonant strict homothety with eps = +1 into
     E(1) x C_O(n)(S) x R, by an isometry from Hei_n extended by the
@@ -243,6 +243,7 @@ class OrbitReport:
         return list(map(Point.from_array, self.sequence))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) -> OrbitReport:
     """The sequence y_k = gamma^{-k} phi gamma^k (0) and its convergence
     to (c_phi, 0, 0), the obstruction to proper discontinuity: converged
@@ -280,16 +281,15 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     e2s = np.exp(-2 * gamma.s)
     y, b = np.empty((K + 1, 2, n)), np.empty(K)
     y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
-    # an overflow leaves a non-finite point (v carries b and beta'), refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            np.matmul(np.add.reduce(F * y[k], axis=1), M, out=y[k + 1])
-            bk = b[k] = e2s * bk
-        c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
-        # step k shifted row k, reading the columns at phase r c_g as beta_eval does
-        require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
-        beta = y[1:] @ Q.T
-        v = phi.eps * (b - np.vecdot(beta[:, 1], beta[:, 0]) / 2)
+    for k in range(K):
+        np.matmul(np.add.reduce(F * y[k], axis=1), M, out=y[k + 1])
+        bk = b[k] = e2s * bk
+    c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
+    # step k shifted row k, reading the columns at phase r c_g as beta_eval does
+    require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
+    beta = y[1:] @ Q.T
+    v = phi.eps * (b - np.vecdot(beta[:, 1], beta[:, 0]) / 2)
+    # an overflow, in the flow or a step, leaves a non-finite point (v carries b and beta')
     pts = require_finite(np.column_stack((c, beta[:, 0], v)))
     limit = (None if phi.eps == -1 and not within(abs(c_g), PARAM_TOL)
              else np.concatenate(([phi.c], np.zeros(n + 1))))

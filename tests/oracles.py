@@ -9,7 +9,6 @@ import numpy as np
 
 from cwgeom.core import DOMAIN_TOL, MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
 from cwgeom.curvature import christoffel_at, metric_at
-from cwgeom.dynamics import _conjugation_matrix
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
 
@@ -169,10 +168,13 @@ def box_minus_holes_nonempty(box, holes) -> bool:
 
 
 def block_determinant(eigenvalue: float, s: float, c: float) -> float:
-    """Determinant of the scalar (d = 1) conjugation block at A = 1, which
-    vanishes exactly at the resonance s = +-lambda c for positive eigenvalues."""
-    return float(np.linalg.det(_conjugation_matrix(SymmetricProfile([[eigenvalue]]),
-                                                   np.full((1, 1), np.exp(s)), c)))
+    """Determinant of the scalar (d = 1) conjugation block at A = 1,
+    [[a ch - 1, a sh], [a d0, a ch - 1]] with a = e^s and (ch, sh, d0) the
+    profile's own flow over c, which vanishes exactly at the resonance
+    s = +-lambda c for positive eigenvalues."""
+    ch, sh, d0 = (float(part[0]) for part in SymmetricProfile([[eigenvalue]]).flow(c))
+    a = np.exp(s)
+    return float(np.linalg.det([[a * ch - 1, a * sh], [a * d0, a * ch - 1]]))
 
 
 def bit_equal(a, b) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cwgeom import dynamics, group
 from cwgeom.core import (
     PARAM_TOL,
+    RESONANCE_TOL,
     BetaSolution,
     SymmetricProfile,
     beta_eval,
@@ -283,6 +284,35 @@ def test_c_zero_isometry_fixed_point_is_found():
     assert fixed_point(phi).exists
 
 
+_SADDLE = SymmetricProfile(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("run", [
+    lambda beta: fixed_point(Homothety(_SADDLE, beta=beta, c=2000.0, eps=-1, s=0.5)),
+    lambda beta: normal_form(Homothety(_SADDLE, beta=beta, c=800.0, s=0.5)),
+    lambda beta: orbit_obstruction_sequence(Homothety(_SADDLE, c=2000.0, s=0.1),
+                                            Homothety(_SADDLE, beta=beta, c=1.0, s=0.5))],
+    ids=["fixed_point", "normal_form", "orbit"])
+def test_an_overflowing_flow_raises_without_a_warning(run):
+    """cosh(r t) overflows on the positive column of S = diag(1, -1): dynamics
+    raises OverflowingValueError, as the group law does, and leaks no numpy
+    RuntimeWarning, which the test configuration makes an error."""
+    with pytest.raises(OverflowingValueError):
+        run(BetaSolution(_SADDLE, [1.0, 0.0], [0.0, 1.0]))
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowingValueError,
+                   reason="ROADMAP item 2, the flow's zero rule: beta = 0 is evaluated at "
+                   "t* = 1000 as cosh(1000) * 0, which is not finite")
+def test_a_strict_eps_minus1_element_without_beta_fixes_its_point():
+    """Claim 2: phi = (0, 0, 2000, -1, I, 0.5) on S = diag(1, -1) is
+    essential, and fixes (1000, 0, 0, 0) exactly."""
+    phi = Homothety(_SADDLE, c=2000.0, eps=-1, s=0.5)
+    rep = fixed_point(phi)
+    assert rep.exists and np.array_equal(rep.point, [1000.0, 0.0, 0.0, 0.0])
+    assert is_essential(phi)
+
+
 def _rotation_of_order(prof, k, rng):
     """A rotation by 2 pi / k in a plane of a repeated eigenvalue of S, and
     a beta inside that plane, so that the element is torsion once its b
@@ -458,14 +488,38 @@ class TestConjugationSolve:
         # negative eigenvalues never resonate for s != 0
         assert abs(block_determinant(-1.0, 0.4, 2.0)) > 1e-3
 
+    def test_a_simple_spectrum_solves_two_by_two_blocks(self, monkeypatch):
+        """At n = 64 with 64 distinct eigenvalues the solve is one batched
+        np.linalg.solve of 64 blocks of 2 x 2, and no 128 x 128 system."""
+        rng = np.random.default_rng(5)
+        prof = spectral_profile("mixed", 64, rng, False)
+        assert len(set(prof.eigenvalues.tolist())) == 64
+        shapes, real = [], np.linalg.solve
+
+        def recorded(a, b):
+            shapes.append(np.shape(a))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        _conjugation_beta(random_centralising_orthogonal(prof, rng), 0.5, 0.7,
+                          BetaSolution(prof, rng.normal(size=64), rng.normal(size=64)))
+        assert shapes == [(64, 2, 2)]
+
 
 def block_loop_conjugation_beta(profile, A, s, c, betahat):
     """Reference: the 2d x 2d conjugation system on each eigenspace of S,
-    solved block by block.  Returns (beta0, beta1) and the largest
-    condition number of a block."""
+    solved block by block in a loop, behind a resonance gate of its own:
+    ResonanceError where |c| > PARAM_TOL, (s/c)^2 is within RESONANCE_TOL of
+    a positive eigenvalue relative to it, and an eigenvalue of A's block is
+    within RESONANCE_TOL of 1, or where a block is singular.  Returns
+    (beta0, beta1) and the largest condition number of a block."""
     b0, b1, cond = np.zeros(profile.n), np.zeros(profile.n), 1.0
     for ev, Q in eigenspaces(profile):
         d = Q.shape[1]
+        if (abs(c) > PARAM_TOL and ev > 0
+                and abs((s / c) ** 2 - ev) <= RESONANCE_TOL * max(1.0, ev)
+                and np.abs(np.linalg.eigvals(Q.T @ A @ Q) - 1).min() <= RESONANCE_TOL):
+            raise ResonanceError(f"resonance on the eigenvalue {ev}")
         E = np.exp(s) * (Q.T @ A @ Q)
         if ev < 0:
             mu = np.sqrt(-ev)
@@ -477,10 +531,54 @@ def block_loop_conjugation_beta(profile, A, s, c, betahat):
             ch, sh, d0 = 1.0, c, 0.0
         M = np.block([[ch * E - np.eye(d), sh * E], [d0 * E, ch * E - np.eye(d)]])
         cond = max(cond, float(np.linalg.cond(M)))
-        sol = np.linalg.solve(M, np.concatenate([Q.T @ betahat.beta0, Q.T @ betahat.beta1]))
+        try:
+            sol = np.linalg.solve(M, np.concatenate([Q.T @ betahat.beta0, Q.T @ betahat.beta1]))
+        except np.linalg.LinAlgError as exc:
+            raise ResonanceError("singular block") from exc
         b0 += Q @ sol[:d]
         b1 += Q @ sol[d:]
     return b0, b1, cond
+
+
+def _resonates(solve, *args):
+    """Whether a conjugation solve raises ResonanceError."""
+    try:
+        solve(*args)
+    except ResonanceError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-6, 1e-4])
+@pytest.mark.parametrize("on_block", ["identity", "rotation"])
+def test_resonance_verdicts_match_the_block_loop(delta, on_block):
+    """On s = +-r c (1 + delta), r^2 a positive eigenvalue of S, the solve
+    refuses exactly where the block loop's gate does: A's block is I, which
+    fixes every vector, or a rotation (-1 on a line), which fixes none."""
+    rng = np.random.default_rng(int(delta * 1e9) + len(on_block))
+    verdicts = []
+    for i in range(60):
+        prof = spectral_profile(("real", "mixed", "degenerate")[i % 3], int(rng.integers(2, 6)),
+                                rng, bool(i % 2))
+        positive = [(ev, B) for ev, B in eigenspaces(prof) if ev > 0]
+        if not positive:
+            continue
+        ev, B = positive[int(rng.integers(len(positive)))]
+        d = B.shape[1]
+        if on_block == "identity":
+            block = np.eye(d)
+        else:
+            block = _rot(rng.uniform(0.5, 2.5)) if d == 2 else -np.eye(d)
+        A = random_centralising_orthogonal(prof, rng)
+        A += B @ (block - B.T @ A @ B) @ B.T
+        c = float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))
+        s = float(rng.choice([-1, 1]) * np.sqrt(ev) * c * (1 + delta))
+        betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
+        verdict = _resonates(_conjugation_beta, A, s, c, betahat)
+        assert verdict == _resonates(block_loop_conjugation_beta, prof, A, s, c, betahat)
+        verdicts.append(verdict)
+    # only I fixes a vector, and only s within RESONANCE_TOL of the resonance hits it
+    assert set(verdicts) == {on_block == "identity" and delta <= 1e-9}
 
 
 @settings(max_examples=200, deadline=None)
@@ -498,6 +596,10 @@ def test_conjugation_solve_matches_block_loop(kind, n, repeat, seed, s, s_sign, 
     A = random_centralising_orthogonal(prof, rng) @ random_centralising_orthogonal(prof, rng)
     s = s_sign * s
     betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
+    if _resonates(block_loop_conjugation_beta, prof, A, s, c, betahat):
+        with pytest.raises(ResonanceError):
+            _conjugation_beta(A, s, c, betahat)
+        return
     ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, betahat)
     assume(cond <= 1e3)
     beta = _conjugation_beta(A, s, c, betahat)

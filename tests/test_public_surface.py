@@ -205,6 +205,13 @@ def test_the_conjugation_solve_is_private():
     assert "solve_conjugation_beta" not in cwgeom.__all__
 
 
+def test_the_conjugation_is_solved_per_eigenspace():
+    """The conjugation solve reads the blocks of Q^T A Q on the eigenspaces
+    of S, which its resonance gate reads too: no package file names the
+    dense 2n x 2n matrix _conjugation_matrix."""
+    assert _naming("_conjugation_matrix") == []
+
+
 def test_normal_form_does_not_gate_A_again(monkeypatch):
     """phi's A was gated when phi was built: normal_form checks no
     centraliser membership."""

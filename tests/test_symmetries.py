@@ -1,17 +1,20 @@
-"""Frame symmetry of fixed_point: an orthogonal change of frame O of R^n
-takes phi = (b, beta, c, eps, A, s) over S to (b, O beta, c, eps, O A O^T, s)
-over O S O^T, and a point (t, x, v) to (t, O x, v).  The fixed-point
-verdict cannot depend on the frame, and the fixed points map by (t, O x, v):
-a metamorphic relation in the sense of Chen et al., ACM Comput. Surv. 51
-(2018)."""
+"""Frame symmetry of fixed_point and normal_form: an orthogonal change of
+frame O of R^n takes phi = (b, beta, c, eps, A, s) over S to
+(b, O beta, c, eps, O A O^T, s) over O S O^T, and a point (t, x, v) to
+(t, O x, v).  The fixed-point verdict cannot depend on the frame, and the
+fixed points map by (t, O x, v); the normal form's conjugator and
+resonance verdict map the same way: metamorphic relations in the sense of
+Chen et al., ACM Comput. Surv. 51 (2018)."""
 
 import numpy as np
 
 from cwgeom.core import FIXED_POINT_TOL, BetaSolution, SymmetricProfile
-from cwgeom.dynamics import fixed_point
-from cwgeom.group import Homothety, compose, conjugate
+from cwgeom.dynamics import fixed_point, normal_form
+from cwgeom.errors import ResonanceError
+from cwgeom.group import Homothety, compose, conjugate, element_distance
 
-from conftest import haar_orthogonal, in_frame, random_centralising_orthogonal, random_profile
+from conftest import (eigenspaces, haar_orthogonal, in_frame, random_centralising_orthogonal,
+                      random_profile)
 
 
 def _repeated_profile(rng, n):
@@ -74,3 +77,53 @@ def test_strict_verdicts_follow_the_theorem_in_every_frame():
         expected = phi.eps == -1 or phi.c == 0.0
         assert fixed_point(phi).exists == expected
         assert fixed_point(in_frame(phi, haar_orthogonal(rng, phi.profile.n))).exists == expected
+
+
+def _strict_draw(rng):
+    """A strict eps = +1 element with b and beta, A a Haar element of the
+    centraliser, so a rotation or reflection on a repeated eigenvalue.  A
+    third of the draws sit on the resonance s = r c of a positive
+    eigenvalue r^2, with A = I on its eigenspace half of those times."""
+    n = int(rng.integers(2, 5))
+    prof = random_profile(rng, n) if rng.random() < 0.5 else _repeated_profile(rng, n)
+    A = random_centralising_orthogonal(prof, rng)
+    c = float(rng.normal())
+    s = float(rng.uniform(0.2, 1.0) * rng.choice([-1, 1]))
+    positive = [(ev, B) for ev, B in eigenspaces(prof) if ev > 0]
+    if positive and rng.random() < 1 / 3:
+        ev, B = positive[int(rng.integers(len(positive)))]
+        s = float(rng.choice([-1, 1]) * np.sqrt(ev) * c)
+        if rng.random() < 0.5:
+            A += B @ (np.eye(B.shape[1]) - B.T @ A @ B) @ B.T
+    beta = BetaSolution(prof, rng.normal(size=n), rng.normal(size=n))
+    return Homothety(prof, b=float(rng.normal()), beta=beta, c=c, A=A, s=s)
+
+
+def _normal_form_or_resonance(phi):
+    try:
+        return normal_form(phi)
+    except ResonanceError:
+        return None
+
+
+def test_normal_forms_do_not_depend_on_the_frame():
+    """normal_form(in_frame(phi, O)) refuses phi as resonant exactly where
+    normal_form(phi) does, and otherwise has the conjugator in_frame(g, O)
+    and the normal form in_frame(N, O), relative to their parameters."""
+    rng = np.random.default_rng(13)
+    verdicts, errors = [], []
+    for _ in range(600):
+        phi = _strict_draw(rng)
+        O = haar_orthogonal(rng, phi.profile.n)
+        res, moved = _normal_form_or_resonance(phi), _normal_form_or_resonance(in_frame(phi, O))
+        verdicts.append((res is None, moved is None))
+        if res is None or moved is None:
+            continue
+        for mine, theirs in ((res.conjugator, moved.conjugator), (res.normal, moved.normal)):
+            size = max(1.0, abs(mine.b), *np.abs(mine.beta.beta0), *np.abs(mine.beta.beta1),
+                       abs(mine.c), abs(mine.s))
+            errors.append(element_distance(in_frame(mine, O), theirs) / size)
+    assert all(here == there for here, there in verdicts)
+    # both verdicts are drawn
+    assert {here for here, _ in verdicts} == {False, True}
+    assert max(errors) <= 1e-10
