@@ -43,13 +43,11 @@ from .errors import (
 from .group import (
     Homothety,
     _element,
-    _stack,
     _take,
     _with_inverses,
     apply,
     compose,
     conjugate,
-    identity,
 )
 
 # the most entries, rows * (n+2)^2, that the PD sweep composes in one call
@@ -65,11 +63,10 @@ class FixedPointReport:
     residual: float = 0.0
 
 
-def _fixed_time(phi: Homothety):
-    """The time fixed by t -> eps t + c, per row of a batch: c/2 for
+def _fixed_time(eps, c):
+    """The time fixed by t -> eps t + c, per row of arrays: c/2 for
     eps = -1, 0 when c = 0, and NaN when the t-part is a translation."""
-    return np.where(phi.eps == -1, phi.c / 2.0,
-                    np.where(within(np.abs(phi.c), PARAM_TOL), 0.0, np.nan))
+    return np.where(eps == -1, c / 2.0, np.where(within(np.abs(c), PARAM_TOL), 0.0, np.nan))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -87,7 +84,7 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     <beta', e^s A x*>, <beta', beta>/2 on v.  The residual is max |phi(p) - p| by apply.
     """
     none = FixedPointReport(False, None, "none_translation")
-    t_star = float(_fixed_time(phi))
+    t_star = float(_fixed_time(phi.eps, phi.c))
     if np.isnan(t_star):
         return none
     strict = phi.is_strict
@@ -140,7 +137,7 @@ def inessential_rescaling(phi: Homothety) -> Callable:
     """
     if not phi.is_strict:
         raise PreconditionError("rescaling applies to strict homotheties only")
-    if not np.isnan(_fixed_time(phi)):
+    if not np.isnan(_fixed_time(phi.eps, phi.c)):
         raise PreconditionError("phi has a fixed point; no equivariant rescaling exists")
     slope = -phi.s / phi.c
     return lambda p: slope * coords(p, phi.profile.n)[..., 0]
@@ -343,16 +340,16 @@ def pd_necessary_report(generators: Sequence[Homothety],
 
     Words come by length, then in the lexicographic order of the letters
     g_1, g_1^-1, g_2, g_2^-1, ..., the inverses from one batched inverse
-    of the generators.  Each word's element is its one-letter-shorter
-    prefix's element composed with its last letter, the left fold
-    ((id g_1) g_2) g_3 ....  A level, the words of one length, is
-    extended in blocks of at most PD_BLOCK_ENTRIES rows * (n+2)^2, with one
-    batched compose per block; the checks run on the block's (eps, c, s)
-    arrays, and only obstructing rows are formatted.  So the sweep holds
-    the blocks of the previous level not yet extended, those of the next
-    level (none at the last) and one block's temporaries.  By the row rule
-    of compose, an error is the one of the first failing word, within it a
-    lost phase before an overflow, as composing word by word would raise.
+    of the generators.  That batch is level 1, the words of length 1; a
+    word of level l > 1 is its prefix's element composed with its last
+    letter, the left fold (g_1 g_2) g_3 ..., one batched compose per block
+    of at most PD_BLOCK_ENTRIES rows * (n+2)^2.  The checks run once, on
+    every word's (eps, c, s), and format only obstructing words.  So the
+    sweep holds every word's eps, c, s, strictness and letter row, the
+    blocks of level l - 1 not yet extended, those of level l (none at the
+    last) and one block's temporaries.  By the row rule of compose, an
+    error is the one of the first failing word, within it a lost phase
+    before an overflow, as composing word by word would raise.
     """
     if not generators:
         raise PreconditionError("the sweep needs at least one generator")
@@ -362,13 +359,14 @@ def pd_necessary_report(generators: Sequence[Homothety],
     cls = classify(prof)
     # letter j is g_{j//2+1} for even j and its inverse for odd j: j ^ 1 cancels j
     letters = _with_inverses(generators)
-    labels = [(j // 2 + 1) * (-1) ** j for j in range(2 * len(generators))]
+    labels = np.array([(j // 2 + 1) * (-1) ** j for j in range(2 * len(generators))])
     k, rows = len(labels), max(1, PD_BLOCK_ENTRIES // (prof.n + 2) ** 2)
     # a level is a list of (elements, words) blocks, each dropped once it is
-    # extended; words are rows of letter indices after a first column -1
-    level = [(_stack([identity(prof)]), np.full((1, 1), -1))]
-    obstructions, seen = [], 0
-    for length in range(1, max_length + 1):
+    # extended, words rows of letter indices; checked keeps each block's
+    # strictness, eps, c, s and words
+    level = [(letters, np.arange(k)[:, None])]
+    checked = [(letters.is_strict, letters.eps, letters.c, letters.s, level[0][1])]
+    for length in range(2, max_length + 1):
         grown = []
         while level:
             elems, words = level.pop(0)
@@ -381,34 +379,38 @@ def pd_necessary_report(generators: Sequence[Homothety],
                     continue
                 elem = compose(_take(elems, p), _take(letters, j))
                 block = np.column_stack((words[p], j))
-                obstructions += _pd_obstructions(cls, elem, block, labels)
-                seen += len(p)
+                checked.append((elem.is_strict, elem.eps, elem.c, elem.s, block))
                 if length < max_length:
                     grown.append((elem, block))
         level = grown
-    return PDReport(cls.type, cls.lambda_max_sq, obstructions, seen)
+    return PDReport(cls.type, cls.lambda_max_sq, _pd_obstructions(cls, checked, labels),
+                    sum(len(block[-1]) for block in checked))
 
 
-def _pd_obstructions(cls, elem: Homothety, words: np.ndarray, labels) -> List[PDObstruction]:
-    """The obstructions among a batch of word elements, in row order; row i
-    is the word of letter indices words[i, 1:]."""
-    strict = elem.is_strict
-    fixed = strict & ~np.isnan(_fixed_time(elem))
+def _pd_obstructions(cls, checked, labels) -> List[PDObstruction]:
+    """The obstructions among the words of the blocks (strict, eps, c, s,
+    words) in checked, in order; a row of words is a word's letter indices."""
+    *columns, words = zip(*checked)
+    strict, eps, c, s = map(np.concatenate, columns)
+    fixed = strict & ~np.isnan(_fixed_time(eps, c))
     free = strict & ~fixed
     if cls.type != "imaginary":
         # only a positive eigenvalue bounds (s/c)^2; an overflowing ratio exceeds it
         bound = np.inf if cls.lambda_max_sq is None else cls.lambda_max_sq + PD_SLACK
         with np.errstate(over="ignore"):
-            free &= (elem.s / np.where(free, elem.c, 1.0)) ** 2 > bound
+            free &= (s / np.where(free, c, 1.0)) ** 2 > bound
     rows, out = np.flatnonzero(fixed | free), []
-    for word, fix, eps, c, s in zip(np.asarray(labels)[words[rows, 1:]].tolist(),
-                                    fixed[rows].tolist(), elem.eps[rows].astype(int).tolist(),
-                                    elem.c[rows].tolist(), elem.s[rows].tolist()):
-        kind, detail = (
+    starts = np.cumsum([0] + [len(w) for w in words]).tolist()
+    cut = np.searchsorted(rows, starts).tolist()
+    found = [word for w, start, i, j in zip(words, starts, cut, cut[1:])
+             for word in labels[w[rows[i:j] - start]].tolist()]
+    # + 0.0: a letter's c may be -0, where a word folded from the identity has 0
+    for word, fix, eps, c, s in zip(found, fixed[rows].tolist(), eps[rows].astype(int).tolist(),
+                                    (c[rows] + 0.0).tolist(), s[rows].tolist()):
+        out.append(PDObstruction(tuple(word), *(
             ("fixed-point", f"strict element with eps={eps}, c={c:.3g} fixes a point") if fix
             else ("imaginary-strict", "imaginary type admits no strict homothety in a PD "
                   "cocompact group") if cls.type == "imaginary"
             else ("inequality", f"(s/c)^2 = {(s / c) ** 2:.6g} exceeds lambda_max^2 = "
-                  f"{cls.lambda_max_sq:.6g}"))
-        out.append(PDObstruction(tuple(word), kind, detail))
+                  f"{cls.lambda_max_sq:.6g}"))))
     return out

@@ -158,12 +158,15 @@ def _take(phi: Homothety, rows) -> Homothety:
 
 def _with_inverses(elements: Sequence[Homothety]) -> Homothety:
     """The batch of shape (2m,) of m elements and their inverses, from one
-    batched inverse: row 2i is element i and row 2i + 1 its inverse.  An
-    error is the one of the first element whose inverse fails, by the row
-    rule of `inverse`."""
+    batched inverse, written into one new array per parameter (so every A
+    is in C order): row 2i is element i and row 2i + 1 row i of that
+    inverse, bit for bit.  An error is the one of the first element whose
+    inverse fails, by the row rule of `inverse`."""
     batch = _stack(elements)
-    return _assemble(batch.profile, *(np.stack(pair, axis=1).reshape((-1,) + pair[0].shape[1:])
-                                      for pair in zip(_params(batch), _params(inverse(batch)))))
+    params = [np.empty((2 * len(x),) + x.shape[1:]) for x in _params(batch)]
+    for out, x, y in zip(params, _params(batch), _params(inverse(batch))):
+        out[0::2], out[1::2] = x, y
+    return _assemble(batch.profile, *params)
 
 
 def _scaled(build, scales, factors, products):

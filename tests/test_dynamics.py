@@ -1128,10 +1128,48 @@ class TestPDSweepOrder:
         assert expected[0] is first
         assert _outcome(library_pd_report, gens, 2) == expected
 
-    @pytest.mark.parametrize("g, max_length", [(1, 4), (2, 3), (3, 4)])
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), n=st.integers(1, 3),
+           eps=st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=3),
+           strict=st.lists(st.booleans(), min_size=3, max_size=3),
+           zero_c=st.lists(st.booleans(), min_size=3, max_size=3),
+           max_length=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_report_does_not_depend_on_the_block_size(self, kind, n, eps, strict, zero_c,
+                                                      max_length, seed):
+        # one verdict pass reads the words of every block: one block per
+        # level, blocks of 3 rows and blocks of 1 row give one report
+        rng = np.random.default_rng(seed)
+        prof = spectral_profile(kind, n, rng, repeat=False)
+        gens = [random_homothety(prof, rng, strict=strict_g, eps=eps_g,
+                                 c=0.0 if zero_g else None)
+                for eps_g, strict_g, zero_g in zip(eps, strict, zero_c)]
+        row = (prof.n + 2) ** 2
+        outcomes = []
+        for entries in (dynamics.PD_BLOCK_ENTRIES, 3 * row, row):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "PD_BLOCK_ENTRIES", entries)
+                outcomes.append(_outcome(pd_necessary_report, gens, max_length))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_a_letter_with_c_zero_reads_as_the_fold_from_the_identity(self, eps):
+        # the inverse of g_1 has c = -eps 0, which is -0 for eps = 1; the
+        # sweep takes its letters as they are, and a word's c reads as the
+        # fold from the identity gives it, 0 + c, never -0
+        prof = SymmetricProfile(np.eye(2))
+        gens = [Homothety(prof, c=0.0, eps=eps, s=0.5), Homothety(prof, c=1.0, s=0.2)]
+        assert np.signbit(inverse(gens[0]).c) == (eps == 1)
+        report = library_pd_report(gens, 3)
+        assert report == product_loop_pd_report(gens, 3)
+        assert not any("c=-0 " in detail for _, _, detail in report[3])
+        assert ((-1,), "fixed-point", f"strict element with eps={eps}, c=0 fixes a point") \
+            in report[3]
+
+    @pytest.mark.parametrize("g, max_length", [(1, 1), (2, 1), (1, 4), (2, 3), (3, 4)])
     def test_one_compose_per_level_block(self, monkeypatch, g, max_length):
-        # each level here fits in one block: one batched compose per length,
-        # whose rows are that length's words
+        # each level here fits in one block: the words of length 1 are the
+        # letters, with no compose and no identity, and each longer length
+        # takes one batched compose, whose rows are that length's words
         rng = np.random.default_rng(5)
         prof = spectral_profile("mixed", 2, rng, repeat=False)
         gens = [random_homothety(prof, rng, strict=True) for _ in range(g)]
@@ -1141,7 +1179,12 @@ class TestPDSweepOrder:
             rows.append(len(psi.c))
             return compose(phi, psi)
 
+        def no_identity(profile):
+            raise AssertionError("the sweep builds no identity")
+
         monkeypatch.setattr(dynamics, "compose", counted)
+        monkeypatch.setattr(group, "identity", no_identity)
+        assert not hasattr(dynamics, "identity")
         report = pd_necessary_report(gens, max_length)
-        assert rows == [2 * g * (2 * g - 1) ** k for k in range(max_length)]
-        assert sum(rows) == report.words_checked
+        assert rows == [2 * g * (2 * g - 1) ** k for k in range(1, max_length)]
+        assert report.words_checked == 2 * g + sum(rows)

@@ -359,6 +359,40 @@ def test_compose_reads_A_by_value_not_by_memory_order(kind):
     assert inverse(grp._stack([phi, psi])).A.flags.c_contiguous
 
 
+class TestWithInverses:
+    """`_with_inverses`, the letters of the PD sweep and of
+    `self_adjacency`: row 2i is element i and row 2i + 1 its inverse, row
+    i of the batched inverse, bit for bit."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rows_are_the_elements_and_their_inverses_bit_for_bit(self, kind, m):
+        rng = np.random.default_rng(10 * m)
+        prof = spectral_profile(kind, m, rng, repeat=False)
+        elems = [element(prof, rng) for _ in range(m)]
+        letters, inverses = grp._with_inverses(elems), inverse(grp._stack(elems))
+        assert letters.c.shape == (2 * m,) and letters.A.flags.c_contiguous
+        for i, phi in enumerate(elems):
+            for row, want in ((2 * i, phi), (2 * i + 1, grp._take(inverses, i))):
+                got = grp._take(letters, row)
+                assert all(map(bit_equal, grp._params(got), grp._params(want))), (i, row)
+                assert got.A.flags.c_contiguous
+            # a batch evaluates beta through gemm, one element through gemv
+            assert grp.element_distance(grp._take(letters, 2 * i + 1), inverse(phi)) <= 1e-14
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_an_overflowing_inverse_raises_as_it_does_alone(self, first):
+        # on S = (1) the inverse of a c = 1000 element reads the flow at
+        # |t| = 1000, where cosh overflows
+        prof = SymmetricProfile([[1.0]])
+        big, fine = Homothety(prof, c=1000.0), Homothety(prof, c=1.0, s=0.5)
+        with pytest.raises(OverflowingValueError) as alone:
+            inverse(big)
+        with pytest.raises(OverflowingValueError) as batched:
+            grp._with_inverses([big, fine] if first else [fine, big])
+        assert str(batched.value) == str(alone.value)
+
+
 def counter(monkeypatch, owner, name):
     """Count the calls of owner.name for the rest of the test."""
     calls = []

@@ -3,18 +3,21 @@ frame O of R^n takes phi = (b, beta, c, eps, A, s) over S to
 (b, O beta, c, eps, O A O^T, s) over O S O^T, and a point (t, x, v) to
 (t, O x, v).  The fixed-point verdict cannot depend on the frame, and the
 fixed points map by (t, O x, v); the normal form's conjugator and
-resonance verdict map the same way: metamorphic relations in the sense of
-Chen et al., ACM Comput. Surv. 51 (2018)."""
+resonance verdict map the same way.  Conjugation by h = (b_h, beta_h, 0,
++1, A_h, 0) keeps each generator's (eps, c, s), so the PD report cannot
+change.  These are metamorphic relations in the sense of Chen et al., ACM
+Comput. Surv. 51 (2018)."""
 
 import numpy as np
 
 from cwgeom.core import FIXED_POINT_TOL, BetaSolution, SymmetricProfile
-from cwgeom.dynamics import fixed_point, normal_form
+from cwgeom.dynamics import fixed_point, normal_form, pd_necessary_report
 from cwgeom.errors import ResonanceError
 from cwgeom.group import Homothety, compose, conjugate, element_distance
 
 from conftest import (eigenspaces, haar_orthogonal, in_frame, random_centralising_orthogonal,
-                      random_profile)
+                      random_homothety, random_profile)
+from test_group_law import KINDS, spectral_profile
 
 
 def _repeated_profile(rng, n):
@@ -127,3 +130,24 @@ def test_normal_forms_do_not_depend_on_the_frame():
     # both verdicts are drawn
     assert {here for here, _ in verdicts} == {False, True}
     assert max(errors) <= 1e-10
+
+
+def test_pd_reports_do_not_change_under_conjugation():
+    """Each generator g conjugated by one h = (b_h, beta_h, 0, +1, A_h, 0)
+    has g's (eps, c, s), so the PD report of h g h^{-1} is g's, word for
+    word; all four types, n <= 3, max_length <= 3, eps = +-1, c = 0 or not."""
+    rng = np.random.default_rng(22)
+    kinds = set()
+    for draw in range(300):
+        prof = spectral_profile(KINDS[draw % 4], int(rng.integers(1, 4)), rng, repeat=False)
+        gens = [random_homothety(prof, rng, strict=bool(rng.integers(4)),
+                                 c=0.0 if rng.random() < 0.25 else None)
+                for _ in range(int(rng.integers(1, 4)))]
+        h = Homothety(prof, b=float(rng.normal()),
+                      beta=BetaSolution(prof, rng.normal(size=prof.n), rng.normal(size=prof.n)),
+                      A=random_centralising_orthogonal(prof, rng))
+        max_length = int(rng.integers(1, 4))
+        report = pd_necessary_report(gens, max_length)
+        assert pd_necessary_report([conjugate(h, g) for g in gens], max_length) == report
+        kinds.update(o.kind for o in report.obstructions)
+    assert kinds == {"fixed-point", "inequality", "imaginary-strict"}
