@@ -25,7 +25,8 @@ from .errors import (
 # The tolerance policy: every threshold of the package, named once by what
 # it judges.  `within` is the one judge, residual <= tol * max(1, size); a
 # threshold whose verdicts name a size is relative to it (past size 1), and
-# absolute otherwise.
+# absolute otherwise.  Thresholds on S and its eigenvalues are relative to
+# max |S| or max |eigenvalue| with no floor: k^2 S is isometric to S.
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
 PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, Q^T A Q off the blocks, gaps
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
@@ -59,9 +60,9 @@ class SymmetricProfile:
     """The symmetric n x n matrix S defining the metric, with a cached
     eigendecomposition.
 
-    S is stored dense.  Its eigh eigenvalues only form blocks: those within
-    PROFILE_SLACK * z of the block's first one, z = tolerance * max(1, max
-    |eigenvalue|); a block whose mean is within z of zero is 0.0.
+    S is stored dense; |S - S^T| <= tolerance * max |S|.  Its eigh eigenvalues
+    form blocks: those within PROFILE_SLACK * z of the block's first one, z =
+    tolerance * max |eigenvalue|; a block whose mean is within z of zero is 0.0.
     ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
     in ascending order, and the columns of one value span an eigenspace:
     the only spectral data, read by the flow, ``classify``, ``in_centraliser``
@@ -84,11 +85,10 @@ class SymmetricProfile:
         # entries near the float maximum overflow below: an error, or an
         # infinite gap between eigenvalues, not a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            sym_defect = float(np.max(np.abs(S - S.T)))
-            if sym_defect > tolerance:
-                raise MalformedProfileError(
-                    f"S is not symmetric: max |S - S^T| = {sym_defect:.3e} > {tolerance:.3e}"
-                )
+            sym_defect, scale = float(np.max(np.abs(S - S.T))), float(np.max(np.abs(S)))
+            if sym_defect > tolerance * scale:
+                raise MalformedProfileError(f"S is not symmetric: max |S - S^T| = "
+                                            f"{sym_defect:.3e} > {tolerance * scale:.3e}")
             self.n = S.shape[0]
             # halved before the sum, which cannot overflow for a finite S
             self.S = 0.5 * S + 0.5 * S.T
@@ -98,7 +98,7 @@ class SymmetricProfile:
             w, Q = np.linalg.eigh(self.S)
             if not np.all(np.isfinite(w)):
                 raise OverflowingValueError("the eigenvalues of S overflow")
-            zero = self.tolerance * max(1.0, float(np.max(np.abs(w))))
+            zero = self.tolerance * float(np.max(np.abs(w)))
             self.eigenvalues = np.empty(self.n)
             i = 0
             while i < self.n:
@@ -109,8 +109,8 @@ class SymmetricProfile:
                 self.eigenvalues[i:j] = 0.0 if abs(ev) <= zero else ev
                 i = j
         self.eigenvectors = Q  # columns
-        # absolute bound, on the scale of S, for equality of profiles
-        self._scale_tol = self.tolerance * max(1.0, float(np.max(np.abs(self.S)))) * PROFILE_SLACK
+        # the bound for equality of profiles, relative to max |S|
+        self._scale_tol = self.tolerance * scale * PROFILE_SLACK
         self._flow_tables()
 
     def _flow_tables(self):

@@ -151,9 +151,9 @@ def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolut
     A is Ahat = Q_k^T A Q_k (Q^T A Q's entries between two eigenvalues are
     dropped): beta's eigenbasis data (y, y') solve (e^s Ahat (x) F - I)
     (y, y') = (yhat, yhat'), one batched 2d x 2d solve per d.  A was gated
-    where phi entered and s != 0.  ResonanceError where (s/c)^2 hits a
-    positive eigenvalue r^2 and its Ahat fixes a vector (e^{s +- rc} mu = 1
-    with |mu| = 1 forces mu = 1), judged by RESONANCE_TOL.
+    where phi entered and s != 0.  ResonanceError where (s/c)^2 is within
+    RESONANCE_TOL r^2 of a positive eigenvalue r^2 and its Ahat fixes a
+    vector (e^{s +- rc} mu = 1 with |mu| = 1 forces mu = 1, by RESONANCE_TOL).
     """
     profile = betahat.profile
     Q, lam = profile.eigenvectors, profile.eigenvalues
@@ -167,8 +167,9 @@ def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolut
     for d in sorted(set(dim.tolist())):
         cols = np.flatnonzero(dim == d).reshape(-1, d)  # a row per eigenspace
         Ahat, ev = Q.T[cols] @ AQ[cols].transpose(0, 2, 1), lam[cols[:, 0]]
-        for k in np.flatnonzero((ev > 0) & within(np.abs(ratio_sq - ev), RESONANCE_TOL, ev)):
-            if within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any():
+        for k in np.flatnonzero(ev > 0):
+            if (within(abs(ratio_sq - ev[k]) / ev[k], RESONANCE_TOL)
+                    and within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any()):
                 raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue "
                                      f"{ev[k]:.6g} of S, on which A fixes a vector")
         M = (np.exp(s) * Ahat)[:, :, None, :, None] * F[cols[:, 0], None, :, None, :]

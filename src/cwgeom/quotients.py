@@ -212,8 +212,9 @@ def verify_real_lattice_example(r: int = 3, seed: int = 42) -> ExampleReport:
     checks.append(_check("recurrence", float(np.max(np.abs(terms[0] - terms[1] + terms[2]))),
                          ROUNDOFF_TOL, float(np.max(np.abs(terms)))))
 
-    checks.append(_check("lagrangian_omega",
-                         abs(symplectic_form(beta, betahat)), ROUNDOFF_TOL))
+    checks.append(_check("lagrangian_omega", abs(symplectic_form(beta, betahat)), ROUNDOFF_TOL,
+                         0.5 * max(abs(beta.beta0 @ betahat.beta1),
+                                   abs(beta.beta1 @ betahat.beta0))))
 
     eta = Homothety(prof, beta=beta)
     etahat = Homothety(prof, beta=betahat)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cwgeom import quotients
 from cwgeom.core import BetaSolution, SymmetricProfile, beta_eval
 from cwgeom.curvature import christoffel_at, metric_at
 from cwgeom.dynamics import inessential_rescaling
@@ -279,11 +280,21 @@ def test_verdicts_hold_across_seeds(name, seed):
 
 @pytest.mark.parametrize("r", [*range(3, 7), 50, 10**3, 10**4, 10**5, 163852])
 def test_real_lattice_verdicts_hold_for_each_r(r):
-    """Every r the example accepts, up to floor(r_max) = 163852: the
-    absolute lagrangian_omega check reads 2.3e-10 at r = 10^5 against
-    ROUNDOFF_TOL, the thinnest margin of the examples."""
+    """Every r the example accepts, up to floor(r_max) = 163852.
+    lagrangian_omega reads 2.3e-10 at r = 10^5, judged against the two
+    products of about 5.8e5 that it subtracts."""
     report = verify_example("real-lattice", r=r)
     assert [c.name for c in report.checks if not c.passed] == []
+
+
+def test_lagrangian_omega_is_judged_at_the_size_of_its_terms(monkeypatch):
+    """At r = 160000 omega reads 3.5e-10, the round-off of two products of
+    about 9.6e5: it passes a tolerance of 1e-12 relative to them, which
+    it would fail in absolute terms."""
+    monkeypatch.setattr(quotients, "ROUNDOFF_TOL", 1e-12)
+    [omega] = [c for c in verify_example("real-lattice", r=160000).checks
+               if c.name == "lagrangian_omega"]
+    assert omega.residual > 1e-12 and omega.passed
 
 
 @settings(max_examples=80, deadline=None)

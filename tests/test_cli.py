@@ -638,6 +638,72 @@ def test_symmetric_profile_near_the_float_maximum_exits_0(command):
         assert np.max(np.abs(data["ricci"])) == 0.0
 
 
+def _request(capsys, monkeypatch, command, payload):
+    """Exit code and parsed stdout (None if empty) of one request on stdin."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run(capsys, [command, "-"])
+    return code, json.loads(out) if out else None, err
+
+
+# S = diag(1, 1.5, 2) at the scale k^2 = 1e-8, isometric to the unit-scale space
+SMALL = {"S": [[1e-8, 0.0, 0.0], [0.0, 1.5e-8, 0.0], [0.0, 0.0, 2e-8]]}
+
+
+class TestScale:
+    """(t, x, v) -> (t/k, x, k v) is an isometry from g_S to g_{k^2 S}: a
+    verdict on k^2 S is the one on S, however small or large k^2 S is."""
+
+    def test_a_small_profile_is_not_conformally_flat(self, capsys, monkeypatch):
+        code, data, _ = _request(capsys, monkeypatch, "classify", SMALL)
+        assert code == 0
+        assert data == {"conformally_flat": False, "invertible": True,
+                        "lambda_max_sq": 2e-8, "type": "real"}
+
+    def test_a_small_profile_bounds_s_by_its_largest_eigenvalue(self, capsys, monkeypatch):
+        # (s/c)^2 = 1.69e-8 is below lambda_max^2 = 2e-8
+        code, data, _ = _request(capsys, monkeypatch, "pd-report", {
+            "profile": SMALL, "generators": [{"c": 1.0, "s": 1.3e-4}], "max_length": 1})
+        assert code == 0
+        assert data["clean"] is True and data["lambda_max_sq"] == 2e-8
+
+    def test_a_small_profile_has_the_unit_scale_normal_form(self, capsys, monkeypatch):
+        # the k = 1e-4 image of phi = (0.3, ((1, 0.5), (0.5, 1)), 1, +1, I, 0.1)
+        # over diag(1, 2), whose (s/c)^2 = 0.01 hits no eigenvalue
+        k = 1e-4
+        unit = {"profile": {"S": [[1.0, 0.0], [0.0, 2.0]]},
+                "phi": {"b": 0.3, "beta0": [1.0, 0.5], "beta1": [0.5, 1.0], "c": 1.0, "s": 0.1}}
+        small = {"profile": {"S": [[1e-8, 0.0], [0.0, 2e-8]]},
+                 "phi": {"b": 3e-5, "beta0": [1.0, 0.5], "beta1": [5e-5, 1e-4], "c": 1e4,
+                         "s": 0.1}}
+        code, want, _ = _request(capsys, monkeypatch, "normal-form", unit)
+        assert code == 0
+        code, got, err = _request(capsys, monkeypatch, "normal-form", small)
+        assert code == 0, err
+        mine, theirs = got["conjugator"], want["conjugator"]
+        assert mine["beta0"] == pytest.approx(theirs["beta0"], rel=1e-9)
+        assert mine["beta1"] == pytest.approx([k * v for v in theirs["beta1"]], rel=1e-9)
+        assert mine["b"] == pytest.approx(k * theirs["b"], rel=1e-9)
+        assert got["normal"]["c"] == pytest.approx(want["normal"]["c"] / k, rel=1e-12)
+
+    def test_a_large_profile_symmetric_to_round_off_exits_0(self, capsys, monkeypatch):
+        # Q diag(1, 2, 3, 4) Q^T in floats is symmetric only to round-off of
+        # its size, 1e8 here: past the tolerance 1e-9 in absolute terms
+        Q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))
+        S = 1e8 * (Q @ np.diag([1.0, 2.0, 3.0, 4.0]) @ Q.T)
+        assert np.max(np.abs(S - S.T)) > 1e-9
+        code, data, err = _request(capsys, monkeypatch, "classify", {"S": S.tolist()})
+        assert code == 0, err
+        assert data["type"] == "real" and not data["conformally_flat"]
+        assert data["lambda_max_sq"] == pytest.approx(4e8, rel=1e-12)
+
+    def test_a_small_profile_asymmetric_past_its_size_exits_2(self, capsys, monkeypatch):
+        # 1e-9 of asymmetry is a tenth of S's size 1e-8
+        S = [[1e-8, 1e-9], [0.0, 1e-8]]
+        code, data, err = _request(capsys, monkeypatch, "classify", {"S": S})
+        assert code == 2 and data is None
+        assert "not symmetric" in json.loads(err)["error"]["detail"]
+
+
 @pytest.mark.parametrize("r", [10**8, 10**200], ids=["1e8", "1e200"])
 def test_real_lattice_r_too_large_exits_2(r, capsys):
     """rho^(1 - 2 k_max) must be a normal float: a larger r is an input

@@ -51,12 +51,13 @@ class TestSymmetricProfile:
         assert mults == [1, 2]
 
     def test_blocks_snapped_to_zero_are_one_eigenspace(self, rng):
-        # the grouping starts a second block at 0.6e-9, 1.01e-8 past -9.5e-9,
-        # but both block means are within the zero threshold 1e-9: one
-        # eigenvalue 0.0 of multiplicity 12, and the Haar draw mixes all of it
-        prof = SymmetricProfile(np.diag([-9.5e-9] + [0.4e-9] * 10 + [0.6e-9]))
-        [(ev, basis)] = eigenspaces(prof)
-        assert ev == 0.0 and basis.shape == (12, 12)
+        # beside the eigenvalue 1, the zero threshold is 1e-9: the grouping
+        # starts a second block at 0.6e-9, 1.01e-8 past -9.5e-9, but both
+        # block means are within it, so one eigenvalue 0.0 of multiplicity
+        # 12, and the Haar draw mixes all of it
+        prof = SymmetricProfile(np.diag([-9.5e-9] + [0.4e-9] * 10 + [0.6e-9] + [1.0]))
+        [(ev, basis), (one, _)] = eigenspaces(prof)
+        assert ev == 0.0 and basis.shape == (13, 12) and one == 1.0
         A = random_centralising_orthogonal(prof, rng)
         At = prof.eigenvectors.T @ A @ prof.eigenvectors
         assert np.max(np.abs(At[11, :11])) > 1e-2
@@ -155,13 +156,21 @@ class TestClassify:
 
 
     def test_a_block_near_zero_is_judged_by_its_mean(self):
-        # 0 and 5e-9 are one block, whose mean 2.5e-9 is past the zero
-        # threshold 1e-9: positive, as the flow's cosh branch reads it
-        prof = SymmetricProfile(np.diag([0.0, 5e-9]))
+        # beside the eigenvalue 1, 0 and 5e-9 are one block, whose mean
+        # 2.5e-9 is past the zero threshold 1e-9: positive, as the flow's
+        # cosh branch reads it
+        prof = SymmetricProfile(np.diag([0.0, 5e-9, 1.0]))
         c = classify(prof)
-        assert c.type == "real" and c.invertible
-        [(ev, _)] = eigenspaces(prof)
-        assert c.lambda_max_sq == ev == pytest.approx(2.5e-9)
+        assert c.type == "real" and c.invertible and c.lambda_max_sq == 1.0
+        [(ev, basis), _] = eigenspaces(prof)
+        assert ev == pytest.approx(2.5e-9) and basis.shape == (3, 2)
+
+    @pytest.mark.parametrize("k2", [1.0, 5e-9])
+    def test_the_zero_threshold_is_relative_to_the_largest_eigenvalue(self, k2):
+        # diag(0, k2) is isometric to diag(0, 1) for every k2 > 0: degenerate,
+        # with lambda_max^2 = k2 however small
+        c = classify(SymmetricProfile(np.diag([0.0, k2])))
+        assert c.type == "degenerate" and not c.conformally_flat and c.lambda_max_sq == k2
 
     @pytest.mark.parametrize("S", [np.diag([1.0, 1.0 + 0.9e-8, 1.0 + 1.8e-8]),
                                    np.eye(4) + 0.9e-8 * (1.0 - np.eye(4))],
@@ -188,7 +197,7 @@ def test_classify_and_the_centraliser_read_the_eigenvalues(tolerance, shared, en
     the profile's eigenvalues, and in_centraliser accepts a Haar draw of
     prod O(d_k) and rejects it once rotated between two eigenvalues."""
     rng = np.random.default_rng(seed)
-    zero = tolerance * max(1.0, abs(shared))
+    zero = tolerance * abs(shared)  # the profile's threshold, relative to its largest eigenvalue
     w = [(0.0 if at_zero else shared) + sign * offset * zero for at_zero, offset, sign in entries]
     Q, _ = np.linalg.qr(rng.normal(size=(len(w), len(w))))
     prof = SymmetricProfile((Q * w) @ Q.T, tolerance)

@@ -517,7 +517,7 @@ def block_loop_conjugation_beta(profile, A, s, c, betahat):
     for ev, Q in eigenspaces(profile):
         d = Q.shape[1]
         if (abs(c) > PARAM_TOL and ev > 0
-                and abs((s / c) ** 2 - ev) <= RESONANCE_TOL * max(1.0, ev)
+                and abs((s / c) ** 2 - ev) <= RESONANCE_TOL * ev
                 and np.abs(np.linalg.eigvals(Q.T @ A @ Q) - 1).min() <= RESONANCE_TOL):
             raise ResonanceError(f"resonance on the eigenvalue {ev}")
         E = np.exp(s) * (Q.T @ A @ Q)

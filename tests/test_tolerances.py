@@ -115,6 +115,30 @@ def test_no_tolerance_is_scaled_by_a_bare_number():
     assert sorted(scaled) == []
 
 
+def test_the_unit_floor_is_stated_once():
+    """Only core.within reads a size through max(1, size): a threshold
+    elsewhere floored at 1.0 would be absolute below unit scale, a second
+    regime of thresholds.  An integer max(1, ...), such as the PD sweep's
+    row count, is not a threshold."""
+    floored = []
+
+    def walk(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("max", "maximum") and (path.name, owner) != ("core.py", "within") and any(
+                    isinstance(a, ast.Constant) and type(a.value) is float and a.value == 1.0
+                    for a in node.args):
+                floored.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, path, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path, None)
+    assert floored == []
+
+
 def test_readme_lists_the_table():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
