@@ -30,10 +30,10 @@ from .errors import (
 PROFILE_TOL = 1e-9      # SymmetricProfile's default: |S - S^T|, spectral gaps, zero eigenvalues
 PROFILE_SLACK = 10      # the profile tolerance's factor on A^T A - I, Q^T A Q off the blocks, gaps
 PARAM_TOL = 1e-9        # a group parameter read as 0: c, s, b, an entry of A^T A - I (else an
-#                         entering A is projected) or of |A|(1 - |A|), a singular value of
-#                         e^s A - I in fixed_point; in the PD sweep too
-FIXED_POINT_TOL = 1e-8  # an isometry's fixed point: one residual |phi(p) - p|, relative to the
-#                         terms it subtracts
+#                         entering A is projected) or of |A|(1 - |A|), a singular value of an
+#                         isometry's block e^s Q_k^T A Q_k - I in fixed_point; in the PD sweep too
+FIXED_POINT_TOL = 1e-8  # an isometry's fixed point: the parts of Q_k^T beta(t*) on the cut
+#                         singular vectors and the v-shift, relative to the terms they subtract
 RESONANCE_TOL = 1e-7    # (s/c)^2 on a positive eigenvalue of S, relative to the eigenvalue;
 #                         and |mu - 1| for the eigenvalues mu of A on that eigenspace
 ORBIT_TOL = 1e-6        # an orbit's last point from its limit, in every coordinate

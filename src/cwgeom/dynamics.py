@@ -2,13 +2,15 @@
 obstructions to properly discontinuous cocompact actions.
 
 Fixed points take one path: at the fixed time t* of t -> eps t + c, solve
-(e^s A - I) x = -beta(t*) on the x-block, then the affine v-equation, and
-judge an isometry's point by its residual.  So a strict homothety fixes a
-point iff eps = -1 or c = 0, which is also when it is essential;
-otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an isometry of
-e^{2f} g_S.  The conjugation equation e^s A beta(t + c) - beta(t) =
-betahat(t) is one 2d x 2d solve per eigenspace of S, of dimension d, on
-SymmetricProfile.flow, and its resonance gate reads the same blocks.
+(e^s A - I) x = -beta(t*) on the x-block by one SVD per eigenspace of S,
+then the affine v-equation, and judge an isometry's point by what its cut
+singular values leave of beta(t*) and by its v-shift.  So a strict
+homothety fixes a point iff eps = -1 or c = 0, which is also when it is
+essential; otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an
+isometry of e^{2f} g_S.  The conjugation equation e^s A beta(t + c) -
+beta(t) = betahat(t) is one 2d x 2d solve per eigenspace of S, of
+dimension d, on SymmetricProfile.flow, and its resonance gate reads the
+same blocks of A.
 """
 
 from __future__ import annotations
@@ -69,6 +71,19 @@ def _fixed_time(eps, c):
     return np.where(eps == -1, c / 2.0, np.where(within(np.abs(c), PARAM_TOL), 0.0, np.nan))
 
 
+def _eigenspace_blocks(profile, A):
+    """Per eigenspace dimension d of S, ascending: the (K, d) columns of the
+    K eigenspaces, runs of equal profile.eigenvalues, and their (K, d, d)
+    blocks Ahat_k = Q_k^T A Q_k from the one product A Q (Q^T A Q's entries
+    between two eigenvalues are dropped)."""
+    Q, lam = profile.eigenvectors, profile.eigenvalues
+    AQ = Q.T @ A.T  # the one product A Q, row j (A q_j)^T
+    dim = np.searchsorted(lam, lam, "right") - np.searchsorted(lam, lam)  # eigenspace sizes
+    for d in sorted(set(dim.tolist())):
+        cols = np.flatnonzero(dim == d).reshape(-1, d)
+        yield cols, Q.T[cols] @ AQ[cols].transpose(0, 2, 1)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def fixed_point(phi: Homothety) -> FixedPointReport:
     """Fixed-point classification of a homothety.
@@ -76,37 +91,38 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     A fixed point lies at the fixed time t* of the t-part, on the x-block
     solution of (e^s A - I) x = -beta(t*) and the solution v* of
     v = eps(e^{2s} v + b - <beta'(t*), e^s A x* + beta(t*)/2>).  Strict case:
-    it exists iff eps = -1 or c = 0.  Isometry case: x* is the least-squares
-    solution with the singular values of e^s A - I at or below PARAM_TOL
-    read as 0, as the entry gate reads A, and v* = 0 where eps e^{2s} = 1; a
-    point exists iff phi(p) - p is within FIXED_POINT_TOL of the terms it
-    subtracts: beta(t*) on x, where it is (e^s A - I) x* + beta(t*), and b,
-    <beta', e^s A x*>, <beta', beta>/2 on v.  The residual is max |phi(p) - p| by apply.
+    it exists iff eps = -1 or c = 0.  Per eigenspace dimension, one batched
+    SVD U diag(sigma) V^T of the blocks e^s Ahat_k - I of _eigenspace_blocks
+    gives xhat_k = V diag(1/sigma) U^T (-yhat_k) over the kept sigma, with
+    yhat = Q^T beta(t*) and x* = Q xhat.  An isometry cuts the sigma at or
+    below PARAM_TOL, as the entry gate reads A, and v* = 0 where
+    eps e^{2s} = 1; a point exists iff each part of yhat_k on a cut
+    left-singular vector, and the v-shift, is within FIXED_POINT_TOL of the
+    terms it subtracts: |beta(t*)| on x; b, <beta', e^s A x*>,
+    <beta', beta>/2 on v.  A strict element cuts none.  The residual is
+    max |phi(p) - p| by apply.
     """
     none = FixedPointReport(False, None, "none_translation")
     t_star = float(_fixed_time(phi.eps, phi.c))
     if np.isnan(t_star):
         return none
-    strict = phi.is_strict
+    strict, prof = phi.is_strict, phi.profile
     val, der = beta_eval(phi.beta, t_star)
-    M = np.exp(phi.s) * phi.A - np.eye(phi.profile.n)
-    if strict:
-        x_star = np.linalg.solve(M, -val)
-    else:
-        # rcond=None cuts at round-off times sv[0]: a second solve cuts at PARAM_TOL
-        x_star, _, rank, sv = np.linalg.lstsq(M, -val, rcond=None)
-        if np.sum(sv > PARAM_TOL) != rank:
-            x_star = (np.linalg.lstsq(M, -val, rcond=PARAM_TOL / sv[0])[0]
-                      if sv[0] > PARAM_TOL else np.zeros(phi.profile.n))
+    y, x_hat, cut = prof.eigenvectors.T @ val, np.empty(prof.n), np.zeros(prof.n)
+    for cols, Ahat in _eigenspace_blocks(prof, phi.A):
+        U, sv, Vt = np.linalg.svd(np.exp(phi.s) * Ahat - np.eye(cols.shape[1]))
+        on_u, kept = -np.vecmat(y[cols], U), (sv > PARAM_TOL) | strict  # -U^T y per block
+        x_hat[cols] = np.vecmat(np.divide(on_u, sv, out=np.zeros_like(on_u), where=kept), Vt)
+        cut[cols] = np.where(kept, 0.0, on_u)
+    x_star = prof.eigenvectors @ x_hat
     esAx = np.exp(phi.s) * (phi.A @ x_star)
     d = phi.eps * (phi.b - float(der @ (esAx + 0.5 * val)))
     slope = phi.eps * np.exp(2 * phi.s)
     # v -> v + d where the slope is 1, fixed only where d = 0
     v_star = 0.0 if within(abs(1.0 - slope), PARAM_TOL) else d / (1.0 - slope)
     p = require_finite(np.concatenate(([t_star], x_star, [v_star])))
-    # t* is fixed; x from the small M, as e^s A x* - x* carries round-off of |x*|
-    gap = np.abs(np.r_[M @ x_star + val, d - (1.0 - slope) * v_star])
-    size = np.r_[np.full(phi.profile.n, np.max(np.abs(val))),
+    gap = np.abs(np.r_[cut, d - (1.0 - slope) * v_star])
+    size = np.r_[np.full(prof.n, np.max(np.abs(val))),
                  max(abs(phi.b), abs(der @ esAx), 0.5 * abs(der @ val))]
     if not strict and not within(gap, FIXED_POINT_TOL, size).all():
         return none
@@ -146,10 +162,9 @@ def inessential_rescaling(phi: Homothety) -> Callable:
 def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
     """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta, over betahat's profile.
 
-    On an eigenspace of S, a run of d columns of one value of
-    profile.eigenvalues, the flow over c is one F = [[ch, sh], [d0, ch]] and
-    A is Ahat = Q_k^T A Q_k (Q^T A Q's entries between two eigenvalues are
-    dropped): beta's eigenbasis data (y, y') solve (e^s Ahat (x) F - I)
+    On an eigenspace of S, of dimension d, the flow over c is one
+    F = [[ch, sh], [d0, ch]] and A is its block Ahat of _eigenspace_blocks:
+    beta's eigenbasis data (y, y') solve (e^s Ahat (x) F - I)
     (y, y') = (yhat, yhat'), one batched 2d x 2d solve per d.  A was gated
     where phi entered and s != 0.  ResonanceError where (s/c)^2 is within
     RESONANCE_TOL r^2 of a positive eigenvalue r^2 and its Ahat fixes a
@@ -161,12 +176,10 @@ def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolut
     require_phase(profile, c, *y.T)  # the shift by c reads phase r c, as beta_eval does
     ch, sh, d0 = profile.flow(c)
     F = np.moveaxis(np.array(((ch, sh), (d0, ch))), -1, 0)  # a 2 x 2 flow per column
-    AQ, sol = Q.T @ A.T, np.empty_like(y)  # the one product A Q, row j (A q_j)^T
+    sol = np.empty_like(y)
     ratio_sq = np.nan if within(abs(c), PARAM_TOL) else (s / c) ** 2  # NaN hits nothing
-    dim = np.searchsorted(lam, lam, "right") - np.searchsorted(lam, lam)  # eigenspace sizes
-    for d in sorted(set(dim.tolist())):
-        cols = np.flatnonzero(dim == d).reshape(-1, d)  # a row per eigenspace
-        Ahat, ev = Q.T[cols] @ AQ[cols].transpose(0, 2, 1), lam[cols[:, 0]]
+    for cols, Ahat in _eigenspace_blocks(profile, A):
+        d, ev = cols.shape[1], lam[cols[:, 0]]
         for k in np.flatnonzero(ev > 0):
             if (within(abs(ratio_sq - ev[k]) / ev[k], RESONANCE_TOL)
                     and within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any()):

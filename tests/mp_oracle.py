@@ -162,8 +162,9 @@ def power(e: Element, k: int) -> Element:
 
 
 def fixed_point(e: Element) -> np.ndarray:
-    """The fixed point of a strict element with eps = -1 or c = 0, rounded
-    to floats: at the fixed time t* (c/2 for eps = -1, else 0), x solves
+    """The fixed point of an element with eps = -1 or c = 0 whose e^s A - I
+    is invertible and whose eps e^{2s} is not 1, rounded to floats: at the
+    fixed time t* (c/2 for eps = -1, else 0), x solves
     (e^s A - I) x = -beta(t*), and v solves v = eps (e^{2s} v + b -
     <beta'(t*), e^s A x + beta(t*)/2>)."""
     with mp.workdps(DPS):

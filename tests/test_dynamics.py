@@ -231,14 +231,17 @@ class TestFixedPointRank:
                                     beta=BetaSolution(prof, [1.0, 0, 0, 0], [0, 0, 0, 0])))
         assert not cut.exists
 
-    def test_a_kept_singular_value_in_any_frame(self):
-        # A - I has the singular values 2e-9 on the second plane and 1e-3 on
-        # the first; in a Haar frame O, x* ~ 5e8 puts round-off of 1e-7
-        # |beta(0)| on e^s A x* - x*, but not on (A - I) x* + beta(0), so the
-        # point is kept and maps by (t, O x, v)
+    @pytest.mark.parametrize("angle", [1e-3, 0.5])
+    def test_a_kept_singular_value_in_any_frame(self, angle):
+        # A - I has the singular values 2e-9 on the second plane and about
+        # the angle on the first; in a Haar frame O, x* ~ 5e8 puts round-off
+        # of 1e-7 |beta(0)| on e^s A x* - x*, and at the angle 0.5 a
+        # condition number ~ 2.5e8 puts about as much on the residual of a
+        # backward-stable dense solve; the per-block SVD judges only the
+        # cut part of beta(0), so the point is kept and maps by (t, O x, v)
         prof = SymmetricProfile(-np.eye(4))
         A = np.eye(4)
-        A[:2, :2], A[2:, 2:] = _rot(1e-3), _rot(2e-9)
+        A[:2, :2], A[2:, 2:] = _rot(angle), _rot(2e-9)
         phi = Homothety(prof, eps=-1, A=A,
                         beta=BetaSolution(prof, [1.0, 0, 1.0, 0], [0, 1.0, 0, 1.0]))
         rep = fixed_point(phi)

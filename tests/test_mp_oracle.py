@@ -34,10 +34,10 @@ ORBIT_PROFILES = {**PROFILES, "real": np.diag([1.0, 1.0, 4.0]),
                   "mixed": np.diag([1.0, 1.0, -4.0])}
 
 
-def _phi(kind, eps, A=A3, c=1.0):
+def _phi(kind, eps, A=A3, c=1.0, s=0.3):
     prof = SymmetricProfile(ORBIT_PROFILES[kind])
     return Homothety(prof, b=0.7, beta=BetaSolution(prof, [1.0, 0.0, 0.5], [0.0, 1.0, -0.5]),
-                     c=c, eps=eps, A=A, s=0.3)
+                     c=c, eps=eps, A=A, s=s)
 
 
 @CASES
@@ -137,12 +137,15 @@ def test_normal_form_forward_error(kind, c):
     assert res.normal.c == abs(c) and res.residual <= FORWARD_TOL
 
 
-@pytest.mark.parametrize("kind, eps", [(k, e) for k in ORBIT_PROFILES for e in (1, -1)])
-def test_fixed_point_forward_error(kind, eps):
+@pytest.mark.parametrize("kind, eps, s", [
+    pytest.param(k, e, s, id=f"{k}-{e}" if s else f"{k}-{e}-isometry")
+    for k in ORBIT_PROFILES for e, s in ((1, 0.3), (-1, 0.3), (-1, 0.0))])
+def test_fixed_point_forward_error(kind, eps, s):
     """The fixed point of a strict element, with eps = -1 at c = 1 or with
-    eps = +1 at c = 0, against the oracle's, relative to the largest
-    |coordinate| of the point or 1."""
-    phi = _phi(kind, -1) if eps == -1 else _phi(kind, 1, c=0.0)
+    eps = +1 at c = 0, and of an eps = -1 isometry at c = 1, against the
+    oracle's, relative to the largest |coordinate| of the point or 1.  A3
+    has no eigenvalue 1, so the isometry's e^s A - I cuts no singular value."""
+    phi = _phi(kind, -1, s=s) if eps == -1 else _phi(kind, 1, c=0.0)
     rep = fixed_point(phi)
     want = mo.fixed_point(mo.element(phi))
     assert rep.exists

@@ -112,10 +112,11 @@ def _with_attribute(attr):
 
 def test_A_is_projected_in_one_function():
     """A is made orthogonal once, where an element enters: np.linalg.svd is
-    called in one function of the package, the gate
-    SymmetricProfile.require_centraliser, and nothing re-projects the A of
-    a product (no `renormalized`)."""
-    assert _callers("svd") == ["core.SymmetricProfile.require_centraliser"]
+    called in the gate SymmetricProfile.require_centraliser and otherwise
+    only by fixed_point, on its per-eigenspace blocks of e^s A - I, and
+    nothing re-projects the A of a product (no `renormalized`)."""
+    assert _callers("svd") == ["core.SymmetricProfile.require_centraliser",
+                               "dynamics.fixed_point"]
     assert _naming("renormalized") == []
 
 
@@ -210,6 +211,36 @@ def test_the_conjugation_is_solved_per_eigenspace():
     of S, which its resonance gate reads too: no package file names the
     dense 2n x 2n matrix _conjugation_matrix."""
     assert _naming("_conjugation_matrix") == []
+
+
+def test_the_dynamics_solves_share_one_block_split():
+    """The conjugation and the fixed point read A as the blocks
+    Q_k^T A Q_k of the eigenspaces of S from one helper, its only two
+    readers, and no package file solves by least squares."""
+    assert sorted(_readers("_eigenspace_blocks")) == ["dynamics._conjugation_beta",
+                                                      "dynamics.fixed_point"]
+    assert _callers("lstsq") == []
+
+
+def test_a_simple_spectrum_fixes_points_on_one_by_one_blocks(monkeypatch):
+    """At n = 64 with 64 distinct eigenvalues an isometry's fixed point
+    takes one batched np.linalg.svd of 64 blocks of 1 x 1, and no 64 x 64
+    factorisation."""
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+    prof = cwgeom.SymmetricProfile(Q @ np.diag(-np.linspace(1.0, 3.0, 64)) @ Q.T)
+    assert len(set(prof.eigenvalues.tolist())) == 64
+    A = prof.eigenvectors @ np.diag(rng.choice([-1.0, 1.0], 64)) @ prof.eigenvectors.T
+    phi = cwgeom.Homothety(prof, c=0.4, eps=-1, A=A, beta=cwgeom.BetaSolution(
+        prof, rng.normal(size=64), rng.normal(size=64)))
+    shapes = {}
+    for name in ("svd", "solve", "lstsq", "qr", "inv", "eig", "eigh", "eigvals", "cholesky"):
+        def recorded(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes.setdefault(_name, []).append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    cwgeom.fixed_point(phi)
+    assert shapes == {"svd": [(64, 1, 1)]}
 
 
 def test_normal_form_does_not_gate_A_again(monkeypatch):

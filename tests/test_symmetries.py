@@ -18,7 +18,7 @@ import pytest
 from cwgeom.core import FIXED_POINT_TOL, PARAM_TOL, BetaSolution, SymmetricProfile, classify
 from cwgeom.dynamics import fixed_point, is_essential, normal_form, pd_necessary_report
 from cwgeom.errors import ResonanceError
-from cwgeom.group import Homothety, compose, conjugate, element_distance
+from cwgeom.group import Homothety, apply, compose, conjugate, element_distance, inverse
 
 from conftest import (eigenspaces, haar_orthogonal, in_frame, random_centralising_orthogonal,
                       random_homothety, random_profile)
@@ -34,13 +34,16 @@ def _repeated_profile(rng, n):
     return SymmetricProfile(Q @ np.diag(w) @ Q.T)
 
 
-def _draw(rng):
-    """An element of any of the four types, eps = +-1, strict or isometric,
-    c = 0 or not, with or without beta and b, A = I a third of the time.
-    Half the draws are h conjugated by a Heisenberg translation g, for an h
-    without beta and b, so that they fix g(t*, 0, 0) whenever h has a fixed time."""
-    n = int(rng.integers(2, 5))
-    prof = random_profile(rng, n) if rng.random() < 0.5 else _repeated_profile(rng, n)
+def _draw(rng, prof=None):
+    """An element over prof, by default of any of the four types, eps = +-1,
+    strict or isometric, c = 0 or not, with or without beta and b, A = I a
+    third of the time.  Half the draws are h conjugated by a Heisenberg
+    translation g, for an h without beta and b, so that they fix g(t*, 0, 0)
+    whenever h has a fixed time."""
+    if prof is None:
+        n = int(rng.integers(2, 5))
+        prof = random_profile(rng, n) if rng.random() < 0.5 else _repeated_profile(rng, n)
+    n = prof.n
     strict = bool(rng.integers(2))
     h = Homothety(prof, c=0.0 if rng.random() < 0.5 else float(rng.normal()),
                   eps=int(rng.choice([-1, 1])),
@@ -85,6 +88,45 @@ def test_strict_verdicts_follow_the_theorem_in_every_frame():
         expected = phi.eps == -1 or phi.c == 0.0
         assert fixed_point(phi).exists == expected
         assert fixed_point(in_frame(phi, haar_orthogonal(rng, phi.profile.n))).exists == expected
+
+
+def test_fixed_points_follow_a_conjugation():
+    """conjugate(h, phi) = h phi h^{-1}, for a Heisenberg h = (b_h, beta_h,
+    0, +1, I, 0), has phi's verdict; where phi fixes one point p at t* it
+    fixes apply(h, p), within FIXED_POINT_TOL max(1, |p|), and where phi
+    fixes a set (an isometry with eps = +1, or with A fixing a vector) h^{-1}
+    takes its point q into phi's fixed set, |phi(q) - q| within
+    FIXED_POINT_TOL max(1, |q|).  All four types, a repeated eigenvalue
+    half the time, eps = +-1, strict and isometric."""
+    rng = np.random.default_rng(23)
+    verdicts, misplaced, kinds = [], [], set()
+    for draw in range(600):
+        prof = spectral_profile(KINDS[draw % 4], int(rng.integers(2, 5)), rng,
+                                repeat=bool(rng.integers(2)))
+        phi = _draw(rng, prof)
+        h = Homothety(prof, b=float(rng.normal()),
+                      beta=BetaSolution(prof, rng.normal(size=prof.n), rng.normal(size=prof.n)))
+        rep, moved = fixed_point(phi), fixed_point(conjugate(h, phi))
+        kinds.add((classify(prof).type, phi.eps, phi.is_strict, rep.exists))
+        if rep.exists != moved.exists:
+            verdicts.append((phi, h, rep.point, moved.point))
+            continue
+        if not rep.exists:
+            continue
+        one_point = phi.is_strict or phi.eps == -1 and np.linalg.svd(
+            phi.A - np.eye(prof.n), compute_uv=False).min() > PARAM_TOL
+        if one_point:
+            q, gap = rep.point, moved.point - apply(h, rep.point)
+        else:
+            q = apply(inverse(h), moved.point)
+            gap = apply(phi, q) - q
+        if not np.max(np.abs(gap)) <= FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(q)))):
+            misplaced.append((phi, h, rep.point, moved.point))
+    assert verdicts == [] and misplaced == []
+    # every type is drawn with both verdicts, but a strict eps = -1, which always fixes a point
+    assert kinds == {(kind, eps, strict, exists) for kind in KINDS for eps in (-1, 1)
+                     for strict in (False, True) for exists in (False, True)} - {
+        (kind, -1, True, False) for kind in KINDS}
 
 
 def _strict_draw(rng):
