@@ -20,8 +20,6 @@ is W = (tr(S)/n I - S) kn (dt)^2.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .core import SymmetricProfile, coords
@@ -42,8 +40,9 @@ class CurvatureTensor4:
 
     Its nonzero entries are, for i, j in 1..n, R[i,0,j,0] = R[0,i,0,j] =
     sign * M_ij and R[i,0,0,j] = R[0,i,j,0] = -sign * M_ij.  `components`,
-    the dense array, is built on first request and cached; it is the dense
-    Kulkarni-Nomizu product times the sign, signed zeros included.
+    the dense array, is built on each read and never kept, so the tensor
+    holds only its block; it is the dense Kulkarni-Nomizu product times the
+    sign, signed zeros included.
     """
 
     def __init__(self, block, sign: float = 1.0):
@@ -51,10 +50,10 @@ class CurvatureTensor4:
         self.n = self.block.shape[0]
         self.sign = float(sign)
 
-    @cached_property
+    @property
     def components(self) -> np.ndarray:
-        # einsum fills the Kulkarni-Nomizu product into a zeroed buffer, so
-        # its zeros are +0.0 and its entries M_ij + 0.0 and 0.0 - M_ij
+        # the Kulkarni-Nomizu product, written into a zeroed buffer, so its
+        # zeros are +0.0 and its entries M_ij + 0.0 and 0.0 - M_ij
         M = self.block
         x = slice(1, self.n + 1)
         R = np.zeros((self.n + 2,) * 4)

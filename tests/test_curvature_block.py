@@ -8,6 +8,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,10 +182,22 @@ class TestCurvatureJson:
 
 class TestCost:
     def test_riemann_and_weyl_build_no_dense_array(self, rng):
+        """Neither building the tensor nor reading its dense components
+        leaves an (n+2)^4 array on it: each read builds a fresh array, which
+        dies with the caller's last reference, and two reads agree bit for
+        bit."""
         prof = random_profile(rng, 32)
         for T in (riemann(prof), weyl(prof)):
             assert T.block.shape == (32, 32)
             assert "components" not in vars(T)
+            R = T.components
+            assert "components" not in vars(T)
+            again = T.components
+            assert np.array_equal(R, again)
+            assert np.array_equal(np.signbit(R), np.signbit(again))
+            ref = weakref.ref(R)
+            del R, again
+            assert ref() is None
 
     def test_components_build_one_dense_array(self, rng):
         prof = random_profile(rng, 32)

@@ -193,6 +193,18 @@ def test_profiles_are_compared_only_where_inputs_are_combined():
         lambda node: isinstance(node, ast.arg) and node.arg == "profile")
 
 
+def test_no_result_caches_a_derived_array():
+    """A result keeps only what it was built from: no package module names
+    cached_property, so a derived array such as a curvature tensor's dense
+    components is built on each read and not pinned to the result."""
+    def names_cached_property(node):
+        return (isinstance(node, ast.Name) and node.id == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                or isinstance(node, ast.alias) and node.name == "cached_property")
+
+    assert _scopes(names_cached_property) == []
+
+
 def test_fixed_point_judges_existence_once():
     """An isometry's fixed point is one residual judged against
     FIXED_POINT_TOL: the tolerance is read once, in dynamics.fixed_point."""
