@@ -25,6 +25,14 @@ contains a failed check, 2 malformed input or usage, 3 a precondition of
 the requested operation does not hold (for instance a resonant
 conjugation) or a computed value overflows.  Errors are reported on
 stderr as {"error": {"kind": ..., "detail": ...}}.
+
+Modules load with the request.  Importing this module loads core,
+serialize and errors; every other library module is imported when a
+subcommand's load or call first reads it as an attribute of the package
+(cwgeom.group, ...).  So classify and curvature, and a payload refused
+before any homothety of it is read, load none of group, dynamics, flat
+and quotients; compose and apply load group alone of them; and only
+verify-example loads quotients.
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import core, curvature, dynamics, flat, quotients, serialize
-from . import group as grp
+import cwgeom
+
+from . import core, serialize
 from .errors import CWError, InputError, MalformedProfileError
 
 EXIT_OK = 0
@@ -91,7 +100,10 @@ class Subcommand(NamedTuple):
     arguments; a false `verdict` field of the payload makes the exit code 1.
 
     Library functions are looked up on their module when called, never
-    stored here, so that wrappers installed on a module take effect."""
+    stored here, so that wrappers installed on a module take effect.  The
+    first read of a module other than core and serialize, as an attribute
+    of the package, imports it, so a subcommand loads only the modules it
+    runs."""
 
     load: Callable
     call: Callable
@@ -173,10 +185,10 @@ def _pullback_check(n, which, seed, samples, tolerance) -> dict:
     # t is uniform and x, v normal: one draw loop keeps the seeded order
     points = np.array([[rng.uniform(-1, 1) * (1.0 if real else 0.45 * np.pi),
                         *rng.normal(size=n), rng.normal()] for _ in range(samples)])
-    g0 = flat.minkowski_metric(n)
-    worst = flat.conformal_defect(
-        flat.minkowski_map(n) if real else flat.imaginary_local_map(n),
-        lambda a: g0, partial(curvature.metric_at, prof),
+    g0 = cwgeom.flat.minkowski_metric(n)
+    worst = cwgeom.flat.conformal_defect(
+        cwgeom.flat.minkowski_map(n) if real else cwgeom.flat.imaginary_local_map(n),
+        lambda a: g0, partial(cwgeom.curvature.metric_at, prof),
         (lambda a: np.exp(2 * a[..., 0])) if real else (lambda a: 1.0 / np.cos(a[..., 0]) ** 2),
         points)
     return {"map": which, "n": n, "samples": samples, "max_residual": worst,
@@ -193,33 +205,33 @@ COMMANDS = {
     "curvature": Subcommand(
         load=lambda data: [serialize.load_profile(data, high=MAX_CURVATURE_N)],
         call=lambda prof: {
-            "riemann": curvature.riemann(prof),
-            "ricci": curvature.ricci(prof),
-            "scalar": curvature.scalar(prof),
-            "schouten": curvature.schouten(prof),
-            "weyl": curvature.weyl(prof),
-            "cotton_max_abs": float(np.max(np.abs(curvature.cotton(prof)))),
+            "riemann": cwgeom.curvature.riemann(prof),
+            "ricci": cwgeom.curvature.ricci(prof),
+            "scalar": cwgeom.curvature.scalar(prof),
+            "schouten": cwgeom.curvature.schouten(prof),
+            "weyl": cwgeom.curvature.weyl(prof),
+            "cotton_max_abs": float(np.max(np.abs(cwgeom.curvature.cotton(prof)))),
             "frame": "t, x_1..x_n, v"}),
     "compose": Subcommand(
         load=_homotheties("phi", "psi"),
-        call=lambda phi, psi: grp.compose(phi, psi)),
+        call=lambda phi, psi: cwgeom.group.compose(phi, psi)),
     "apply": Subcommand(
         load=_with_profile(lambda prof, data: [
             serialize.load_homothety(prof, data.get("phi", {})),
             serialize.load_reals(data.get("point"), "point", (prof.n + 2,))]),
-        call=lambda phi, p: grp.apply(phi, p)),
+        call=lambda phi, p: cwgeom.group.apply(phi, p)),
     "fixed-point": Subcommand(
         load=_homotheties("phi"),
-        call=lambda phi: dynamics.fixed_point(phi),
+        call=lambda phi: cwgeom.dynamics.fixed_point(phi),
         dump=lambda rep: {"exists": rep.exists, "point": rep.point,
                           "reason": rep.reason, "residual": rep.residual}),
     "essential": Subcommand(
         load=_homotheties("phi"),
-        call=lambda phi: dynamics.essential_fixed_point(phi),
+        call=lambda phi: cwgeom.dynamics.essential_fixed_point(phi),
         dump=lambda rep: {"fixed_point": rep.point, "essential": rep.exists}),
     "normal-form": Subcommand(
         load=_homotheties("phi"),
-        call=lambda phi: dynamics.normal_form(phi),
+        call=lambda phi: cwgeom.dynamics.normal_form(phi),
         dump=lambda res: {"conjugator": res.conjugator, "normal": res.normal,
                           "residual": res.residual}),
     "orbit": Subcommand(
@@ -227,7 +239,7 @@ COMMANDS = {
             serialize.load_homothety(prof, data.get("gamma", {})),
             serialize.load_homothety(prof, data.get("phi", {})),
             _orbit_length(data, prof.n)]),
-        call=lambda gamma, phi, K: dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
+        call=lambda gamma, phi, K: cwgeom.dynamics.orbit_obstruction_sequence(gamma, phi, K=K),
         dump=lambda rep: {"sequence": rep.sequence, "limit": rep.limit,
                           "converged": rep.converged, "rate": rep.rate}),
     "pullback-check": Subcommand(
@@ -238,19 +250,21 @@ COMMANDS = {
         verdict="pass"),
     "verify-example": Subcommand(
         load=lambda name: [name],
-        call=lambda name, r: quotients.verify_example(name, **_root(name, r)),
+        call=lambda name, r: cwgeom.quotients.verify_example(name, **_root(name, r)),
         dump=lambda rep: {"example": rep.example, "passed": rep.passed,
                           "checks": [{"name": c.name, "pass": c.passed,
                                       "residual": c.residual} for c in rep.checks],
                           "commentary": rep.commentary},
         flags=("r",),
-        names=tuple(sorted(quotients.EXAMPLES)),
+        # the keys of quotients.EXAMPLES, sorted: spelled out, so that
+        # parsing the command line does not import quotients
+        names=("failed-3d", "imaginary-torus", "real-lattice", "removed-fixed-points"),
         verdict="passed"),
     "pd-report": Subcommand(
         load=_with_profile(lambda prof, data: [
             [serialize.load_homothety(prof, g) for g in _generators(data)],
             _max_length(data, prof.n)]),
-        call=lambda gens, max_length: dynamics.pd_necessary_report(
+        call=lambda gens, max_length: cwgeom.dynamics.pd_necessary_report(
             gens, max_length=max_length),
         dump=lambda rep: {
             "space_type": rep.space_type, "lambda_max_sq": rep.lambda_max_sq,

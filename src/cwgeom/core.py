@@ -22,6 +22,17 @@ from .errors import (
     PreconditionError,
 )
 
+# numpy mallocs its per-thread state (46 KB, mostly the big-integer
+# scratch of its float printer) the first time a thread needs it, e.g. on
+# the first negation of a large temporary array.  Under glibc, if that
+# happens while a dense (n+2)^4 tensor sits at the top of the heap, the
+# block lands just above it; once the tensor is freed its 10 MB at n = 32
+# can be neither trimmed nor reused for the next one, and peak memory
+# grows by a whole tensor.  Printing one float here, in the first module
+# every path of the package imports, allocates the block while the heap
+# holds nothing large; a module imported on first use may load too late.
+np.format_float_positional(0.5)
+
 # The tolerance policy: every threshold of the package, named once by what
 # it judges.  `within` is the one judge, residual <= tol * max(1, size); a
 # threshold whose verdicts name a size is relative to it (past size 1), and

@@ -24,16 +24,6 @@ import numpy as np
 
 from .core import SymmetricProfile, coords
 
-# numpy mallocs its per-thread state (46 KB, mostly the big-integer
-# scratch of its float printer) the first time a thread needs it, e.g. on
-# the first negation of a large temporary array.  Under glibc, if that
-# happens while a dense (n+2)^4 tensor sits at the top of the heap, the
-# block lands just above it; once the tensor is freed its 10 MB at n = 32
-# can be neither trimmed nor reused for the next one, and peak memory
-# grows by a whole tensor.  Printing one float at import allocates the
-# block while the heap holds nothing large.
-np.format_float_positional(0.5)
-
 
 class CurvatureTensor4:
     """The (0,4) tensor sign * (M kn (dt)^2) of a symmetric n x n block M.

@@ -65,9 +65,7 @@ from .core import (
     require_finite,
     within,
 )
-from .curvature import metric_at
 from .errors import IncompatibleProfileError, OverflowingValueError, PreconditionError
-from .flat import SmoothMap, conformal_defect
 
 
 @dataclass(frozen=True)
@@ -340,7 +338,11 @@ def homothety_factor_check(phi: Homothety, points=None):
     (N, n+2) array, one (n+2,) point or a list of Points (ten
     default_rng(0) draws by default), through the analytic Jacobian, by
     flat.conformal_defect: a float for one element, and per row, each by
-    its own e^{2s}, for a (B, 1) batch."""
+    its own e^{2s}, for a (B, 1) batch.  flat and curvature load on the
+    first call, so the group law alone does not import them."""
+    from .curvature import metric_at
+    from .flat import SmoothMap, conformal_defect
+
     prof = phi.profile
     if points is None:
         points = np.random.default_rng(0).normal(size=(10, prof.n + 2))

@@ -18,15 +18,14 @@ library type's JSON form.
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
 
 from .core import PROFILE_TOL, BetaSolution, SymmetricProfile
-from .curvature import CurvatureTensor4
 from .errors import InputError
-from .group import Homothety
 
 
 # the largest |s| for which the scale factors e^{+-2s} of a homothety and
@@ -93,7 +92,10 @@ def load_profile(data: Any, high: int) -> SymmetricProfile:
     return SymmetricProfile(S, tolerance=load_real(data, "tolerance", PROFILE_TOL))
 
 
-def load_homothety(profile: SymmetricProfile, data: Any) -> Homothety:
+def load_homothety(profile: SymmetricProfile, data: Any):
+    """The group.Homothety of a JSON object on `profile`."""
+    from .group import Homothety
+
     _require(isinstance(data, dict), "homothety must be a JSON object")
     eps = load_real(data, "eps", 1.0)
     _require(eps in (1.0, -1.0), "'eps' must be +1 or -1")
@@ -117,7 +119,16 @@ def _marks(indent: Optional[int], level: int, brackets: str = "[]") -> tuple:
     return brackets[0] + pad, "," + pad, "\n" + " " * (indent * level) + brackets[1]
 
 
-def _write_tensor4(T: CurvatureTensor4, write, indent: Optional[int], level: int) -> None:
+def _loaded(module: str, name: str):
+    """The class `name` of the package module `module` when that module
+    is loaded, else (), which no value is an instance of: a value of the
+    class exists only once its module is loaded, so this tells it apart
+    without importing the module."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return () if mod is None else getattr(mod, name)
+
+
+def _write_tensor4(T, write, indent: Optional[int], level: int) -> None:
     """Write a curvature tensor's dense components as json.dumps writes
     T.components.tolist() `level` deep, one (n+2)-slice at a time, from
     the block M without building the dense array.
@@ -160,12 +171,12 @@ def _write_tensor4(T: CurvatureTensor4, write, indent: Optional[int], level: int
 
 def _jsonable(value: Any) -> Any:
     """The JSON form of a library value; json.dumps's `default` hook."""
-    if isinstance(value, Homothety):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, _loaded("group", "Homothety")):
         return {"b": value.b, "beta0": value.beta.beta0.tolist(),
                 "beta1": value.beta.beta1.tolist(), "c": value.c, "eps": value.eps,
                 "A": value.A.tolist(), "s": value.s}
-    if isinstance(value, np.ndarray):
-        return value.tolist()
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -198,9 +209,10 @@ def dump_json(payload: Any, fh, indent: Optional[int] = None) -> None:
         # no JSON string holds a raw newline
         pad = "\n" + " " * (indent or 0)
         first, sep, last = _marks(indent, 0, "{}")
+        tensor = _loaded("curvature", "CurvatureTensor4")
         for k, key in enumerate(sorted(payload)):
             write((sep if k else first) + json.dumps(key) + ": ")
-            if isinstance(payload[key], CurvatureTensor4):
+            if isinstance(payload[key], tensor):
                 _write_tensor4(payload[key], write, indent, level=1)
             else:
                 write(dumps(payload[key]).replace("\n", pad))

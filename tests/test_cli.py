@@ -866,6 +866,95 @@ def test_runtime_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("path", GOLDEN,
+                         ids=[os.path.basename(p)[:-5] for p in GOLDEN])
+def test_golden_cli_in_a_fresh_process(path, capsys, monkeypatch):
+    """A fresh `python -m cwgeom.cli` process, which has imported only what
+    its subcommand asked for, writes the same stdout bytes and exit code as
+    the in-process call, and they match the recorded ones."""
+    with open(path, encoding="utf-8") as fh:
+        case = json.load(fh)
+    stdin = json.dumps(case["input"])
+    proc = run_python(["-m", "cwgeom.cli", *case["argv"]], stdin=stdin)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, _ = run(capsys, case["argv"])
+    assert proc.returncode == code == case["exit"], proc.stderr
+    assert proc.stdout == out
+    assert_matches(json.loads(proc.stdout), case["stdout"])
+
+
+# Runs the [argv, input] steps read from stdin through cli.main in one
+# fresh interpreter, and prints the cwgeom submodules loaded after
+# `import cwgeom` and after each step.
+LOADED_MODULES = """
+import contextlib, io, json, sys
+import cwgeom
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cwgeom."))
+
+seen = [loaded()]
+from cwgeom import cli
+for argv, payload in json.load(sys.stdin):
+    sys.stdin = io.StringIO(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def loaded_modules(steps):
+    """The sets of cwgeom submodules a fresh interpreter has loaded after
+    `import cwgeom` and after each (argv, input) step run by cli.main."""
+    proc = run_python(["-c", LOADED_MODULES], stdin=json.dumps(steps))
+    assert proc.returncode == 0, proc.stderr
+    return [set(mods) for mods in json.loads(proc.stdout)]
+
+
+def golden_step(name):
+    """The (argv, input) of the golden case `name`."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_cli", f"{name}.json"),
+              encoding="utf-8") as fh:
+        case = json.load(fh)
+    return case["argv"], case["input"]
+
+
+class TestModulesLoad:
+    """A fresh process imports only the modules its request runs."""
+
+    def test_import_cwgeom_loads_no_layer_and_classify_and_curvature_no_group(self):
+        malformed = [(["classify", "-"], {"S": "x"}),
+                     (["compose", "-"], {"profile": {"S": [[1.0, 2.0]]}}),
+                     (["curvature", "-"], {"S": [[0.0] * 65] * 65})]
+        after_import, *after = loaded_modules(
+            [golden_step("classify"), golden_step("curvature"), *malformed])
+        assert after_import <= {"errors"}
+        assert after[0] == {"cli", "core", "errors", "serialize"}
+        for mods in after:
+            assert not mods & {"group", "dynamics", "flat", "quotients"}
+
+    def test_compose_and_apply_load_no_dynamics_flat_or_quotients(self):
+        *_, mods = loaded_modules([golden_step("compose"), golden_step("apply")])
+        assert "group" in mods
+        assert not mods & {"dynamics", "flat", "quotients"}
+
+    def test_only_verify_example_loads_quotients(self):
+        others = [golden_step(os.path.basename(p)[:-5]) for p in GOLDEN
+                  if not os.path.basename(p).startswith("verify-example")]
+        assert {argv[0] for argv, _ in others} == set(cli.COMMANDS) - {"verify-example"}
+        *_, before, after = loaded_modules([*others, golden_step("verify-example-failed-3d")])
+        assert "quotients" not in before
+        assert {"curvature", "dynamics", "flat", "group", "quotients"} <= after
+
+
+def test_verify_example_names_are_the_examples():
+    """The CLI spells out the example names so that parsing does not import
+    quotients; they are its EXAMPLES."""
+    from cwgeom import quotients
+    assert cli.COMMANDS["verify-example"].names == tuple(sorted(quotients.EXAMPLES))
+
+
 # payload fields drawn from the extremes of the float range, and values of
 # the wrong type
 NUMBER = st.one_of(

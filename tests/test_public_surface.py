@@ -11,6 +11,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import cwgeom
 
@@ -55,6 +56,50 @@ def test_every_exported_name_has_a_caller():
     public = [name for name in cwgeom.__all__
               if not isinstance(getattr(cwgeom, name), types.ModuleType)]
     assert sorted(name for name in public if name not in used) == []
+
+
+# the names cwgeom exported when it imported every submodule itself,
+# which the lazy package keeps: the submodules, then the library's names
+EXPORTS = sorted([
+    "core", "curvature", "dynamics", "errors", "flat", "group", "quotients",
+    "BetaSolution", "CWError", "Classification", "CurvatureTensor4", "ExampleReport",
+    "FixedPointReport", "Homothety", "NormalFormResult", "SmoothMap", "SymmetricProfile",
+    "apply", "beta_eval", "christoffel_at", "classify", "compose", "cotton", "fixed_point",
+    "flatness_blowup_demo", "homothety_factor_check", "identity", "imaginary_local_map",
+    "inessential_rescaling", "inverse", "is_essential", "metric_at", "minkowski_map",
+    "minkowski_metric", "normal_form", "orbit_obstruction_sequence", "pd_necessary_report",
+    "ricci", "riemann", "scalar", "schouten", "self_adjacency", "symplectic_form",
+    "verify_example", "weyl"])
+
+
+class TestLazyPackage:
+    """`import cwgeom` loads no submodule, yet every exported name reads
+    as before."""
+
+    def test_the_export_list_is_kept(self):
+        assert sorted(cwgeom.__all__) == EXPORTS
+
+    def test_each_name_is_the_object_of_its_module(self):
+        assert cwgeom.compose is cwgeom.group.compose
+        for name in cwgeom.__all__:
+            value = getattr(cwgeom, name)
+            if isinstance(value, types.ModuleType):
+                assert value is importlib.import_module(f"cwgeom.{name}")
+            else:
+                assert value.__module__.startswith("cwgeom."), name
+                assert getattr(importlib.import_module(value.__module__), name) is value
+
+    def test_star_import_binds_each_name(self):
+        namespace = {}
+        exec("from cwgeom import *", namespace)
+        assert [name for name in EXPORTS if namespace.get(name) is not getattr(cwgeom, name)] \
+            == []
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cwgeom.no_such_name
+        assert not hasattr(cwgeom, "no_such_name")
+        assert set(EXPORTS) <= set(dir(cwgeom))
 
 
 def test_point_is_named_only_where_the_benchmark_reads_it():
@@ -269,7 +314,9 @@ def test_normal_form_does_not_gate_A_again(monkeypatch):
 
 
 def test_every_package_definition_has_a_caller():
-    used = set().union(*(_references(p) for p in SOURCES))
+    """The package's module __getattr__ and __dir__ (PEP 562) count as
+    called: the interpreter calls them on cwgeom.name and dir(cwgeom)."""
+    used = set().union(*(_references(p) for p in SOURCES)) | {"__getattr__", "__dir__"}
     defined = set().union(*(_definitions(p) for p in PACKAGE.glob("*.py")))
     assert sorted(defined - used) == []
 
