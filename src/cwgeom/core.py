@@ -77,10 +77,11 @@ class SymmetricProfile:
     ``eigenvalues`` holds each ``eigenvectors`` column's block eigenvalue,
     in ascending order, and the columns of one value span an eigenspace:
     the only spectral data, read by the flow, ``classify``, ``in_centraliser``
-    and dynamics._conjugation_beta, whose solve and resonance gate run per eigenspace.
-    The flow reads them through tables built once here, per column: the rate
-    r, the derivative factor, each sign's slice of columns and the phase
-    limit, so that a call runs each of its functions once over all times.
+    and the per-eigenspace solves dynamics._conjugation_beta (with its
+    resonance gate) and dynamics.fixed_point.  The flow, which only
+    beta_in_eigenbasis calls, reads them through tables built once here,
+    per column: the rate r, the derivative factor, each sign's slice of
+    columns and the phase limit, so a call runs each function once over all times.
     A finite S whose trace or eigenvalues overflow is an
     OverflowingValueError.
     """
@@ -144,7 +145,7 @@ class SymmetricProfile:
         self._nonzero = True if neg + pos == self.n else lam != 0
         self._fills = (np.empty, np.empty) if self._nonzero is True else (np.ones, np.zeros)
         # an ulp of the phase r t of a column with eigenvalue -r^2 is a radian
-        # from |t| = 2^52 / r on: beta_eval refuses data there
+        # from |t| = 2^52 / r on: beta_in_eigenbasis refuses data there
         self._phase_limit = np.divide(2.0 ** 52, self._rate, out=np.full(self.n, np.inf),
                                       where=lam < 0)
         self._min_phase_limit = float(self._phase_limit[0])  # column 0 oscillates fastest
@@ -312,34 +313,32 @@ class BetaSolution:
                     and within(np.max(np.abs(self.beta1)), PARAM_TOL))
 
 
-def require_phase(profile: SymmetricProfile, t, y0, y1) -> None:
-    """PreconditionError if a time, or a row of an array of times, has lost
-    the phase of an eigenvector column in which its eigenbasis data y0 or
-    y1 (shape (n,), or one row per time) is nonzero; the message names the
-    largest such |t|.  A float time (Python or numpy) below every
-    column's limit passes at once."""
-    if isinstance(t, float) and abs(t) < profile._min_phase_limit:
-        return
-    t = np.abs(np.asarray(t, dtype=float))
-    t_max = float(t) if t.ndim == 0 else t.max(initial=0.0)
-    if t_max >= profile._min_phase_limit:
-        lost = ((t[..., None] >= profile._phase_limit) & ((y0 != 0) | (y1 != 0))).any(axis=-1)
-        if lost.any():
-            t_lost = float(np.broadcast_to(t, lost.shape)[lost].max())
-            raise PreconditionError(f"the phase of beta at |t| = {t_lost} is lost to round-off")
+def beta_in_eigenbasis(beta: BetaSolution, t):
+    """The one place beta enters the eigenbasis of S: its data (Q^T beta(0),
+    Q^T beta'(0)), row by row for (..., n) data, and the flow (ch, sh, d0)
+    of SymmetricProfile.flow over a time or an array of times.
+    PreconditionError if a time, or a row of times, has lost the phase of a
+    column where the data is nonzero, naming the largest such |t|; a float
+    time (Python or numpy) below every column's limit passes at once."""
+    p = beta.profile
+    y0, y1 = beta.beta0 @ p.eigenvectors, beta.beta1 @ p.eigenvectors
+    if not (isinstance(t, float) and abs(t) < p._min_phase_limit):
+        a = np.abs(np.asarray(t, dtype=float))
+        if (float(a) if a.ndim == 0 else a.max(initial=0.0)) >= p._min_phase_limit:
+            lost = ((a[..., None] >= p._phase_limit) & ((y0 != 0) | (y1 != 0))).any(axis=-1)
+            if lost.any():
+                t_lost = float(np.broadcast_to(a, lost.shape)[lost].max())
+                raise PreconditionError(f"the phase of beta at |t| = {t_lost} is lost "
+                                        "to round-off")
+    return (y0, y1), p.flow(t)
 
 
 def beta_eval(beta: BetaSolution, t):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
-    eigenbasis of S (see SymmetricProfile.flow), for a time or an array of
-    times, and row by row for (..., n) data; data in a column whose phase
-    its time has lost is refused."""
-    p = beta.profile
-    Q = p.eigenvectors
-    y0 = beta.beta0 @ Q
-    y1 = beta.beta1 @ Q
-    require_phase(p, t, y0, y1)
-    ch, sh, d0 = p.flow(t)
+    eigenbasis of S (see beta_in_eigenbasis), for a time or an array of
+    times, and row by row for (..., n) data."""
+    (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(beta, t)
+    Q = beta.profile.eigenvectors
     return (ch * y0 + sh * y1) @ Q.T, (d0 * y0 + ch * y1) @ Q.T
 
 

@@ -9,8 +9,8 @@ homothety fixes a point iff eps = -1 or c = 0, which is also when it is
 essential; otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an
 isometry of e^{2f} g_S.  The conjugation equation e^s A beta(t + c) -
 beta(t) = betahat(t) is one 2d x 2d solve per eigenspace of S, of
-dimension d, on SymmetricProfile.flow, and its resonance gate reads the
-same blocks of A.
+dimension d, and its resonance gate reads the same blocks of A.  These
+solves and the orbit read beta and its flow by core.beta_in_eigenbasis.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from .core import (
     BetaSolution,
     Point,
     beta_eval,
+    beta_in_eigenbasis,
     classify,
     coords,
     require_finite,
-    require_phase,
     within,
 )
 from .errors import (
@@ -94,36 +94,38 @@ def fixed_point(phi: Homothety) -> FixedPointReport:
     it exists iff eps = -1 or c = 0.  Per eigenspace dimension, one batched
     SVD U diag(sigma) V^T of the blocks e^s Ahat_k - I of _eigenspace_blocks
     gives xhat_k = V diag(1/sigma) U^T (-yhat_k) over the kept sigma, with
-    yhat = Q^T beta(t*) and x* = Q xhat.  An isometry cuts the sigma at or
-    below PARAM_TOL, as the entry gate reads A, and v* = 0 where
-    eps e^{2s} = 1; a point exists iff each part of yhat_k on a cut
-    left-singular vector, and the v-shift, is within FIXED_POINT_TOL of the
-    terms it subtracts: |beta(t*)| on x; b, <beta', e^s A x*>,
-    <beta', beta>/2 on v.  A strict element cuts none.  The residual is
-    max |phi(p) - p| by apply.
+    yhat = Q^T beta(t*) and x* = Q xhat, the one change of basis: yhat' =
+    Q^T beta'(t*) and e^s Ahat_k xhat_k are the v-equation's terms.  An
+    isometry cuts the sigma at or below PARAM_TOL, as the entry gate reads
+    A, and v* = 0 where eps e^{2s} = 1; a point exists iff each part of
+    yhat_k on a cut left-singular vector, and the v-shift, is within
+    FIXED_POINT_TOL of the terms it subtracts: |yhat| on x; b,
+    <beta', e^s A x*>, <beta', beta>/2 on v.  A strict element cuts none.
+    The residual is max |phi(p) - p| by apply.
     """
     none = FixedPointReport(False, None, "none_translation")
     t_star = float(_fixed_time(phi.eps, phi.c))
     if np.isnan(t_star):
         return none
     strict, prof = phi.is_strict, phi.profile
-    val, der = beta_eval(phi.beta, t_star)
-    y, x_hat, cut = prof.eigenvectors.T @ val, np.empty(prof.n), np.zeros(prof.n)
+    (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(phi.beta, t_star)
+    y, yd = ch * y0 + sh * y1, d0 * y0 + ch * y1  # Q^T beta(t*), Q^T beta'(t*)
+    x_hat, esAx, cut = np.empty(prof.n), np.empty(prof.n), np.zeros(prof.n)
     for cols, Ahat in _eigenspace_blocks(prof, phi.A):
-        U, sv, Vt = np.linalg.svd(np.exp(phi.s) * Ahat - np.eye(cols.shape[1]))
+        esA = np.exp(phi.s) * Ahat
+        U, sv, Vt = np.linalg.svd(esA - np.eye(cols.shape[1]))
         on_u, kept = -np.vecmat(y[cols], U), (sv > PARAM_TOL) | strict  # -U^T y per block
         x_hat[cols] = np.vecmat(np.divide(on_u, sv, out=np.zeros_like(on_u), where=kept), Vt)
+        esAx[cols] = np.matvec(esA, x_hat[cols])
         cut[cols] = np.where(kept, 0.0, on_u)
-    x_star = prof.eigenvectors @ x_hat
-    esAx = np.exp(phi.s) * (phi.A @ x_star)
-    d = phi.eps * (phi.b - float(der @ (esAx + 0.5 * val)))
+    d = phi.eps * (phi.b - float(yd @ (esAx + 0.5 * y)))
     slope = phi.eps * np.exp(2 * phi.s)
     # v -> v + d where the slope is 1, fixed only where d = 0
     v_star = 0.0 if within(abs(1.0 - slope), PARAM_TOL) else d / (1.0 - slope)
-    p = require_finite(np.concatenate(([t_star], x_star, [v_star])))
+    p = require_finite(np.concatenate(([t_star], prof.eigenvectors @ x_hat, [v_star])))
     gap = np.abs(np.r_[cut, d - (1.0 - slope) * v_star])
-    size = np.r_[np.full(prof.n, np.max(np.abs(val))),
-                 max(abs(phi.b), abs(der @ esAx), 0.5 * abs(der @ val))]
+    size = np.r_[np.full(prof.n, np.max(np.abs(y))),
+                 max(abs(phi.b), abs(yd @ esAx), 0.5 * abs(yd @ y))]
     if not strict and not within(gap, FIXED_POINT_TOL, size).all():
         return none
     reason = ("isometry_euclidean_fp" if not strict
@@ -171,15 +173,13 @@ def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolut
     vector (e^{s +- rc} mu = 1 with |mu| = 1 forces mu = 1, by RESONANCE_TOL).
     """
     profile = betahat.profile
-    Q, lam = profile.eigenvectors, profile.eigenvalues
-    y = Q.T @ np.array((betahat.beta0, betahat.beta1)).T  # row j: (y_j, y_j')
-    require_phase(profile, c, *y.T)  # the shift by c reads phase r c, as beta_eval does
-    ch, sh, d0 = profile.flow(c)
+    (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(betahat, c)
+    y = np.column_stack((y0, y1))  # row j: (y_j, y_j')
     F = np.moveaxis(np.array(((ch, sh), (d0, ch))), -1, 0)  # a 2 x 2 flow per column
     sol = np.empty_like(y)
     ratio_sq = np.nan if within(abs(c), PARAM_TOL) else (s / c) ** 2  # NaN hits nothing
     for cols, Ahat in _eigenspace_blocks(profile, A):
-        d, ev = cols.shape[1], lam[cols[:, 0]]
+        d, ev = cols.shape[1], profile.eigenvalues[cols[:, 0]]
         for k in np.flatnonzero(ev > 0):
             if (within(abs(ratio_sq - ev[k]) / ev[k], RESONANCE_TOL)
                     and within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any()):
@@ -192,7 +192,7 @@ def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolut
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular conjugation block: {exc}") from exc
         sol[cols] = x.reshape(len(cols), d, 2)
-    return BetaSolution(profile, *(Q @ sol).T)
+    return BetaSolution(profile, *(profile.eigenvectors @ sol).T)
 
 
 @dataclass(frozen=True)
@@ -269,13 +269,14 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     beta(. + c_g), and keeps eps and s; its A never acts on the origin, so
     is not formed.  The K steps run this recurrence with no group-law
     call: beta's data (y, y') stays in the eigenbasis of S, where the shift
-    by c_g is the elementwise flow of SymmetricProfile.flow (so a decaying
-    mode keeps its relative precision), and is mapped back once at the
-    end.  A step is three numpy calls: the product of F = [[ch, sh],
-    [d0, ch]] with the rows (y, y'), its sum over the inner axis, and the
-    product by M = e^{-s_g} Q^T A_g Q into the next row.  Conjugate k sends the
-    origin to (c, beta(0), eps (b - <beta'(0), beta(0)>/2)) in closed form,
-    and the report fits a geometric decay rate to the x-block norms.
+    by c_g is the elementwise flow of beta_in_eigenbasis (so a decaying
+    mode keeps its relative precision; the steps keep phi's eigenspaces, so
+    its data decides the phase), and is mapped back once at the end.  A
+    step is three numpy calls: the product of F = [[ch, sh], [d0, ch]] with
+    the rows (y, y'), its sum over the inner axis, and the product by
+    M = e^{-s_g} Q^T A_g Q into the next row.  Conjugate k sends the origin
+    to (c, beta(0), eps (b - <beta'(0), beta(0)>/2)) in closed form, and
+    the report fits a geometric decay rate to the x-block norms.
     """
     if K < 1:
         raise PreconditionError("the orbit needs K >= 1 steps")
@@ -285,19 +286,16 @@ def orbit_obstruction_sequence(gamma: Homothety, phi: Homothety, K: int = 60) ->
     if gamma.profile != prof:
         raise IncompatibleProfileError("gamma and phi are over different profiles")
     n, Q, c_g = prof.n, prof.eigenvectors, gamma.c
-    ch, sh, d0 = prof.flow(c_g)
+    y, b = np.empty((K + 1, 2, n)), np.empty(K)
+    y[0], (ch, sh, d0) = beta_in_eigenbasis(phi.beta, c_g)
     F = np.array(((ch, sh), (d0, ch)))
     # y -> y M on eigenbasis rows is beta -> e^{-s_g} A_g^T beta
     M = np.exp(-gamma.s) * (Q.T @ gamma.A @ Q)
-    e2s = np.exp(-2 * gamma.s)
-    y, b = np.empty((K + 1, 2, n)), np.empty(K)
-    y[0], bk = (phi.beta.beta0 @ Q, phi.beta.beta1 @ Q), phi.b
+    e2s, bk = np.exp(-2 * gamma.s), phi.b
     for k in range(K):
         np.matmul(np.add.reduce(F * y[k], axis=1), M, out=y[k + 1])
         bk = b[k] = e2s * bk
     c = phi.c + (phi.eps - 1) * c_g * np.arange(1, K + 1)
-    # step k shifted row k, reading the columns at phase r c_g as beta_eval does
-    require_phase(prof, c_g, y[:-1, 0], y[:-1, 1])
     beta = y[1:] @ Q.T
     v = phi.eps * (b - np.vecdot(beta[:, 1], beta[:, 0]) / 2)
     # an overflow, in the flow or a step, leaves a non-finite point (v carries b and beta')

@@ -70,7 +70,7 @@ from .errors import IncompatibleProfileError, OverflowingValueError, Preconditio
 
 @dataclass(frozen=True)
 class Homothety:
-    """Group element (b, beta, c, eps, A, s) of H_S."""
+    """Group element (b, beta, c, eps, A, s) of H_S: beta one solution, eps the int +-1."""
 
     profile: SymmetricProfile
     b: float = 0.0
@@ -87,9 +87,12 @@ class Homothety:
         beta = self.beta if self.beta is not None else BetaSolution(p)
         if beta.profile != p:
             raise IncompatibleProfileError("beta built over a different profile")
+        if beta.beta0.shape != (p.n,) or beta.beta1.shape != (p.n,):
+            raise IncompatibleProfileError(f"beta must be one solution, of shape ({p.n},)")
         A = np.eye(p.n) if self.A is None else p.require_centraliser(self.A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "eps", int(self.eps))
         for name in ("b", "c", "s"):
             object.__setattr__(self, name, float(getattr(self, name)))
         # entries near the float maximum may overflow the gate's sum: an

@@ -7,7 +7,8 @@ flow branch by branch, the orbit step as two expressions)."""
 
 import numpy as np
 
-from cwgeom.core import DOMAIN_TOL, MEASURE_TOL, PARAM_TOL, SymmetricProfile, coords, join
+from cwgeom.core import (DOMAIN_TOL, MEASURE_TOL, PARAM_TOL, BetaSolution, SymmetricProfile,
+                         beta_in_eigenbasis, coords, join)
 from cwgeom.curvature import christoffel_at, metric_at
 from cwgeom.flat import SmoothMap
 from cwgeom.group import Homothety, element_distance, identity
@@ -170,9 +171,10 @@ def box_minus_holes_nonempty(box, holes) -> bool:
 def block_determinant(eigenvalue: float, s: float, c: float) -> float:
     """Determinant of the scalar (d = 1) conjugation block at A = 1,
     [[a ch - 1, a sh], [a d0, a ch - 1]] with a = e^s and (ch, sh, d0) the
-    profile's own flow over c, which vanishes exactly at the resonance
-    s = +-lambda c for positive eigenvalues."""
-    ch, sh, d0 = (float(part[0]) for part in SymmetricProfile([[eigenvalue]]).flow(c))
+    profile's own flow over c, read by beta_in_eigenbasis, which vanishes
+    exactly at the resonance s = +-lambda c for positive eigenvalues."""
+    _, flow = beta_in_eigenbasis(BetaSolution(SymmetricProfile([[eigenvalue]])), c)
+    ch, sh, d0 = (float(part[0]) for part in flow)
     a = np.exp(s)
     return float(np.linalg.det([[a * ch - 1, a * sh], [a * d0, a * ch - 1]]))
 

@@ -948,6 +948,42 @@ class TestModulesLoad:
         assert {"curvature", "dynamics", "flat", "group", "quotients"} <= after
 
 
+# Runs the [argv, input] steps read from stdin through cli.main in one
+# fresh interpreter, and prints each step's exit code and stdout.
+RUN_STEPS = """
+import contextlib, io, json, sys
+from cwgeom import cli
+
+results = []
+for argv, payload in json.load(sys.stdin):
+    sys.stdin, out = io.StringIO(json.dumps(payload)), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_the_golden_cases_leave_no_state_behind():
+    """The golden cases run through cli.main in one interpreter, in sorted
+    order and in reverse, give the same stdout bytes and exit codes, the
+    recorded ones: a request's lazy imports and numpy error state carry
+    nothing into the next."""
+    cases = []
+    for path in GOLDEN:
+        with open(path, encoding="utf-8") as fh:
+            cases.append(json.load(fh))
+    runs = []
+    for order in (cases, cases[::-1]):
+        steps = [(case["argv"], case["input"]) for case in order]
+        proc = run_python(["-c", RUN_STEPS], stdin=json.dumps(steps))
+        assert proc.returncode == 0, proc.stderr
+        runs.append([tuple(result) for result in json.loads(proc.stdout)])
+    assert len(cases) == 18 and runs[0] == runs[1][::-1]
+    assert [code for code, _ in runs[0]] == [case["exit"] for case in cases]
+    assert all(out for _, out in runs[0])
+
+
 def test_verify_example_names_are_the_examples():
     """The CLI spells out the example names so that parsing does not import
     quotients; they are its EXAMPLES."""

@@ -1,5 +1,8 @@
 """Homothety-group arithmetic: faithfulness, inversion, structure."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from cwgeom.curvature import metric_at
 from cwgeom.errors import IncompatibleProfileError, OverflowingValueError
 from cwgeom.group import (
     Homothety,
+    _stack,
     apply,
     compose,
     conjugate,
@@ -18,6 +22,8 @@ from cwgeom.group import (
     inverse,
     power,
 )
+
+from cwgeom.serialize import dump_json
 
 from conftest import (random_centralising_orthogonal, random_homothety, random_point,
                       random_profile)
@@ -281,3 +287,29 @@ class TestStructure:
         prof = random_profile(rng, 2)
         with pytest.raises(ValueError):
             Homothety(prof, eps=0)
+
+    @pytest.mark.parametrize("eps, want", [(np.int64(-1), -1), (True, 1), (-1.0, -1)],
+                             ids=["int64", "bool", "float"])
+    def test_eps_is_stored_as_a_python_int(self, eps, want):
+        """eps of another type is stored as the int +-1, which the JSON
+        writer writes as an int; a batch keeps its float eps."""
+        prof = SymmetricProfile(np.diag([1.0, -2.0]))
+        phi = Homothety(prof, eps=eps)
+        assert type(phi.eps) is int and phi.eps == want
+        fh = io.StringIO()
+        dump_json({"h": phi}, fh)
+        assert f'"eps": {want},' in fh.getvalue()
+        assert json.loads(fh.getvalue())["h"]["eps"] == want
+        assert _stack([phi, phi]).eps.dtype == float
+
+    @pytest.mark.parametrize("beta0, beta1", [
+        ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),
+        ([[1.0, 0.0]], [[0.0, 1.0]]),
+        ([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]]),
+    ], ids=["two-rows", "one-row", "mixed"])
+    def test_beta_of_more_than_one_solution_rejected(self, beta0, beta1):
+        """An element's beta is one solution: data of shape (n,), as the
+        CLI's reader already requires."""
+        prof = SymmetricProfile(np.diag([1.0, -2.0]))
+        with pytest.raises(IncompatibleProfileError, match="one solution"):
+            Homothety(prof, beta=BetaSolution(prof, beta0, beta1))

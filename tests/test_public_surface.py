@@ -270,6 +270,27 @@ def test_the_conjugation_is_solved_per_eigenspace():
     assert _naming("_conjugation_matrix") == []
 
 
+def test_beta_enters_the_eigenbasis_in_one_function():
+    """core.beta_in_eigenbasis is the one reader of beta in the eigenbasis
+    of S: the one function that reads both beta's data and the
+    eigenvectors, the one caller of SymmetricProfile.flow and the one
+    reader of the phase limits past the tables that build them.  No
+    package file names the separate phase gate require_phase, and
+    fixed_point reads beta through the reader, not through beta_eval."""
+    def reads(attrs):
+        return lambda node: (isinstance(node, ast.Attribute) and node.attr in attrs
+                             and isinstance(node.ctx, ast.Load))
+
+    reader = ["core.beta_in_eigenbasis"]
+    assert sorted(set(_scopes(reads({"beta0", "beta1"})))
+                  & set(_scopes(reads({"eigenvectors"})))) == reader
+    assert _callers("flow") == reader
+    assert sorted(set(_scopes(reads({"_phase_limit", "_min_phase_limit"})))) \
+        == ["core.SymmetricProfile._flow_tables", *reader]
+    assert _naming("require_phase") == []
+    assert "dynamics.fixed_point" not in _readers("beta_eval")
+
+
 def test_the_dynamics_solves_share_one_block_split():
     """The conjugation and the fixed point read A as the blocks
     Q_k^T A Q_k of the eigenspaces of S from one helper, its only two
