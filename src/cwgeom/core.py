@@ -248,8 +248,7 @@ class Point:
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        if not (np.isfinite(self.t) and np.isfinite(self.v) and np.all(np.isfinite(self.x))):
-            raise OverflowingValueError("point has non-finite coordinates")
+        require_finite(self.as_array())
 
     def as_array(self) -> np.ndarray:
         return np.concatenate(([self.t], self.x, [self.v]))
@@ -281,9 +280,9 @@ def join(t, x, v) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray) -> np.ndarray:
-    """The points a; OverflowingValueError if a coordinate is not finite."""
+    """The computed array a; OverflowingValueError if an entry is not finite."""
     if not np.isfinite(a).all():
-        raise OverflowingValueError("point has non-finite coordinates")
+        raise OverflowingValueError("a computed value is not finite")
     return a
 
 
@@ -333,13 +332,16 @@ def beta_in_eigenbasis(beta: BetaSolution, t):
     return (y0, y1), p.flow(t)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def beta_eval(beta: BetaSolution, t):
     """Evaluate (beta(t), beta'(t)) in closed form, column by column in the
     eigenbasis of S (see beta_in_eigenbasis), for a time or an array of
-    times, and row by row for (..., n) data."""
+    times, and row by row for (..., n) data; an overflow raises, with no
+    warning, seen first as a non-finite <beta, beta'>."""
     (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(beta, t)
     Q = beta.profile.eigenvectors
-    return (ch * y0 + sh * y1) @ Q.T, (d0 * y0 + ch * y1) @ Q.T
+    val, der = (ch * y0 + sh * y1) @ Q.T, (d0 * y0 + ch * y1) @ Q.T
+    return (val, der) if np.isfinite(np.vdot(val, der)) else tuple(map(require_finite, (val, der)))
 
 
 def symplectic_form(beta: BetaSolution, betahat: BetaSolution) -> float:

@@ -7,8 +7,8 @@ then the affine v-equation, and judge an isometry's point by what its cut
 singular values leave of beta(t*) and by its v-shift.  So a strict
 homothety fixes a point iff eps = -1 or c = 0, which is also when it is
 essential; otherwise f = -s t / c has f(phi(p)) = f(p) - s, so phi is an
-isometry of e^{2f} g_S.  The conjugation equation e^s A beta(t + c) -
-beta(t) = betahat(t) is one 2d x 2d solve per eigenspace of S, of
+isometry of e^{2f} g_S.  The normal form's equation e^s A beta_g(t) -
+beta_g(t + c) = beta(t) is one 2d x 2d solve per eigenspace of S, of
 dimension d, and its resonance gate reads the same blocks of A.  These
 solves and the orbit read beta and its flow by core.beta_in_eigenbasis.
 """
@@ -29,7 +29,6 @@ from .core import (
     RESONANCE_TOL,
     BetaSolution,
     Point,
-    beta_eval,
     beta_in_eigenbasis,
     classify,
     coords,
@@ -161,37 +160,38 @@ def inessential_rescaling(phi: Homothety) -> Callable:
     return lambda p: slope * coords(p, phi.profile.n)[..., 0]
 
 
-def _conjugation_beta(A, s: float, c: float, betahat: BetaSolution) -> BetaSolution:
-    """Solve e^s A beta(t + c) - beta(t) = betahat(t) for beta, over betahat's profile.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _conjugation_beta(A, s: float, c: float, beta: BetaSolution) -> BetaSolution:
+    """Solve e^s A beta_g(t) - beta_g(t + c) = beta(t) for beta_g, over beta's profile.
 
     On an eigenspace of S, of dimension d, the flow over c is one
     F = [[ch, sh], [d0, ch]] and A is its block Ahat of _eigenspace_blocks:
-    beta's eigenbasis data (y, y') solve (e^s Ahat (x) F - I)
-    (y, y') = (yhat, yhat'), one batched 2d x 2d solve per d.  A was gated
-    where phi entered and s != 0.  ResonanceError where (s/c)^2 is within
-    RESONANCE_TOL r^2 of a positive eigenvalue r^2 and its Ahat fixes a
-    vector (e^{s +- rc} mu = 1 with |mu| = 1 forces mu = 1, by RESONANCE_TOL).
+    beta_g's eigenbasis data z solve (e^s Ahat (x) I_2 - I_d (x) F) z = beta's,
+    one batched 2d x 2d solve per d.  A was gated where phi entered and s != 0.
+    ResonanceError where (s/c)^2, read as it is, is within RESONANCE_TOL r^2
+    of a positive eigenvalue r^2 and its Ahat fixes a vector, naming the first
+    (e^s mu = e^{+-rc} with |mu| = 1 forces mu = 1, by RESONANCE_TOL).
     """
-    profile = betahat.profile
-    (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(betahat, c)
+    profile = beta.profile
+    (y0, y1), (ch, sh, d0) = beta_in_eigenbasis(beta, c)
     y = np.column_stack((y0, y1))  # row j: (y_j, y_j')
     F = np.moveaxis(np.array(((ch, sh), (d0, ch))), -1, 0)  # a 2 x 2 flow per column
-    sol = np.empty_like(y)
-    ratio_sq = np.nan if within(abs(c), PARAM_TOL) else (s / c) ** 2  # NaN hits nothing
+    sol, ratio_sq = np.empty_like(y), np.divide(s, c) ** 2  # inf at c = 0 hits nothing
     for cols, Ahat in _eigenspace_blocks(profile, A):
-        d, ev = cols.shape[1], profile.eigenvalues[cols[:, 0]]
-        for k in np.flatnonzero(ev > 0):
-            if (within(abs(ratio_sq - ev[k]) / ev[k], RESONANCE_TOL)
-                    and within(np.abs(np.linalg.eigvals(Ahat[k]) - 1), RESONANCE_TOL).any()):
+        (K, d), ev = cols.shape, profile.eigenvalues[cols[:, 0]]
+        hit = np.flatnonzero((ev > 0) & within(np.abs(ratio_sq - ev) / ev, RESONANCE_TOL))
+        if hit.size:  # one eigvals over the blocks (s/c)^2 hits
+            fixes = hit[within(np.abs(np.linalg.eigvals(Ahat[hit]) - 1), RESONANCE_TOL).any(-1)]
+            if fixes.size:
                 raise ResonanceError(f"(s/c)^2 = {ratio_sq:.6g} hits the eigenvalue "
-                                     f"{ev[k]:.6g} of S, on which A fixes a vector")
-        M = (np.exp(s) * Ahat)[:, :, None, :, None] * F[cols[:, 0], None, :, None, :]
+                                     f"{ev[fixes[0]]:.6g} of S, on which A fixes a vector")
+        M = ((np.exp(s) * Ahat)[:, :, None, :, None] * np.eye(2)[:, None, :]
+             - np.eye(d)[:, None, :, None] * F[cols[:, 0], None, :, None, :])
         try:
-            x = np.linalg.solve(M.reshape(len(cols), 2 * d, 2 * d) - np.eye(2 * d),
-                                y[cols].reshape(len(cols), 2 * d, 1))
+            x = np.linalg.solve(M.reshape(K, 2 * d, 2 * d), y[cols].reshape(K, 2 * d, 1))
         except np.linalg.LinAlgError as exc:
             raise ResonanceError(f"singular conjugation block: {exc}") from exc
-        sol[cols] = x.reshape(len(cols), d, 2)
+        sol[cols] = x.reshape(K, d, 2)
     return BetaSolution(profile, *(profile.eigenvectors @ sol).T)
 
 
@@ -212,21 +212,18 @@ def normal_form(phi: Homothety) -> NormalFormResult:
     reflection (t, x, v) -> (-t, x, -v) to force c >= 0.
 
     The conjugator g = (b_g, beta_g, 0, +1, I, 0) solves g phi = N g with
-    N = (0, 0, c, +1, A, s): e^s A beta_g(t) - beta_g(t + c) = beta(t) is
-    one conjugation solve, and b_g (e^{2s} - 1) = b + (<beta'(0),
-    beta_g(c)> - <beta_g'(c), beta(0)>) / 2.  For c < 0 the reflection is
-    composed on the left; N is read off one product g phi g^{-1}.
+    N = (0, 0, c, +1, A, s): beta_g solves e^s A beta_g(t) - beta_g(t + c) =
+    beta(t), which at t = 0 turns b_g (e^{2s} - 1) = b + (<beta'(0), beta_g(c)> -
+    <beta_g'(c), beta(0)>) / 2 into b + e^s (<beta'(0), A beta_g(0)> - <beta(0), A beta_g'(0)>) / 2.
+    For c < 0 the reflection is composed on the left; N is read off one product g phi g^{-1}.
     """
     prof = phi.profile
     if not phi.is_strict:
         raise PreconditionError("normal form applies to strict homotheties")
     if phi.eps != 1:
         raise UnsupportedCaseError("normal form requires eps = +1")
-    # the solver equation with shift -c and right-hand side beta(. - c)
-    val, der = beta_eval(phi.beta, -phi.c)
-    beta_g = _conjugation_beta(phi.A, phi.s, -phi.c, BetaSolution(prof, val, der))
-    Y, Yd = beta_eval(beta_g, phi.c)
-    cross = float(phi.beta.beta1 @ Y - Yd @ phi.beta.beta0)
+    beta, beta_g = phi.beta, _conjugation_beta(phi.A, phi.s, phi.c, phi.beta)
+    cross = np.exp(phi.s) * (beta.beta1 @ phi.A @ beta_g.beta0 - beta.beta0 @ phi.A @ beta_g.beta1)
     g = Homothety(prof, b=(phi.b + 0.5 * cross) / np.expm1(2 * phi.s), beta=beta_g)
     if phi.c < 0:
         g = compose(Homothety(prof, eps=-1), g)

@@ -102,6 +102,7 @@ def imaginary_local_map(n: int) -> SmoothMap:
                          in_domain=lambda a: np.abs(a[..., 0]) < np.pi / 2 - DOMAIN_TOL)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], np.ndarray],
                      source_metric: Callable[[np.ndarray], np.ndarray],
                      factor: Callable[[np.ndarray], np.ndarray], points):
@@ -111,12 +112,12 @@ def conformal_defect(mapping: SmoothMap, target_metric: Callable[[np.ndarray], n
     metrics take the array to (..., N, n+2, n+2) or one Gram array,
     `factor` to (..., N) or a number.  A float, or one max per row where
     the mapping leads with batch axes, as a (B, 1) batch of group
-    elements does."""
+    elements does; overflow raises, as require_finite, with no warning."""
     a = np.atleast_2d(coords(points, mapping.n))
     J = mapping.jacobian_at(a)  # checks the points once
     pulled = np.swapaxes(J, -1, -2) @ target_metric(require_finite(mapping.forward(a))) @ J
     lam = np.asarray(factor(a))[..., None, None]
-    worst = np.abs(pulled - lam * source_metric(a)).max(axis=(-3, -2, -1), initial=0.0)
+    worst = require_finite(np.abs(pulled - lam * source_metric(a)).max((-3, -2, -1), initial=0.0))
     return float(worst) if worst.ndim == 0 else worst
 
 

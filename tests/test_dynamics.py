@@ -411,16 +411,16 @@ def test_rescaling_equivariant_to_round_off(kind, n, seed, c, negative, u):
 
 class TestConjugationSolve:
     def test_pinned_scalar_example(self):
-        # S = -1, A = 1, s = ln 2, c = pi, betahat = cos t:
-        # the block matrix is diag(-3, -3), so beta = -cos(t)/3
+        # S = -1, A = 1, s = ln 2, c = pi, beta = cos t: the flow over pi is
+        # -I, so 2 beta_g(t) - beta_g(t + pi) = 3 beta_g(t) and beta_g = cos(t)/3
         prof = SymmetricProfile(-np.eye(1))
-        betahat = BetaSolution(prof, [1.0], [0.0])
-        beta = _conjugation_beta(np.eye(1), np.log(2.0), np.pi, betahat)
-        assert beta.beta0[0] == pytest.approx(-1.0 / 3.0, abs=1e-12)
-        assert beta.beta1[0] == pytest.approx(0.0, abs=1e-12)
+        beta = BetaSolution(prof, [1.0], [0.0])
+        beta_g = _conjugation_beta(np.eye(1), np.log(2.0), np.pi, beta)
+        assert beta_g.beta0[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert beta_g.beta1[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_functional_equation(self, rng):
-        # e^s A beta(t + c) - beta(t) = betahat(t) at sample times
+        # e^s A beta_g(t) - beta_g(t + c) = beta(t) at sample times
         for _ in range(10):
             prof = random_profile(rng)
             n = prof.n
@@ -430,17 +430,17 @@ class TestConjugationSolve:
             if any(ev > 0 and abs((s / c) ** 2 - ev) < 1e-3
                    for ev, _ in eigenspaces(prof)):
                 continue
-            betahat = BetaSolution(prof, rng.normal(size=n),
-                                   rng.normal(size=n))
+            beta = BetaSolution(prof, rng.normal(size=n),
+                                rng.normal(size=n))
             try:
-                beta = _conjugation_beta(A, s, c, betahat)
+                beta_g = _conjugation_beta(A, s, c, beta)
             except ResonanceError:
                 continue
             for t in (0.0, 0.5, 1.2):
-                v1, _ = beta_eval(beta, t + c)
-                v0, _ = beta_eval(beta, t)
-                vh, _ = beta_eval(betahat, t)
-                assert np.max(np.abs(np.exp(s) * (A @ v1) - v0 - vh)) <= 1e-7
+                v1, _ = beta_eval(beta_g, t + c)
+                v0, _ = beta_eval(beta_g, t)
+                vb, _ = beta_eval(beta, t)
+                assert np.max(np.abs(np.exp(s) * (A @ v0) - v1 - vb)) <= 1e-7
 
     def test_resonance_raises(self):
         # S = 1, c = 1, s = 1 sits exactly on the resonance (s/c)^2 = 1
@@ -509,13 +509,14 @@ class TestConjugationSolve:
         assert shapes == [(64, 2, 2)]
 
 
-def block_loop_conjugation_beta(profile, A, s, c, betahat):
-    """Reference: the 2d x 2d conjugation system on each eigenspace of S,
-    solved block by block in a loop, behind a resonance gate of its own:
-    ResonanceError where |c| > PARAM_TOL, (s/c)^2 is within RESONANCE_TOL of
-    a positive eigenvalue relative to it, and an eigenvalue of A's block is
-    within RESONANCE_TOL of 1, or where a block is singular.  Returns
-    (beta0, beta1) and the largest condition number of a block."""
+def block_loop_conjugation_beta(profile, A, s, c, beta):
+    """Reference: the 2d x 2d system of e^s A beta_g(t) - beta_g(t + c) =
+    beta(t) on each eigenspace of S, solved block by block in a loop, behind
+    a resonance gate of its own: ResonanceError where |c| > PARAM_TOL,
+    (s/c)^2 is within RESONANCE_TOL of a positive eigenvalue relative to
+    it, and an eigenvalue of A's block is within RESONANCE_TOL of 1, or
+    where a block is singular.  Returns (beta0, beta1) and the largest
+    condition number of a block."""
     b0, b1, cond = np.zeros(profile.n), np.zeros(profile.n), 1.0
     for ev, Q in eigenspaces(profile):
         d = Q.shape[1]
@@ -532,10 +533,11 @@ def block_loop_conjugation_beta(profile, A, s, c, betahat):
             ch, sh, d0 = np.cosh(lam * c), np.sinh(lam * c) / lam, lam * np.sinh(lam * c)
         else:
             ch, sh, d0 = 1.0, c, 0.0
-        M = np.block([[ch * E - np.eye(d), sh * E], [d0 * E, ch * E - np.eye(d)]])
+        eye = np.eye(d)
+        M = np.block([[E - ch * eye, -sh * eye], [-d0 * eye, E - ch * eye]])
         cond = max(cond, float(np.linalg.cond(M)))
         try:
-            sol = np.linalg.solve(M, np.concatenate([Q.T @ betahat.beta0, Q.T @ betahat.beta1]))
+            sol = np.linalg.solve(M, np.concatenate([Q.T @ beta.beta0, Q.T @ beta.beta1]))
         except np.linalg.LinAlgError as exc:
             raise ResonanceError("singular block") from exc
         b0 += Q @ sol[:d]
@@ -576,9 +578,9 @@ def test_resonance_verdicts_match_the_block_loop(delta, on_block):
         A += B @ (block - B.T @ A @ B) @ B.T
         c = float(rng.uniform(0.3, 2.0) * rng.choice([-1, 1]))
         s = float(rng.choice([-1, 1]) * np.sqrt(ev) * c * (1 + delta))
-        betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
-        verdict = _resonates(_conjugation_beta, A, s, c, betahat)
-        assert verdict == _resonates(block_loop_conjugation_beta, prof, A, s, c, betahat)
+        beta = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
+        verdict = _resonates(_conjugation_beta, A, s, c, beta)
+        assert verdict == _resonates(block_loop_conjugation_beta, prof, A, s, c, beta)
         verdicts.append(verdict)
     # only I fixes a vector, and only s within RESONANCE_TOL of the resonance hits it
     assert set(verdicts) == {on_block == "identity" and delta <= 1e-9}
@@ -598,18 +600,18 @@ def test_conjugation_solve_matches_block_loop(kind, n, repeat, seed, s, s_sign, 
     # of two gives rotations too
     A = random_centralising_orthogonal(prof, rng) @ random_centralising_orthogonal(prof, rng)
     s = s_sign * s
-    betahat = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
-    if _resonates(block_loop_conjugation_beta, prof, A, s, c, betahat):
+    beta = BetaSolution(prof, rng.uniform(-2, 2, prof.n), rng.uniform(-2, 2, prof.n))
+    if _resonates(block_loop_conjugation_beta, prof, A, s, c, beta):
         with pytest.raises(ResonanceError):
-            _conjugation_beta(A, s, c, betahat)
+            _conjugation_beta(A, s, c, beta)
         return
-    ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, betahat)
+    ref0, ref1, cond = block_loop_conjugation_beta(prof, A, s, c, beta)
     assume(cond <= 1e3)
-    beta = _conjugation_beta(A, s, c, betahat)
+    beta_g = _conjugation_beta(A, s, c, beta)
     scale = max(1.0, *(float(np.max(np.abs(v)))
-                       for v in (betahat.beta0, betahat.beta1, ref0, ref1)))
-    assert np.max(np.abs(beta.beta0 - ref0)) <= 1e-12 * scale
-    assert np.max(np.abs(beta.beta1 - ref1)) <= 1e-12 * scale
+                       for v in (beta.beta0, beta.beta1, ref0, ref1)))
+    assert np.max(np.abs(beta_g.beta0 - ref0)) <= 1e-12 * scale
+    assert np.max(np.abs(beta_g.beta1 - ref1)) <= 1e-12 * scale
 
 
 class TestNormalForm:

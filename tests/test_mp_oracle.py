@@ -107,20 +107,20 @@ NORMAL_CASES = pytest.mark.parametrize("kind, c", [(k, c) for k in ORBIT_PROFILE
 
 @NORMAL_CASES
 def test_conjugation_solve_forward_error(kind, c):
-    """The solution of e^s A beta(t + c) - beta(t) = betahat(t) put back into
-    the equation through the oracle's flow, at t = 0, 0.5 and 1.2, relative
-    to the largest entry of the initial data.  s = 0.3 is far from the
-    resonances: (s/c)^2 = 0.09 against the eigenvalues 1 and 4."""
+    """The solution of e^s A beta_g(t) - beta_g(t + c) = beta(t) put back
+    into the equation through the oracle's flow, at t = 0, 0.5 and 1.2,
+    relative to the largest entry of the initial data.  s = 0.3 is far from
+    the resonances: (s/c)^2 = 0.09 against the eigenvalues 1 and 4."""
     phi = _phi(kind, 1, c=c)
-    beta = _conjugation_beta(A3, phi.s, c, phi.beta)
-    sol, rhs = mo.element(Homothety(phi.profile, beta=beta)), mo.element(phi)
-    size = max(1.0, *(np.max(np.abs(v)) for v in (beta.beta0, beta.beta1,
+    beta_g = _conjugation_beta(A3, phi.s, c, phi.beta)
+    sol, rhs = mo.element(Homothety(phi.profile, beta=beta_g)), mo.element(phi)
+    size = max(1.0, *(np.max(np.abs(v)) for v in (beta_g.beta0, beta_g.beta1,
                                                   phi.beta.beta0, phi.beta.beta1)))
     with mp.workdps(mo.DPS):
         for t in (0.0, 0.5, 1.2):
             t = mp.mpf(t)
-            defect = (mp.exp(rhs.s) * (rhs.A * mo.flow(sol, t + rhs.c)[0])
-                      - mo.flow(sol, t)[0] - mo.flow(rhs, t)[0])
+            defect = (mp.exp(rhs.s) * (rhs.A * mo.flow(sol, t)[0])
+                      - mo.flow(sol, t + rhs.c)[0] - mo.flow(rhs, t)[0])
             assert max(abs(float(q)) for q in defect) <= FORWARD_TOL * size, t
 
 

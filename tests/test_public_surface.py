@@ -225,7 +225,7 @@ def test_profiles_are_compared_only_where_inputs_are_combined():
     product, the constructor's beta, _stack (so every batch, the PD
     sweep's letters among them), the symplectic form and the orbit.
     The conjugation solve dynamics._conjugation_beta takes its profile from
-    betahat, not as a parameter."""
+    beta, not as a parameter."""
     def compares_profiles(node):
         return isinstance(node, ast.Compare) and any(
             isinstance(side, ast.Attribute) and side.attr == "profile"
@@ -289,6 +289,21 @@ def test_beta_enters_the_eigenbasis_in_one_function():
         == ["core.SymmetricProfile._flow_tables", *reader]
     assert _naming("require_phase") == []
     assert "dynamics.fixed_point" not in _readers("beta_eval")
+
+
+def test_the_normal_form_hands_the_solve_its_own_beta():
+    """_conjugation_beta solves e^s A beta_g(t) - beta_g(t + c) = beta(t),
+    the normal form's own equation, so normal_form passes phi's beta as it
+    is: dynamics.py names no beta_eval, and normal_form builds no
+    BetaSolution from evaluated data."""
+    assert "beta_eval" not in (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
+    normal_form, = [node for node in ast.walk(ast.parse(
+        (PACKAGE / "dynamics.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "normal_form"]
+    solves = [node for node in ast.walk(normal_form) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "_conjugation_beta"]
+    assert [ast.unparse(call.args[-1]) for call in solves] == ["phi.beta"]
+    assert "dynamics.normal_form" not in _readers("BetaSolution")
 
 
 def test_the_dynamics_solves_share_one_block_split():

@@ -278,6 +278,18 @@ def test_normal_forms_do_not_depend_on_the_scale(k):
     assert max(errors) <= 1e-10
 
 
+@pytest.mark.parametrize("k", [1.0, 1e5, 1e10])
+def test_a_resonance_is_refused_at_every_scale(k):
+    """phi = (b 0.3, beta (1, 0.5), (0.5, 1), c 1, +1, I, s 1) over diag(1, 2)
+    sits on the resonance (s/c)^2 = 1, where A = I fixes e_1; so does its
+    image over k^2 diag(1, 2), whose c = 1/k is within PARAM_TOL of 0 at
+    k = 1e10."""
+    unit = SymmetricProfile(np.diag([1.0, 2.0]))
+    phi = Homothety(unit, b=0.3, beta=BetaSolution(unit, [1.0, 0.5], [0.5, 1.0]), c=1.0, s=1.0)
+    with pytest.raises(ResonanceError):
+        normal_form(_scaled(phi, k, SymmetricProfile(k * k * unit.S)))
+
+
 @pytest.mark.parametrize("k", SCALES)
 def test_strict_fixed_points_do_not_depend_on_the_scale(k):
     """A strict phi and its image both fix a point, or neither does, by
